@@ -27,7 +27,7 @@ KEYWORDS = PAPER_QUERY_KEYWORDS[:3]
 @pytest.mark.parametrize("strategy", list(AccessStrategy))
 def test_ablation_access_strategy(benchmark, london, strategy):
     engine = engine_for(london)
-    engine.cell_maps.augmented_cell_counts(0.0005)
+    engine.cell_maps.augmented_cell_counts_column(0.0005)
     benchmark.pedantic(
         lambda: engine.top_k(KEYWORDS, k=50, eps=0.0005, strategy=strategy),
         rounds=3, iterations=1, warmup_rounds=1)

@@ -18,7 +18,7 @@ from repro.eval.reporting import format_table
 
 def test_table2_shopping_streets_berlin(benchmark, berlin):
     engine = engine_for(berlin)
-    engine.cell_maps.augmented_cell_counts(0.0005)
+    engine.cell_maps.augmented_cell_counts_column(0.0005)
     benchmark.pedantic(
         lambda: engine.top_k(["shop"], k=10, eps=0.0005),
         rounds=3, iterations=1, warmup_rounds=1)

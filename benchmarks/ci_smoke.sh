@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI smoke gate: lint, full test suite, then latency sweeps compared
+# CI smoke gate: lint, the full test suite (plain, then with the runtime
+# contracts on), then latency sweeps compared
 # against the committed baselines at the repo root with loose
 # tolerances (sized to absorb shared-runner noise while still tripping
 # on the 2x+ regressions the gates exist for).  The benches warm the
@@ -27,6 +28,9 @@ trap 'rm -rf "$SCRATCH"' EXIT INT TERM
 # handles there).
 python -m repro lint src/repro tests benchmarks
 python -m pytest -x -q
+# The suite must also be green with every runtime contract enabled
+# (Lemma 1 bounds, Definition 1 cross-checks, C_eps re-derivation).
+REPRO_CHECK=1 python -m pytest -x -q
 # The committed baselines are GC-quiesced medians of three, so a
 # single-repeat sample flakes against them on scheduler jitter alone:
 # gate on medians of three as well, at a tolerance sized for the
@@ -44,13 +48,14 @@ python -m repro bench --mode describe --repeats 3 \
     --check-against BENCH_describe.json --tolerance 0.75 \
     --out "$SCRATCH"
 # Cold-path build gate: engine construction, eps-augmentation (fresh /
-# filter / delta), store layout, snapshot export/attach.  Speedup and
-# scalar-ablation keys in the baseline are informational; the comparator
-# gates only the *_median_s leaves.  Unlike the query benches these
-# timings are deliberately UNWARMED one-shots, so run-to-run variance on
-# shared runners is large; the loose tolerance still trips on the
-# regressions that matter (falling back to the scalar builders is a
-# 4-15x slowdown on these phases).
+# filter / delta), store layout, snapshot export/attach.  Speedup keys
+# in the baseline are informational (as are the scalar-pass keys older
+# baselines still carry: the comparator walks only keys both reports
+# share); it gates only the *_median_s leaves.  Unlike the query benches
+# these timings are deliberately UNWARMED one-shots, so run-to-run
+# variance on shared runners is large; the loose tolerance still trips
+# on the regressions that matter (the per-segment Python builders the
+# batched kernels replaced were 4-15x slower on these phases).
 python -m repro bench --mode build --repeats 1 \
     --check-against BENCH_build.json --tolerance 1.5 \
     --out "$SCRATCH"

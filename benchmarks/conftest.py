@@ -55,7 +55,7 @@ def all_cities(london, berlin, vienna):
 @pytest.fixture(scope="session")
 def engine(city):
     eng = engine_for(city)
-    eng.cell_maps.augmented_cell_counts(0.0005)  # warm the eps maps
+    eng.cell_maps.augmented_cell_counts_column(0.0005)  # warm the eps maps
     return eng
 
 

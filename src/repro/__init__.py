@@ -47,7 +47,6 @@ from repro.errors import (
     ContractViolation,
     DataError,
     GridIndexError,
-    IndexError_,  # repro-lint: disable=REP-H304 (back-compat re-export)
     NetworkError,
     QueryError,
     ReproError,
@@ -66,7 +65,6 @@ __all__ = [
     "DataError",
     "GreedyDescriber",
     "GridIndexError",
-    "IndexError_",
     "NetworkError",
     "POI",
     "POISet",

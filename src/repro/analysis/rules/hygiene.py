@@ -12,9 +12,9 @@
   (lazy exports) skip the unbound direction, which cannot be decided
   statically.
 * **REP-H304** — use of a deprecated name (configured under
-  ``[tool.repro.lint] deprecated-names``, e.g. ``IndexError_`` after its
-  rename to ``GridIndexError``).  Assignments creating the back-compat
-  alias are not flagged; imports and loads are.
+  ``[tool.repro.lint] deprecated-names``, which maps each old name to its
+  replacement).  Assignments creating a back-compat alias are not
+  flagged; imports and loads are.
 """
 
 from __future__ import annotations

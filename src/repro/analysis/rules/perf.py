@@ -33,8 +33,8 @@ iteration.
   candidate; batch the candidates and call
   :func:`repro.geometry.distance.segments_bbox_mindist_batched` (or the
   CSR machinery in :mod:`repro.index.cell_maps`) once.  Scalar
-  reference loops kept for ablation/``REPRO_CHECK`` cross-validation
-  carry a ``# repro-lint: disable=REP-P405 (reason)`` comment.
+  reference loops kept for the ``REPRO_CHECK`` cross-validation carry a
+  ``# repro-lint: disable=REP-P405 (reason)`` comment.
 
 A further rule guards the multiprocess serving path
 (``serve-checked-dirs``, defaulting to the import closure of

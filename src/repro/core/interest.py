@@ -11,8 +11,8 @@
 
 Two implementations of mass are provided: an indexed one driven by the
 ``eps``-augmented cell maps (the production path shared by the SOI
-algorithm and the BL baseline) and a brute-force scan used as the ground
-truth in tests.
+algorithm and the BL baseline) and a brute-force scan, the ground truth
+of the test oracle (``tests/oracle.py``) and of the runtime contracts.
 """
 
 from __future__ import annotations
@@ -78,14 +78,12 @@ class RelevantCellCache:
     _EMPTY = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
               np.empty(0))
 
-    _MASK_UNSET = object()
-
     def __init__(self, poi_index: POIGridIndex, keywords: frozenset[str]) -> None:
         self._poi_index = poi_index
         self._keywords = keywords
         self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray,
                                                  np.ndarray, np.ndarray]] = {}
-        self._mask = self._MASK_UNSET
+        self._mask: np.ndarray | None = None
         self.hits = 0
         self.misses = 0
 
@@ -105,32 +103,22 @@ class RelevantCellCache:
         return entry
 
     def _materialise(self, cell: tuple[int, int]):
-        """First-visit gather of a cell's relevant POI arrays."""
+        """First-visit gather of a cell's relevant POI arrays.
+
+        The cell's position array is ascending and duplicate-free, so
+        masking it yields exactly the sorted deduplicated merge of the
+        matching postings.
+        """
         mask = self._mask
-        if mask is self._MASK_UNSET:
+        if mask is None:
             mask = self._poi_index.relevant_position_mask(self._keywords)
             self._mask = mask
-        if mask is not None:
-            # Vectorised index: the cell's position array is ascending
-            # and duplicate-free, so masking it yields exactly the
-            # sorted deduplicated merge of the matching postings.
-            cell_positions = self._poi_index.cell_positions(cell)
-            if cell_positions.size == 0:
-                return self._EMPTY
-            positions = cell_positions[mask[cell_positions]]
-            if positions.size == 0:
-                return self._EMPTY
-            pois = self._poi_index.pois
-            return (positions, pois.xs[positions], pois.ys[positions],
-                    pois.weights[positions])
-        inverted = self._poi_index.cell_inverted(cell)
-        if inverted is None or not any(
-                inverted.count(k) for k in self._keywords):
-            # Fast path: cells with no relevant POIs dominate visits.
+        cell_positions = self._poi_index.cell_positions(cell)
+        if cell_positions.size == 0:
             return self._EMPTY
-        positions = np.fromiter(
-            inverted.matching_positions(self._keywords),
-            dtype=np.intp)
+        positions = cell_positions[mask[cell_positions]]
+        if positions.size == 0:
+            return self._EMPTY
         pois = self._poi_index.pois
         return (positions, pois.xs[positions], pois.ys[positions],
                 pois.weights[positions])
@@ -167,7 +155,6 @@ def segment_mass_in_cell(
     eps: float,
     weighted: bool = False,
     stats=None,
-    mass_cache: dict | None = None,
 ) -> float:
     """Mass contribution of one cell to a segment.
 
@@ -176,35 +163,8 @@ def segment_mass_in_cell(
     one grid cell, summing this over ``C_eps(l)`` gives the exact mass.
 
     ``stats`` (a :class:`~repro.core.results.SOIStats`, or anything with
-    the same counter attributes) receives kernel/cache counters;
-    ``mass_cache`` is an optional ``(segment_id, cell) -> mass`` memo for
-    the ``eps``/``weighted`` combination in effect, normally owned by a
-    :class:`~repro.perf.session.QuerySession`.
+    the same counter attributes) receives the kernel counters.
     """
-    if mass_cache is not None:
-        key = (segment.id, cell)
-        cached = mass_cache.get(key)
-        if cached is not None:
-            if stats is not None:
-                stats.mass_cache_hits += 1
-            return cached
-    total = _segment_mass_in_cell_uncached(segment, cell, cache, eps,
-                                           weighted, stats)
-    if mass_cache is not None:
-        if stats is not None:
-            stats.mass_cache_misses += 1
-        mass_cache[key] = total
-    return total
-
-
-def _segment_mass_in_cell_uncached(
-    segment: Segment,
-    cell: tuple[int, int],
-    cache: RelevantCellCache,
-    eps: float,
-    weighted: bool,
-    stats=None,
-) -> float:
     positions, xs, ys, weights = cache.get(cell)
     n = len(positions)
     if n == 0:
@@ -230,7 +190,6 @@ def segment_mass_batched(
     eps: float,
     weighted: bool = False,
     stats=None,
-    mass_cache: dict | None = None,
 ) -> float:
     """Mass of a segment over several cells with one vectorised kernel call.
 
@@ -238,94 +197,18 @@ def segment_mass_batched(
     and evaluates :func:`points_segment_distance` **once** for the whole
     batch, instead of once per ``(segment, cell)`` pair.  Per-cell
     contributions are then recovered from slices of the batch, so the
-    result — and every value stored into ``mass_cache`` — is bit-identical
-    to summing :func:`segment_mass_in_cell` over the same cells in the
-    same order: tiny cells (``<= _SCALAR_CELL_MAX`` POIs) keep the scalar
-    fast path, larger cells see exactly the same element-wise arithmetic
-    whether their arrays are evaluated alone or inside a batch.
+    result is bit-identical to summing :func:`segment_mass_in_cell` over
+    the same cells in the same order: tiny cells (``<= _SCALAR_CELL_MAX``
+    POIs) keep the scalar fast path, larger cells see exactly the same
+    element-wise arithmetic whether their arrays are evaluated alone or
+    inside a batch.  This is :func:`segment_mass_batched_slots` over a
+    throwaway all-unknown memo.
     """
-    if obs_tracer.ENABLED:
-        with trace_span("soi.mass_kernel"):
-            return _segment_mass_batched_impl(
-                segment, cells, cache, eps, weighted, stats, mass_cache)
-    return _segment_mass_batched_impl(
-        segment, cells, cache, eps, weighted, stats, mass_cache)
-
-
-def _segment_mass_batched_impl(
-    segment: Segment,
-    cells: Iterable[tuple[int, int]],
-    cache: RelevantCellCache,
-    eps: float,
-    weighted: bool,
-    stats=None,
-    mass_cache: dict | None = None,
-) -> float:
-    contributions: list[float] = []
-    # (contribution slot, cell, batch start, batch stop) per batched cell.
-    pending: list[tuple[int, tuple[int, int], int, int]] = []
-    batch_xs: list[np.ndarray] = []
-    batch_ys: list[np.ndarray] = []
-    batch_weights: list[np.ndarray] = []
-    offset = 0
-    cached_hits = 0
-    fresh = 0
-    for cell in cells:
-        if mass_cache is not None:
-            cached = mass_cache.get((segment.id, cell))
-            if cached is not None:
-                cached_hits += 1
-                contributions.append(cached)
-                continue
-        positions, xs, ys, weights = cache.get(cell)
-        n = len(positions)
-        if n > _SCALAR_CELL_MAX:
-            pending.append((len(contributions), cell, offset, offset + n))
-            batch_xs.append(xs)
-            batch_ys.append(ys)
-            batch_weights.append(weights)
-            offset += n
-            contributions.append(0.0)  # patched after the kernel call
-            fresh += 1
-            continue
-        if n == 0:
-            value = 0.0
-        else:
-            if stats is not None:
-                stats.scalar_point_evals += n
-            value = _cell_mass_scalar(xs, ys, weights, segment, eps, weighted)
-        contributions.append(value)
-        fresh += 1
-        if mass_cache is not None:
-            mass_cache[(segment.id, cell)] = value
-    if pending:
-        if stats is not None:
-            stats.kernel_calls += 1
-        xs_all = np.concatenate(batch_xs)
-        ys_all = np.concatenate(batch_ys)
-        dists = points_segment_distance(xs_all, ys_all,
-                                        segment.ax, segment.ay,
-                                        segment.bx, segment.by)
-        within = dists <= eps
-        weights_all = np.concatenate(batch_weights) if weighted else None
-        for slot, cell, start, stop in pending:
-            if weighted:
-                value = float(weights_all[start:stop]
-                              [within[start:stop]].sum())
-            else:
-                value = float(np.count_nonzero(within[start:stop]))
-            contributions[slot] = value
-            if mass_cache is not None:
-                mass_cache[(segment.id, cell)] = value
-    if stats is not None:
-        stats.mass_cache_hits += cached_hits
-        if mass_cache is not None:
-            stats.mass_cache_misses += fresh
-    # Accumulate in cell order, matching the per-cell evaluation exactly.
-    total = 0.0
-    for value in contributions:
-        total += value
-    return total
+    cells = list(cells)
+    n = len(cells)
+    return segment_mass_batched_slots(
+        segment, cells, range(n), [0.0] * n, [False] * n, cache, eps,
+        weighted, stats=stats, count_memo=False)
 
 
 def segment_mass_batched_slots(
@@ -344,12 +227,11 @@ def segment_mass_batched_slots(
 
     ``slots[i]`` is the store-layout slot of ``(segment, cells[i])``;
     ``slot_mass``/``slot_known`` are the
-    :class:`~repro.core.state_store.MassSlots` columns standing in for the
-    dict memo.  Evaluation order, the scalar/kernel split and the final
-    in-order accumulation mirror the dict-memo implementation exactly, so
-    the total — and every memoised value — is bit-identical.
-    ``count_memo=False`` reproduces the ``mass_cache=None`` counter
-    behaviour (ephemeral per-run slots, misses not attributed).
+    :class:`~repro.core.state_store.MassSlots` columns.  Known slots are
+    served from the memo; every fresh value is stored there and equals
+    :func:`segment_mass_in_cell` for its cell bit for bit.  Contributions
+    accumulate in cell order.  ``count_memo=False`` is for ephemeral
+    per-run slots: their misses are not attributed to the memo counters.
     """
     if obs_tracer.ENABLED:
         with trace_span("soi.mass_kernel"):
@@ -447,7 +329,6 @@ def segment_mass(
     weighted: bool = False,
     cache: RelevantCellCache | None = None,
     stats=None,
-    mass_cache: dict | None = None,
 ) -> float:
     """Definition 1: relevant POIs within ``eps`` of the segment.
 
@@ -459,7 +340,7 @@ def segment_mass(
         cache = RelevantCellCache(poi_index, keywords)
     return segment_mass_batched(
         segment, cell_maps.cells_of_segment(segment.id, eps), cache, eps,
-        weighted, stats=stats, mass_cache=mass_cache)
+        weighted, stats=stats)
 
 
 def segment_mass_bruteforce(

@@ -22,7 +22,6 @@ Correctness notes (also summarised in DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -35,10 +34,8 @@ from repro.obs.slowlog import SLOWLOG
 from repro.obs.tracer import perf_now, trace_span
 from repro.core.interest import (
     RelevantCellCache,
-    _segment_mass_in_cell_uncached,
     buffer_area,
     segment_interest,
-    segment_mass_batched,
     segment_mass_batched_slots,
     segment_mass_in_cell,
     validate_query,
@@ -57,7 +54,7 @@ from repro.geometry.bbox import BBox
 from repro.index.cell_maps import SegmentCellMaps
 from repro.index.grid import CellCoord
 from repro.index.poi_grid import POIGridIndex
-from repro.network.model import RoadNetwork, Segment
+from repro.network.model import RoadNetwork
 
 DEFAULT_EPS = 0.0005
 """The distance threshold used throughout the paper's experiments
@@ -88,23 +85,6 @@ class AccessStrategy(Enum):
         }[self]
 
 
-@dataclass(slots=True)
-class _SegmentState:
-    """Book-keeping for a *seen* segment (the paper's partial/final states).
-
-    ``to_visit`` is a dict used as an *ordered* set: iteration follows the
-    canonical ``cells_of_segment`` order, which keeps the scalar path's
-    float accumulation order identical to the store path's CSR order (and
-    hence the sums bit-identical).
-    """
-
-    segment: Segment
-    to_visit: dict[CellCoord, None]
-    buffer_area: float = 0.0
-    mass: float = 0.0
-    final: bool = False
-
-
 class SOIEngine:
     """Indexes a road network and a POI set; answers k-SOI queries.
 
@@ -122,11 +102,6 @@ class SOIEngine:
         How far beyond the joint network/POI MBR the grid extends, so that
         ``eps``-buffers near the border stay inside the grid.  Defaults to
         ``4 * cell_size``.
-    vectorized_build:
-        Build the cold-path index structures (POI bucketing, segment/cell
-        maps) through the batched NumPy kernels (the default).  The scalar
-        construction path is kept behind ``False`` for ablation; both
-        produce bit-identical structures.
     """
 
     def __init__(
@@ -136,7 +111,6 @@ class SOIEngine:
         cell_size: float | None = None,
         extent_margin: float | None = None,
         session_pool_size: int | None = None,
-        vectorized_build: bool = True,
     ) -> None:
         from repro.perf.session import DEFAULT_MAX_SESSIONS, QuerySessionPool
 
@@ -144,7 +118,6 @@ class SOIEngine:
         self.pois = pois
         self._cell_size = cell_size
         self._extent_margin = extent_margin
-        self.vectorized_build = vectorized_build
         self.index_generation = 0
         self._build_indexes()
         self.sessions = QuerySessionPool(
@@ -182,7 +155,6 @@ class SOIEngine:
         engine.pois = pois
         engine._cell_size = poi_index.grid.cell_size
         engine._extent_margin = None
-        engine.vectorized_build = getattr(cell_maps, "vectorized", True)
         engine.index_generation = index_generation
         engine.extent = extent
         engine.poi_index = poi_index
@@ -214,13 +186,9 @@ class SOIEngine:
                      float(pois.xs.max()), float(pois.ys.max())))
         self.extent = extent.expanded(extent_margin)
         with trace_span("index.poi_grid"):
-            self.poi_index = POIGridIndex(
-                pois, self.extent, cell_size,
-                vectorized=self.vectorized_build)
+            self.poi_index = POIGridIndex(pois, self.extent, cell_size)
         with trace_span("index.cell_maps"):
-            self.cell_maps = SegmentCellMaps(
-                network, self.poi_index.grid,
-                vectorized=self.vectorized_build)
+            self.cell_maps = SegmentCellMaps(network, self.poi_index.grid)
         self._max_weight = float(pois.weights.max()) if len(pois) else 0.0
         # SL3 order (length ascending) is query-independent; SL2 order
         # depends only on eps, so it is cached per eps value.
@@ -271,29 +239,15 @@ class SOIEngine:
         """Sorted SL2 entries and the adaptive-SL2 threshold, per eps."""
         cached = self._sl2_cache.get(eps)
         if cached is None:
-            counts_col = getattr(
-                self.cell_maps, "augmented_cell_counts_column", None)
-            if counts_col is not None:
-                # Column path: one lexsort over the cached per-eps count
-                # column instead of materialising the legacy dict.  The
-                # (-count, sid) sort key and the low-median threshold
-                # match the dict path value for value.
-                col = counts_col(eps)
-                sids = self.cell_maps.segment_ids_column
-                order = np.lexsort((sids, -col))
-                entries = tuple(
-                    (int(sids[pos]), float(col[pos]))
-                    for pos in order.tolist())
-                n = int(col.shape[0])
-                median = int(np.sort(col)[n // 2]) if n else 0.0
-            else:
-                cell_counts = self.cell_maps.augmented_cell_counts(eps)
-                entries = tuple(sorted(
-                    ((sid, float(count))
-                     for sid, count in cell_counts.items()),
-                    key=lambda e: (-e[1], e[0])))
-                counts = sorted(cell_counts.values())
-                median = counts[len(counts) // 2] if counts else 0.0
+            # Entries ordered by (-|C_eps(l)|, segment id); the threshold
+            # scales the upper median of the counts.
+            col = self.cell_maps.augmented_cell_counts_column(eps)
+            sids = self.cell_maps.segment_ids_column
+            order = np.lexsort((sids, -col))
+            entries = tuple(
+                (int(sids[pos]), float(col[pos])) for pos in order.tolist())
+            n = int(col.shape[0])
+            median = int(np.sort(col)[n // 2]) if n else 0.0
             cached = (entries, 1.5 * median)
             self._sl2_cache[eps] = cached
         return cached
@@ -322,7 +276,6 @@ class SOIEngine:
         prune_refinement: bool = True,
         weighted: bool = False,
         use_session: bool = True,
-        use_store: bool = True,
         session=None,
     ) -> list[SOIResult]:
         """Answer a k-SOI query (Problem 1).
@@ -340,16 +293,11 @@ class SOIEngine:
         already resolved the session (batched serving) may pass it via
         ``session`` — it must belong to this engine and to the same
         normalised keyword set.
-
-        ``use_store=True`` (the default) drives the filter phase through
-        the array-native :class:`~repro.core.state_store.SegmentStateStore`
-        columns; ``use_store=False`` keeps the per-object scalar path (the
-        ablation/bit-identity reference).  Both return identical results.
         """
         results, _stats = self.top_k_with_stats(
             keywords, k, eps, strategy=strategy,
             prune_refinement=prune_refinement, weighted=weighted,
-            use_session=use_session, use_store=use_store, session=session)
+            use_session=use_session, session=session)
         return results
 
     def top_k_with_stats(
@@ -361,7 +309,6 @@ class SOIEngine:
         prune_refinement: bool = True,
         weighted: bool = False,
         use_session: bool = True,
-        use_store: bool = True,
         session=None,
     ) -> tuple[list[SOIResult], SOIStats]:
         """Like :meth:`top_k` but also returns work/timing counters."""
@@ -369,8 +316,7 @@ class SOIEngine:
         if session is None and use_session:
             session = self.sessions.get(query)
         run = _SOIRun(self, query, k, eps,
-                      strategy, prune_refinement, weighted, session=session,
-                      use_store=use_store)
+                      strategy, prune_refinement, weighted, session=session)
         return run.execute()
 
     def segment_exact_interest(
@@ -389,9 +335,7 @@ class SOIEngine:
         segment = self.network.segment(segment_id)
         mass = segment_mass(
             segment, self.poi_index, self.cell_maps, query, eps, weighted,
-            cache=session.cache if session is not None else None,
-            mass_cache=(session.mass_cache(eps, weighted)
-                        if session is not None else None))
+            cache=session.cache if session is not None else None)
         return segment_interest(mass, segment.length, eps)
 
 
@@ -408,7 +352,6 @@ class _SOIRun:
         prune_refinement: bool,
         weighted: bool,
         session=None,
-        use_store: bool = False,
     ) -> None:
         self.engine = engine
         self.query = query
@@ -419,26 +362,21 @@ class _SOIRun:
         self.weighted = weighted
         self.stats = SOIStats()
         self.session = session
-        self.use_store = use_store
         if session is not None:
             # Cross-query reuse: the session owns the relevant-cell cache
-            # and the (segment, cell) mass memo for this (eps, weighted).
+            # and the slot mass memo for this (eps, weighted).
             self.cache = session.cache
-            self._mass_cache = (None if use_store
-                                else session.mass_cache(eps, weighted))
             self.stats.session_reused = session.queries_served > 0
             session.queries_served += 1
         else:
             self.cache = RelevantCellCache(engine.poi_index, query)
-            self._mass_cache = None
-        self._states: dict[int, _SegmentState] = {}
-        # Store-path state (bound by _store_setup when use_store is on).
+        # Bound by _store_setup when the source lists are built.
         self.store: SegmentStateStore | None = None
         self._layout: StoreLayout | None = None
         self._bind: SignatureBindings | None = None
         self._mass_slots: MassSlots | None = None
-        # Whether memoised masses outlive this run (session-owned slots);
-        # mirrors the mass_cache-is-None counter behaviour of the dict memo.
+        # Mass-memo misses count only when the memo outlives this run
+        # (session-owned slots); a sessionless run's slots are scratch.
         self._count_memo = session is not None
         self._lbk_topk = TopKThreshold(k)
         self._lbk_dirty = True
@@ -466,10 +404,9 @@ class _SOIRun:
             t2 = perf_now()
             kernels_before_refine = self.stats.kernel_calls
             with trace_span("soi.refine"):
-                results = (self._refine_store() if self.use_store
-                           else self._refine())
+                results = self._refine()
             t3 = perf_now()
-        if self.store is not None and self.session is not None:
+        if self.session is not None:
             # Recycle the scratch columns; on an exception the store is
             # simply dropped, so a poisoned run can never be reused.
             self.session.release_state_store(self.store)
@@ -524,13 +461,9 @@ class _SOIRun:
         # it keeps top(SL2) — and hence UB — inflated, so it is retrieved
         # directly instead of waiting for a cell access to reach it.
         sl2_entries, self._sl2_threshold = self.engine._sl2_entries(self.eps)
-        if self.use_store:
-            self._store_setup()
-            is_final = self._store_is_final
-            is_seen = self._store_is_seen
-        else:
-            is_final = self._is_final
-            is_seen = self._is_seen
+        self._store_setup()
+        is_final = self._store_is_final
+        is_seen = self._store_is_seen
         self.sl2 = SegmentSourceList(
             sl2_entries, descending=True,
             is_final=is_final, is_seen=is_seen, presorted=True)
@@ -538,13 +471,6 @@ class _SOIRun:
             self.engine._sl3_entries, descending=False,
             is_final=is_final, is_seen=is_seen, presorted=True)
         self._lists = {"SL1": self.sl1, "SL2": self.sl2, "SL3": self.sl3}
-
-    def _is_seen(self, segment_id: int) -> bool:
-        return segment_id in self._states
-
-    def _is_final(self, segment_id: int) -> bool:
-        state = self._states.get(segment_id)
-        return state is not None and state.final
 
     def _store_setup(self) -> None:
         """Bind the layout, signature bindings, mass slots and scratch.
@@ -594,7 +520,7 @@ class _SOIRun:
         # Tracing likewise binds once: the untraced access method when off,
         # so the disabled path pays nothing per access.
         tracing = obs_tracer.ENABLED
-        plain_access = self._access_store if self.use_store else self._access
+        plain_access = self._access
         if tracing:
             def access(name: str, _plain=plain_access) -> bool:
                 with trace_span("soi.pull", source=name):
@@ -641,111 +567,6 @@ class _SOIRun:
                 break
             stats.iterations += 1
 
-    def _access(self, name: str) -> bool:
-        """Perform one access on the named list; False when exhausted."""
-        if name == "SL1":
-            cell = self.sl1.pop()
-            if cell is None:
-                return False
-            self.stats.cells_popped += 1
-            states = self._states
-            state_of = self._state_of
-            update = self._update_interest
-            for sid in self.engine.cell_maps.segments_of_cell(cell, self.eps):
-                state = states.get(sid)
-                update(state if state is not None else state_of(sid), cell)
-            return True
-        source: SegmentSourceList = self._lists[name]
-        segment_id = source.pop()
-        if segment_id is None:
-            return False
-        self.stats.segments_popped += 1
-        self._finalize(self._state_of(segment_id))
-        return True
-
-    def _state_of(self, segment_id: int) -> _SegmentState:
-        state = self._states.get(segment_id)
-        if state is None:
-            segment = self.engine.network.segment(segment_id)
-            cells = self.engine.cell_maps.cells_of_segment(segment_id, self.eps)
-            state = _SegmentState(
-                segment=segment, to_visit=dict.fromkeys(cells),
-                buffer_area=buffer_area(segment.length, self.eps))
-            self._states[segment_id] = state
-            self.stats.segments_seen += 1
-        return state
-
-    def _update_interest(self, state: _SegmentState, cell: CellCoord) -> None:
-        """The paper's ``UpdateInterest(l, c, Psi)`` procedure.
-
-        Cells known (from the global inverted index) to hold no relevant
-        POI are ticked off ``toVisit`` without touching the POI data.
-        """
-        to_visit = state.to_visit
-        if cell not in to_visit:
-            return
-        del to_visit[cell]
-        stats = self.stats
-        stats.cell_visits += 1
-        if cell in self._cell_ub:
-            # Memo hits are the common case on a warm session; serving
-            # them inline skips a function call per (segment, cell) pair.
-            memo = self._mass_cache
-            cached = (memo.get((state.segment.id, cell))
-                      if memo is not None else None)
-            if cached is not None:
-                stats.mass_cache_hits += 1
-                state.mass += cached
-            else:
-                state.mass += segment_mass_in_cell(
-                    state.segment, cell, self.cache, self.eps, self.weighted,
-                    stats=stats, mass_cache=memo)
-            self._record_lower_bound(state)
-        if not to_visit and not state.final:
-            state.final = True
-            stats.segments_finalized_in_filter += 1
-
-    def _finalize(self, state: _SegmentState) -> None:
-        """Visit every remaining cell of a segment with one batched kernel.
-
-        Equivalent to calling :meth:`_update_interest` per remaining cell:
-        the batched kernel accumulates per-cell contributions in the same
-        visit order (bit-identical floats), and recording the lower bound
-        once with the final mass subsumes the intermediate records (the
-        street map keeps the maximum, and mass only grows).
-        """
-        to_visit = tuple(state.to_visit)
-        if to_visit:
-            self.stats.cell_visits += len(to_visit)
-            relevant = [cell for cell in to_visit if cell in self._cell_ub]
-            if relevant:
-                state.mass += segment_mass_batched(
-                    state.segment, relevant, self.cache, self.eps,
-                    self.weighted, stats=self.stats,
-                    mass_cache=self._mass_cache)
-            state.to_visit.clear()
-        if not state.final:
-            state.final = True
-            self.stats.segments_finalized_in_filter += 1
-        self._record_lower_bound(state)
-
-    def _record_lower_bound(self, state: _SegmentState) -> None:
-        if state.mass <= 0.0:
-            # int-(l) = 0 can never contribute to LBk (zero-interest
-            # streets are not reported); skipping keeps the street map
-            # small and LBk a valid lower bound.
-            return
-        # Definition 2 with the state's precomputed denominator — the same
-        # buffer_area(length, eps) value segment_interest would derive, so
-        # the quotient is bitwise identical.
-        if contracts.ENABLED:
-            contracts.check_definition2(
-                state.mass, state.segment.length, self.eps)
-        value = state.mass / state.buffer_area
-        if self._lbk_topk.update(state.segment.street_id, value):
-            self.stats.lbk_heap_updates += 1
-            self._lbk_dirty = True
-
     def _compute_lbk(self) -> float:
         """Current LBk; recomputed lazily and at most every few iterations.
 
@@ -771,89 +592,16 @@ class _SOIRun:
         mass_ub = top_cells * top_count * self._weight_cap
         return mass_ub / buffer_area(top_length, self.eps)
 
-    # -- phase 3: refinement -------------------------------------------------
-
-    def _refine(self) -> list[SOIResult]:
-        # street_id -> (exact interest, best segment id).  The incremental
-        # threshold tracks the k-th best exact value so the pruning test
-        # needs no nlargest rescan per candidate.
-        exact: dict[int, tuple[float, int]] = {}
-        exact_topk = TopKThreshold(self.k)
-
-        def record_exact(state: _SegmentState) -> None:
-            if contracts.ENABLED:
-                contracts.check_definition2(
-                    state.mass, state.segment.length, self.eps)
-            value = state.mass / state.buffer_area
-            street_id = state.segment.street_id
-            best = exact.get(street_id)
-            if best is None or value > best[0]:
-                exact[street_id] = (value, state.segment.id)
-                exact_topk.update(street_id, value)
-
-        partial: list[tuple[float, int, _SegmentState]] = []
-        for state in self._states.values():
-            if state.final:
-                record_exact(state)
-                continue
-            remaining_ub = sum(
-                self._cell_ub.get(cell, 0)
-                for cell in state.to_visit) * self._weight_cap
-            if remaining_ub == 0:
-                # The unvisited cells hold no relevant POIs: mass is exact.
-                state.to_visit.clear()
-                state.final = True
-                record_exact(state)
-                continue
-            optimistic = segment_interest(
-                state.mass + remaining_ub, state.segment.length, self.eps)
-            partial.append((optimistic, state.segment.id, state))
-
-        partial.sort(key=lambda item: (-item[0], item[1]))
-        for index, (optimistic, _sid, state) in enumerate(partial):
-            if self.prune_refinement:
-                kth = exact_topk.current()
-                if kth is not None and optimistic < kth:
-                    self.stats.refinement_pruned += len(partial) - index
-                    break
-            self._finalize_exact(state)
-            record_exact(state)
-            self.stats.refinement_finalized += 1
-
-        ranked = sorted(
-            ((value, street_id, seg_id)
-             for street_id, (value, seg_id) in exact.items() if value > 0),
-            key=lambda item: (-item[0], item[1]))
-        network = self.engine.network
-        return [
-            SOIResult(street_id=street_id,
-                      street_name=network.street(street_id).name,
-                      interest=value,
-                      best_segment_id=seg_id)
-            for value, street_id, seg_id in ranked[: self.k]
-        ]
-
-    def _finalize_exact(self, state: _SegmentState) -> None:
-        to_visit = tuple(state.to_visit)
-        self.stats.cell_visits += len(to_visit)
-        relevant = [cell for cell in to_visit if cell in self._cell_ub]
-        if relevant:
-            state.mass += segment_mass_batched(
-                state.segment, relevant, self.cache, self.eps, self.weighted,
-                stats=self.stats, mass_cache=self._mass_cache)
-        state.to_visit.clear()
-        state.final = True
-
-    # -- phases 2 and 3, array-native store path -----------------------------
+    # -- phases 2 and 3 over the segment state store -----------------------
     #
-    # Column-for-attribute mirror of _access/_update_interest/_finalize/
-    # _refine: every float operation is applied to the same operands in
-    # the same order as the scalar path (see state_store module docs), so
-    # results, bounds and work counters are identical — only the per-pop
-    # bookkeeping is vectorised.
+    # Seen/final/visited flags, partial masses and remaining upper bounds
+    # live in the SegmentStateStore columns (see the state_store module
+    # docs).  A segment's mass always accumulates its cells in
+    # cells_of_segment order, so every run, cold or warm, produces the
+    # same floats; tests/oracle.py is the definitional reference.
 
-    def _access_store(self, name: str) -> bool:
-        """Store-path access on the named list; False when exhausted."""
+    def _access(self, name: str) -> bool:
+        """Perform one access on the named list; False when exhausted."""
         if name == "SL1":
             cell = self.sl1.pop()
             if cell is None:
@@ -870,15 +618,16 @@ class _SOIRun:
         return True
 
     def _store_visit_cell(self, cell: CellCoord) -> None:
-        """UpdateInterest over every segment of a popped cell (store path).
+        """The paper's ``UpdateInterest(l, c, Psi)`` for every ``l`` in
+        ``L_eps(c)`` of a popped cell.
 
-        Identical operation sequence to the scalar path — per
-        ``(segment, slot)`` pair in ``segments_of_cell`` order: mark
-        visited, init-if-fresh, decrement ``to_visit``, add the slot
-        mass (memoised or freshly computed), record the street lower
-        bound, finalise on zero ``to_visit`` — driven by Python ints
-        against the flat columns (cell groups hold only a handful of
-        segments, see the state_store module docs).
+        Per ``(segment, slot)`` pair in ``by_cell`` order: mark visited,
+        init-if-fresh, decrement ``to_visit``, add the slot mass (memoised
+        or freshly computed), record the street lower bound, finalise on
+        zero ``to_visit`` — driven by Python ints against the flat columns
+        (cell groups hold only a handful of segments, see the state_store
+        module docs).  Cells holding no relevant POI are ticked off without
+        touching the POI data.
         """
         layout = self._layout
         group = layout.by_cell.get(cell)
@@ -929,7 +678,7 @@ class _SOIRun:
                     stats.mass_cache_hits += 1
                     value = slot_mass[slot]
                 else:
-                    value = _segment_mass_in_cell_uncached(
+                    value = segment_mass_in_cell(
                         layout.segments[dense], cell, self.cache, self.eps,
                         self.weighted, stats)
                     slot_mass[slot] = value
@@ -955,7 +704,11 @@ class _SOIRun:
                 stats.segments_finalized_in_filter += 1
 
     def _store_record_bound(self, dense: int) -> None:
-        """Single-segment lower-bound record (the _finalize tail)."""
+        """Record a segment's current interest as its street's lower bound.
+
+        A zero mass is skipped: zero-interest streets are never reported,
+        so they cannot raise LBk.
+        """
         store = self.store
         mass = store.mass[dense]
         if mass <= 0.0:
@@ -987,8 +740,8 @@ class _SOIRun:
         """Visit every remaining cell of a segment with one batched kernel.
 
         The unvisited slots come out of the CSR slice in ascending slot
-        order — the canonical ``cells_of_segment`` order the scalar path
-        now iterates too — so the accumulated mass is bit-identical.
+        order, the canonical ``cells_of_segment`` order, so the mass
+        accumulates exactly as a cell-by-cell visit would.
         """
         store = self.store
         layout = self._layout
@@ -1038,7 +791,12 @@ class _SOIRun:
         store.mass[dense] = store.mass[dense] + added
 
     def _store_finalize(self, dense: int) -> None:
-        """Store-path _finalize: visit the rest, mark final, record LB."""
+        """Filter-phase finalisation: visit the rest, mark final, record LB.
+
+        Recording the lower bound once with the final mass subsumes the
+        per-cell records (the street bound keeps the maximum, and mass
+        only grows).
+        """
         self._store_ensure_seen(dense)
         store = self.store
         self._store_visit_rest(dense)
@@ -1052,7 +810,7 @@ class _SOIRun:
         self._store_record_bound(dense)
 
     def _store_finalize_exact(self, dense: int) -> None:
-        """Store-path _finalize_exact: no LB record, no filter counter."""
+        """Refinement finalisation: no LB record, no filter counter."""
         store = self.store
         self._store_visit_rest(dense)
         store.to_visit[dense] = 0
@@ -1060,8 +818,13 @@ class _SOIRun:
         store.final_epoch[dense] = store.epoch
         store.final_ids.add(self._layout.seg_ids_list[dense])
 
-    def _refine_store(self) -> list[SOIResult]:
-        """Store-path refinement over the active dense positions."""
+    def _refine(self) -> list[SOIResult]:
+        """Exact interests of the seen segments, then the top-k streets.
+
+        Partial segments are finalised in decreasing optimistic-interest
+        order; with ``prune_refinement`` the rest are skipped once the
+        optimistic bound falls below the k-th best exact street.
+        """
         layout = self._layout
         store = self.store
         epoch = store.epoch
@@ -1074,6 +837,9 @@ class _SOIRun:
         final_col = store.final_epoch
         remaining_col = store.remaining_ub
         weight_cap = self._weight_cap
+        # street_id -> (exact interest, best segment id).  The incremental
+        # threshold tracks the k-th best exact value so the pruning test
+        # needs no nlargest rescan per candidate.
         exact: dict[int, tuple[float, int]] = {}
         exact_topk = TopKThreshold(self.k)
 

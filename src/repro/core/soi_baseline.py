@@ -17,7 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.core.interest import (
     RelevantCellCache,
     segment_interest,
-    segment_mass_batched,
     segment_mass_batched_slots,
     validate_query,
 )
@@ -47,7 +46,6 @@ class BaselineSOI:
         weighted: bool = False,
         aggregate: StreetAggregate | None = None,
         use_session: bool = True,
-        use_store: bool = True,
     ) -> list[SOIResult]:
         """Top-k streets by exhaustive computation.
 
@@ -62,8 +60,7 @@ class BaselineSOI:
         from repro.core.aggregates import StreetAggregate, rank_streets
 
         interests = self.all_segment_interests(keywords, k, eps, weighted,
-                                               use_session=use_session,
-                                               use_store=use_store)
+                                               use_session=use_session)
         network = self.engine.network
         if aggregate is None or aggregate is StreetAggregate.MAX:
             best: dict[int, tuple[float, int]] = {}
@@ -104,7 +101,6 @@ class BaselineSOI:
         eps: float = DEFAULT_EPS,
         weighted: bool = False,
         use_session: bool = True,
-        use_store: bool = True,
         stats=None,
     ) -> dict[int, float]:
         """Exact Definition 2 interest of *every* segment.
@@ -113,12 +109,10 @@ class BaselineSOI:
         ranking rather than just the top k.  One batched distance kernel
         runs per segment (over its whole ``eps``-neighbourhood), and with
         ``use_session=True`` the per-cell materialisations and masses are
-        shared with the engine's other queries on the same keyword set.
-        ``use_store=True`` memoises masses in the session's slot columns
-        (the array-native store layout) instead of the dict memo — the
-        values and the accumulation order are bit-identical either way.
-        ``stats`` (an :class:`~repro.core.results.SOIStats` or compatible)
-        collects kernel/cache counters.
+        shared with the engine's other queries on the same keyword set
+        (masses are memoised in the session's slot columns).  ``stats``
+        (an :class:`~repro.core.results.SOIStats` or compatible) collects
+        kernel/cache counters.
         """
         query = validate_query(keywords, k, eps)
         with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
@@ -132,32 +126,19 @@ class BaselineSOI:
                 session.queries_served += 1
             else:
                 cache = RelevantCellCache(self.engine.poi_index, query)
-            if use_store:
-                out = self._interests_via_store(
-                    query, eps, weighted, session, cache, stats)
-            else:
-                mass_cache = (session.mass_cache(eps, weighted)
-                              if session is not None else None)
-                cell_maps = self.engine.cell_maps
-                out = {}
-                for segment in self.engine.network.iter_segments():
-                    mass = segment_mass_batched(
-                        segment, cell_maps.cells_of_segment(segment.id, eps),
-                        cache, eps, weighted, stats=stats,
-                        mass_cache=mass_cache)
-                    out[segment.id] = segment_interest(
-                        mass, segment.length, eps)
+            out = self._interests_via_store(eps, weighted, session, cache,
+                                            stats)
         obs_metrics.REGISTRY.inc("soi.baseline_queries")
         obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned", len(out))
         return out
 
-    def _interests_via_store(self, query, eps, weighted, session, cache,
+    def _interests_via_store(self, eps, weighted, session, cache,
                              stats) -> dict[int, float]:
         """Scan every segment through the store layout's CSR slots.
 
         The dense order *is* ``iter_segments`` order and each segment's
-        slot run *is* its ``cells_of_segment`` order, so masses accumulate
-        exactly as on the dict-memo path.
+        slot run *is* its ``cells_of_segment`` order, so every mass
+        accumulates its cells in that order, cold or warm.
         """
         layout = self.engine.store_layout(eps)
         if session is not None:

@@ -25,18 +25,19 @@ Layout vs. scratch
 * :class:`SignatureBindings` and :class:`MassSlots` are per keyword
   signature (the latter also per ``weighted``), normally owned by a
   :class:`~repro.perf.session.QuerySession`: the cell upper bounds of
-  Algorithm 1 line 2 projected onto the layout, and the slot-indexed mass
-  memo (the columnar twin of the session's ``(segment_id, cell)`` dict).
+  Algorithm 1 line 2 projected onto the layout, and the slot-indexed
+  ``(segment, cell)`` mass memo.
 * :class:`SegmentStateStore` is mutable per-run scratch, recycled across
   runs through an epoch counter so a warm query allocates nothing.
 
-Every cached float is the bitwise-exact value the scalar path computes,
-and every column update applies the same IEEE operations in the same
-order, so the store-driven run returns bit-identical results.
+Every cached float is the bitwise-exact value a fresh evaluation
+computes, and each segment's mass accumulates its slots in
+``cells_of_segment`` order, so cold and warm runs return bit-identical
+results (``tests/oracle.py`` is the definitional reference).
 
-:class:`TopKThreshold` is the incremental LB_k maintenance shared by both
-paths: a bounded min-heap over per-street best values replaces the
-``heapq.nlargest`` full rescan of every termination check.
+:class:`TopKThreshold` is the incremental LB_k maintenance of the filter
+and refinement phases: a bounded min-heap over per-street best values
+replaces the ``heapq.nlargest`` full rescan of every termination check.
 """
 
 from __future__ import annotations
@@ -90,9 +91,8 @@ class TopKThreshold:
     def update(self, key: int, value: float) -> bool:
         """Record ``value`` for ``key``; True when it improved the best.
 
-        The return value matches the dict-based predicate
-        ``value > best.get(key, 0.0)`` the scalar path used, so callers
-        can keep their dirty-flag behaviour unchanged.
+        The return value is the predicate ``value > best.get(key, 0.0)``;
+        callers use it as their LB_k dirty flag.
         """
         best = self._best.get(key, 0.0)
         if value <= best:
@@ -146,8 +146,11 @@ class StoreLayout:
     attached snapshot indexes identically.  A *slot* is one
     ``(segment, cell)`` incidence of the ``eps``-augmented cell maps;
     ``slot_offsets[d]:slot_offsets[d+1]`` spans segment ``d``'s cells in
-    ``cells_of_segment`` order, and ``by_cell`` inverts the CSR into the
-    ``segments_of_cell`` order the scalar path iterates.
+    ``cells_of_segment`` order.  ``cells`` lists the cells in order of
+    first appearance in that slot stream, and ``by_cell[c]`` inverts the
+    CSR: the ``(dense segments, slots)`` of ``c`` in ascending slot order,
+    i.e. ``L_eps(c)``.  The cell maps' CSR rows must follow the same
+    ``iter_segments`` order, as every :class:`SegmentCellMaps` does.
     """
 
     __slots__ = (
@@ -174,7 +177,7 @@ class StoreLayout:
         # Definition 2 denominator column.  Evaluated as
         # (2.0 * eps) * length + (math.pi * eps) * eps — the exact
         # association Python gives buffer_area(), so each element is the
-        # bitwise float the scalar path divides by.
+        # bitwise float buffer_area() returns.
         self.buffer_col = (2.0 * eps) * self.lengths + (math.pi * eps) * eps
         self.dense_index = {seg.id: pos for pos, seg in enumerate(segments)}
         # Python-list mirrors of the read-only columns for the small-group
@@ -187,23 +190,15 @@ class StoreLayout:
         self.lengths_list = self.lengths.tolist()
         self.buffer_list = self.buffer_col.tolist()
 
-        ids_col = getattr(cell_maps, "segment_ids_column", None)
-        if ids_col is not None and np.array_equal(ids_col, self.seg_ids):
-            # The cell maps' CSR rows are already in dense (builder) order;
-            # derive the slot geometry from the flat pair arrays instead of
-            # re-walking Python dicts.
-            offsets, flat_i, flat_j = cell_maps.augmented_csr(eps)
-            self._init_cells_from_csr(cell_maps.grid.ny, offsets,
-                                      flat_i, flat_j)
-        else:
-            self._init_cells_from_walk(segments, cell_maps, eps)
+        offsets, flat_i, flat_j = cell_maps.augmented_csr(eps)
+        self._init_cells_from_csr(cell_maps.grid.ny, offsets, flat_i, flat_j)
 
     def _init_cells_from_csr(self, ny: int, offsets: np.ndarray,
                              flat_i: np.ndarray,
                              flat_j: np.ndarray) -> None:
-        """Slot geometry from flat CSR pair columns, bit-identical to the
-        dict walk: cells numbered by first appearance in the slot stream,
-        ``by_cell`` groups ascending in slot (= dense segment) order."""
+        """Slot geometry from the flat CSR pair columns: cells numbered by
+        first appearance in the slot stream, ``by_cell`` groups ascending
+        in slot (= dense segment) order."""
         n = self.num_segments
         lin = flat_i * np.int64(ny) + flat_j
         uniq, first_idx, inverse = np.unique(
@@ -229,7 +224,7 @@ class StoreLayout:
         self.slot_cells = [cells[pos] for pos in slot_cell.tolist()]
         self.cell_counts = np.diff(self.slot_offsets)
         self.cell_counts_list = self.cell_counts.tolist()
-        # Per cell: (segments, slots) in segments_of_cell order.  Kept as
+        # Per cell: (segments, slots) in ascending slot order.  Kept as
         # Python lists — the groups are tiny (a street grid's cell
         # overlaps a handful of segments), so the filter walks them
         # element-wise.
@@ -241,54 +236,15 @@ class StoreLayout:
                          slots_sorted[bounds[pos]:bounds[pos + 1]])
             for pos in range(num_cells)}
 
-    def _init_cells_from_walk(self, segments: "list[Segment]",
-                              cell_maps: "SegmentCellMaps",
-                              eps: float) -> None:
-        """The original per-segment dict walk (attach-compat fallback)."""
-        n = self.num_segments
-        cell_index: dict["CellCoord", int] = {}
-        cells: list["CellCoord"] = []
-        slot_cell: list[int] = []
-        by_cell_segs: list[list[int]] = []
-        by_cell_slots: list[list[int]] = []
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for dense, seg in enumerate(segments):
-            for cell in cell_maps.cells_of_segment(seg.id, eps):
-                pos = cell_index.get(cell)
-                if pos is None:
-                    pos = len(cells)
-                    cell_index[cell] = pos
-                    cells.append(cell)
-                    by_cell_segs.append([])
-                    by_cell_slots.append([])
-                by_cell_segs[pos].append(dense)
-                by_cell_slots[pos].append(len(slot_cell))
-                slot_cell.append(pos)
-            offsets[dense + 1] = len(slot_cell)
-        self.num_slots = len(slot_cell)
-        self.num_cells = len(cells)
-        self.cells = cells
-        self.cell_index = cell_index
-        self.slot_offsets = offsets
-        self.slot_cell = np.asarray(slot_cell, dtype=np.int64)
-        self.slot_cells = [cells[pos] for pos in slot_cell]
-        self.cell_counts = np.diff(offsets)
-        self.cell_counts_list = self.cell_counts.tolist()
-        # Per cell: (segments, slots) in segments_of_cell order.
-        self.by_cell = {
-            cells[pos]: (by_cell_segs[pos], by_cell_slots[pos])
-            for pos in range(len(cells))}
-
 
 class SignatureBindings:
     """One keyword signature's cell upper bounds projected onto a layout.
 
     ``cell_ub[c]`` is ``|P_Psi(c)|`` (Algorithm 1, line 2) for the
-    layout's cells (cells the signature never populates stay 0, exactly
-    the ``dict.get(cell, 0)`` the scalar path reads), ``relevant`` its
-    positivity mask, and ``total_ub[d]`` the per-segment sum over
-    ``C_eps(l)`` — the starting value of the incrementally-decremented
-    remaining upper-bound column.
+    layout's cells (cells the signature never populates stay 0),
+    ``relevant`` its positivity mask, and ``total_ub[d]`` the per-segment
+    sum over ``C_eps(l)`` — the starting value of the
+    incrementally-decremented remaining upper-bound column.
     """
 
     __slots__ = ("layout", "cell_ub", "relevant", "slot_relevant",
@@ -328,8 +284,8 @@ class SignatureBindings:
 
 
 class MassSlots:
-    """Slot-indexed ``(segment, cell)`` mass memo (columnar twin of the
-    session's dict memo, one instance per ``(signature, eps, weighted)``).
+    """Slot-indexed ``(segment, cell)`` mass memo, one instance per
+    ``(signature, eps, weighted)``.
 
     ``known`` gates reads; writers store the mass *before* flipping the
     flag so a concurrent reader can never observe an unset value.  Both
@@ -349,7 +305,7 @@ class MassSlots:
         self.known: list[bool] = [False] * num_slots
 
     def known_count(self) -> int:
-        """Memoised slots (for reports), like ``len()`` of the dict memo."""
+        """Memoised slots (for reports)."""
         return sum(self.known)
 
 

@@ -32,11 +32,6 @@ class GridIndexError(ReproError):
     segment id unknown to the cell maps)."""
 
 
-#: Deprecated alias of :class:`GridIndexError`, kept so existing imports
-#: keep working; new code is steered to the new name by lint rule REP-H304.
-IndexError_ = GridIndexError
-
-
 class QueryError(ReproError):
     """A query carries invalid parameters (``k < 1``, negative ``eps``,
     empty keyword set where one is required, ...)."""

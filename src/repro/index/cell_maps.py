@@ -6,7 +6,9 @@ passes through, and which segments pass through each cell — that are
 within distance ``eps``:
 
 * ``C_eps(l)``: all cells whose rectangle is within ``eps`` of segment ``l``
-  (so every POI within ``eps`` of ``l`` lies in one of them);
+  (so every POI within ``eps`` of ``l`` lies in one of them; the test
+  allows the grid's ``rounding_slack``, because a POI on a cell border can
+  sit a few ulps outside the rectangle of the cell it is assigned to);
 * ``L_eps(c)``: all segments within ``eps`` of cell ``c`` (the inverse map).
 
 Construction is array-native: every segment's ``eps``-expanded MBR is
@@ -14,8 +16,9 @@ rasterised into a candidate cell window with one vectorised floor-divide,
 the windows are packed as a CSR candidate list, and a single
 :func:`~repro.geometry.distance.segments_bbox_mindist_batched` call
 confirms the exact Section 3.2.1 predicate for all pairs at once — bit
-for bit the same accept/reject decisions as the scalar kernel loop, which
-is kept behind ``vectorized=False`` for ablation.
+for bit the same accept/reject decisions as the scalar definition
+:meth:`SegmentCellMaps._cells_within`, which ``REPRO_CHECK=1`` re-runs
+on a sample of segments.
 
 Augmentation is also *incremental* across ``eps`` values: the confirmed
 exact min-distance of every candidate pair is cached up to the largest
@@ -24,21 +27,24 @@ the cached distance column (no geometry at all) and a larger ``eps``
 computes distances only for the candidate-ring delta outside the cached
 windows.  Confirmed maps are cached per ``eps`` value, since an
 interactive system serves many queries with the same threshold; the
-legacy dict views are materialised lazily from the CSR on first access.
+per-segment cell tuples are materialised lazily from the CSR on first
+access.  The inverse map ``L_eps(c)`` is the cell-major view of the same
+CSR that :class:`~repro.core.state_store.StoreLayout` builds.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.analysis import contracts
+from repro.errors import GridIndexError
 from repro.geometry.distance import (
     segment_bbox_mindist,
     segments_bbox_mindist_batched,
 )
-from repro.index.csr import counts_to_offsets, first_appearance_groups
+from repro.index.csr import counts_to_offsets
 from repro.index.grid import CellCoord, UniformGrid
 from repro.network.model import RoadNetwork
 from repro.obs.metrics import REGISTRY
@@ -97,21 +103,16 @@ class _AugmentedEps:
 class SegmentCellMaps:
     """Base and ``eps``-augmented segment/cell adjacency for a network."""
 
-    def __init__(self, network: RoadNetwork, grid: UniformGrid,
-                 vectorized: bool = True) -> None:
+    def __init__(self, network: RoadNetwork, grid: UniformGrid) -> None:
         self.network = network
         self.grid = grid
-        self.vectorized = bool(vectorized)
         self._init_columns(
             [(seg.id, seg.ax, seg.ay, seg.bx, seg.by)
              for seg in network.iter_segments()])
         self._aug_csr: dict[float, _AugmentedEps] = {}
         self._cache: _AugmentCache | None = None
         self._seg_maps: dict[float, dict[int, tuple[CellCoord, ...]]] = {}
-        self._inv_maps: dict[float, dict[CellCoord, tuple[int, ...]]] = {}
-        self._count_maps: dict[float, dict[int, int]] = {}
-        # The offline base maps (Section 3.2.1) in CSR form; the legacy
-        # dict views materialise lazily on first access.
+        # The offline base map (Section 3.2.1) in CSR form.
         self._augment(0.0)
 
     def _init_columns(
@@ -139,21 +140,24 @@ class SegmentCellMaps:
         """Cells the segment intersects (the offline map)."""
         return self.cells_of_segment(segment_id, 0.0)
 
-    def base_segments_of_cell(self, cell: CellCoord) -> Sequence[int]:
-        """Segments intersecting the cell (the offline inverse map)."""
-        return self._inverse_map(0.0).get(cell, ())
-
     # -- eps-augmented maps ------------------------------------------------------
 
     def cells_of_segment(
         self, segment_id: int, eps: float
     ) -> Sequence[CellCoord]:
-        """``C_eps(l)``: cells within distance ``eps`` of the segment."""
+        """``C_eps(l)``: cells within distance ``eps`` of the segment.
+
+        Raises :class:`~repro.errors.GridIndexError` for a segment id the
+        maps were not built over.
+        """
         aug = self._augment(eps)
         cache = self._seg_maps.setdefault(eps, {})
         got = cache.get(segment_id)
         if got is None:
-            pos = self._seg_pos[segment_id]
+            pos = self._seg_pos.get(segment_id)
+            if pos is None:
+                raise GridIndexError(
+                    f"segment id {segment_id} is unknown to the cell maps")
             start = int(aug.offsets[pos])
             stop = int(aug.offsets[pos + 1])
             got = tuple(zip(aug.ii[start:stop].tolist(),
@@ -161,22 +165,9 @@ class SegmentCellMaps:
             cache[segment_id] = got
         return got
 
-    def segments_of_cell(self, cell: CellCoord, eps: float) -> Sequence[int]:
-        """``L_eps(c)``: segments within distance ``eps`` of the cell."""
-        return self._inverse_map(eps).get(cell, ())
-
-    def augmented_cell_counts(self, eps: float) -> Mapping[int, int]:
-        """``|C_eps(l)|`` for every segment — the SL2 source-list weights."""
-        got = self._count_maps.get(eps)
-        if got is None:
-            aug = self._augment(eps)
-            got = dict(zip(self._seg_id_list, aug.counts.tolist()))
-            self._count_maps[eps] = got
-        return got
-
     def augmented_cell_counts_column(self, eps: float) -> np.ndarray:
-        """``|C_eps(l)|`` as an int64 column aligned with
-        :attr:`segment_ids_column`."""
+        """``|C_eps(l)|`` — the SL2 source-list weights — as an int64
+        column aligned with :attr:`segment_ids_column`."""
         return self._augment(eps).counts
 
     @property
@@ -189,8 +180,8 @@ class SegmentCellMaps:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Confirmed ``C_eps`` pairs as ``(offsets, ii, jj)`` CSR columns.
 
-        Row order is the canonical scalar order: segment-major (builder
-        order), cells row-major within each segment's window — the order
+        Row order is canonical: segment-major (builder order), cells
+        row-major within each segment's window — the order
         ``cells_of_segment`` tuples list.
         """
         aug = self._augment(eps)
@@ -208,43 +199,40 @@ class SegmentCellMaps:
         got = self._aug_csr.get(eps)
         if got is not None:
             return got
-        if not self.vectorized:
-            mode = "scalar"
-        elif self._cache is None:
+        if self._cache is None:
             mode = "fresh"
         elif eps <= self._cache.eps:
             mode = "filter"
         else:
             mode = "delta"
         with trace_span("index.augment_eps", eps=eps, mode=mode):
-            if mode == "scalar":
-                aug = self._compute_scalar(eps)
-            else:
-                self._ensure_cache(eps, mode)
-                aug = self._filter_cache(eps)
+            self._ensure_cache(eps, mode)
+            aug = self._filter_cache(eps)
         REGISTRY.inc(f"index.augment.build.{mode}")
         REGISTRY.inc("index.augment.confirmed_pairs",
                      int(aug.ii.shape[0]))
         self._aug_csr[eps] = aug
-        if self.vectorized and contracts.ENABLED:
+        if contracts.ENABLED:
             self._check_against_scalar(eps, aug)
         return aug
 
-    # -- vectorised path ------------------------------------------------------
+    # -- batched construction -------------------------------------------------
 
     def _window(
         self, eps: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-segment candidate cell windows for ``eps``.
 
-        Element-for-element the scalar probe: the segment MBR expanded by
-        ``eps`` (``BBox.expanded``), its corners clamped to the grid
+        Element-for-element the probe of :meth:`_cells_within`: the
+        segment MBR expanded by ``eps`` plus the grid's rounding slack
+        (``BBox.expanded``), its corners clamped to the grid
         (``UniformGrid.cell_of``).
         """
-        i0, j0 = self.grid.cells_of_batched(self._mbr_min_x - eps,
-                                            self._mbr_min_y - eps)
-        i1, j1 = self.grid.cells_of_batched(self._mbr_max_x + eps,
-                                            self._mbr_max_y + eps)
+        reach = eps + self.grid.rounding_slack
+        i0, j0 = self.grid.cells_of_batched(self._mbr_min_x - reach,
+                                            self._mbr_min_y - reach)
+        i1, j1 = self.grid.cells_of_batched(self._mbr_max_x + reach,
+                                            self._mbr_max_y + reach)
         return i0, j0, i1, j1
 
     def _enumerate_windows(
@@ -254,8 +242,8 @@ class SegmentCellMaps:
         """CSR-expand the windows into flat candidate rows.
 
         Returns ``(offsets, seg, ii, jj)``; rows are segment-major with
-        cells in row-major window order, matching the scalar
-        ``cells_in_bbox`` enumeration.
+        cells in row-major window order, matching the ``cells_in_bbox``
+        enumeration of :meth:`_cells_within`.
         """
         nj = j1 - j0 + 1
         cnt = (i1 - i0 + 1) * nj
@@ -321,93 +309,31 @@ class SegmentCellMaps:
     def _filter_cache(self, eps: float) -> _AugmentedEps:
         """Confirm ``C_eps`` from the cache: threshold + ``eps``-window test.
 
-        The window test is required for exact scalar equality, not just the
-        threshold: a cell can sit exactly at distance ``eps`` from the
-        segment yet outside the ``eps``-expanded-MBR window the scalar path
-        enumerates (the expansion bounds the *MBR*, not the distance), and
-        such a cell must be rejected exactly as the scalar loop never
-        visits it.  Window monotonicity in ``eps`` guarantees every cell
-        inside the ``eps``-window is already a cached row.
+        The window test is required for exact equality with
+        :meth:`_cells_within`, not just the threshold: a cell can sit
+        exactly at distance ``eps`` from the segment yet outside the
+        ``eps``-expanded-MBR window it enumerates (the expansion bounds the
+        *MBR*, not the distance), and such a cell must be rejected exactly
+        as that loop never visits it.  Window monotonicity in ``eps``
+        guarantees every cell inside the ``eps``-window is already a
+        cached row.
         """
         cache = self._cache
         assert cache is not None
+        reach = eps + self.grid.rounding_slack
         if eps == cache.eps:
-            mask = cache.dist <= eps
+            mask = cache.dist <= reach
         else:
             i0, j0, i1, j1 = self._window(eps)
             seg = cache.seg
-            mask = ((cache.dist <= eps)
+            mask = ((cache.dist <= reach)
                     & (cache.ii >= i0[seg]) & (cache.ii <= i1[seg])
                     & (cache.jj >= j0[seg]) & (cache.jj <= j1[seg]))
         counts = np.bincount(cache.seg[mask], minlength=self._n)
         return _AugmentedEps(counts_to_offsets(counts), cache.ii[mask],
                              cache.jj[mask], counts.astype(np.int64))
 
-    # -- dict materialisation (legacy views) -----------------------------------
-
-    def _augmented_maps(
-        self, eps: float
-    ) -> tuple[dict[int, tuple[CellCoord, ...]],
-               dict[CellCoord, tuple[int, ...]]]:
-        """The fully-materialised legacy dict pair for one ``eps``."""
-        return self._full_seg_map(eps), self._inverse_map(eps)
-
-    def _full_seg_map(self, eps: float) -> dict[int, tuple[CellCoord, ...]]:
-        aug = self._augment(eps)
-        cache = self._seg_maps.setdefault(eps, {})
-        if len(cache) < self._n:
-            offsets = aug.offsets.tolist()
-            pairs = list(zip(aug.ii.tolist(), aug.jj.tolist()))
-            for pos, sid in enumerate(self._seg_id_list):
-                if sid not in cache:
-                    cache[sid] = tuple(pairs[offsets[pos]:offsets[pos + 1]])
-        return cache
-
-    def _inverse_map(self, eps: float) -> dict[CellCoord, tuple[int, ...]]:
-        got = self._inv_maps.get(eps)
-        if got is None:
-            aug = self._augment(eps)
-            got = self._invert_csr(aug)
-            self._inv_maps[eps] = got
-        return got
-
-    def _invert_csr(
-        self, aug: _AugmentedEps
-    ) -> dict[CellCoord, tuple[int, ...]]:
-        """``L_eps`` from the confirmed CSR, in scalar insertion order.
-
-        Cells keyed by first appearance in the segment-major row stream
-        (the order the scalar ``defaultdict`` discovered them), segment
-        ids ascending in builder order within each cell.
-        """
-        seg_col = np.repeat(np.arange(self._n, dtype=np.int64), aug.counts)
-        lin = aug.ii * np.int64(self.grid.ny) + aug.jj
-        order, starts, ends, keys = first_appearance_groups(lin)
-        sid_rows = self._seg_ids[seg_col]
-        ny = self.grid.ny
-        inv: dict[CellCoord, tuple[int, ...]] = {}
-        for g in range(starts.shape[0]):
-            key = int(keys[g])
-            rows = order[starts[g]:ends[g]]
-            inv[(key // ny, key % ny)] = tuple(sid_rows[rows].tolist())
-        return inv
-
-    # -- scalar path (ablation) ------------------------------------------------
-
-    def _compute_scalar(self, eps: float) -> _AugmentedEps:
-        """The pre-vectorisation kernel loop, kept for ablation runs."""
-        counts = np.zeros(self._n, dtype=np.int64)
-        flat_i: list[int] = []
-        flat_j: list[int] = []
-        for pos, seg in enumerate(self.network.iter_segments()):
-            cells = self._cells_within(seg.ax, seg.ay, seg.bx, seg.by, eps)
-            counts[pos] = len(cells)
-            for i, j in cells:
-                flat_i.append(i)
-                flat_j.append(j)
-        return _AugmentedEps(counts_to_offsets(counts),
-                             np.array(flat_i, dtype=np.int64),
-                             np.array(flat_j, dtype=np.int64), counts)
+    # -- scalar definition ----------------------------------------------------
 
     def _cells_within(
         self, ax: float, ay: float, bx: float, by: float, eps: float
@@ -416,15 +342,18 @@ class SegmentCellMaps:
 
         Candidates come from the segment MBR expanded by ``eps`` (any closer
         cell must intersect it); each candidate is confirmed with the exact
-        segment-to-box distance.
+        segment-to-box distance.  Both tests allow the grid's
+        ``rounding_slack``, so the cell of a POI lying exactly ``eps`` away
+        on a cell border is kept.
         """
         from repro.geometry.bbox import BBox
 
-        probe = BBox.of_segment(ax, ay, bx, by).expanded(eps)
+        reach = eps + self.grid.rounding_slack
+        probe = BBox.of_segment(ax, ay, bx, by).expanded(reach)
         out = []
         for cell in self.grid.cells_in_bbox(probe):
             box = self.grid.cell_bbox(cell)
-            if segment_bbox_mindist(ax, ay, bx, by, box) <= eps:  # repro-lint: disable=REP-P405 (scalar reference kept for ablation and REPRO_CHECK cross-validation)
+            if segment_bbox_mindist(ax, ay, bx, by, box) <= reach:  # repro-lint: disable=REP-P405 (scalar reference for the REPRO_CHECK cross-validation)
                 out.append(cell)
         return tuple(out)
 
@@ -433,7 +362,7 @@ class SegmentCellMaps:
     def _check_against_scalar(self, eps: float, aug: _AugmentedEps) -> None:
         """Contract: vectorised confirmation equals the scalar kernel loop.
 
-        Re-derives ``C_eps`` with the scalar path for a deterministic
+        Re-derives ``C_eps`` with :meth:`_cells_within` for a deterministic
         sample of segments and requires exact (order-sensitive) equality.
         """
         if self._n == 0:

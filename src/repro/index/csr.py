@@ -2,14 +2,13 @@
 
 The vectorised builders (:mod:`repro.index.cell_maps`,
 :mod:`repro.index.poi_grid`, :mod:`repro.index.photo_grid` and the
-:class:`~repro.core.state_store.StoreLayout` fast path) all reduce to the
-same primitive: group a column of integer keys while preserving the exact
-iteration order their scalar predecessors produced with
-``defaultdict(list)`` accumulation — groups numbered by the *first
-appearance* of their key, members of each group in ascending original
-position (i.e. encounter) order.  A stable argsort delivers both at once;
-this module packages it so every builder shares one audited
-implementation.
+:class:`~repro.core.state_store.StoreLayout`) all reduce to the same
+primitive: group a column of integer keys in exactly the iteration order
+``defaultdict(list)`` accumulation produces — groups numbered by the
+*first appearance* of their key, members of each group in ascending
+original position (i.e. encounter) order.  A stable argsort delivers
+both at once; this module packages it so every builder shares one
+audited implementation.
 """
 
 from __future__ import annotations

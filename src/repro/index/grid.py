@@ -21,6 +21,11 @@ from repro.index.csr import first_appearance_groups
 
 CellCoord = tuple[int, int]
 
+_ROUNDING_RTOL = 1e-12
+"""Size of :attr:`UniformGrid.rounding_slack` relative to the grid's
+coordinate magnitude: thousands of ulps, against the few by which a cell
+assignment and that cell's rectangle can disagree."""
+
 
 def bucket_points(
     grid: "UniformGrid", xs: np.ndarray, ys: np.ndarray
@@ -63,6 +68,13 @@ class UniformGrid:
         self.cell_size = float(cell_size)
         self.nx = max(1, math.ceil(extent.width / cell_size))
         self.ny = max(1, math.ceil(extent.height / cell_size))
+        # cell_of rounds the offset quotient and cell_bbox rounds
+        # min + i * size, so a point can lie a few ulps outside the
+        # rectangle of the cell it is assigned to.  Predicates that must
+        # cover every point of a cell widen their threshold by this.
+        self.rounding_slack = _ROUNDING_RTOL * (
+            max(abs(extent.min_x), abs(extent.min_y))
+            + max(self.nx, self.ny) * self.cell_size)
 
     # -- addressing -------------------------------------------------------
 

@@ -13,7 +13,6 @@ cover photos at most two cells away — the geometry behind the Equation
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -75,30 +74,18 @@ class PhotoGridIndex:
     rho:
         The neighbourhood radius of Definition 4.  The grid cell side is
         ``rho / 2``, as Section 4.2.1 prescribes.
-    vectorized:
-        Bucket photos into cells with one vectorised pass (the default);
-        the scalar per-photo loop is kept for ablation and produces the
-        same cells in the same order.
     """
 
-    def __init__(self, photos: PhotoSet, extent: BBox, rho: float,
-                 vectorized: bool = True) -> None:
+    def __init__(self, photos: PhotoSet, extent: BBox, rho: float) -> None:
         if rho <= 0:
             raise GridIndexError(f"rho must be positive, got {rho}")
         self.photos = photos
         self.rho = float(rho)
         self.grid = UniformGrid(extent, rho / 2.0)
-        if vectorized:
-            per_cell: dict[CellCoord, list[int]] = {
-                coord: positions.tolist()
-                for coord, positions in bucket_points(
-                    self.grid, photos.xs, photos.ys).items()}
-        else:
-            per_cell = defaultdict(list)
-            for position in range(len(photos)):
-                cell = self.grid.cell_of(float(photos.xs[position]),
-                                         float(photos.ys[position]))
-                per_cell[cell].append(position)
+        per_cell: dict[CellCoord, list[int]] = {
+            coord: positions.tolist()
+            for coord, positions in bucket_points(
+                self.grid, photos.xs, photos.ys).items()}
         self._cells: dict[CellCoord, PhotoCell] = {}
         for coord, positions in per_cell.items():
             sizes = [len(photos[pos].keywords) for pos in positions]

@@ -12,7 +12,6 @@ SOI algorithm keeps asking:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,47 +35,18 @@ class POIGridIndex:
     cell_size:
         Grid cell side ("arbitrary cell size" per the paper; the presets
         default to ``2 * eps``).
-    vectorized:
-        Bucket points into cells with one vectorised pass (the default);
-        the scalar per-point loop is kept for ablation and produces the
-        same dictionaries in the same order.
     """
 
-    def __init__(self, pois: POISet, extent: BBox, cell_size: float,
-                 vectorized: bool = True) -> None:
+    def __init__(self, pois: POISet, extent: BBox, cell_size: float) -> None:
         self.pois = pois
         self.grid = UniformGrid(extent, cell_size)
-        if vectorized:
-            self._cell_positions = bucket_points(self.grid, pois.xs, pois.ys)
-        else:
-            per_cell: dict[CellCoord, list[int]] = defaultdict(list)
-            for position in range(len(pois)):
-                cell = self.grid.cell_of(float(pois.xs[position]),
-                                         float(pois.ys[position]))
-                per_cell[cell].append(position)
-            self._cell_positions = {
-                cell: np.array(positions, dtype=np.intp)
-                for cell, positions in per_cell.items()}
-        if vectorized:
-            # Local inverted indexes materialise lazily (queries touch
-            # only candidate cells), so the cold path never builds
-            # posting lists for cells no query asks about; the global
-            # index is counted in one batched pass.
-            self._cell_index: dict[CellCoord, CellInvertedIndex] = {}
-            self.global_index = self._build_global_index_batched()
-        else:
-            # The original eager construction, kept verbatim as the
-            # scalar ablation reference (no postings CSR: queries fall
-            # back to the per-cell merge path).
-            self._kw_vocab = None
-            self._kw_post_offsets = None
-            self._kw_post_values = None
-            self._cell_index = {
-                cell: CellInvertedIndex(
-                    (pos, pois[pos].keywords) for pos in positions.tolist())
-                for cell, positions in self._cell_positions.items()}
-            self.global_index = GlobalInvertedIndex.from_cells(
-                self._cell_index)
+        self._cell_positions = bucket_points(self.grid, pois.xs, pois.ys)
+        # Local inverted indexes materialise lazily (queries touch only
+        # candidate cells), so the cold path never builds posting lists
+        # for cells no query asks about; the global index is counted in
+        # one batched pass.
+        self._cell_index: dict[CellCoord, CellInvertedIndex] = {}
+        self.global_index = self._build_global_index_batched()
 
     def _build_global_index_batched(self) -> GlobalInvertedIndex:
         """The global index from one batched (keyword, cell) count pass.
@@ -86,8 +56,8 @@ class POIGridIndex:
         ``np.unique`` and ordered with one lexsort on
         ``(keyword, -count, cell)`` — the exact ``(-count, cell)``
         entry order :class:`GlobalInvertedIndex` sorts into, so every
-        ``entries``/``count`` lookup is identical to aggregating eager
-        per-cell indexes with :meth:`GlobalInvertedIndex.from_cells`.
+        ``entries``/``count`` lookup is identical to aggregating the local
+        indexes with :meth:`GlobalInvertedIndex.from_cells`.
         """
         pois = self.pois
         vocabulary: dict[str, int] = {}
@@ -181,19 +151,13 @@ class POIGridIndex:
 
     # -- query-side helpers -----------------------------------------------------
 
-    def relevant_position_mask(
-        self, keywords: Iterable[str]
-    ) -> np.ndarray | None:
+    def relevant_position_mask(self, keywords: Iterable[str]) -> np.ndarray:
         """Boolean mask over POI positions matching *any* keyword.
 
-        ``None`` on scalar-built indexes (no postings CSR) — callers then
-        fall back to the per-cell merge path.  Intersecting a cell's
-        (ascending) position array with this mask yields exactly the
-        sorted, deduplicated sequence
+        Intersecting a cell's (ascending) position array with this mask
+        yields exactly the sorted, deduplicated sequence
         :meth:`CellInvertedIndex.matching_positions` merges.
         """
-        if self._kw_post_offsets is None:
-            return None
         mask = np.zeros(len(self.pois), dtype=bool)
         offsets = self._kw_post_offsets
         for keyword in set(keywords):  # repro-lint: disable=REP-D102 (boolean OR into the mask is order-independent)

@@ -199,7 +199,7 @@ def bench_soi(
         "cities": {},
     }
     for name, _city, engine in _build_cities(cities, scale, jobs):
-        engine.cell_maps.augmented_cell_counts(eps)  # untimed eps warm-up
+        engine.cell_maps.augmented_cell_counts_column(eps)  # untimed warm-up
         baseline = BaselineSOI(engine)
         entry: dict = {}
         median, points = median_sweep(
@@ -358,8 +358,8 @@ def _timed(fn: Callable[[], object]) -> tuple[float, object]:
     return time.perf_counter() - t0, result
 
 
-def _cold_build_pass(city: City, eps: float, keywords: Sequence[str],
-                     vectorized: bool) -> dict[str, float]:
+def _cold_build_pass(city: City, eps: float,
+                     keywords: Sequence[str]) -> dict[str, float]:
     """One fully cold build → augment → layout → query → snapshot sequence.
 
     Every pass constructs a fresh engine, so nothing is served from a
@@ -376,22 +376,21 @@ def _cold_build_pass(city: City, eps: float, keywords: Sequence[str],
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _cold_build_pass_timed(city, eps, keywords, vectorized)
+        return _cold_build_pass_timed(city, eps, keywords)
     finally:
         if was_enabled:
             gc.enable()
 
 
-def _cold_build_pass_timed(city: City, eps: float, keywords: Sequence[str],
-                           vectorized: bool) -> dict[str, float]:
+def _cold_build_pass_timed(city: City, eps: float,
+                           keywords: Sequence[str]) -> dict[str, float]:
     from repro.index.cell_maps import SegmentCellMaps
     from repro.serve.snapshot import IndexSnapshot
     from repro.serve.views import attach_engine
 
     times: dict[str, float] = {}
     times["build_s"], engine = _timed(
-        lambda: SOIEngine(city.network, city.pois,
-                          vectorized_build=vectorized))
+        lambda: SOIEngine(city.network, city.pois))
     times["augment_first_s"], _unused = _timed(
         lambda: engine.cell_maps.augmented_cell_counts_column(eps))
     times["store_layout_s"], _unused = _timed(
@@ -406,8 +405,7 @@ def _cold_build_pass_timed(city: City, eps: float, keywords: Sequence[str],
         lambda: engine.cell_maps.augmented_cell_counts_column(eps / 2.0))
     # The from-scratch cost of the same second eps, on maps that carry no
     # eps-sized cache — the denominator of the incremental speedup.
-    scratch = SegmentCellMaps(city.network, engine.poi_index.grid,
-                              vectorized=vectorized)
+    scratch = SegmentCellMaps(city.network, engine.poi_index.grid)
     times["augment_scratch_s"], _unused = _timed(
         lambda: scratch.augmented_cell_counts_column(eps / 2.0))
     # Above the cache: candidate-ring delta only.
@@ -437,7 +435,7 @@ _BUILD_PHASES = ("build", "augment_first", "store_layout", "first_query",
 
 _AUGMENT_COUNTERS = (
     "index.augment.build.fresh", "index.augment.build.filter",
-    "index.augment.build.delta", "index.augment.build.scalar",
+    "index.augment.build.delta",
     "index.augment.candidate_pairs", "index.augment.confirmed_pairs",
     "index.augment.delta_pairs", "index.augment.cache_rows_reused",
     "index.augment.cache_reused",
@@ -450,7 +448,6 @@ def bench_build(
     scale: float = 1.0,
     eps: float = DEFAULT_EPS,
     jobs: int | None = None,
-    ablation: bool = True,
 ) -> dict:
     """The cold-path suite: index construction and first-query timings.
 
@@ -458,10 +455,9 @@ def bench_build(
     (build, first-``eps`` augmentation, store layout, first query, a
     second smaller ``eps`` served from the incremental cache, a larger
     ``eps`` delta, snapshot export and attach); the per-phase medians are
-    the gated ``*_median_s`` metrics.  ``ablation=True`` additionally runs
-    the sequence once through the scalar construction path
-    (``vectorized_build=False``) and reports the speedups — ablation
-    numbers are informational, never gated.
+    the gated ``*_median_s`` metrics.  ``incremental_augment_speedup``
+    compares the from-scratch augmentation of the second ``eps`` with the
+    cache filter that serves it.
 
     ``jobs`` is accepted for CLI symmetry but unused: cold timings must
     not share the machine with parallel builds.
@@ -483,7 +479,7 @@ def bench_build(
     for name in cities:
         city = build_preset(name, scale)  # untimed dataset generation
         before = {key: REGISTRY.counter(key) for key in _AUGMENT_COUNTERS}
-        passes = [_cold_build_pass(city, eps, keywords, vectorized=True)
+        passes = [_cold_build_pass(city, eps, keywords)
                   for _ in range(repeats)]
         after = {key: REGISTRY.counter(key) for key in _AUGMENT_COUNTERS}
         entry: dict = {
@@ -496,18 +492,12 @@ def bench_build(
         entry["num_segments"] = sum(
             1 for _seg in city.network.iter_segments())
         entry["num_pois"] = len(city.pois)
-        if ablation:
-            scalar = _cold_build_pass(city, eps, keywords, vectorized=False)
-            entry["scalar"] = scalar
-            entry["speedups"] = {
-                "cold_start_speedup": (
-                    scalar["cold_start_s"] / entry["cold_start_median_s"]
-                    if entry["cold_start_median_s"] > 0 else 0.0),
-                "incremental_augment_speedup": (
-                    entry["augment_scratch_median_s"]
-                    / entry["augment_filter_median_s"]
-                    if entry["augment_filter_median_s"] > 0 else 0.0),
-            }
+        entry["speedups"] = {
+            "incremental_augment_speedup": (
+                entry["augment_scratch_median_s"]
+                / entry["augment_filter_median_s"]
+                if entry["augment_filter_median_s"] > 0 else 0.0),
+        }
         report["cities"][name] = entry
     return report
 

@@ -14,9 +14,14 @@ signature:
   coordinate arrays of each cell's relevant POIs);
 * the per-cell relevant-count aggregate ``|P_Psi(c)|`` (Algorithm 1,
   line 2), which depends only on the keywords — not on ``k``/``eps``;
-* per-``(eps, weighted)`` mass memos keyed ``(segment_id, cell)``.  A
-  cached mass is the bitwise-exact float the kernel would recompute, so
-  serving it cannot change any downstream comparison or bound.
+* per-``(eps, weighted)`` mass memos
+  (:class:`~repro.core.state_store.MassSlots`, one value per
+  ``(segment, cell)`` slot of the store layout).  A cached mass is the
+  bitwise-exact float the kernel would recompute, so serving it cannot
+  change any downstream comparison or bound.
+
+It also recycles the per-run scratch
+:class:`~repro.core.state_store.SegmentStateStore` columns.
 
 Sessions live in a :class:`QuerySessionPool` with an LRU bound on retained
 signatures.  The pool must be **explicitly invalidated when the indexes it
@@ -58,7 +63,7 @@ class QuerySession:
     """All cached per-query materialisations for one keyword signature."""
 
     __slots__ = ("signature", "generation", "cache", "_poi_index",
-                 "_cell_ub", "_sl1_entries", "_mass", "queries_served",
+                 "_cell_ub", "_sl1_entries", "queries_served",
                  "_store_lock", "_bindings", "_mass_slots", "_state_stores",
                  "store_reuses")
 
@@ -70,14 +75,11 @@ class QuerySession:
         self.cache = RelevantCellCache(poi_index, signature)
         self._cell_ub: dict["CellCoord", int] | None = None
         self._sl1_entries: tuple[tuple["CellCoord", int], ...] | None = None
-        self._mass: dict[tuple[float, bool],
-                         dict[tuple[int, "CellCoord"], float]] = {}
         self.queries_served = 0
-        # Store-path materialisations: per-eps signature bindings, per
-        # (eps, weighted) slot memos, and the recycled scratch stores.
-        # Unlike the add-only dict caches above, the scratch stores are
-        # *mutated* per run, so the free-list hands each out exclusively;
-        # the lock serialises all three maps.
+        # Per-eps signature bindings, per (eps, weighted) slot memos, and
+        # the recycled scratch stores.  Unlike the add-only caches, the
+        # scratch stores are *mutated* per run, so the free-list hands
+        # each out exclusively; the lock serialises all three maps.
         self._store_lock = threading.Lock()
         self._bindings: dict[float, SignatureBindings] = {}
         self._mass_slots: dict[tuple[float, bool], MassSlots] = {}
@@ -158,23 +160,12 @@ class QuerySession:
         with self._store_lock:
             self._state_stores.setdefault(store.layout.eps, []).append(store)
 
-    def mass_cache(self, eps: float,
-                   weighted: bool) -> dict[tuple[int, "CellCoord"], float]:
-        """The ``(segment_id, cell) -> mass`` memo for one ``(eps, weighted)``."""
-        key = (eps, weighted)
-        memo = self._mass.get(key)
-        if memo is None:
-            memo = {}
-            self._mass[key] = memo
-        return memo
-
-    def cached_masses(self) -> int:
-        """Total memoised ``(segment, cell)`` contributions (for reports)."""
-        return sum(len(memo) for memo in self._mass.values())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        with self._store_lock:
+            masses = sum(slots.known_count()
+                         for slots in self._mass_slots.values())
         return (f"QuerySession(signature={sorted(self.signature)!r}, "
-                f"cells={len(self.cache)}, masses={self.cached_masses()})")
+                f"cells={len(self.cache)}, masses={masses})")
 
 
 class QuerySessionPool:

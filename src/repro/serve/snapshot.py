@@ -92,20 +92,6 @@ def _pack_csr(
             np.asarray(values, dtype=np.int64))
 
 
-def _pack_cell_csr(
-    runs: Iterable[Sequence[tuple[int, int]]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Variable-length ``(i, j)`` cell-coordinate runs as CSR arrays."""
-    offsets = [0]
-    pairs: list[tuple[int, int]] = []
-    for run in runs:
-        pairs.extend(run)
-        offsets.append(len(pairs))
-    values = (np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-              if pairs else np.zeros((0, 2), dtype=np.int64))
-    return np.asarray(offsets, dtype=np.int64), values
-
-
 def _keyword_columns(
     keyword_sets: Sequence[frozenset[str]],
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -182,18 +168,13 @@ def build_arrays(
 
     # -- segment/cell maps ------------------------------------------------
     cell_maps = engine.cell_maps
-    seg_ids = [s.id for s in segments]
 
     def _cell_csr_arrays(eps: float) -> tuple[np.ndarray, np.ndarray]:
-        csr = getattr(cell_maps, "augmented_csr", None)
-        if csr is not None:
-            offsets, flat_i, flat_j = csr(eps)
-            pairs = (np.stack([flat_i, flat_j], axis=1)
-                     if flat_i.shape[0] else np.zeros((0, 2), dtype=np.int64))
-            return (np.asarray(offsets, dtype=np.int64),
-                    pairs.astype(np.int64, copy=False))
-        seg_to_cells, _cell_to_segs = cell_maps._augmented_maps(eps)
-        return _pack_cell_csr([seg_to_cells[sid] for sid in seg_ids])
+        offsets, flat_i, flat_j = cell_maps.augmented_csr(eps)
+        pairs = (np.stack([flat_i, flat_j], axis=1)
+                 if flat_i.shape[0] else np.zeros((0, 2), dtype=np.int64))
+        return (np.asarray(offsets, dtype=np.int64),
+                pairs.astype(np.int64, copy=False))
 
     arrays["scm_base_offsets"], arrays["scm_base_cells"] = \
         _cell_csr_arrays(0.0)
@@ -211,8 +192,7 @@ def build_arrays(
         engine.store_layout(float(eps))
 
     # -- incremental augmentation distance cache --------------------------
-    cache_of = getattr(cell_maps, "cached_distance_columns", None)
-    cache = cache_of() if cache_of is not None else None
+    cache = cell_maps.cached_distance_columns()
     cache_eps = None
     if cache is not None:
         arrays["scm_cache_window"] = np.stack(

@@ -170,7 +170,7 @@ def attach_cell_maps(
     """Segment/cell adjacency: base CSR plus every warmed ``eps`` CSR.
 
     The stored pair columns become the per-``eps`` CSR caches **zero-copy**
-    (the legacy dict views materialise lazily on first access, in exactly
+    (per-segment cell tuples materialise lazily on first access, in exactly
     the recorded element order), and the incremental distance cache — if
     the exporter carried one — is installed read-only, so attached workers
     never re-run the augmentation geometry for any ``eps`` at or below the
@@ -181,7 +181,6 @@ def attach_cell_maps(
     maps = SegmentCellMaps.__new__(SegmentCellMaps)
     maps.network = network
     maps.grid = grid
-    maps.vectorized = True
     seg_ids = snapshot.array("seg_ids")
     maps._n = int(seg_ids.shape[0])
     maps._seg_ids = seg_ids
@@ -199,8 +198,6 @@ def attach_cell_maps(
     maps._aug_csr = {0.0: _seeded_csr(snapshot, "scm_base_offsets",
                                       "scm_base_cells")}
     maps._seg_maps = {}
-    maps._inv_maps = {}
-    maps._count_maps = {}
     for index, eps in enumerate(snapshot.meta.get("warm_eps", ())):
         maps._aug_csr[float(eps)] = _seeded_csr(
             snapshot, f"scm_aug{index}_offsets", f"scm_aug{index}_cells")

@@ -132,11 +132,15 @@ def random_networks(draw) -> RoadNetwork:
 
 
 @st.composite
-def random_pois(draw, min_size: int = 0, max_size: int = 25) -> POISet:
+def random_pois(draw, min_size: int = 0, max_size: int = 25,
+                weights: tuple[float, ...] = ()) -> POISet:
+    """POI sets; each weight is drawn from ``weights`` (default 1.0)."""
+    weight = st.sampled_from(weights) if weights else st.just(1.0)
     items = draw(st.lists(
-        st.tuples(coordinates, coordinates, keyword_sets),
+        st.tuples(coordinates, coordinates, keyword_sets, weight),
         min_size=min_size, max_size=max_size))
-    return POISet(POI(i, x, y, kws) for i, (x, y, kws) in enumerate(items))
+    return POISet(POI(i, x, y, kws, weight=wt)
+                  for i, (x, y, kws, wt) in enumerate(items))
 
 
 @st.composite

@@ -1,12 +1,14 @@
 """Property-based equivalence for the vectorised cold-path builders.
 
-The vectorised index construction must be *bit-identical* to the scalar
-reference, not merely approximately equal: the batched geometry kernels
+The vectorised index construction must be *bit-identical* to its
+definition, not merely approximately equal: the batched geometry kernels
 against their scalar counterparts, the vectorised + incremental
-``eps``-augmentation against per-``eps`` scalar map construction (both
-sweep directions, so the filter and delta cache modes are both
-exercised), the CSR store-layout pass against the original dict walk,
-and the batched point bucketing against per-point ``cell_of`` loops.
+``eps``-augmentation against the per-segment scalar predicate
+``SegmentCellMaps._cells_within`` (both sweep directions, so the filter
+and delta cache modes are both exercised), the CSR store layout against
+a walk over ``cells_of_segment``, the batched global inverted index
+against aggregating per-cell indexes, and the batched point bucketing
+against per-point ``cell_of`` loops.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from repro.geometry.distance import (
 )
 from repro.index.cell_maps import SegmentCellMaps
 from repro.index.grid import UniformGrid, bucket_points
+from repro.index.inverted import GlobalInvertedIndex
+from repro.index.poi_grid import POIGridIndex
 
-from tests.conftest import random_networks, random_pois
+from tests.conftest import KEYWORD_POOL, random_networks, random_pois
 
 EXTENT = BBox(0.0, 0.0, 0.02, 0.02)
 EPS_LADDER = (0.0, 0.0004, 0.001, 0.002)
@@ -117,19 +121,16 @@ def test_points_segments_distance_bit_identical(rows):
     assert got.tobytes() == want.tobytes()
 
 
-# -- vectorised + incremental augmentation vs scalar maps ---------------------
+# -- vectorised + incremental augmentation vs the scalar predicate -----------
 
-def _assert_maps_equal(vec: SegmentCellMaps, ref: SegmentCellMaps,
-                       eps: float) -> None:
-    """Equal both directions, as sets *and* in scalar iteration order."""
-    vec_seg, vec_inv = vec._augmented_maps(eps)
-    ref_seg, ref_inv = ref._augmented_maps(eps)
-    assert vec_seg == ref_seg
-    assert list(vec_seg) == list(ref_seg)
-    assert vec_inv == ref_inv
-    assert list(vec_inv) == list(ref_inv)
-    assert dict(vec.augmented_cell_counts(eps)) == \
-        dict(ref.augmented_cell_counts(eps))
+def _assert_maps_match_definition(maps: SegmentCellMaps, eps: float) -> None:
+    """Every ``C_eps(l)`` equals ``_cells_within`` for its segment, in
+    order, and the SL2 count column agrees."""
+    counts = maps.augmented_cell_counts_column(eps)
+    for pos, seg in enumerate(maps.network.iter_segments()):
+        want = maps._cells_within(seg.ax, seg.ay, seg.bx, seg.by, eps)
+        assert tuple(maps.cells_of_segment(seg.id, eps)) == want
+        assert int(counts[pos]) == len(want)
 
 
 @given(network=random_networks(), ascending=st.booleans())
@@ -138,13 +139,11 @@ def test_incremental_augmentation_matches_scalar_both_orders(
         network, ascending):
     """Ascending sweeps exercise the delta mode (cache growth), descending
     sweeps the filter mode (threshold + window membership) — both must
-    reproduce per-``eps`` scalar construction exactly."""
-    grid = _grid()
-    vec = SegmentCellMaps(network, grid, vectorized=True)
-    ref = SegmentCellMaps(network, grid, vectorized=False)
+    reproduce the per-segment scalar predicate exactly."""
+    maps = SegmentCellMaps(network, _grid())
     sequence = EPS_LADDER if ascending else EPS_LADDER[::-1]
     for eps in sequence:
-        _assert_maps_equal(vec, ref, eps)
+        _assert_maps_match_definition(maps, eps)
 
 
 @given(network=random_networks(),
@@ -153,17 +152,15 @@ def test_incremental_augmentation_matches_scalar_both_orders(
 @settings(max_examples=25)
 def test_revisited_eps_identical_after_cache_growth(network, eps_pair):
     """Re-querying an ``eps`` after the cache grew past it must return the
-    very same CSR object (cached), equal to a fresh scalar build."""
-    grid = _grid()
-    vec = SegmentCellMaps(network, grid, vectorized=True)
+    very same CSR object (cached), equal to the scalar predicate."""
+    maps = SegmentCellMaps(network, _grid())
     first, second = eps_pair
-    before = vec.augmented_csr(first)
-    vec.augmented_csr(second)
-    again = vec.augmented_csr(first)
+    before = maps.augmented_csr(first)
+    maps.augmented_csr(second)
+    again = maps.augmented_csr(first)
     assert again[0] is before[0]
-    ref = SegmentCellMaps(network, grid, vectorized=False)
-    _assert_maps_equal(vec, ref, first)
-    _assert_maps_equal(vec, ref, second)
+    _assert_maps_match_definition(maps, first)
+    _assert_maps_match_definition(maps, second)
 
 
 @pytest.fixture(scope="module", params=["london", "berlin", "vienna"])
@@ -180,10 +177,10 @@ def preset_geometry(request):
 @pytest.mark.parametrize("check", [False, True], ids=["plain", "contracts"])
 @pytest.mark.parametrize("descending", [False, True], ids=["asc", "desc"])
 def test_fig4_preset_maps_match_scalar(preset_geometry, check, descending):
-    """Figure 4 presets: the vectorised maps must equal scalar construction
-    for ``eps`` sweeps in both directions, plain and with runtime
-    contracts on (``REPRO_CHECK=1`` semantics, which additionally
-    cross-validates every augment pass in-line)."""
+    """Figure 4 presets: the vectorised maps must equal the scalar
+    predicate for ``eps`` sweeps in both directions, plain and with
+    runtime contracts on (``REPRO_CHECK=1`` semantics, which additionally
+    cross-validates a sample in every augment pass)."""
     from repro.analysis import contracts
 
     network, grid = preset_geometry
@@ -193,50 +190,85 @@ def test_fig4_preset_maps_match_scalar(preset_geometry, check, descending):
     previous = contracts.ENABLED
     contracts.enable_contracts(check)
     try:
-        vec = SegmentCellMaps(network, grid, vectorized=True)
-        ref = SegmentCellMaps(network, grid, vectorized=False)
+        maps = SegmentCellMaps(network, grid)
         for eps in sequence:
-            _assert_maps_equal(vec, ref, eps)
+            _assert_maps_match_definition(maps, eps)
     finally:
         contracts.enable_contracts(previous)
 
 
-# -- store layout: CSR fast path vs dict walk ---------------------------------
+# -- store layout vs its definition -------------------------------------------
 
-class _WalkOnly:
-    """Proxy hiding ``segment_ids_column`` so StoreLayout falls back to
-    the original per-segment dict walk."""
-
-    def __init__(self, maps: SegmentCellMaps) -> None:
-        self._maps = maps
-
-    def __getattr__(self, name: str):
-        if name == "segment_ids_column":
-            raise AttributeError(name)
-        return getattr(self._maps, name)
-
-
-@given(network=random_networks(),
-       eps=st.sampled_from(EPS_LADDER))
+@given(network=random_networks(), ascending=st.booleans())
 @settings(max_examples=25)
-def test_store_layout_csr_matches_dict_walk(network, eps):
-    grid = _grid()
-    maps = SegmentCellMaps(network, grid)
-    fast = StoreLayout(network, maps, eps)
-    walk = StoreLayout(network, _WalkOnly(maps), eps)
-    assert fast.num_slots == walk.num_slots
-    assert fast.num_cells == walk.num_cells
-    assert fast.cells == walk.cells
-    assert fast.cell_index == walk.cell_index
-    assert fast.slot_offsets.tolist() == walk.slot_offsets.tolist()
-    assert fast.slot_cell.tolist() == walk.slot_cell.tolist()
-    assert fast.slot_cells == walk.slot_cells
-    assert fast.cell_counts.tolist() == walk.cell_counts.tolist()
-    assert fast.cell_counts_list == walk.cell_counts_list
-    assert fast.by_cell == walk.by_cell
-    for segs, slots in fast.by_cell.values():
-        assert all(type(d) is int for d in segs)
-        assert all(type(s) is int for s in slots)
+def test_store_layout_csr_matches_dict_walk(network, ascending):
+    """The CSR-derived layout equals a walk over ``cells_of_segment``.
+
+    Each segment's slot run is its ``C_eps(l)`` in order, ``cells`` lists
+    cells by first appearance in the slot stream, and ``by_cell[c]``
+    holds exactly the slots of ``c`` (with their dense segments) in
+    ascending order.  One cell map serves the whole ``eps`` ladder, so
+    layouts over grown and filtered caches are both covered.
+    """
+    maps = SegmentCellMaps(network, _grid())
+    sequence = EPS_LADDER if ascending else EPS_LADDER[::-1]
+    for eps in sequence:
+        layout = StoreLayout(network, maps, eps)
+        cells: list[tuple[int, int]] = []
+        by_cell: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        slot_cells: list[tuple[int, int]] = []
+        offsets = [0]
+        for dense, seg in enumerate(network.iter_segments()):
+            for cell in maps.cells_of_segment(seg.id, eps):
+                if cell not in by_cell:
+                    cells.append(cell)
+                    by_cell[cell] = ([], [])
+                by_cell[cell][0].append(dense)
+                by_cell[cell][1].append(len(slot_cells))
+                slot_cells.append(cell)
+            offsets.append(len(slot_cells))
+        assert layout.num_slots == len(slot_cells)
+        assert layout.num_cells == len(cells)
+        assert layout.cells == cells
+        assert layout.cell_index == {c: pos for pos, c in enumerate(cells)}
+        assert layout.slot_offsets.tolist() == offsets
+        assert layout.slot_cells == slot_cells
+        assert layout.slot_cell.tolist() == [layout.cell_index[c]
+                                             for c in slot_cells]
+        assert layout.cell_counts_list == [
+            b - a for a, b in zip(offsets, offsets[1:])]
+        assert layout.by_cell == by_cell
+        for segs, slots in layout.by_cell.values():
+            assert all(type(d) is int for d in segs)
+            assert all(type(s) is int for s in slots)
+
+
+# -- batched global inverted index vs per-cell aggregation --------------------
+
+@given(pois=random_pois(min_size=0, max_size=30))
+@settings(max_examples=40)
+def test_batched_global_index_matches_per_cell_aggregation(pois):
+    """``entries``/``count`` equal ``GlobalInvertedIndex.from_cells`` over
+    the index's own cells, and the relevance mask selects exactly each
+    cell's ``matching_positions``."""
+    index = POIGridIndex(pois, EXTENT, 0.003)
+    cells = {cell: index.cell_inverted(cell)
+             for cell in index.occupied_cells()}
+    reference = GlobalInvertedIndex.from_cells(cells)
+    assert index.global_index.keywords == reference.keywords
+    for keyword in KEYWORD_POOL:
+        assert index.global_index.entries(keyword) == \
+            reference.entries(keyword)
+        for cell in cells:
+            assert index.global_index.count(keyword, cell) == \
+                reference.count(keyword, cell)
+    for size in (1, 2, 3):
+        query = KEYWORD_POOL[:size]
+        mask = index.relevant_position_mask(query)
+        for cell, inverted in cells.items():
+            positions = index.cell_positions(cell)
+            assert positions[mask[positions]].tolist() == \
+                list(inverted.matching_positions(query))
 
 
 # -- batched bucketing vs scalar cell assignment ------------------------------

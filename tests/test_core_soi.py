@@ -9,36 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.interest import street_interest_bruteforce
 from repro.core.soi import AccessStrategy, SOIEngine
 from repro.core.soi_baseline import BaselineSOI
 from repro.errors import QueryError
 
-
-def assert_topk_equivalent(result, expected, tol: float = 1e-9) -> None:
-    """Same interests (sorted desc); same streets above the boundary tie."""
-    got = [r.interest for r in result]
-    want = [r.interest for r in expected]
-    assert got == pytest.approx(want), "interest values differ"
-    if not want:
-        return
-    boundary = want[-1]
-    got_ids = {r.street_id for r in result if r.interest > boundary + tol}
-    want_ids = {r.street_id for r in expected
-                if r.interest > boundary + tol}
-    assert got_ids == want_ids, "streets above the tie boundary differ"
-
-
-def brute_force_topk(network, pois, keywords, k, eps, weighted=False):
-    """Reference answer straight from Definitions 1-3."""
-    scored = []
-    for street_id in network.streets:
-        interest = street_interest_bruteforce(
-            network, street_id, pois, frozenset(keywords), eps, weighted)
-        if interest > 0:
-            scored.append((interest, street_id))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return scored[:k]
+from tests.oracle import assert_topk_equivalent, ranking, soi_topk
 
 
 class TestAgainstBruteForce:
@@ -47,8 +22,7 @@ class TestAgainstBruteForce:
     def test_cross_fixture(self, cross_network, cross_pois, keywords):
         engine = SOIEngine(cross_network, cross_pois, cell_size=0.2)
         results = engine.top_k(keywords, k=2, eps=0.15)
-        expected = brute_force_topk(cross_network, cross_pois, keywords,
-                                    2, 0.15)
+        expected = soi_topk(cross_network, cross_pois, keywords, 2, 0.15)
         assert [r.interest for r in results] == pytest.approx(
             [interest for interest, _sid in expected])
         assert [r.street_id for r in results] == \
@@ -82,7 +56,7 @@ class TestAgainstBaseline:
         baseline = BaselineSOI(small_engine)
         results = small_engine.top_k(keywords, k=k, eps=0.0005)
         expected = baseline.top_k(keywords, k=k, eps=0.0005)
-        assert_topk_equivalent(results, expected)
+        assert_topk_equivalent(ranking(results), ranking(expected))
 
     @pytest.mark.parametrize("strategy", list(AccessStrategy))
     def test_all_access_strategies_agree(self, small_city, small_engine,
@@ -91,7 +65,7 @@ class TestAgainstBaseline:
                                                    eps=0.0005)
         results = small_engine.top_k(["shop"], k=10, eps=0.0005,
                                      strategy=strategy)
-        assert_topk_equivalent(results, baseline)
+        assert_topk_equivalent(ranking(results), ranking(baseline))
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_refinement_pruning_is_transparent(self, small_engine, prune):
@@ -99,13 +73,13 @@ class TestAgainstBaseline:
                                                    eps=0.0005)
         results = small_engine.top_k(["food"], k=15, eps=0.0005,
                                      prune_refinement=prune)
-        assert_topk_equivalent(results, baseline)
+        assert_topk_equivalent(ranking(results), ranking(baseline))
 
     @pytest.mark.parametrize("eps", [0.0002, 0.0005, 0.0012])
     def test_eps_variations(self, small_engine, eps):
         baseline = BaselineSOI(small_engine).top_k(["shop"], k=10, eps=eps)
         results = small_engine.top_k(["shop"], k=10, eps=eps)
-        assert_topk_equivalent(results, baseline)
+        assert_topk_equivalent(ranking(results), ranking(baseline))
 
 
 class TestResultContract:
@@ -147,8 +121,8 @@ class TestWeightedQueries:
         ])
         engine = SOIEngine(cross_network, pois, cell_size=0.2)
         weighted = engine.top_k(["shop"], k=2, eps=0.15, weighted=True)
-        expected = brute_force_topk(cross_network, pois, ["shop"], 2,
-                                    0.15, weighted=True)
+        expected = soi_topk(cross_network, pois, ["shop"], 2, 0.15,
+                            weighted=True)
         assert [r.interest for r in weighted] == pytest.approx(
             [interest for interest, _sid in expected])
 

@@ -67,7 +67,7 @@ def test_bounds_sound_at_every_step(network, pois, strategy):
 
         # UB dominates every unseen segment's true interest.
         for sid, value in truth.items():
-            if sid not in run._states:
+            if sid not in run.store.seen_ids:
                 assert value <= ub + 1e-9, (
                     f"unseen segment {sid} has interest {value} > UB {ub}")
         # LBk never exceeds the true k-th street interest.
@@ -107,9 +107,10 @@ def test_partial_masses_never_exceed_truth(network, pois):
     for _ in range(3):
         if not run._access("SL1"):
             break
-    for sid, state in run._states.items():
-        segment = network.segment(sid)
+    store = run.store
+    for dense in store.active:
+        segment = store.layout.segments[dense]
         true_mass = segment_mass_bruteforce(segment, pois, keywords, eps)
-        assert state.mass <= true_mass + 1e-9
-        if state.final:
-            assert state.mass == pytest.approx(true_mass)
+        assert store.mass[dense] <= true_mass + 1e-9
+        if store.final_epoch[dense] == store.epoch:
+            assert store.mass[dense] == pytest.approx(true_mass)

@@ -15,7 +15,7 @@ from repro.core.soi import AccessStrategy, SOIEngine
 from repro.core.soi_baseline import BaselineSOI
 
 from tests.conftest import random_networks, random_pois
-from tests.test_core_soi import assert_topk_equivalent, brute_force_topk
+from tests.oracle import assert_topk_equivalent, ranking, soi_topk
 
 
 @given(network=random_networks(),
@@ -28,7 +28,7 @@ from tests.test_core_soi import assert_topk_equivalent, brute_force_topk
 def test_soi_equals_bruteforce(network, pois, k, eps, keywords):
     engine = SOIEngine(network, pois, cell_size=0.0015)
     results = engine.top_k(keywords, k=k, eps=eps)
-    expected = brute_force_topk(network, pois, keywords, k, eps)
+    expected = soi_topk(network, pois, keywords, k, eps)
     got = [r.interest for r in results]
     want = [interest for interest, _sid in expected]
     assert got == pytest.approx(want)
@@ -51,7 +51,7 @@ def test_soi_options_agree_with_baseline(network, pois, strategy, prune):
     baseline = BaselineSOI(engine).top_k(["shop", "food"], k=4, eps=0.001)
     results = engine.top_k(["shop", "food"], k=4, eps=0.001,
                            strategy=strategy, prune_refinement=prune)
-    assert_topk_equivalent(results, baseline)
+    assert_topk_equivalent(ranking(results), ranking(baseline))
 
 
 @pytest.fixture(scope="module", params=["vienna", "berlin"])
@@ -106,7 +106,7 @@ def test_weighted_soi_equals_weighted_bruteforce(network, pois):
         for i, p in enumerate(pois)])
     engine = SOIEngine(network, weighted, cell_size=0.0015)
     results = engine.top_k(["shop"], k=3, eps=0.001, weighted=True)
-    expected = brute_force_topk(network, weighted, ["shop"], 3, 0.001,
-                                weighted=True)
+    expected = soi_topk(network, weighted, ["shop"], 3, 0.001,
+                        weighted=True)
     assert [r.interest for r in results] == pytest.approx(
         [interest for interest, _sid in expected])

@@ -1,7 +1,9 @@
 """Tests for :mod:`repro.index.cell_maps`.
 
 The critical invariant (mass exactness depends on it): every POI within
-``eps`` of a segment lies in some cell of ``C_eps(l)``.
+``eps`` of a segment lies in some cell of ``C_eps(l)``.  The inverse map
+``L_eps(c)`` is the ``by_cell`` view of a
+:class:`~repro.core.state_store.StoreLayout` over the same maps.
 """
 
 from __future__ import annotations
@@ -9,9 +11,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.state_store import StoreLayout
+from repro.errors import GridIndexError
+from repro.geometry.bbox import BBox
 from repro.geometry.distance import point_segment_distance
 from repro.index.cell_maps import SegmentCellMaps
 from repro.index.grid import UniformGrid
+from repro.network.builder import RoadNetworkBuilder
 
 from tests.conftest import random_networks
 
@@ -32,12 +38,14 @@ class TestBaseMaps:
             assert cross_maps.grid.cell_of(seg.bx, seg.by) in cells
 
     def test_base_inverse_map_consistent(self, cross_maps):
-        for seg in cross_maps.network.iter_segments():
+        layout = StoreLayout(cross_maps.network, cross_maps, 0.0)
+        for dense, seg in enumerate(cross_maps.network.iter_segments()):
             for cell in cross_maps.base_cells_of_segment(seg.id):
-                assert seg.id in cross_maps.base_segments_of_cell(cell)
+                assert dense in layout.by_cell[cell][0]
 
     def test_unknown_cell_has_no_segments(self, cross_maps):
-        assert cross_maps.base_segments_of_cell((0, 0)) == ()
+        layout = StoreLayout(cross_maps.network, cross_maps, 0.0)
+        assert (0, 0) not in layout.by_cell
 
 
 class TestAugmentedMaps:
@@ -54,15 +62,18 @@ class TestAugmentedMaps:
 
     def test_inverse_consistency(self, cross_maps):
         eps = 0.3
-        for seg in cross_maps.network.iter_segments():
+        layout = StoreLayout(cross_maps.network, cross_maps, eps)
+        for dense, seg in enumerate(cross_maps.network.iter_segments()):
             for cell in cross_maps.cells_of_segment(seg.id, eps):
-                assert seg.id in cross_maps.segments_of_cell(cell, eps)
+                assert dense in layout.by_cell[cell][0]
 
     def test_augmented_counts_match_map(self, cross_maps):
         eps = 0.3
-        counts = cross_maps.augmented_cell_counts(eps)
+        counts = cross_maps.augmented_cell_counts_column(eps)
+        sids = cross_maps.segment_ids_column
         for seg in cross_maps.network.iter_segments():
-            assert counts[seg.id] == \
+            pos = sids.tolist().index(seg.id)
+            assert counts[pos] == \
                 len(cross_maps.cells_of_segment(seg.id, eps))
 
     def test_caching_returns_same_object(self, cross_maps):
@@ -73,6 +84,12 @@ class TestAugmentedMaps:
     def test_negative_eps_raises(self, cross_maps):
         with pytest.raises(ValueError):
             cross_maps.cells_of_segment(0, -0.1)
+
+    def test_unknown_segment_id_raises_grid_index_error(self, cross_maps):
+        with pytest.raises(GridIndexError, match="unknown"):
+            cross_maps.cells_of_segment(10**9, 0.3)
+        with pytest.raises(GridIndexError):
+            cross_maps.base_cells_of_segment(-1)
 
 
 class TestCoverageInvariant:
@@ -92,3 +109,22 @@ class TestCoverageInvariant:
                 if point_segment_distance(x, y, seg.ax, seg.ay,
                                           seg.bx, seg.by) <= eps:
                     assert grid.cell_of(x, y) in cells
+
+    def test_point_exactly_eps_away_outside_its_cell_rectangle(self):
+        """A point ``eps`` above a segment, on a cell border, is assigned
+        to a cell whose computed rectangle starts one ulp above it; that
+        cell must still be in ``C_eps(l)``."""
+        builder = RoadNetworkBuilder()
+        a = builder.add_vertex(0.0, 0.004)
+        b = builder.add_vertex(0.004, 0.004)
+        builder.add_street("top", [a, b])
+        network = builder.build()
+        grid = UniformGrid(BBox(-0.004, -0.004, 0.008, 0.009), 0.001)
+        maps = SegmentCellMaps(network, grid)
+        (seg,) = network.iter_segments()
+        x, y, eps = 0.0, 0.005, 0.001
+        cell = grid.cell_of(x, y)
+        assert grid.cell_bbox(cell).min_y > y  # the rounding gap
+        assert point_segment_distance(x, y, seg.ax, seg.ay,
+                                      seg.bx, seg.by) == eps
+        assert cell in maps.cells_of_segment(seg.id, eps)

@@ -1,11 +1,12 @@
 """Bit-identity of the performance layer against the plain paths.
 
-The optimised paths — the batched mass kernel, session-served SOI queries
-and the incremental greedy MMR evaluator — must produce results *bitwise*
-equal to the scalar/uncached/naive implementations.  Every property here
-asserts exact ``==`` on floats, over random Hypothesis cities, and the
-whole module runs twice: once plain and once with the runtime invariant
-contracts enabled (``REPRO_CHECK=1`` semantics).
+The optimised paths — the batched mass kernel, the slot mass memo,
+session-served SOI queries and the incremental greedy MMR evaluator —
+must produce results *bitwise* equal to the per-cell kernel, uncached
+runs and the oracle's from-scratch greedy (``tests/oracle.py``).  Every
+property here asserts exact ``==`` on floats, over random Hypothesis
+cities, and the whole module runs twice: once plain and once with the
+runtime invariant contracts enabled (``REPRO_CHECK=1`` semantics).
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import contracts
-from repro.core.describe.greedy import GreedyDescriber, _validate
+from repro.core.describe.greedy import GreedyDescriber
 from repro.core.describe.measures import MMREvaluator, mmr_value
 from repro.core.describe.profile import StreetProfile
 from repro.core.describe.st_rel_div import STRelDivDescriber
 from repro.core.interest import (
     RelevantCellCache,
     segment_mass_batched,
+    segment_mass_batched_slots,
     segment_mass_in_cell,
 )
 from repro.core.soi import SOIEngine
 from repro.core.soi_baseline import BaselineSOI
+from repro.core.state_store import MassSlots
 from repro.data.keywords import KeywordFrequencyVector
 from repro.geometry.bbox import BBox
 
@@ -34,6 +37,7 @@ from tests.conftest import (
     random_photos,
     random_pois,
 )
+from tests.oracle import greedy_mmr
 
 EPS = 0.0005
 
@@ -78,21 +82,25 @@ def test_batched_mass_equals_per_cell_sum(network, pois, keywords):
 @given(network=random_networks(), pois=random_pois(min_size=1),
        keywords=queries)
 def test_batched_mass_cache_stores_exact_values(network, pois, keywords):
-    """Every memoised (segment, cell) mass equals a fresh per-cell value."""
+    """Every memoised slot mass equals a fresh per-cell value."""
     engine = SOIEngine(network, pois)
     query = frozenset(keywords)
+    layout = engine.store_layout(EPS)
     cache = RelevantCellCache(engine.poi_index, query)
-    mass_cache: dict = {}
-    segments = list(network.iter_segments())[:4]
-    for segment in segments:
-        cells = engine.cell_maps.cells_of_segment(segment.id, EPS)
-        segment_mass_batched(segment, cells, cache, EPS,
-                             mass_cache=mass_cache)
     fresh_cache = RelevantCellCache(engine.poi_index, query)
-    for (segment_id, cell), value in mass_cache.items():
-        segment = network.segment(segment_id)
-        assert value == segment_mass_in_cell(segment, cell, fresh_cache,
-                                             EPS, False)
+    for weighted in (False, True):
+        slots = MassSlots(layout.num_slots)
+        for dense, segment in enumerate(layout.segments[:4]):
+            start = int(layout.slot_offsets[dense])
+            stop = int(layout.slot_offsets[dense + 1])
+            segment_mass_batched_slots(
+                segment, layout.slot_cells[start:stop], range(start, stop),
+                slots.mass, slots.known, cache, EPS, weighted)
+            for slot in range(start, stop):
+                assert slots.known[slot]
+                assert slots.mass[slot] == segment_mass_in_cell(
+                    segment, layout.slot_cells[slot], fresh_cache, EPS,
+                    weighted)
 
 
 # -- session-served SOI ------------------------------------------------------
@@ -132,26 +140,6 @@ def test_session_baseline_identical_to_uncached(network, pois, keywords):
 
 # -- incremental greedy MMR --------------------------------------------------
 
-def _naive_greedy(profile: StreetProfile, k: int, lam: float,
-                  w: float) -> list[int]:
-    """The pre-optimisation reference: recompute mmr_value from scratch."""
-    _validate(k, lam, w)
-    n = len(profile)
-    selected: list[int] = []
-    remaining = set(range(n))
-    while len(selected) < min(k, n):
-        best_pos = -1
-        best_value = -1.0
-        for pos in sorted(remaining):
-            value = mmr_value(profile, pos, selected, lam, w, k)
-            if value > best_value:
-                best_value = value
-                best_pos = pos
-        selected.append(best_pos)
-        remaining.discard(best_pos)
-    return selected
-
-
 def _profile_of(photos) -> StreetProfile:
     extent = BBox(-0.001, -0.001, 0.021, 0.021)
     freq: dict[str, float] = {}
@@ -169,7 +157,7 @@ def _profile_of(photos) -> StreetProfile:
 def test_incremental_greedy_matches_naive(photos, k, lam, w):
     profile = _profile_of(photos)
     assert GreedyDescriber(profile).select(k, lam, w) == \
-        _naive_greedy(profile, k, lam, w)
+        greedy_mmr(profile, k, lam, w)
 
 
 @given(photos=random_photos(min_size=1),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.soi import DEFAULT_EPS
 from repro.errors import QueryError
 from repro.perf.parallel import default_jobs, run_parallel
 from repro.perf.session import QuerySessionPool
@@ -25,16 +26,24 @@ class TestQuerySession:
 
     def test_mass_cache_keyed_by_eps_and_weighted(self, engine):
         session = engine.session_for(["shop"])
-        memo = session.mass_cache(0.0005, False)
-        assert session.mass_cache(0.0005, False) is memo
-        assert session.mass_cache(0.0005, True) is not memo
-        assert session.mass_cache(0.001, False) is not memo
+        layout = engine.store_layout(0.0005)
+        memo = session.store_mass_slots(layout, False)
+        assert session.store_mass_slots(layout, False) is memo
+        assert session.store_mass_slots(layout, True) is not memo
+        assert session.store_mass_slots(engine.store_layout(0.001),
+                                        False) is not memo
 
     def test_cached_masses_counts_all_memos(self, engine):
+        """Every mass a cold run counts as a miss lands in the slot memo
+        of its ``(eps, weighted)``, exactly once."""
         session = engine.session_for(["shop"])
-        session.mass_cache(0.0005, False)[(1, (0, 0))] = 1.0
-        session.mass_cache(0.001, False)[(1, (0, 0))] = 2.0
-        assert session.cached_masses() == 2
+        layout = engine.store_layout(DEFAULT_EPS)
+        for weighted in (False, True):
+            _res, stats = engine.top_k_with_stats(["shop"], k=5,
+                                                  weighted=weighted)
+            memo = session.store_mass_slots(layout, weighted)
+            assert stats.mass_cache_misses > 0
+            assert memo.known_count() == stats.mass_cache_misses
 
 
 class TestQuerySessionPool:

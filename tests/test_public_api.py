@@ -23,11 +23,6 @@ class TestSurface:
         assert issubclass(repro.GridIndexError, repro.ReproError)
         assert issubclass(repro.ContractViolation, repro.ReproError)
 
-    def test_deprecated_index_error_alias(self):
-        # IndexError_ was renamed to GridIndexError; the alias must stay
-        # importable and identical so existing except clauses keep working.
-        assert repro.IndexError_ is repro.GridIndexError
-
 
 class TestQuickstartFlow:
     def test_end_to_end(self, small_city):

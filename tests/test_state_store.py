@@ -1,15 +1,16 @@
 """The flat segment-state store and the incremental top-k threshold.
 
-Two contracts are exercised here, both bitwise:
+Two contracts are exercised here, both exact:
 
 * :class:`~repro.core.state_store.TopKThreshold` must return exactly the
   float ``heapq.nlargest(k, values)[-1]`` would, after any interleaving
   of per-key updates (values per key only ever improve — the SOI lower
   bounds are monotone).
-* The store-backed filter phase (``use_store=True``, the default) must
-  match the scalar dict-state path result-for-result *and*
-  counter-for-counter: the store is a data-layout change, not an
-  algorithmic one.
+* The filter and refinement work counters on the Figure 4 presets must
+  equal golden rows recorded while a per-object scalar twin of the store
+  path still existed and agreed with it counter for counter (answers are
+  checked against the definitional oracle in
+  ``test_oracle_differential``).
 
 The whole module runs twice — plain and with the runtime invariant
 contracts enabled (``REPRO_CHECK=1`` semantics) — via the autouse
@@ -25,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import contracts
 from repro.core.soi import AccessStrategy, SOIEngine
-from repro.core.soi_baseline import BaselineSOI
 from repro.core.state_store import TopKThreshold
 
 from tests.conftest import KEYWORD_POOL, random_networks, random_pois
@@ -115,71 +115,6 @@ def test_topk_threshold_compaction_stays_exact():
     assert len(topk._heap) <= 4 * k + 64  # the compaction bound held
 
 
-# -- store path == scalar path ----------------------------------------------
-
-@given(network=random_networks(), pois=random_pois(min_size=1),
-       keywords=queries, k=st.integers(min_value=1, max_value=5),
-       weighted=st.booleans())
-@settings(max_examples=40)
-def test_store_results_and_counters_match_scalar(network, pois, keywords,
-                                                 k, weighted):
-    """Sessionless: store and scalar paths agree on results AND counters."""
-    scalar_engine = SOIEngine(network, pois)
-    store_engine = SOIEngine(network, pois)
-    scalar, scalar_stats = scalar_engine.top_k_with_stats(
-        keywords, k=k, eps=EPS, weighted=weighted,
-        use_session=False, use_store=False)
-    store, store_stats = store_engine.top_k_with_stats(
-        keywords, k=k, eps=EPS, weighted=weighted,
-        use_session=False, use_store=True)
-    assert store == scalar
-    assert store_stats.counters() == scalar_stats.counters()
-
-
-@given(network=random_networks(), pois=random_pois(min_size=1),
-       keywords=queries)
-@settings(max_examples=25)
-def test_store_session_sweep_matches_scalar_sessions(network, pois,
-                                                     keywords):
-    """Warm-session k-sweeps: separate engines so each path owns its
-    session state; counters must then be identical query-for-query."""
-    scalar_engine = SOIEngine(network, pois)
-    store_engine = SOIEngine(network, pois)
-    for strategy in AccessStrategy:
-        for k in (1, 3, 5):
-            scalar, scalar_stats = scalar_engine.top_k_with_stats(
-                keywords, k=k, eps=EPS, strategy=strategy, use_store=False)
-            store, store_stats = store_engine.top_k_with_stats(
-                keywords, k=k, eps=EPS, strategy=strategy, use_store=True)
-            assert store == scalar
-            scalar_counters = scalar_stats.counters()
-            store_counters = store_stats.counters()
-            # ``store_reused`` is the one path-specific counter: warm
-            # store queries recycle pooled columns, the scalar path has
-            # no store to recycle.  Everything else must match.
-            scalar_counters.pop("store_reused", None)
-            store_counters.pop("store_reused", None)
-            assert store_counters == scalar_counters, (strategy, k)
-
-
-@given(network=random_networks(), pois=random_pois(min_size=1),
-       keywords=queries)
-@settings(max_examples=25)
-def test_baseline_store_matches_dict_memo(network, pois, keywords):
-    """BL's slot-column scan == its dict-memo scan, cold and warm."""
-    dict_engine = SOIEngine(network, pois)
-    store_engine = SOIEngine(network, pois)
-    expected = BaselineSOI(dict_engine).all_segment_interests(
-        keywords, eps=EPS, use_store=False)
-    baseline = BaselineSOI(store_engine)
-    assert baseline.all_segment_interests(
-        keywords, eps=EPS, use_store=True) == expected
-    # Warm rerun: every slot is memoised, the fast path must not reorder
-    # the accumulation.
-    assert baseline.all_segment_interests(
-        keywords, eps=EPS, use_store=True) == expected
-
-
 # -- session-pooled store reuse ----------------------------------------------
 
 def test_warm_session_reuses_state_store(small_engine):
@@ -193,13 +128,265 @@ def test_warm_session_reuses_state_store(small_engine):
     assert session is not None and session.store_reuses >= 1
 
 
-def test_scalar_path_never_marks_store_reuse(small_engine):
-    engine = small_engine
-    engine.invalidate_sessions()
-    for _ in range(2):
-        _res, stats = engine.top_k_with_stats(["food"], k=5, eps=EPS,
-                                              use_store=False)
-        assert not stats.store_reused
+# -- golden work counters ---------------------------------------------------
+
+GOLDEN_FIELDS = (
+    "cells_popped", "segments_popped", "segments_seen",
+    "segments_finalized_in_filter", "cell_visits", "refinement_finalized",
+    "refinement_pruned", "iterations", "termination_checks",
+    "lbk_heap_updates", "kernel_calls", "refine_kernel_calls",
+    "scalar_point_evals", "relevant_cache_hits", "relevant_cache_misses",
+    "mass_cache_hits", "mass_cache_misses", "session_reused",
+    "store_reused",
+)
+GOLDEN_SIGNATURES = (("shop",), ("food", "services"))
+
+GOLDEN_COUNTERS = """
+[vienna shop]
+alternate       1 0 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
+alternate       1 0 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
+alternate       1 1 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
+alternate       1 1 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
+alternate      10 0 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
+alternate      10 0 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
+alternate      10 1 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
+alternate      10 1 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
+alternate      50 0 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
+alternate      50 0 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
+alternate      50 1 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
+alternate      50 1 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
+round_robin     1 0 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
+round_robin     1 0 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
+round_robin     1 1 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
+round_robin     1 1 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
+round_robin    10 0 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
+round_robin    10 0 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
+round_robin    10 1 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
+round_robin    10 1 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
+round_robin    50 0 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
+round_robin    50 0 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
+round_robin    50 1 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
+round_robin    50 1 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
+cells_first     1 0 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
+cells_first     1 0 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
+cells_first     1 1 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
+cells_first     1 1 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
+cells_first    10 0 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
+cells_first    10 0 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
+cells_first    10 1 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
+cells_first    10 1 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
+cells_first    50 0 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
+cells_first    50 0 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
+cells_first    50 1 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
+cells_first    50 1 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
+segments_first  1 0 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
+segments_first  1 0 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
+segments_first  1 1 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
+segments_first  1 1 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
+segments_first 10 0 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
+segments_first 10 0 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
+segments_first 10 1 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
+segments_first 10 1 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
+segments_first 50 0 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
+segments_first 50 0 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
+segments_first 50 1 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
+segments_first 50 1 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
+[vienna food+services]
+alternate       1 0 cold  79  81  82  81 3522 0 1 160 41 33 0 0 249 37 155   0 192 0 0
+alternate       1 0 warm  79  81  82  81 3522 0 1 160 41 33 0 0   0  0   0 192   0 1 1
+alternate       1 1 cold  79  81  82  81 3522 0 1 160 41 33 0 0 249 37 155   0 192 0 0
+alternate       1 1 warm  79  81  82  81 3522 0 1 160 41 33 0 0   0  0   0 192   0 1 1
+alternate      10 0 cold  79  81  82  81 3582 1 0 160 41 33 0 0 261 39 165   0 204 0 0
+alternate      10 0 warm  79  81  82  81 3582 1 0 160 41 33 0 0   0  0   0 204   0 1 1
+alternate      10 1 cold  79  81  82  81 3582 1 0 160 41 33 0 0 261 39 165   0 204 0 0
+alternate      10 1 warm  79  81  82  81 3582 1 0 160 41 33 0 0   0  0   0 204   0 1 1
+alternate      50 0 cold  79  81  82  81 3582 1 0 160 41 33 0 0 261 39 165   0 204 0 0
+alternate      50 0 warm  79  81  82  81 3582 1 0 160 41 33 0 0   0  0   0 204   0 1 1
+alternate      50 1 cold  79  81  82  81 3582 1 0 160 41 33 0 0 261 39 165   0 204 0 0
+alternate      50 1 warm  79  81  82  81 3582 1 0 160 41 33 0 0   0  0   0 204   0 1 1
+round_robin     1 0 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
+round_robin     1 0 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
+round_robin     1 1 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
+round_robin     1 1 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
+round_robin    10 0 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
+round_robin    10 0 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
+round_robin    10 1 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
+round_robin    10 1 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
+round_robin    50 0 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
+round_robin    50 0 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
+round_robin    50 1 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
+round_robin    50 1 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
+cells_first     1 0 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
+cells_first     1 0 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
+cells_first     1 1 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
+cells_first     1 1 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
+cells_first    10 0 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
+cells_first    10 0 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
+cells_first    10 1 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
+cells_first    10 1 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
+cells_first    50 0 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
+cells_first    50 0 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
+cells_first    50 1 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
+cells_first    50 1 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
+segments_first  1 0 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
+segments_first  1 0 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
+segments_first  1 1 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
+segments_first  1 1 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
+segments_first 10 0 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
+segments_first 10 0 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
+segments_first 10 1 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
+segments_first 10 1 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
+segments_first 50 0 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
+segments_first 50 0 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
+segments_first 50 1 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
+segments_first 50 1 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
+[berlin shop]
+alternate       1 0 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
+alternate       1 0 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
+alternate       1 1 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
+alternate       1 1 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
+alternate      10 0 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
+alternate      10 0 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
+alternate      10 1 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
+alternate      10 1 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
+alternate      50 0 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
+alternate      50 0 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
+alternate      50 1 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
+alternate      50 1 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
+round_robin     1 0 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
+round_robin     1 0 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
+round_robin     1 1 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
+round_robin     1 1 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
+round_robin    10 0 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
+round_robin    10 0 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
+round_robin    10 1 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
+round_robin    10 1 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
+round_robin    50 0 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
+round_robin    50 0 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
+round_robin    50 1 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
+round_robin    50 1 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
+cells_first     1 0 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
+cells_first     1 0 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
+cells_first     1 1 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
+cells_first     1 1 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
+cells_first    10 0 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
+cells_first    10 0 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
+cells_first    10 1 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
+cells_first    10 1 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
+cells_first    50 0 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
+cells_first    50 0 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
+cells_first    50 1 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
+cells_first    50 1 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
+segments_first  1 0 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
+segments_first  1 0 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
+segments_first  1 1 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
+segments_first  1 1 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
+segments_first 10 0 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
+segments_first 10 0 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
+segments_first 10 1 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
+segments_first 10 1 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
+segments_first 50 0 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
+segments_first 50 0 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
+segments_first 50 1 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
+segments_first 50 1 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
+[berlin food+services]
+alternate       1 0 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
+alternate       1 0 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
+alternate       1 1 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
+alternate       1 1 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
+alternate      10 0 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
+alternate      10 0 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
+alternate      10 1 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
+alternate      10 1 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
+alternate      50 0 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
+alternate      50 0 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
+alternate      50 1 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
+alternate      50 1 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
+round_robin     1 0 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
+round_robin     1 0 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
+round_robin     1 1 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
+round_robin     1 1 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
+round_robin    10 0 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
+round_robin    10 0 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
+round_robin    10 1 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
+round_robin    10 1 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
+round_robin    50 0 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
+round_robin    50 0 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
+round_robin    50 1 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
+round_robin    50 1 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
+cells_first     1 0 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
+cells_first     1 0 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
+cells_first     1 1 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
+cells_first     1 1 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
+cells_first    10 0 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
+cells_first    10 0 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
+cells_first    10 1 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
+cells_first    10 1 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
+cells_first    50 0 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
+cells_first    50 0 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
+cells_first    50 1 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
+cells_first    50 1 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
+segments_first  1 0 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
+segments_first  1 0 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
+segments_first  1 1 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
+segments_first  1 1 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
+segments_first 10 0 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
+segments_first 10 0 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
+segments_first 10 1 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
+segments_first 10 1 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
+segments_first 50 0 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
+segments_first 50 0 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
+segments_first 50 1 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
+segments_first 50 1 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
+"""
+"""``SOIStats.counters()`` in ``GOLDEN_FIELDS`` order, one row per
+``strategy k weighted run`` under a ``[preset signature]`` header.
+
+Recorded on the scale-0.1 vienna and berlin presets at ``EPS`` while the
+per-object scalar filter path still existed: it produced these rows
+counter for counter (bar ``store_reused``, which only the store sets), so
+they carry that equivalence after its removal.  Each cold run starts
+from an invalidated session pool; the warm run repeats the query."""
+
+
+def _golden_rows() -> dict[tuple, dict[str, int]]:
+    rows: dict[tuple, dict[str, int]] = {}
+    group: tuple[str, ...] = ()
+    for line in GOLDEN_COUNTERS.strip().splitlines():
+        if line.startswith("["):
+            group = tuple(line.strip("[]").split())
+            continue
+        strategy, k, weighted, run, *values = line.split()
+        rows[group + (strategy, int(k), weighted == "1", run)] = dict(
+            zip(GOLDEN_FIELDS, map(int, values), strict=True))
+    return rows
+
+
+def test_golden_work_counters():
+    """Work counters on the Figure 4 presets equal the recorded rows."""
+    from repro.datagen import build_preset
+
+    expected = _golden_rows()
+    got: dict[tuple, dict[str, int]] = {}
+    for preset in ("vienna", "berlin"):
+        city = build_preset(preset, 0.1)
+        engine = SOIEngine(city.network, city.pois)
+        for signature in GOLDEN_SIGNATURES:
+            for strategy in AccessStrategy:
+                for k in (1, 10, 50):
+                    for weighted in (False, True):
+                        engine.invalidate_sessions()
+                        for run in ("cold", "warm"):
+                            _res, stats = engine.top_k_with_stats(
+                                signature, k=k, eps=EPS, strategy=strategy,
+                                weighted=weighted)
+                            key = (preset, "+".join(signature),
+                                   strategy.value, k, weighted, run)
+                            got[key] = stats.counters()
+    assert got.keys() == expected.keys()
+    mismatched = [key for key in expected if got[key] != expected[key]]
+    assert not mismatched, (mismatched[0], got[mismatched[0]],
+                            expected[mismatched[0]])
 
 
 # -- counter budgets ---------------------------------------------------------
