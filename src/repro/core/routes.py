@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.core.results import SOIResult
 from repro.errors import QueryError
 from repro.network.model import RoadNetwork
@@ -43,6 +41,8 @@ def recommend_route(
     ``start_vertex=None`` the route starts at the best segment of the
     highest-ranked street.
     """
+    import networkx as nx  # deferred like RoadNetwork.as_networkx
+
     if not results:
         raise QueryError("cannot recommend a route from an empty result list")
     graph = network.as_networkx()

@@ -621,7 +621,7 @@ class _SOIRun:
         """The paper's ``UpdateInterest(l, c, Psi)`` for every ``l`` in
         ``L_eps(c)`` of a popped cell.
 
-        Per ``(segment, slot)`` pair in ``by_cell`` order: mark visited,
+        Per ``(segment, slot)`` pair in ``cell_group`` order: mark visited,
         init-if-fresh, decrement ``to_visit``, add the slot mass (memoised
         or freshly computed), record the street lower bound, finalise on
         zero ``to_visit`` — driven by Python ints against the flat columns
@@ -630,10 +630,9 @@ class _SOIRun:
         touching the POI data.
         """
         layout = self._layout
-        group = layout.by_cell.get(cell)
-        if group is None:
+        seg_list, slot_list = layout.cell_group(cell)
+        if not seg_list:
             return
-        seg_list, slot_list = group
         store = self.store
         stats = self.stats
         epoch = store.epoch

@@ -48,6 +48,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.index.csr import counts_to_offsets
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.cell_maps import SegmentCellMaps
     from repro.index.grid import CellCoord
@@ -147,18 +149,19 @@ class StoreLayout:
     ``(segment, cell)`` incidence of the ``eps``-augmented cell maps;
     ``slot_offsets[d]:slot_offsets[d+1]`` spans segment ``d``'s cells in
     ``cells_of_segment`` order.  ``cells`` lists the cells in order of
-    first appearance in that slot stream, and ``by_cell[c]`` inverts the
-    CSR: the ``(dense segments, slots)`` of ``c`` in ascending slot order,
-    i.e. ``L_eps(c)``.  The cell maps' CSR rows must follow the same
-    ``iter_segments`` order, as every :class:`SegmentCellMaps` does.
+    first appearance in that slot stream, and :meth:`cell_group` inverts
+    the CSR: the ``(dense segments, slots)`` of a cell in ascending slot
+    order, i.e. ``L_eps(c)``.  The cell maps' CSR rows must follow the
+    same ``iter_segments`` order, as every :class:`SegmentCellMaps` does.
     """
 
     __slots__ = (
         "eps", "segments", "num_segments", "seg_ids", "lengths",
         "street_of", "buffer_col", "dense_index", "num_slots", "num_cells",
         "cells", "cell_index", "slot_offsets", "slot_cell", "slot_cells",
-        "cell_counts", "by_cell", "seg_ids_list", "street_list",
-        "lengths_list", "buffer_list", "cell_counts_list",
+        "cell_counts", "seg_ids_list", "street_list", "lengths_list",
+        "buffer_list", "cell_counts_list", "_group_offsets", "_group_segs",
+        "_group_slots", "_groups",
     )
 
     def __init__(self, network: "RoadNetwork",
@@ -197,8 +200,8 @@ class StoreLayout:
                              flat_i: np.ndarray,
                              flat_j: np.ndarray) -> None:
         """Slot geometry from the flat CSR pair columns: cells numbered by
-        first appearance in the slot stream, ``by_cell`` groups ascending
-        in slot (= dense segment) order."""
+        first appearance in the slot stream, the cell-major inverse kept
+        as one CSR for :meth:`cell_group`."""
         n = self.num_segments
         lin = flat_i * np.int64(ny) + flat_j
         uniq, first_idx, inverse = np.unique(
@@ -212,9 +215,6 @@ class StoreLayout:
             (int(key) // ny, int(key) % ny) for key in uniq[rank].tolist()]  # repro-lint: disable=REP-N202 (ny is a grid dimension, >= 1 by UniformGrid construction)
         seg_col = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         slot_order = np.argsort(slot_cell, kind="stable")
-        group_offsets = np.zeros(num_cells + 1, dtype=np.int64)
-        np.cumsum(np.bincount(slot_cell, minlength=num_cells),
-                  out=group_offsets[1:])
         self.num_slots = int(lin.shape[0])
         self.num_cells = num_cells
         self.cells = cells
@@ -224,17 +224,36 @@ class StoreLayout:
         self.slot_cells = [cells[pos] for pos in slot_cell.tolist()]
         self.cell_counts = np.diff(self.slot_offsets)
         self.cell_counts_list = self.cell_counts.tolist()
-        # Per cell: (segments, slots) in ascending slot order.  Kept as
-        # Python lists — the groups are tiny (a street grid's cell
-        # overlaps a handful of segments), so the filter walks them
-        # element-wise.
-        bounds = group_offsets.tolist()
-        segs_sorted = seg_col[slot_order].tolist()
-        slots_sorted = slot_order.tolist()
-        self.by_cell = {
-            cells[pos]: (segs_sorted[bounds[pos]:bounds[pos + 1]],
-                         slots_sorted[bounds[pos]:bounds[pos + 1]])
-            for pos in range(num_cells)}
+        self._group_offsets = counts_to_offsets(
+            np.bincount(slot_cell, minlength=num_cells)).tolist()
+        self._group_segs = seg_col[slot_order]
+        self._group_slots = slot_order
+        self._groups: dict["CellCoord", tuple[list[int], list[int]]] = {}
+
+    def cell_group(self, cell: "CellCoord") -> tuple[Sequence[int],
+                                                     Sequence[int]]:
+        """``L_eps(c)``: the cell's ``(dense segments, slots)`` in
+        ascending slot order; empty for a cell no segment reaches.
+
+        Built on the cell's first visit and kept as Python lists — the
+        groups are tiny (a street grid's cell overlaps a handful of
+        segments), so the filter walks them element-wise.  Add-only:
+        concurrent first visits store equal groups.
+        """
+        group = self._groups.get(cell)
+        if group is None:
+            pos = self.cell_index.get(cell)
+            if pos is None:
+                return _NO_GROUP
+            begin = self._group_offsets[pos]
+            end = self._group_offsets[pos + 1]
+            group = (self._group_segs[begin:end].tolist(),
+                     self._group_slots[begin:end].tolist())
+            self._groups[cell] = group
+        return group
+
+
+_NO_GROUP: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
 
 class SignatureBindings:

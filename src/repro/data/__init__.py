@@ -6,9 +6,11 @@
 * :mod:`repro.data.photo` -- geotagged photos ``r = <(x, y), Psi_r>``.
 
 Both collection types (:class:`~repro.data.poi.POISet`,
-:class:`~repro.data.photo.PhotoSet`) are column-oriented: coordinates live
+:class:`~repro.data.photo.PhotoSet`) are column tables
+(:mod:`repro.data.table`): ids, coordinates and keyword incidences live
 in NumPy arrays so the geometry kernels can run vectorised over candidate
-batches.
+batches, and a table attached to existing columns decodes item objects
+only on first access.
 """
 
 from repro.data.keywords import KeywordFrequencyVector, normalize_keyword, tokenize

@@ -9,12 +9,11 @@ spatio-textually diverse subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.data.keywords import normalize_keywords
-from repro.errors import DataError
+from repro.data.table import ItemTable, KeywordColumns
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +33,7 @@ class Photo:
         return float(np.hypot(self.x - other.x, self.y - other.y))
 
 
-class PhotoSet:
+class PhotoSet(ItemTable):
     """A column-oriented, immutable collection of photos.
 
     Mirrors :class:`repro.data.poi.POISet`: NumPy coordinate columns indexed
@@ -42,51 +41,18 @@ class PhotoSet:
     by baselines and tests.
     """
 
-    def __init__(self, photos: Iterable[Photo]) -> None:
-        items = list(photos)
-        seen_ids: set[int] = set()
-        for photo in items:
-            if photo.id in seen_ids:
-                raise DataError(f"duplicate photo id {photo.id}")
-            seen_ids.add(photo.id)
-        self._items: tuple[Photo, ...] = tuple(items)
-        self._position: dict[int, int] = {
-            photo.id: pos for pos, photo in enumerate(items)}
-        self.xs: np.ndarray = np.array(
-            [photo.x for photo in items], dtype=np.float64)
-        self.ys: np.ndarray = np.array(
-            [photo.y for photo in items], dtype=np.float64)
+    _noun = "photo"
 
-    # -- container protocol ---------------------------------------------------
+    @classmethod
+    def from_columns(cls, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                     keywords: KeywordColumns) -> "PhotoSet":
+        """A photo set over existing columns; each :class:`Photo` is
+        decoded on the first positional access to it."""
+        photos = cls.__new__(cls)
+        photos._attach(ids, xs, ys, keywords)
+        return photos
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Photo]:
-        return iter(self._items)
-
-    def __getitem__(self, position: int) -> Photo:
-        """Photo at a *position* (not id); see :meth:`by_id`."""
-        return self._items[position]
-
-    def by_id(self, photo_id: int) -> Photo:
-        return self._items[self._position[photo_id]]
-
-    def position_of(self, photo_id: int) -> int:
-        return self._position[photo_id]
-
-    # -- queries -----------------------------------------------------------------
-
-    def subset(self, positions: Iterable[int]) -> "PhotoSet":
-        """A new :class:`PhotoSet` keeping only the given positions."""
-        return PhotoSet(self._items[pos] for pos in positions)
-
-    def vocabulary(self) -> frozenset[str]:
-        """All tags appearing in the set."""
-        vocab: set[str] = set()
-        for photo in self._items:
-            vocab |= photo.keywords
-        return frozenset(vocab)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PhotoSet(n={len(self._items)})"
+    def _decode(self, position: int) -> Photo:
+        return Photo(id=int(self.ids[position]), x=float(self.xs[position]),
+                     y=float(self.ys[position]),
+                     keywords=self._keyword_set(position))

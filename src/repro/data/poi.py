@@ -10,11 +10,12 @@ adapted in the case that POIs have different weights").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from repro.data.keywords import normalize_keywords
+from repro.data.table import ItemTable, KeywordColumns
 from repro.errors import DataError
 
 
@@ -38,69 +39,37 @@ class POI:
         return not self.keywords.isdisjoint(query_keywords)
 
 
-class POISet:
+class POISet(ItemTable):
     """A column-oriented, immutable collection of POIs.
 
-    Coordinates are exposed as NumPy arrays (:attr:`xs`, :attr:`ys`) indexed
-    by *position*, with :meth:`position_of` mapping POI ids to positions.
-    The index layers store positions, so the mass kernels can gather
-    candidate coordinates with fancy indexing and run the vectorised
-    point-to-segment distance in one shot.
+    Coordinates and weights are NumPy arrays (:attr:`xs`, :attr:`ys`,
+    :attr:`weights`) indexed by *position*, with :meth:`position_of`
+    mapping POI ids to positions.  The index layers store positions, so
+    the mass kernels gather candidate coordinates with fancy indexing and
+    run the vectorised point-to-segment distance in one shot; keywords
+    are read through :meth:`~repro.data.table.ItemTable.keyword_columns`.
     """
 
+    _noun = "POI"
+
     def __init__(self, pois: Iterable[POI]) -> None:
-        items = list(pois)
-        seen_ids: set[int] = set()
-        for poi in items:
-            if poi.id in seen_ids:
-                raise DataError(f"duplicate POI id {poi.id}")
-            seen_ids.add(poi.id)
-        self._items: tuple[POI, ...] = tuple(items)
-        self._position: dict[int, int] = {
-            poi.id: pos for pos, poi in enumerate(items)}
-        self.xs: np.ndarray = np.array(
-            [poi.x for poi in items], dtype=np.float64)
-        self.ys: np.ndarray = np.array(
-            [poi.y for poi in items], dtype=np.float64)
+        super().__init__(pois)
         self.weights: np.ndarray = np.array(
-            [poi.weight for poi in items], dtype=np.float64)
+            [poi.weight for poi in self._items], dtype=np.float64)
 
-    # -- container protocol ---------------------------------------------------
+    @classmethod
+    def from_columns(cls, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                     weights: np.ndarray,
+                     keywords: KeywordColumns) -> "POISet":
+        """A POI set over existing columns; each :class:`POI` is decoded
+        on the first positional access to it."""
+        pois = cls.__new__(cls)
+        pois._attach(ids, xs, ys, keywords)
+        pois.weights = weights
+        return pois
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[POI]:
-        return iter(self._items)
-
-    def __getitem__(self, position: int) -> POI:
-        """POI at a *position* (not id); see :meth:`by_id`."""
-        return self._items[position]
-
-    def by_id(self, poi_id: int) -> POI:
-        return self._items[self._position[poi_id]]
-
-    def position_of(self, poi_id: int) -> int:
-        return self._position[poi_id]
-
-    # -- queries -----------------------------------------------------------------
-
-    def relevant_positions(self, query_keywords: Iterable[str]) -> list[int]:
-        """Positions of POIs matching at least one query keyword.
-
-        A linear scan — the indexed path lives in
-        :mod:`repro.index.poi_grid`; this exists for baselines and tests.
-        """
-        query = frozenset(query_keywords)
-        return [pos for pos, poi in enumerate(self._items)
-                if poi.matches(query)]
-
-    def vocabulary(self) -> frozenset[str]:
-        """All keywords appearing in the set."""
-        vocab: set[str] = set()
-        for poi in self._items:
-            vocab |= poi.keywords
-        return frozenset(vocab)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"POISet(n={len(self._items)})"
+    def _decode(self, position: int) -> POI:
+        return POI(id=int(self.ids[position]), x=float(self.xs[position]),
+                   y=float(self.ys[position]),
+                   keywords=self._keyword_set(position),
+                   weight=float(self.weights[position]))

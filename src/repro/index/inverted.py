@@ -17,6 +17,8 @@ from collections import defaultdict
 from heapq import merge
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.index.grid import CellCoord
 
 
@@ -83,20 +85,50 @@ class GlobalInvertedIndex:
     ``count`` is the number of items in the cell carrying the keyword
     (``I[psi][c]`` in the paper).  Ties break on cell coordinates so the
     ordering — and therefore every downstream experiment — is deterministic.
+
+    The entries are held as columns, one run per keyword in that order;
+    a keyword's ``entries`` tuple and ``count`` map are built on its first
+    lookup (add-only caches: concurrent builders store equal values).
     """
 
-    __slots__ = ("_entries", "_counts")
+    __slots__ = ("_row", "_offsets", "_cell_i", "_cell_j", "_count",
+                 "_entries", "_counts")
 
     def __init__(
         self, per_cell_counts: Mapping[str, Mapping[CellCoord, int]]
     ) -> None:
+        keywords = list(per_cell_counts)
+        runs = [sorted(per_cell_counts[keyword].items(),
+                       key=lambda item: (-item[1], item[0]))
+                for keyword in keywords]
+        flat = [entry for run in runs for entry in run]
+        self._set_columns(
+            keywords, np.cumsum([0] + [len(run) for run in runs]),
+            np.asarray([cell[0] for cell, _count in flat], dtype=np.int64),
+            np.asarray([cell[1] for cell, _count in flat], dtype=np.int64),
+            np.asarray([count for _cell, count in flat], dtype=np.int64))
+
+    @classmethod
+    def from_columns(
+        cls, keywords: Sequence[str], offsets: np.ndarray,
+        cell_i: np.ndarray, cell_j: np.ndarray, count: np.ndarray,
+    ) -> "GlobalInvertedIndex":
+        """An index over entry columns already in ``(-count, cell)`` order
+        within each keyword's run ``offsets[row]:offsets[row + 1]``."""
+        index = cls.__new__(cls)
+        index._set_columns(keywords, offsets, cell_i, cell_j, count)
+        return index
+
+    def _set_columns(self, keywords: Sequence[str], offsets: np.ndarray,
+                     cell_i: np.ndarray, cell_j: np.ndarray,
+                     count: np.ndarray) -> None:
+        self._row = {keyword: row for row, keyword in enumerate(keywords)}
+        self._offsets = np.asarray(offsets, dtype=np.int64).tolist()
+        self._cell_i = cell_i
+        self._cell_j = cell_j
+        self._count = count
         self._entries: dict[str, tuple[tuple[CellCoord, int], ...]] = {}
         self._counts: dict[str, dict[CellCoord, int]] = {}
-        for keyword, cell_counts in per_cell_counts.items():
-            ordered = sorted(cell_counts.items(),
-                             key=lambda item: (-item[1], item[0]))
-            self._entries[keyword] = tuple(ordered)
-            self._counts[keyword] = dict(cell_counts)
 
     @classmethod
     def from_cells(
@@ -111,19 +143,34 @@ class GlobalInvertedIndex:
 
     def entries(self, keyword: str) -> Sequence[tuple[CellCoord, int]]:
         """``I[psi]``: cells with their counts, sorted decreasingly."""
-        return self._entries.get(keyword, ())
+        entries = self._entries.get(keyword)
+        if entries is None:
+            row = self._row.get(keyword)
+            if row is None:
+                return ()
+            begin, end = self._offsets[row], self._offsets[row + 1]
+            entries = tuple(zip(
+                zip(self._cell_i[begin:end].tolist(),
+                    self._cell_j[begin:end].tolist()),
+                self._count[begin:end].tolist()))
+            self._entries[keyword] = entries
+        return entries
 
     def count(self, keyword: str, cell: CellCoord) -> int:
         """``I[psi][c]``: items in ``cell`` carrying ``keyword``."""
-        return self._counts.get(keyword, {}).get(cell, 0)
+        counts = self._counts.get(keyword)
+        if counts is None:
+            counts = dict(self.entries(keyword))
+            self._counts[keyword] = counts
+        return counts.get(cell, 0)
 
     def cells_for(self, keywords: Iterable[str]) -> set[CellCoord]:
         """All cells having an entry for at least one of the keywords."""
         cells: set[CellCoord] = set()
         for keyword in keywords:
-            cells.update(c for c, _count in self._entries.get(keyword, ()))
+            cells.update(c for c, _count in self.entries(keyword))
         return cells
 
     @property
     def keywords(self) -> frozenset[str]:
-        return frozenset(self._entries)
+        return frozenset(self._row)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.data.poi import POISet
 from repro.geometry.bbox import BBox
+from repro.index.csr import counts_to_offsets
 from repro.index.grid import CellCoord, UniformGrid, bucket_points
 from repro.index.inverted import CellInvertedIndex, GlobalInvertedIndex
 
@@ -43,78 +44,52 @@ class POIGridIndex:
         self._cell_positions = bucket_points(self.grid, pois.xs, pois.ys)
         # Local inverted indexes materialise lazily (queries touch only
         # candidate cells), so the cold path never builds posting lists
-        # for cells no query asks about; the global index is counted in
-        # one batched pass.
+        # for cells no query asks about.
         self._cell_index: dict[CellCoord, CellInvertedIndex] = {}
-        self.global_index = self._build_global_index_batched()
+        self._index_keywords()
 
-    def _build_global_index_batched(self) -> GlobalInvertedIndex:
-        """The global index from one batched (keyword, cell) count pass.
+    def _index_keywords(self) -> None:
+        """Postings CSR and global index from the keyword-incidence columns.
 
-        Keyword incidences are integer-encoded in a single walk over the
-        POIs, paired with each POI's linearised cell, tallied with one
+        The one builder for a fresh index and a snapshot-attached one:
+        the incidences of :meth:`~repro.data.table.ItemTable.keyword_columns`
+        are paired with each POI's linearised cell, tallied with one
         ``np.unique`` and ordered with one lexsort on
-        ``(keyword, -count, cell)`` — the exact ``(-count, cell)``
-        entry order :class:`GlobalInvertedIndex` sorts into, so every
+        ``(keyword, -count, cell)`` — the exact ``(-count, cell)`` entry
+        order :class:`GlobalInvertedIndex` sorts into, so every
         ``entries``/``count`` lookup is identical to aggregating the local
-        indexes with :meth:`GlobalInvertedIndex.from_cells`.
+        indexes with :meth:`GlobalInvertedIndex.from_cells`.  Each
+        keyword's entries are built on its first lookup.
         """
         pois = self.pois
-        vocabulary: dict[str, int] = {}
-        kw_ids: list[int] = []
-        kw_positions: list[int] = []
-        for position in range(len(pois)):
-            for keyword in pois[position].keywords:
-                kw_ids.append(vocabulary.setdefault(keyword,
-                                                    len(vocabulary)))
-                kw_positions.append(position)
-        index = GlobalInvertedIndex.__new__(GlobalInvertedIndex)
-        index._entries = {}
-        index._counts = {}
-        self._kw_vocab = vocabulary
-        if not kw_ids:
-            self._kw_post_offsets = np.zeros(1, dtype=np.int64)
-            self._kw_post_values = np.zeros(0, dtype=np.intp)
-            return index
+        vocabulary, offsets, kw = pois.keyword_columns()
+        self._kw_vocab = {keyword: kid
+                          for kid, keyword in enumerate(vocabulary)}
+        incidence_pos = np.repeat(np.arange(len(pois), dtype=np.int64),
+                                  np.diff(offsets))
+        # Per-keyword postings CSR (positions ascending within each
+        # keyword, as the incidences are position-major): the per-query
+        # relevance mask reads straight out of this instead of
+        # materialising per-cell inverted indexes.
+        self._kw_post_offsets = counts_to_offsets(
+            np.bincount(kw, minlength=len(vocabulary)))
+        self._kw_post_values = incidence_pos[
+            np.argsort(kw, kind="stable")].astype(np.intp, copy=False)
         ny = self.grid.ny
         i, j = self.grid.cells_of_batched(pois.xs, pois.ys)
-        lin = i * np.int64(ny) + j
         span = np.int64(self.grid.nx) * np.int64(ny)
-        kw = np.asarray(kw_ids, dtype=np.int64)
-        incidence_pos = np.asarray(kw_positions, dtype=np.int64)
-        cell_lin = lin[incidence_pos]
-        # Per-keyword postings CSR (positions ascending within each
-        # keyword): the per-query relevance mask reads straight out of
-        # this instead of materialising per-cell inverted indexes.
-        post_order = np.lexsort((incidence_pos, kw))
-        self._kw_post_offsets = np.zeros(len(vocabulary) + 1,
-                                         dtype=np.int64)
-        np.cumsum(np.bincount(kw, minlength=len(vocabulary)),
-                  out=self._kw_post_offsets[1:])
-        self._kw_post_values = incidence_pos[post_order].astype(
-            np.intp, copy=False)
+        cell_lin = (i * np.int64(ny) + j)[incidence_pos]
         pair, counts = np.unique(kw * span + cell_lin, return_counts=True)
         pair_kw = pair // span
         pair_cell = pair % span
         pair_i = pair_cell // ny
         pair_j = pair_cell % ny
         order = np.lexsort((pair_j, pair_i, -counts, pair_kw))
-        sorted_kw = pair_kw[order]
-        boundary = np.flatnonzero(
-            np.r_[True, sorted_kw[1:] != sorted_kw[:-1]])
-        bounds = np.r_[boundary, sorted_kw.shape[0]].tolist()
-        si = pair_i[order].tolist()
-        sj = pair_j[order].tolist()
-        sc = counts[order].tolist()
-        names = list(vocabulary)
-        for g in range(len(bounds) - 1):
-            begin, end = bounds[g], bounds[g + 1]
-            entries = tuple(((si[p], sj[p]), sc[p])
-                            for p in range(begin, end))
-            name = names[int(sorted_kw[begin])]
-            index._entries[name] = entries
-            index._counts[name] = {cell: count for cell, count in entries}
-        return index
+        self.global_index = GlobalInvertedIndex.from_columns(
+            vocabulary,
+            counts_to_offsets(np.bincount(pair_kw,
+                                          minlength=len(vocabulary))),
+            pair_i[order], pair_j[order], counts[order])
 
     # -- cell contents ------------------------------------------------------
 

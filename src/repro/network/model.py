@@ -9,13 +9,14 @@ belongs to exactly one street.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import NetworkError
 from repro.geometry.bbox import BBox
 from repro.geometry.primitives import Point, segment_length
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,8 +186,12 @@ class RoadNetwork:
 
         Edges carry ``segment_id``, ``street_id`` and ``length`` attributes;
         nodes carry ``x`` / ``y``.  Used by the route-recommendation
-        extension and handy for ad-hoc analysis.
+        extension and handy for ad-hoc analysis.  ``networkx`` is imported
+        here, not at module level: serving never builds the graph, and
+        every spawned worker would otherwise pay for the import.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for vertex in self._vertices.values():
             graph.add_node(vertex.id, x=vertex.x, y=vertex.y)

@@ -11,11 +11,11 @@ one read-only copy of the built indexes:
   structure-of-arrays layout inside one ``multiprocessing.shared_memory``
   block: contiguous NumPy columns, CSR-style offset tables and interned
   keyword/tag/name string tables;
-* :mod:`repro.serve.views` — re-attaches a snapshot read-only and rebuilds
-  a lightweight :class:`~repro.core.soi.SOIEngine` view over it (the
-  numeric columns are zero-copy views into the shared block; only the
-  small Python-level dictionaries are reconstituted), producing results
-  bit-identical to the engine the snapshot was exported from;
+* :mod:`repro.serve.views` — re-attaches a snapshot read-only and wires
+  a :class:`~repro.core.soi.SOIEngine` view over it in O(columns): the
+  numeric columns stay zero-copy views into the shared block, POI and
+  photo objects decode on first access, and results are bit-identical
+  to the engine the snapshot was exported from;
 * :mod:`repro.serve.server` — :class:`~repro.serve.server.EngineServer`, a
   persistent pool of N worker processes serving streams of k-SOI and
   describe requests with deterministic result ordering, per-worker

@@ -92,22 +92,6 @@ def _pack_csr(
             np.asarray(values, dtype=np.int64))
 
 
-def _keyword_columns(
-    keyword_sets: Sequence[frozenset[str]],
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Interned keyword ids for a sequence of keyword sets.
-
-    Returns the sorted vocabulary plus a per-item CSR of keyword ids
-    (ids sorted within each item, so the packing is deterministic even
-    though set iteration order is not).
-    """
-    vocabulary = sorted(set().union(frozenset(), *keyword_sets))
-    intern = {keyword: kid for kid, keyword in enumerate(vocabulary)}
-    offsets, values = _pack_csr(
-        [sorted(intern[k] for k in keywords) for keywords in keyword_sets])
-    return vocabulary, offsets, values
-
-
 def build_arrays(
     engine: "SOIEngine",
     photos: "PhotoSet | None" = None,
@@ -149,12 +133,13 @@ def build_arrays(
         _pack_csr([s.segment_ids for s in streets])
 
     # -- POI table --------------------------------------------------------
-    arrays["poi_ids"] = np.asarray([p.id for p in pois], dtype=np.int64)
+    arrays["poi_ids"] = np.asarray(pois.ids, dtype=np.int64)
     arrays["poi_xs"] = np.asarray(pois.xs, dtype=np.float64)
     arrays["poi_ys"] = np.asarray(pois.ys, dtype=np.float64)
     arrays["poi_weights"] = np.asarray(pois.weights, dtype=np.float64)
+    # The incidence columns the POI grid index was built from.
     poi_vocab, arrays["poi_kw_offsets"], arrays["poi_kw_values"] = \
-        _keyword_columns([p.keywords for p in pois])
+        pois.keyword_columns()
     arrays["poi_vocab_blob"], arrays["poi_vocab_offsets"] = \
         _pack_strings(poi_vocab)
 
@@ -214,12 +199,11 @@ def build_arrays(
 
     # -- photo table (describe stage) --------------------------------------
     if photos is not None:
-        arrays["photo_ids"] = np.asarray([r.id for r in photos],
-                                         dtype=np.int64)
+        arrays["photo_ids"] = np.asarray(photos.ids, dtype=np.int64)
         arrays["photo_xs"] = np.asarray(photos.xs, dtype=np.float64)
         arrays["photo_ys"] = np.asarray(photos.ys, dtype=np.float64)
         tag_vocab, arrays["photo_kw_offsets"], arrays["photo_kw_values"] = \
-            _keyword_columns([r.keywords for r in photos])
+            photos.keyword_columns()
         arrays["photo_vocab_blob"], arrays["photo_vocab_offsets"] = \
             _pack_strings(tag_vocab)
 

@@ -1,12 +1,23 @@
 """Rebuild engine-shaped views over an attached :class:`IndexSnapshot`.
 
-The snapshot stores two kinds of state: large numeric columns (coordinates,
-weights, lengths, CSR offset tables) and small Python-level dictionaries
-(id → position maps, the occupied-cell directory, segment/cell adjacency).
-Attaching keeps the former as **zero-copy read-only views** into the
-shared-memory block and reconstitutes only the latter, in exactly the
-element order the exporter recorded — so every rebuilt dictionary iterates
-key-for-key like the original and the resulting
+Attaching costs O(columns), not O(items).  Every numeric column
+(coordinates, weights, lengths, CSR offset tables, keyword incidences)
+stays a **zero-copy read-only view** into the shared-memory block.  What
+attach builds, in exactly the element order the exporter recorded:
+
+* the road network objects (vertices, segments, streets), which every
+  mass kernel reads, and the segment id → position map;
+* the occupied-cell directory of the POI grid;
+* the keyword postings and ``(keyword, cell)`` count columns, from the POI
+  keyword incidences by the builder a fresh index uses;
+* the per-``eps`` segment/cell CSRs and the store layout of every warmed
+  ``eps`` (its columns, not its per-cell groups).
+
+Everything else is decoded on first use: a :class:`~repro.data.poi.POI`
+or :class:`~repro.data.photo.Photo` on the first positional access to it
+(Algorithm 1 never asks for one; a describe asks for the photos near its
+street), a keyword's global-index entries on its first lookup, and a
+cell's ``L_eps(c)`` group on its first visit.  The resulting
 :class:`~repro.core.soi.SOIEngine` returns bit-identical query results.
 
 Reconstruction deliberately bypasses the heavy constructors
@@ -20,8 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.soi import SOIEngine
-from repro.data.photo import Photo, PhotoSet
-from repro.data.poi import POI, POISet
+from repro.data.photo import PhotoSet
+from repro.data.poi import POISet
+from repro.data.table import KeywordColumns
 from repro.geometry.bbox import BBox
 from repro.index.cell_maps import (
     SegmentCellMaps,
@@ -44,89 +56,65 @@ __all__ = [
 ]
 
 
-def _keyword_sets(
-    snapshot: IndexSnapshot, prefix: str
-) -> list[frozenset[str]]:
-    """Per-item keyword sets from a ``<prefix>_kw_*`` CSR + vocabulary."""
-    vocabulary = snapshot.strings(f"{prefix}_vocab")
-    offsets = snapshot.array(f"{prefix}_kw_offsets")
-    values = snapshot.array(f"{prefix}_kw_values")
-    return [
-        frozenset(vocabulary[kid]
-                  for kid in values[offsets[pos]:offsets[pos + 1]])
-        for pos in range(len(offsets) - 1)
-    ]
+def _keyword_columns(snapshot: IndexSnapshot, prefix: str) -> KeywordColumns:
+    """The ``<prefix>_kw_*`` incidence CSR over its decoded vocabulary."""
+    return KeywordColumns(snapshot.strings(f"{prefix}_vocab"),
+                          snapshot.array(f"{prefix}_kw_offsets"),
+                          snapshot.array(f"{prefix}_kw_values"))
 
 
 @trace_span("snapshot.attach_pois")
 def attach_pois(snapshot: IndexSnapshot) -> POISet:
-    """The POI table; coordinate/weight columns stay in shared memory."""
-    ids = snapshot.array("poi_ids")
-    xs = snapshot.array("poi_xs")
-    ys = snapshot.array("poi_ys")
-    weights = snapshot.array("poi_weights")
-    keyword_sets = _keyword_sets(snapshot, "poi")
-    items = tuple(
-        POI(id=int(ids[pos]), x=float(xs[pos]), y=float(ys[pos]),
-            keywords=keyword_sets[pos], weight=float(weights[pos]))
-        for pos in range(len(ids)))
-    pois = POISet.__new__(POISet)
-    pois._items = items
-    pois._position = {poi.id: pos for pos, poi in enumerate(items)}
-    pois.xs = xs
-    pois.ys = ys
-    pois.weights = weights
-    return pois
+    """The POI table over the snapshot columns; no :class:`POI` is built."""
+    return POISet.from_columns(
+        snapshot.array("poi_ids"), snapshot.array("poi_xs"),
+        snapshot.array("poi_ys"), snapshot.array("poi_weights"),
+        _keyword_columns(snapshot, "poi"))
 
 
 @trace_span("snapshot.attach_photo_set")
 def attach_photo_set(snapshot: IndexSnapshot) -> PhotoSet | None:
-    """The photo table, or ``None`` if the snapshot was exported without one."""
+    """The photo table, or ``None`` if the snapshot was exported without one.
+
+    Column-backed like the POI table: a describe decodes only the photos
+    near its street.
+    """
     if not snapshot.meta.get("has_photos"):
         return None
-    ids = snapshot.array("photo_ids")
-    xs = snapshot.array("photo_xs")
-    ys = snapshot.array("photo_ys")
-    keyword_sets = _keyword_sets(snapshot, "photo")
-    items = tuple(
-        Photo(id=int(ids[pos]), x=float(xs[pos]), y=float(ys[pos]),
-              keywords=keyword_sets[pos])
-        for pos in range(len(ids)))
-    photos = PhotoSet.__new__(PhotoSet)
-    photos._items = items
-    photos._position = {photo.id: pos for pos, photo in enumerate(items)}
-    photos.xs = xs
-    photos.ys = ys
-    return photos
+    return PhotoSet.from_columns(
+        snapshot.array("photo_ids"), snapshot.array("photo_xs"),
+        snapshot.array("photo_ys"), _keyword_columns(snapshot, "photo"))
 
 
 @trace_span("snapshot.attach_network")
 def attach_network(snapshot: IndexSnapshot) -> RoadNetwork:
-    """The road network, with stored segment lengths (no recomputation)."""
+    """The road network, with stored segment lengths (no recomputation).
+
+    Columns convert with ``tolist()``, which yields the exact Python
+    ints and floats the objects were exported from.
+    """
     vertices = [
-        Vertex(id=int(vid), x=float(x), y=float(y))
-        for vid, x, y in zip(snapshot.array("vert_ids"),
-                             snapshot.array("vert_xs"),
-                             snapshot.array("vert_ys"))
+        Vertex(id=vid, x=x, y=y)
+        for vid, x, y in zip(snapshot.array("vert_ids").tolist(),
+                             snapshot.array("vert_xs").tolist(),
+                             snapshot.array("vert_ys").tolist())
     ]
-    seg_cols = [snapshot.array(name) for name in (
+    seg_cols = [snapshot.array(name).tolist() for name in (
         "seg_ids", "seg_street", "seg_u", "seg_v",
         "seg_ax", "seg_ay", "seg_bx", "seg_by", "seg_length")]
     segments = [
-        Segment(id=int(sid), street_id=int(street), u=int(u), v=int(v),
-                ax=float(ax), ay=float(ay), bx=float(bx), by=float(by),
-                length=float(length))
+        Segment(id=sid, street_id=street, u=u, v=v,
+                ax=ax, ay=ay, bx=bx, by=by, length=length)
         for sid, street, u, v, ax, ay, bx, by, length in zip(*seg_cols)
     ]
     names = snapshot.strings("street_name")
-    seg_offsets = snapshot.array("street_seg_offsets")
-    seg_values = snapshot.array("street_seg_values")
+    seg_offsets = snapshot.array("street_seg_offsets").tolist()
+    seg_values = snapshot.array("street_seg_values").tolist()
     streets = [
-        Street(id=int(sid), name=names[row],
+        Street(id=sid, name=names[row],
                segment_ids=tuple(
-                   int(v) for v in
                    seg_values[seg_offsets[row]:seg_offsets[row + 1]]))
-        for row, sid in enumerate(snapshot.array("street_ids"))
+        for row, sid in enumerate(snapshot.array("street_ids").tolist())
     ]
     return RoadNetwork(vertices, segments, streets, validate=False)
 
@@ -135,21 +123,21 @@ def attach_network(snapshot: IndexSnapshot) -> RoadNetwork:
 def attach_poi_index(
     snapshot: IndexSnapshot, pois: POISet, extent: BBox
 ) -> POIGridIndex:
-    """The POI grid index: stored cell directory + rebuilt inverted indexes."""
+    """The POI grid index: stored cell directory + keyword columns."""
     index = POIGridIndex.__new__(POIGridIndex)
     index.pois = pois
     index.grid = UniformGrid(extent, float(snapshot.meta["cell_size"]))
-    cells = [(int(i), int(j)) for i, j in snapshot.array("pcell_ij")]
-    offsets = snapshot.array("pcell_poi_offsets")
+    cells = snapshot.array("pcell_ij").tolist()
+    offsets = snapshot.array("pcell_poi_offsets").tolist()
     values = snapshot.array("pcell_poi_values")
     index._cell_positions = {
-        cell: np.asarray(values[offsets[row]:offsets[row + 1]],
-                         dtype=np.intp)  # zero-copy on 64-bit platforms
-        for row, cell in enumerate(cells)}
+        (i, j): np.asarray(values[offsets[row]:offsets[row + 1]],
+                           dtype=np.intp)  # zero-copy on 64-bit platforms
+        for row, (i, j) in enumerate(cells)}
     # Local inverted indexes materialise lazily, exactly as on a freshly
     # built index: each worker only pays for the cells its queries touch.
     index._cell_index = {}
-    index.global_index = index._build_global_index_batched()
+    index._index_keywords()
     return index
 
 
@@ -184,7 +172,7 @@ def attach_cell_maps(
     seg_ids = snapshot.array("seg_ids")
     maps._n = int(seg_ids.shape[0])
     maps._seg_ids = seg_ids
-    maps._seg_id_list = [int(sid) for sid in seg_ids]
+    maps._seg_id_list = seg_ids.tolist()
     maps._seg_pos = {sid: pos
                      for pos, sid in enumerate(maps._seg_id_list)}
     maps._ax = snapshot.array("seg_ax")

@@ -205,10 +205,11 @@ def test_store_layout_csr_matches_dict_walk(network, ascending):
     """The CSR-derived layout equals a walk over ``cells_of_segment``.
 
     Each segment's slot run is its ``C_eps(l)`` in order, ``cells`` lists
-    cells by first appearance in the slot stream, and ``by_cell[c]``
+    cells by first appearance in the slot stream, and ``cell_group(c)``
     holds exactly the slots of ``c`` (with their dense segments) in
-    ascending order.  One cell map serves the whole ``eps`` ladder, so
-    layouts over grown and filtered caches are both covered.
+    ascending order; a cell no segment reaches has the empty group.  One
+    cell map serves the whole ``eps`` ladder, so layouts over grown and
+    filtered caches are both covered.
     """
     maps = SegmentCellMaps(network, _grid())
     sequence = EPS_LADDER if ascending else EPS_LADDER[::-1]
@@ -237,10 +238,13 @@ def test_store_layout_csr_matches_dict_walk(network, ascending):
                                              for c in slot_cells]
         assert layout.cell_counts_list == [
             b - a for a, b in zip(offsets, offsets[1:])]
-        assert layout.by_cell == by_cell
-        for segs, slots in layout.by_cell.values():
+        for cell, group in by_cell.items():
+            segs, slots = layout.cell_group(cell)
+            assert (segs, slots) == group
             assert all(type(d) is int for d in segs)
             assert all(type(s) is int for s in slots)
+        unknown = (-1, -1)  # grid cells have non-negative coordinates
+        assert [list(part) for part in layout.cell_group(unknown)] == [[], []]
 
 
 # -- batched global inverted index vs per-cell aggregation --------------------

@@ -2,7 +2,7 @@
 
 The critical invariant (mass exactness depends on it): every POI within
 ``eps`` of a segment lies in some cell of ``C_eps(l)``.  The inverse map
-``L_eps(c)`` is the ``by_cell`` view of a
+``L_eps(c)`` is the ``cell_group`` view of a
 :class:`~repro.core.state_store.StoreLayout` over the same maps.
 """
 
@@ -22,6 +22,16 @@ from repro.network.builder import RoadNetworkBuilder
 from tests.conftest import random_networks
 
 
+def _inverse_walk(maps, cells_of) -> dict:
+    """``L_eps(c)`` by definition: per cell, the dense positions of the
+    segments whose cell list holds it, in segment order."""
+    inverse: dict = {}
+    for dense, seg in enumerate(maps.network.iter_segments()):
+        for cell in cells_of(seg.id):
+            inverse.setdefault(cell, []).append(dense)
+    return inverse
+
+
 @pytest.fixture()
 def cross_maps(cross_network):
     grid = UniformGrid(cross_network.bbox().expanded(0.5), 0.25)
@@ -39,13 +49,15 @@ class TestBaseMaps:
 
     def test_base_inverse_map_consistent(self, cross_maps):
         layout = StoreLayout(cross_maps.network, cross_maps, 0.0)
-        for dense, seg in enumerate(cross_maps.network.iter_segments()):
-            for cell in cross_maps.base_cells_of_segment(seg.id):
-                assert dense in layout.by_cell[cell][0]
+        expected = _inverse_walk(
+            cross_maps, cross_maps.base_cells_of_segment)
+        for cell, segments in expected.items():
+            assert layout.cell_group(cell)[0] == segments
 
     def test_unknown_cell_has_no_segments(self, cross_maps):
         layout = StoreLayout(cross_maps.network, cross_maps, 0.0)
-        assert (0, 0) not in layout.by_cell
+        segments, slots = layout.cell_group((0, 0))
+        assert list(segments) == [] and list(slots) == []
 
 
 class TestAugmentedMaps:
@@ -63,9 +75,10 @@ class TestAugmentedMaps:
     def test_inverse_consistency(self, cross_maps):
         eps = 0.3
         layout = StoreLayout(cross_maps.network, cross_maps, eps)
-        for dense, seg in enumerate(cross_maps.network.iter_segments()):
-            for cell in cross_maps.cells_of_segment(seg.id, eps):
-                assert dense in layout.by_cell[cell][0]
+        expected = _inverse_walk(
+            cross_maps, lambda sid: cross_maps.cells_of_segment(sid, eps))
+        for cell, segments in expected.items():
+            assert layout.cell_group(cell)[0] == segments
 
     def test_augmented_counts_match_map(self, cross_maps):
         eps = 0.3

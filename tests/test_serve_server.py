@@ -17,7 +17,7 @@ from repro.core.soi import SOIEngine
 from repro.datagen import build_preset
 from repro.errors import ReproError, StaleSnapshotError, WorkerCrashError
 from repro.serve import EngineServer
-from repro.serve.server import SOIRequest, serve_request
+from repro.serve.server import DescribeRequest, SOIRequest, serve_request
 from repro.serve.workload import make_workload
 
 
@@ -55,17 +55,26 @@ def test_worker_errors_propagate_without_killing_the_pool(small_engine):
 
 
 def test_stale_generation_rejected_then_refresh_serves_again(small_city):
+    """Re-attach covers the photo table too: after rebuild + refresh the
+    worker answers a k-SOI and a describe exactly like the rebuilt
+    source."""
     engine = SOIEngine(small_city.network, small_city.pois)
     request = SOIRequest(keywords=("food", "shop"), k=10)
-    with EngineServer.for_engine(engine, workers=1) as server:
+    with EngineServer.for_engine(engine, small_city.photos,
+                                 workers=1) as server:
         first_name = server.snapshot.name
-        before = server.run([request])
+        top = server.run([request])[0]
+        requests = [request,
+                    DescribeRequest(street_id=top[0].street_id, k=5)]
+        before = server.run(requests)
         engine.rebuild_indexes()
         with pytest.raises(StaleSnapshotError):
             server.submit(request)
         server.refresh()
         assert server.snapshot.name != first_name
-        after = server.run([request])
+        after = server.run(requests)
+        assert after == [serve_request(engine, small_city.photos, r)
+                         for r in requests]
         assert after == before  # rebuild of the same data: identical answers
         second_name = server.snapshot.name
     # close() unlinks the stale block and the live one.
