@@ -148,5 +148,54 @@ if __name__ == "__main__":
     main()
 CACHE_SMOKE
 python "$SCRATCH/cache_smoke.py"
+# Paging smoke: a fixed list of two signatures times two eps, each paged
+# at k = 10, 20, ..., 80, served by a 2-worker pool with the cache on and
+# off.  Payloads must be bit-identical, later pages must be answered from
+# complete rankings (exhausted hits), and the pool must run fewer k-SOI
+# queries than it receives requests.  Every ranking on this city holds
+# more than 80 streets, so only a complete ranking can answer a later
+# page.  Untimed, like the cache smoke.
+cat > "$SCRATCH/paging_smoke.py" <<'PAGING_SMOKE'
+from repro.core.soi import SOIEngine
+from repro.datagen import build_preset
+from repro.serve import EngineServer
+from repro.serve.server import SOIRequest
+
+PAGES = [SOIRequest(keywords=signature, k=k, eps=eps)
+         for k in range(10, 90, 10)
+         for signature in (("food", "shop"), ("shop",))
+         for eps in (0.0003, 0.0005)]
+
+
+def serve(engine, cache: bool):
+    with EngineServer.for_engine(engine, workers=2, micro_batch=4,
+                                 cache=cache) as server:
+        payloads = server.run(PAGES)
+        return (payloads, server.cache_stats() if cache else None,
+                server.metrics().counter("soi.queries"))
+
+
+def main() -> None:
+    city = build_preset("london", scale=0.5)
+    engine = SOIEngine(city.network, city.pois)
+    baseline, _stats, _executed = serve(engine, cache=False)
+    cached, stats, executed = serve(engine, cache=True)
+    if cached != baseline:
+        raise SystemExit("paging smoke: cached payloads diverge from the "
+                         "uncached run")
+    if stats["exhausted_hits"] <= 0:
+        raise SystemExit("paging smoke: no page was answered from a "
+                         f"complete ranking (stats: {stats})")
+    if executed >= len(PAGES):
+        raise SystemExit(f"paging smoke: {executed} k-SOI queries ran for "
+                         f"{len(PAGES)} requests")
+    print(f"paging smoke: {len(PAGES)} pages bit-identical, {executed} "
+          f"k-SOI queries, {stats['exhausted_hits']} complete-ranking hits")
+
+
+if __name__ == "__main__":
+    main()
+PAGING_SMOKE
+python "$SCRATCH/paging_smoke.py"
 
 echo "ci_smoke: OK"

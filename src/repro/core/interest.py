@@ -49,8 +49,8 @@ def validate_query(keywords: Iterable[str], k: int, eps: float) -> frozenset[str
     """Common parameter validation for k-SOI queries.
 
     Returns the normalised keyword set.  Raises
-    :class:`~repro.errors.QueryError` for ``k < 1``, ``eps <= 0`` or an
-    empty keyword set.
+    :class:`~repro.errors.QueryError` for ``k < 1``, an ``eps`` that is
+    not a positive finite number, or an empty keyword set.
     """
     from repro.data.keywords import normalize_keywords
 
@@ -59,8 +59,8 @@ def validate_query(keywords: Iterable[str], k: int, eps: float) -> frozenset[str
         raise QueryError("k-SOI query requires at least one keyword")
     if k < 1:
         raise QueryError(f"k must be at least 1, got {k}")
-    if eps <= 0:
-        raise QueryError(f"eps must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise QueryError(f"eps must be positive and finite, got {eps}")
     return query
 
 

@@ -62,6 +62,12 @@ class SOIStats:
     allocating fresh columns.  ``termination_checks`` counts LBk >= UB
     evaluations and ``lbk_heap_updates`` improvements pushed into the
     incremental top-k threshold heap.
+
+    ``complete`` marks a run whose ranking holds every street of positive
+    interest: the filter stopped with UB <= 0 and refinement pruned
+    nothing, so a fresh run at any larger ``k`` returns a prefix of it.
+    It describes the answer, not the work, so :meth:`counters` leaves it
+    out.
     """
 
     cells_popped: int = 0
@@ -83,6 +89,7 @@ class SOIStats:
     mass_cache_misses: int = 0
     session_reused: bool = False
     store_reused: bool = False
+    complete: bool = False
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property

@@ -9,6 +9,12 @@ as ``LBk >= UB`` (Lemma 1).  A refinement phase then finalises the exact
 interest of the seen segments — optionally pruning those whose optimistic
 interest cannot reach the k-th best street.
 
+When the filter stops only because ``UB`` fell to 0 and refinement pruned
+nothing, the run has ranked every street of positive interest: it is
+*complete*, and :meth:`SOIEngine.top_k_with_stats` returns that whole
+ranking, which a fresh run at any larger ``k`` would reproduce bit for
+bit (DESIGN.md, "Result reuse architecture").
+
 Correctness notes (also summarised in DESIGN.md):
 
 * Popping a cell from SL1 touches every segment of ``L_eps(c)``, so any
@@ -294,11 +300,11 @@ class SOIEngine:
         ``session`` — it must belong to this engine and to the same
         normalised keyword set.
         """
-        results, _stats = self.top_k_with_stats(
+        ranking, _stats = self.top_k_with_stats(
             keywords, k, eps, strategy=strategy,
             prune_refinement=prune_refinement, weighted=weighted,
             use_session=use_session, session=session)
-        return results
+        return ranking[:k]
 
     def top_k_with_stats(
         self,
@@ -311,7 +317,14 @@ class SOIEngine:
         use_session: bool = True,
         session=None,
     ) -> tuple[list[SOIResult], SOIStats]:
-        """Like :meth:`top_k` but also returns work/timing counters."""
+        """Like :meth:`top_k` but also returns work/timing counters.
+
+        When ``stats.complete`` is set the list is the *complete* ranking:
+        every street of positive interest, possibly more than ``k``.  Its
+        first ``k`` entries are the answer, and a fresh run at any larger
+        ``k`` returns a prefix of it, so one complete run answers every
+        page of a signature.
+        """
         query = validate_query(keywords, k, eps)
         if session is None and use_session:
             session = self.sessions.get(query)
@@ -381,6 +394,9 @@ class _SOIRun:
         self._lbk_topk = TopKThreshold(k)
         self._lbk_dirty = True
         self._lbk = 0.0
+        # Set by _filter when it stops with UB <= 0: no unseen segment
+        # can have positive interest, whatever k is.
+        self._ub_exhausted = False
         # Weighted queries bound per-cell relevant mass by count * max weight.
         self._weight_cap = engine._max_weight if weighted else 1.0
         # Contract monitor (Lemma 1 / Definition 1); None on the fast path.
@@ -426,8 +442,10 @@ class _SOIRun:
                 obs_tracer.TRACER.spans_since(mark)
                 if obs_tracer.ENABLED else ())
         if self._monitor is not None:
-            self._monitor.check_results(self.engine, self.query, self.eps,
-                                        self.weighted, self.k, results)
+            self._monitor.check_results(
+                self.engine, self.query, self.eps, self.weighted,
+                max(self.k, len(results)) if self.stats.complete else self.k,
+                results)
         return results, self.stats
 
     # -- phase 1: source lists --------------------------------------------
@@ -544,6 +562,7 @@ class _SOIRun:
                 if monitor is not None:
                     monitor.observe_threshold(lbk, ub)
                 if lbk >= ub:
+                    self._ub_exhausted = ub <= 0.0
                     break
             accessed = False
             if alternate:
@@ -564,6 +583,8 @@ class _SOIRun:
                         accessed = True
                         break
             if not accessed:
+                # Every list is drained, SL1 included, so UB is 0.
+                self._ub_exhausted = True
                 break
             stats.iterations += 1
 
@@ -596,9 +617,12 @@ class _SOIRun:
     #
     # Seen/final/visited flags, partial masses and remaining upper bounds
     # live in the SegmentStateStore columns (see the state_store module
-    # docs).  A segment's mass always accumulates its cells in
-    # cells_of_segment order, so every run, cold or warm, produces the
-    # same floats; tests/oracle.py is the definitional reference.
+    # docs).  A partial mass is a running sum in SL1 pop order; every
+    # exact mass is settled as the sum of the segment's slot masses in
+    # cells_of_segment order (_store_settle_mass), so the same segment
+    # gets the same float in every run, whatever k, warm or cold, and the
+    # same float BL computes.  tests/oracle.py is the definitional
+    # reference.
 
     def _access(self, name: str) -> bool:
         """Perform one access on the named list; False when exhausted."""
@@ -657,6 +681,7 @@ class _SOIRun:
         topk = self._lbk_topk
         cell_ub = self._cell_ub.get(cell, 0)
         relevant = cell_ub > 0
+        weighted = self.weighted
         checking = contracts.ENABLED
         for dense, slot in zip(seg_list, slot_list):
             if visit_epoch[slot] == epoch:
@@ -701,6 +726,10 @@ class _SOIRun:
                 final_epoch[dense] = epoch
                 final_ids.add(seg_ids[dense])
                 stats.segments_finalized_in_filter += 1
+                if weighted:
+                    # Unweighted masses are integer counts, exact in any
+                    # order; weight sums are settled in slot order.
+                    self._store_settle_mass(dense)
 
     def _store_record_bound(self, dense: int) -> None:
         """Record a segment's current interest as its street's lower bound.
@@ -736,58 +765,71 @@ class _SOIRun:
         self.stats.segments_seen += 1
 
     def _store_visit_rest(self, dense: int) -> None:
-        """Visit every remaining cell of a segment with one batched kernel.
+        """Visit every remaining cell of a segment, then settle its mass.
 
-        The unvisited slots come out of the CSR slice in ascending slot
-        order, the canonical ``cells_of_segment`` order, so the mass
-        accumulates exactly as a cell-by-cell visit would.
+        The unvisited relevant slots are served from the memo or computed
+        with one batched kernel; the CSR slice yields them in ascending
+        slot order, the canonical ``cells_of_segment`` order.
         """
         store = self.store
         layout = self._layout
         epoch = store.epoch
         start = int(layout.slot_offsets[dense])
         stop = int(layout.slot_offsets[dense + 1])
-        if stop == start:
-            return
         mass_slots = self._mass_slots
         # Mark visited and split the relevant slots into memoised vs fresh
-        # in one walk of the segment's slot run.
+        # in one walk of the segment's slot run, summing the settled mass
+        # on the way (valid when every relevant slot is memoised).
         visit_epoch = store.visit_epoch
         slot_relevant = self._bind.slot_relevant_list
         slot_known = mass_slots.known
+        slot_mass = mass_slots.mass
         rel_list: list[int] = []
         count = 0
         all_known = True
+        total = 0.0
         for slot in range(start, stop):
+            relevant = slot_relevant[slot]
+            if relevant:
+                total += slot_mass[slot]
             if visit_epoch[slot] == epoch:
                 continue
             visit_epoch[slot] = epoch
             count += 1
-            if slot_relevant[slot]:
+            if relevant:
                 rel_list.append(slot)
                 if not slot_known[slot]:
                     all_known = False
         if count:
             self.stats.cell_visits += count
-        if not rel_list:
-            return
         if all_known:
-            # Warm fast path: every contribution is memoised; accumulate
-            # the slot run in cell order.
+            # Warm fast path: every contribution is memoised.
             self.stats.mass_cache_hits += len(rel_list)
-            slot_mass = mass_slots.mass
-            added = 0.0
-            for slot in rel_list:
-                added += slot_mass[slot]
-        else:
-            slot_cells = layout.slot_cells
-            added = segment_mass_batched_slots(
-                layout.segments[dense],
-                [slot_cells[slot] for slot in rel_list], rel_list,
-                mass_slots.mass, mass_slots.known, self.cache,
-                self.eps, self.weighted, stats=self.stats,
-                count_memo=self._count_memo)
-        store.mass[dense] = store.mass[dense] + added
+            store.mass[dense] = total
+            return
+        slot_cells = layout.slot_cells
+        segment_mass_batched_slots(
+            layout.segments[dense],
+            [slot_cells[slot] for slot in rel_list], rel_list,
+            slot_mass, slot_known, self.cache, self.eps, self.weighted,
+            stats=self.stats, count_memo=self._count_memo)
+        self._store_settle_mass(dense)
+
+    def _store_settle_mass(self, dense: int) -> None:
+        """Set a fully visited segment's mass to the sum of its relevant
+        slot masses in ascending slot (``cells_of_segment``) order, as BL
+        sums.  The filter's running sum follows SL1 pop order, which
+        depends on where the run stops; weight sums can differ from it in
+        the last bits."""
+        layout = self._layout
+        slot_relevant = self._bind.slot_relevant_list
+        slot_mass = self._mass_slots.mass
+        total = 0.0
+        for slot in range(int(layout.slot_offsets[dense]),
+                          int(layout.slot_offsets[dense + 1])):
+            if slot_relevant[slot]:
+                total += slot_mass[slot]
+        self.store.mass[dense] = total
 
     def _store_finalize(self, dense: int) -> None:
         """Filter-phase finalisation: visit the rest, mark final, record LB.
@@ -860,10 +902,13 @@ class _SOIRun:
                 continue
             remaining_ub = int(remaining_col[dense]) * weight_cap
             if remaining_ub == 0:
-                # The unvisited cells hold no relevant POIs: mass is exact.
+                # The unvisited cells hold no relevant POIs: every relevant
+                # slot is visited, so the mass only needs settling.
                 store.to_visit[dense] = 0
                 final_col[dense] = epoch
                 store.final_ids.add(seg_ids[dense])
+                if self.weighted:
+                    self._store_settle_mass(dense)
                 record_exact(dense)
                 continue
             optimistic = segment_interest(
@@ -886,11 +931,16 @@ class _SOIRun:
             ((value, street_id, seg_id)
              for street_id, (value, seg_id) in exact.items() if value > 0),
             key=lambda item: (-item[0], item[1]))
-        network = self.engine.network
-        return [
-            SOIResult(street_id=street_id,
-                      street_name=network.street(street_id).name,
-                      interest=value,
-                      best_segment_id=seg_id)
-            for value, street_id, seg_id in ranked[: self.k]
-        ]
+        # No unseen segment has positive interest and every seen one is
+        # exact, so `ranked` holds every positive street; a fresh run at
+        # any larger k builds the same list (DESIGN.md, "Complete
+        # rankings").
+        self.stats.complete = (self._ub_exhausted
+                               and self.stats.refinement_pruned == 0)
+        if not self.stats.complete:
+            ranked = ranked[: self.k]
+        # Positional fields and a bound lookup: a complete ranking can hold
+        # hundreds of streets, and keyword construction costs ~40% more.
+        street = self.engine.network.street
+        return [SOIResult(street_id, street(street_id).name, value, seg_id)
+                for value, street_id, seg_id in ranked]

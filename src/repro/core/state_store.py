@@ -31,9 +31,11 @@ Layout vs. scratch
   runs through an epoch counter so a warm query allocates nothing.
 
 Every cached float is the bitwise-exact value a fresh evaluation
-computes, and each segment's mass accumulates its slots in
-``cells_of_segment`` order, so cold and warm runs return bit-identical
-results (``tests/oracle.py`` is the definitional reference).
+computes.  A segment's partial mass is a running sum in SL1 pop order and
+serves only as a bound; its exact mass is settled as the sum of its slot
+masses in ``cells_of_segment`` order, the order BL sums in.  Cold and
+warm runs, and runs at any ``k``, therefore return bit-identical results
+(``tests/oracle.py`` is the definitional reference).
 
 :class:`TopKThreshold` is the incremental LB_k maintenance of the filter
 and refinement phases: a bounded min-heap over per-street best values

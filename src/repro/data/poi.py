@@ -9,6 +9,7 @@ adapted in the case that POIs have different weights").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -30,8 +31,10 @@ class POI:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise DataError(f"POI {self.id} has negative weight {self.weight}")
+        if not (self.weight >= 0 and math.isfinite(self.weight)):
+            raise DataError(
+                f"POI {self.id} needs a finite non-negative weight, "
+                f"got {self.weight}")
         object.__setattr__(self, "keywords", normalize_keywords(self.keywords))
 
     def matches(self, query_keywords: frozenset[str]) -> bool:

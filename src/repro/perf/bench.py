@@ -750,7 +750,11 @@ def append_serve_run(run: dict, path: Path) -> dict:
 # -- baseline comparison (--check-against) -----------------------------------
 
 def _metric_direction(path: tuple[str, ...]) -> str | None:
-    """Whether a numeric leaf is lower-better, higher-better, or ignored."""
+    """Whether a numeric leaf is lower-better, higher-better, exact
+    (``"equal"``: a work counter, which no host speed can move), or
+    ignored."""
+    if "counters" in path[:-1]:
+        return "equal"
     key = path[-1] if path else ""
     if key == "qps" or (len(path) >= 2
                         and path[-2] == "qps_speedup_vs_1_worker"):
@@ -773,7 +777,9 @@ def compare_reports(
     Walks both reports in parallel and compares every shared numeric
     metric: medians/latencies regress when the current value exceeds the
     baseline by more than ``tolerance`` (relative); QPS-style metrics
-    regress when they drop below ``baseline * (1 - tolerance)``.  Returns
+    regress when they drop below ``baseline * (1 - tolerance)``; a work
+    counter (any leaf under a ``counters`` key, zeros included) regresses
+    whenever it differs at all, since counters are exact.  Returns
     one dict per regression (empty list = pass).  Raises ``ValueError``
     on mismatched ``schema_version`` — cross-schema numbers are not
     comparable.
@@ -823,9 +829,11 @@ def compare_reports(
         if (isinstance(cur, (int, float)) and isinstance(base, (int, float))
                 and not isinstance(cur, bool) and not isinstance(base, bool)):
             direction = _metric_direction(path)
-            if direction is None or base <= 0:
+            if direction == "equal":
+                regressed = cur != base
+            elif direction is None or base <= 0:
                 return
-            if direction == "lower":
+            elif direction == "lower":
                 regressed = (cur > base * (1.0 + tolerance)
                              and cur - base > min_delta_s)
             else:
@@ -836,7 +844,7 @@ def compare_reports(
                     "direction": direction,
                     "baseline": float(base),
                     "current": float(cur),
-                    "ratio": float(cur / base),
+                    "ratio": float(cur / base) if base else float("inf"),
                 })
 
     walk(current, baseline, ())

@@ -11,13 +11,17 @@ k′-result is the first k′ entries of the k-result for any k′ ≤ k
 (`repro.core.soi._refine`).
 
 One k-SOI entry per signature therefore answers *every* ``k`` up to the
-stored entry's: an equal ``k`` is an exact hit, a smaller ``k`` is a
-*dominated-k* hit served by slicing, and a larger ``k`` still hits when
-the stored payload is **exhausted** (shorter than its own ``k`` — the
-engine ran out of positive-interest streets, so no larger request can
-see more).  Under ``REPRO_CHECK=1`` every dominated slice is re-derived
-from scratch and compared bit-for-bit
-(:func:`repro.analysis.contracts.check_prefix_slice`).
+stored entry's: an equal ``k`` is an exact hit and a smaller ``k`` is a
+*dominated-k* hit, both served by slicing.  An entry marked **complete**
+answers any ``k``: its payload is the whole ranking, every street of
+positive interest, so a larger ``k`` is served by slicing too and counted
+as an ``exhausted_hits`` hit.  A complete ranking comes from a run that
+Algorithm 1 itself proved complete (``SOIStats.complete``: the filter
+stopped at UB = 0 and refinement pruned nothing), and a payload shorter
+than its own ``k`` is complete by definition — the engine ran out of
+positive-interest streets.  Under ``REPRO_CHECK=1`` every hit that is not
+the stored payload verbatim is re-derived from scratch and compared
+bit-for-bit (:func:`repro.analysis.contracts.check_prefix_slice`).
 
 Describe signatures **do carry** ``k`` (street, ``ε``, ``λ``, ``w``,
 ``ρ``, ``k``): Equation 10 normalises the diversity term by
@@ -75,7 +79,8 @@ def request_cache_key(request) -> tuple:
     """The canonical signature of a request.
 
     k-SOI keys drop ``k`` (the ranking is prefix-stable, so one entry
-    answers every smaller ``k`` by slicing); describe keys keep it
+    answers every smaller ``k`` by slicing, and a complete entry every
+    larger one too); describe keys keep it
     (Equation 10's ``λ / (k - 1)`` normalisation makes the selection
     k-dependent, so only identical requests may share a payload).
     Keywords are normalised exactly as the engine normalises them, so
@@ -125,14 +130,17 @@ def estimate_payload_bytes(payload) -> int:
 
 
 class _Entry:
-    """One cached payload: the ``k`` it was computed at, and its size."""
+    """One cached payload: the ``k`` it was computed at, its size, and
+    whether it is complete (answers every ``k``)."""
 
-    __slots__ = ("k", "payload", "nbytes")
+    __slots__ = ("k", "payload", "nbytes", "complete")
 
-    def __init__(self, k: int, payload: list, nbytes: int) -> None:
+    def __init__(self, k: int, payload: list, nbytes: int,
+                 complete: bool) -> None:
         self.k = k
         self.payload = payload
         self.nbytes = nbytes
+        self.complete = complete
 
 
 class ResultCache:
@@ -231,11 +239,11 @@ class ResultCache:
 
         A stored entry at ``k_e`` answers ``k == k_e`` exactly, any
         ``k < k_e`` by slicing (dominated-k reuse), and ``k > k_e`` when
-        the stored payload is exhausted (``len(payload) < k_e`` — the
-        result set ran dry below ``k_e``, so deeper requests see the same
-        list).  With contracts enabled and ``recompute`` given, every
-        sliced or exhausted hit is checked bit-for-bit against a fresh
-        computation before being served.
+        it is complete (the whole ranking, so deeper requests see a
+        prefix of the same list).  With contracts enabled and
+        ``recompute`` given, every hit other than the stored payload
+        verbatim is checked bit-for-bit against a fresh computation
+        before being served.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -243,40 +251,47 @@ class ResultCache:
                 self._registry.inc(METRIC_PREFIX + "misses")
                 return MISS
             if k == entry.k:
-                counter, sliced = "exact_hits", False
+                counter = "exact_hits"
             elif k < entry.k:
-                counter, sliced = "dominated_hits", True
-            elif len(entry.payload) < entry.k:
-                counter, sliced = "exhausted_hits", True
+                counter = "dominated_hits"
+            elif entry.complete:
+                counter = "exhausted_hits"
             else:
                 self._registry.inc(METRIC_PREFIX + "misses")
                 return MISS
             self._entries.move_to_end(key)
             self._registry.inc(METRIC_PREFIX + counter)
             payload = slice_payload(entry.payload, k)
+            sliced = len(payload) < len(entry.payload) or k != entry.k
         if sliced and contracts.ENABLED and recompute is not None:
             contracts.check_prefix_slice(payload, recompute(), key, k)
         return payload
 
-    def store(self, key: tuple, k: int, payload: list) -> None:
+    def store(self, key: tuple, k: int, payload: list,
+              complete: bool = False) -> None:
         """Remember ``payload`` as the exact answer for ``(key, k)``.
 
-        When an entry already exists, the larger-``k`` payload wins (it
-        dominates the smaller one); storing an equal-or-smaller ``k``
-        only refreshes the LRU position.
+        ``complete`` marks ``payload`` as the whole ranking, which may be
+        longer than ``k``; a payload shorter than ``k`` is complete
+        anyway.  When an entry already exists, a complete entry is kept
+        and otherwise the complete or larger-``k`` payload wins (it
+        dominates the other); a dominated store only refreshes the LRU
+        position.
         """
+        complete = complete or len(payload) < k
         nbytes = estimate_payload_bytes(payload)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                if k <= entry.k:
+                if entry.complete or (k <= entry.k and not complete):
                     return
                 self._nbytes -= entry.nbytes
-                entry.k, entry.payload, entry.nbytes = k, payload, nbytes
+                entry.k, entry.payload, entry.nbytes, entry.complete = (
+                    k, payload, nbytes, complete)
                 self._nbytes += nbytes
             else:
-                self._entries[key] = _Entry(k, payload, nbytes)
+                self._entries[key] = _Entry(k, payload, nbytes, complete)
                 self._nbytes += nbytes
                 self._registry.inc(METRIC_PREFIX + "insertions")
             evicted = 0

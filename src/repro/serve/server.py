@@ -22,6 +22,12 @@ Protocol properties:
   (:meth:`~repro.core.soi.SOIEngine.rebuild_indexes`), submission raises
   :class:`~repro.errors.StaleSnapshotError` until :meth:`EngineServer.refresh`
   re-exports; workers lazily re-attach when the name in a task changes.
+* **Reuse** — with ``cache=True`` the parent and every worker keep a
+  :class:`~repro.perf.result_cache.ResultCache`.  A worker that executes
+  a k-SOI run the engine proves complete ships the whole ranking beside
+  the k-sized payload, as the last field of its result tuple; the parent
+  stores it as a complete entry, so the later pages of that signature
+  never reach a worker.
 * **Cleanup** — the server is the only owner of the shared-memory block
   (workers unregister their attachment from the ``resource_tracker``), and
   :meth:`EngineServer.close` unlinks it even when workers crashed;
@@ -159,9 +165,8 @@ def serve_request(
     bitwise what a fresh run computes, so passing one cannot change a
     payload.
     """
-    with trace_span("serve.request", kind=type(request).__name__):
-        return _serve_request_impl(engine, photos, request, describers,
-                                   session)
+    return _serve_request_impl(engine, photos, request, describers,
+                               session)[0]
 
 
 def _serve_request_impl(
@@ -171,32 +176,41 @@ def _serve_request_impl(
     describers: "OrderedDict | None" = None,
     session=None,
 ):
-    if isinstance(request, SOIRequest):
-        return engine.top_k(
-            request.keywords, request.k, eps=request.eps,
-            strategy=AccessStrategy(request.strategy),
-            weighted=request.weighted, session=session)
-    if isinstance(request, DescribeRequest):
-        if photos is None:
-            raise QueryError(
-                "describe request served without a photo table "
-                "(snapshot was exported with photos=None)")
-        key = (request.street_id, request.eps, request.rho)
-        describer = describers.get(key) if describers is not None else None
-        if describer is None:
-            profile = build_street_profile(
-                engine.network, request.street_id, photos,
-                request.eps, rho=request.rho)
-            describer = STRelDivDescriber(profile)
-            if describers is not None:
-                describers[key] = describer
-                while len(describers) > _DESCRIBER_CACHE_SIZE:
-                    describers.popitem(last=False)
-        elif describers is not None:
-            describers.move_to_end(key)
-        positions = describer.select(request.k, request.lam, request.w)
-        return [describer.profile.photos[pos].id for pos in positions]
-    raise QueryError(f"unsupported request type {type(request).__name__}")
+    """:func:`serve_request`'s payload, and the complete ranking it was
+    sliced from when the engine proved its k-SOI run complete
+    (``SOIStats.complete``), else ``None``."""
+    with trace_span("serve.request", kind=type(request).__name__):
+        if isinstance(request, SOIRequest):
+            ranking, stats = engine.top_k_with_stats(
+                request.keywords, request.k, eps=request.eps,
+                strategy=AccessStrategy(request.strategy),
+                weighted=request.weighted, session=session)
+            return (ranking[: request.k],
+                    ranking if stats.complete else None)
+        if isinstance(request, DescribeRequest):
+            if photos is None:
+                raise QueryError(
+                    "describe request served without a photo table "
+                    "(snapshot was exported with photos=None)")
+            key = (request.street_id, request.eps, request.rho)
+            describer = (describers.get(key) if describers is not None
+                         else None)
+            if describer is None:
+                profile = build_street_profile(
+                    engine.network, request.street_id, photos,
+                    request.eps, rho=request.rho)
+                describer = STRelDivDescriber(profile)
+                if describers is not None:
+                    describers[key] = describer
+                    while len(describers) > _DESCRIBER_CACHE_SIZE:
+                        describers.popitem(last=False)
+            elif describers is not None:
+                describers.move_to_end(key)
+            positions = describer.select(request.k, request.lam, request.w)
+            return ([describer.profile.photos[pos].id for pos in positions],
+                    None)
+        raise QueryError(
+            f"unsupported request type {type(request).__name__}")
 
 
 def serve_request_cached(
@@ -218,8 +232,18 @@ def serve_request_cached(
     group once at its ``k_max`` and every smaller-``k`` member is served
     by slicing (prefix stability makes the slice bit-identical to a
     direct call; under ``REPRO_CHECK=1`` each sliced hit is re-derived
-    and compared).
+    and compared).  When the engine proves the executed run complete, the
+    whole ranking is stored as a complete entry, which answers every
+    later ``k`` of the signature.
     """
+    return _serve_cached(engine, photos, request, cache, describers,
+                         session, group_k)[0]
+
+
+def _serve_cached(engine, photos, request, cache, describers=None,
+                  session=None, group_k=None):
+    """:func:`serve_request_cached`'s payload, and the complete ranking
+    when this call executed a complete k-SOI run, else ``None``."""
     cache.ensure_generation(engine.index_generation)
     key = request_cache_key(request)
     recompute = None
@@ -229,18 +253,19 @@ def serve_request_cached(
                                  session=session)
     hit = cache.lookup(key, request.k, recompute=recompute)
     if hit is not _CACHE_MISS:
-        return hit
+        return hit, None
     k_exec = max(request.k, group_k or 0)
     exec_request = (request if k_exec == request.k
                     else replace(request, k=k_exec))
-    full = serve_request(engine, photos, exec_request, describers,
-                         session=session)
-    cache.store(key, k_exec, full)
+    full, ranking = _serve_request_impl(engine, photos, exec_request,
+                                        describers, session)
+    cache.store(key, k_exec, full if ranking is None else ranking,
+                complete=ranking is not None)
     if k_exec != request.k:
         cache.registry.inc("serve.cache.kmax_elevations")
     # Always hand back a copy: the stored list must never be aliased by a
     # caller that might mutate its payload in place.
-    return slice_payload(full, request.k)
+    return slice_payload(full, request.k), ranking
 
 
 class _WorkerView:
@@ -303,9 +328,10 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
     :class:`~repro.perf.result_cache.ResultCache` of exact payloads
     (emptied whenever the snapshot generation moves): repeats are
     answered without touching Algorithm 1/2, a smaller-``k`` repeat is
-    answered by slicing, and each micro-batch signature group executes at
-    most once, at the group's largest ``k``.  Prefix stability keeps all
-    of this bit-identical to uncached serving.
+    answered by slicing, a larger-``k`` page of a complete ranking is
+    answered by slicing too, and each micro-batch signature group
+    executes at most once, at the group's largest ``k``.  Prefix
+    stability keeps all of this bit-identical to uncached serving.
 
     ``heartbeats``/``states`` are the parent's shared arrays: the loop
     stamps ``monotonic_now()`` (a system-wide clock, unlike
@@ -316,6 +342,13 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
     :class:`~repro.obs.tracer.trace_context`; when the task asks for
     tracing, the spans recorded for the request are shipped back (as
     dicts) in the result tuple for parent-side stitching.
+
+    The result tuple is ``(seq, worker_id, status, body, service_s,
+    metrics_dump, spans, ranking)``: ``body`` is the k-sized payload, and
+    ``ranking`` is the complete ranking when the worker's cache executed
+    a run the engine proved complete (``None`` otherwise), for the parent
+    cache to store as a complete entry.  The payload's results are the
+    ranking's first ``k`` objects, so pickling ships them once.
 
     Must stay importable at module level — the pool uses the ``spawn``
     start method, which re-imports this module in the child.
@@ -373,6 +406,7 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
             current_key: tuple | None = None
             session = None
             for seq, shm_name, generation, request, trace in batch:
+                ranking = None
                 trace_id = mint_trace_id(seq)
                 mark = TRACER.mark() if trace else 0
                 previous_enabled = tracing_enabled()
@@ -408,7 +442,7 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                                     view.engine, view.photos, request,
                                     view.describers, session=session)
                             else:
-                                payload = serve_request_cached(
+                                payload, ranking = _serve_cached(
                                     view.engine, view.photos, request,
                                     result_cache, view.describers,
                                     session=session,
@@ -437,7 +471,8 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                 # merges them on demand, so worker metrics survive worker
                 # restarts and aggregate centrally without a side channel.
                 results.put((seq, worker_id, status, body, service_s,
-                             obs_metrics.REGISTRY.to_dict(), span_dicts))
+                             obs_metrics.REGISTRY.to_dict(), span_dicts,
+                             ranking))
                 beat(_STATE_BUSY)
             beat(_STATE_IDLE)
     finally:
@@ -576,7 +611,10 @@ class EngineServer:
         ``cache`` enables the multi-level result cache: a parent-side
         exact-result cache with singleflight coalescing of identical
         in-flight requests, plus a per-worker cache with dominated-k
-        reuse.  Payloads stay bit-identical to uncached serving.
+        reuse.  Complete rankings the workers ship are stored in the
+        parent, so every later page of such a signature is answered
+        without a worker round trip.  Payloads stay bit-identical to
+        uncached serving.
         """
         snapshot = IndexSnapshot.export(engine, photos, warm_eps=warm_eps)
         return cls(snapshot, workers=workers, source=engine,
@@ -793,12 +831,13 @@ class EngineServer:
         submit timestamp, request kind and batch-group key are remembered
         so the arrival can be stitched into the cross-process trace.
 
-        With the result cache on, a repeat of an already-answered request
-        completes locally without a worker round-trip, and a repeat of an
-        *in-flight* request (same canonical key, ``k`` no larger)
-        coalesces onto the flying one: it is computed once and fanned out
-        to every waiter with its own sequence number.  Traced requests
-        always execute for real — the trace is the point.
+        With the result cache on, a repeat of an already-answered request,
+        or any page of a signature whose complete ranking the parent
+        holds, completes locally without a worker round-trip, and a
+        repeat of an *in-flight* request (same canonical key, ``k`` no
+        larger) coalesces onto the flying one: it is computed once and
+        fanned out to every waiter with its own sequence number.  Traced
+        requests always execute for real — the trace is the point.
         """
         if self._closed:
             raise ReproError("EngineServer is closed")
@@ -869,8 +908,8 @@ class EngineServer:
                     raise _rehydrate_error(*body)
                 return seq, body, service_s
             try:
-                seq, wid, status, body, service_s, metrics_dump, spans = \
-                    self._results.get(timeout=_POLL_SECONDS)
+                (seq, wid, status, body, service_s, metrics_dump, spans,
+                 ranking) = self._results.get(timeout=_POLL_SECONDS)
             except queue_mod.Empty:
                 self._check_workers_alive()
                 if deadline is not None and monotonic_now() > deadline:
@@ -881,7 +920,7 @@ class EngineServer:
             self._inflight.discard(seq)
             if wid >= 0:
                 self._note_arrival(seq, wid, service_s, metrics_dump, spans)
-            self._finish_primary(seq, status, body)
+            self._finish_primary(seq, status, body, ranking)
             if status == "error":
                 raise _rehydrate_error(*body)
             return seq, body, service_s
@@ -1000,10 +1039,12 @@ class EngineServer:
 
     # -- internals --------------------------------------------------------
 
-    def _finish_primary(self, seq: int, status: str, body) -> None:
+    def _finish_primary(self, seq: int, status: str, body,
+                        ranking: list | None) -> None:
         """Coalescing epilogue for a worker arrival: store the payload in
-        the parent cache and fan it out — sliced to each waiter's own
-        ``k`` — to every request that coalesced onto this one.  Waiters
+        the parent cache — or the complete ``ranking`` the worker shipped,
+        as a complete entry — and fan it out, sliced to each waiter's own
+        ``k``, to every request that coalesced onto this one.  Waiters
         report zero service time (the primary did the work); errors
         propagate to every waiter verbatim."""
         info = self._primary_info.pop(seq, None)
@@ -1013,7 +1054,9 @@ class EngineServer:
         if self._coalesce_primary.get(key) == (seq, k):
             del self._coalesce_primary[key]
         if status == "ok" and self._result_cache is not None:
-            self._result_cache.store(key, k, body)
+            self._result_cache.store(key, k,
+                                     body if ranking is None else ranking,
+                                     complete=ranking is not None)
         waiters = self._waiters.pop(seq, None)
         if not waiters:
             return
@@ -1058,21 +1101,22 @@ class EngineServer:
             # Drain anything that raced in before declaring the loss.
             try:
                 while True:
-                    seq, wid, status, body, service_s, metrics_dump, spans = \
-                        self._results.get_nowait()
+                    (seq, wid, status, body, service_s, metrics_dump, spans,
+                     ranking) = self._results.get_nowait()
                     self._inflight.discard(seq)
                     if wid >= 0:
                         self._note_arrival(seq, wid, service_s, metrics_dump,
                                            spans)
-                    self._pending[seq] = (status, body, service_s)
+                    self._pending[seq] = (status, body, service_s, ranking)
             except queue_mod.Empty:
                 pass
             if self._pending:
                 # Re-inject drained results for next_result callers (wid -1
                 # marks a re-injection: bookkeeping already happened above).
-                for seq, (status, body, service_s) in self._pending.items():
+                for seq, (status, body, service_s,
+                          ranking) in self._pending.items():
                     self._results.put((seq, -1, status, body, service_s,
-                                       None, None))
+                                       None, None, ranking))
                     self._inflight.add(seq)
                 self._pending = {}
                 return

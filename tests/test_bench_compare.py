@@ -66,6 +66,23 @@ def test_compare_latency_suite_medians():
     assert bench.compare_reports(base, worse, tolerance=0.2) == []
 
 
+def test_compare_flags_any_changed_counter():
+    def report(kernel_calls: int, pruned: int) -> dict:
+        return {"schema_version": bench.SCHEMA_VERSION,
+                "cities": {"vienna": {"soi_median_s": 1.0, "counters": {
+                    "cold": {"kernel_calls": kernel_calls,
+                             "refinement_pruned": pruned}}}}}
+
+    base = report(40, 0)
+    assert bench.compare_reports(report(40, 0), base, tolerance=10.0) == []
+    # Counters are exact: fewer is flagged like more, zeros included,
+    # whatever the timing tolerance.
+    flagged = bench.compare_reports(report(39, 2), base, tolerance=10.0)
+    assert {(r["metric"], r["direction"]) for r in flagged} == {
+        ("cities.vienna.counters.cold.kernel_calls", "equal"),
+        ("cities.vienna.counters.cold.refinement_pruned", "equal")}
+
+
 def test_compare_rejects_schema_mismatch():
     with pytest.raises(ValueError):
         bench.compare_reports({"schema_version": 1},

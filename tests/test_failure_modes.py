@@ -6,6 +6,8 @@ on empty-but-valid input; these tests pin both down for every layer.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import (
@@ -21,7 +23,9 @@ from repro import (
 )
 from repro.core.soi_baseline import BaselineSOI
 from repro.data.keywords import KeywordFrequencyVector
+from repro.errors import DataError
 from repro.geometry.bbox import BBox
+from repro.serve.server import SOIRequest, serve_request
 
 
 class TestEmptyData:
@@ -70,6 +74,22 @@ class TestParameterAbuse:
                     dict(keywords=["shop"], k=1, eps=0.0)):
             with pytest.raises(QueryError):
                 engine.top_k(**bad)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_is_a_query_error(self, cross_network, cross_pois,
+                                             eps):
+        engine = SOIEngine(cross_network, cross_pois, cell_size=0.2)
+        with pytest.raises(QueryError):
+            engine.top_k(["shop"], k=2, eps=eps)
+        with pytest.raises(QueryError):
+            BaselineSOI(engine).top_k(["shop"], k=2, eps=eps)
+        with pytest.raises(QueryError):
+            serve_request(engine, None, SOIRequest(("shop",), 2, eps))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_poi_weight_is_a_data_error(self, weight):
+        with pytest.raises(DataError):
+            POI(0, 0.1, 0.1, frozenset({"shop"}), weight=weight)
 
     def test_describer_rejects_bad_parameters(self, cross_network):
         main = cross_network.street_by_name("Main Street")

@@ -68,7 +68,7 @@ cell_sizes = st.sampled_from([None, 0.003])
 
 
 @st.composite
-def clustered_pois(draw) -> POISet:
+def clustered_pois(draw, weights: tuple[float, ...] = WEIGHTS) -> POISet:
     """20-40 POIs within 0.0015 of one point, each tagged with one or
     both of the first two pool keywords."""
     cx = draw(st.floats(min_value=0.002, max_value=0.01))
@@ -76,7 +76,7 @@ def clustered_pois(draw) -> POISet:
     near = st.floats(min_value=-0.0015, max_value=0.0015)
     tags = st.frozensets(st.sampled_from(KEYWORD_POOL[:2]), min_size=1)
     items = draw(st.lists(
-        st.tuples(near, near, tags, st.sampled_from(WEIGHTS)),
+        st.tuples(near, near, tags, st.sampled_from(weights)),
         min_size=20, max_size=40))
     return POISet(POI(i, cx + dx, cy + dy, kws, weight=weight)
                   for i, (dx, dy, kws, weight) in enumerate(items))
@@ -279,6 +279,12 @@ def test_cached_serve_matches_oracle(network, pois, photos, keywords, k,
     stats = cache.stats()
     assert stats["misses"] == 1 and stats["kmax_elevations"] == 1
     assert stats["dominated_hits"] == 1 and stats["exact_hits"] == 1
+    # A page beyond group_k: a hit when the k_max run was complete.
+    _ranked, run = engine.top_k_with_stats(keywords, k + 3, eps=eps)
+    assert ranking(soi(k + 5)) == oracle(k + 5)
+    stats = cache.stats()
+    assert stats["exhausted_hits"] == int(run.complete)
+    assert stats["misses"] == 2 - int(run.complete)
 
     street_id = min(network.streets)
     request = DescribeRequest(street_id, k, eps, lam, w, DEFAULT_RHO)

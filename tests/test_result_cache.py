@@ -86,6 +86,30 @@ def test_exact_dominated_exhausted_and_miss():
     assert stats["hit_rate"] == pytest.approx(3 / 5)
 
 
+def test_complete_entry_answers_every_k():
+    cache = make_cache()
+    key = ("soi", ("shop",), 0.001, False, "alternate")
+    ranking = ["a", "b", "c", "d", "e", "f"]
+    cache.store(key, 2, ranking, complete=True)  # run at k=2, ranked all
+    assert cache.lookup(key, 1) == ["a"]  # dominated
+    assert cache.lookup(key, 2) == ["a", "b"]  # exact, still a slice
+    assert cache.lookup(key, 4) == ["a", "b", "c", "d"]  # deeper page
+    assert cache.lookup(key, 50) == ranking  # past the end
+    stats = cache.stats()
+    assert (stats["dominated_hits"], stats["exact_hits"],
+            stats["exhausted_hits"], stats["misses"]) == (1, 1, 2, 0)
+
+
+def test_complete_entry_dominates_every_partial_one():
+    cache = make_cache()
+    cache.store(("k",), 8, list(range(8)))
+    cache.store(("k",), 2, list(range(5)), complete=True)  # replaces
+    assert cache.lookup(("k",), 9) == list(range(5))
+    cache.store(("k",), 50, list(range(50)))  # cannot beat a complete one
+    assert cache.lookup(("k",), 9) == list(range(5))
+    assert cache.stats()["insertions"] == 1
+
+
 def test_lookup_returns_fresh_copies():
     cache = make_cache()
     cache.store(("k",), 2, [1, 2])
@@ -181,6 +205,19 @@ def test_contract_checks_dominated_slices_against_recompute():
         with pytest.raises(ContractViolation):
             # A poisoned entry diverging from a fresh computation must
             # never be served silently under REPRO_CHECK.
+            cache.lookup(("k",), 2, recompute=lambda: [1, 99])
+    finally:
+        contracts.enable_contracts(previous)
+
+
+def test_contract_checks_exact_hits_sliced_from_a_complete_entry():
+    cache = make_cache()
+    cache.store(("k",), 2, [1, 2, 3], complete=True)
+    previous = contracts.ENABLED
+    contracts.enable_contracts(True)
+    try:
+        assert cache.lookup(("k",), 2, recompute=lambda: [1, 2]) == [1, 2]
+        with pytest.raises(ContractViolation):
             cache.lookup(("k",), 2, recompute=lambda: [1, 99])
     finally:
         contracts.enable_contracts(previous)

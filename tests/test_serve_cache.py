@@ -128,6 +128,32 @@ def test_server_cache_is_bit_identical_and_hits_on_repeats():
     assert telemetry["cache"] == stats
 
 
+PAGES = [SOIRequest(keywords=signature, k=k, eps=eps)
+         for k in range(10, 90, 10)
+         for signature in (("food", "shop"), ("shop",))
+         for eps in (0.0003, 0.0005)]
+"""Two signatures times two eps, paged at k = 10, 20, ..., 80."""
+
+
+def test_server_serves_later_pages_from_complete_rankings():
+    city = build_preset("vienna", scale=0.25)
+    engine = SOIEngine(city.network, city.pois)
+    expected = [serve_request(engine, None, request) for request in PAGES]
+    with EngineServer.for_engine(engine, workers=1, micro_batch=4,
+                                 cache=True) as server:
+        payloads, service_s = server.run_with_stats(PAGES)
+        stats = server.cache_stats()
+        executed = server.metrics().counter("soi.queries")
+    assert payloads == expected
+    assert stats["exhausted_hits"] > 0
+    assert executed < len(PAGES)
+    # A full later page answered in the parent (zero service time) can
+    # only come from a complete ranking a worker shipped beside its page.
+    assert any(served == 0.0 and len(payload) == request.k > 10
+               for request, payload, served
+               in zip(PAGES, payloads, service_s))
+
+
 def test_server_without_cache_reports_none():
     city = build_preset("vienna", scale=0.1)
     engine = SOIEngine(city.network, city.pois)

@@ -45,6 +45,10 @@ def traced_serve(tmp_path_factory):
             payloads, service_s = server.run_with_stats(requests)
         assert not tracing_enabled()  # the scope does not leak
         server.export_trace(trace_path)
+        # One worker may serve every request before the other publishes
+        # its first heartbeat; the frame must not catch it starting.
+        wait_for(lambda: all(worker["state"] != "starting"
+                             for worker in server.worker_health()))
         artefacts = {
             "requests": requests,
             "payloads": payloads,
