@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI smoke gate: lint, the full test suite (plain, then with the runtime
-# contracts on), then latency sweeps compared
+# contracts on), the serve benchmark's tests, then latency sweeps compared
 # against the committed baselines at the repo root with loose
 # tolerances (sized to absorb shared-runner noise while still tripping
 # on the 2x+ regressions the gates exist for).  The benches warm the
@@ -31,6 +31,10 @@ python -m pytest -x -q
 # The suite must also be green with every runtime contract enabled
 # (Lemma 1 bounds, Definition 1 cross-checks, C_eps re-derivation).
 REPRO_CHECK=1 python -m pytest -x -q
+# The serve benchmark's own tests: its traced replay patches program
+# names (engine.sessions.get, top_k_with_stats, store_layout, ...), so a
+# rename fails here instead of in the next benchmark run.
+python -m pytest -x -q perfbench/test_perfbench.py
 # The committed baselines are GC-quiesced medians of three, so a
 # single-repeat sample flakes against them on scheduler jitter alone:
 # gate on medians of three as well, at a tolerance sized for the

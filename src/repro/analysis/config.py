@@ -53,11 +53,14 @@ class LintConfig:
     # span cardinality bounded and names typo-free.
     span_checked_dirs: tuple[str, ...] = ("core", "serve", "index")
     # Where scalar geometry kernels in loop bodies are a perf hazard
-    # (REP-P405): the vectorised cold-path builders under index/ plus the
-    # store-layout pass.  ``geometry_checked_files`` lists individual
+    # (REP-P405): the vectorised cold-path builders under index/, the
+    # store-layout pass, and the slot-mass pass with the SOI and BL runs
+    # that read it.  ``geometry_checked_files`` lists individual
     # package-relative files outside those directories.
     geometry_checked_dirs: tuple[str, ...] = ("index",)
-    geometry_checked_files: tuple[str, ...] = ("core/state_store.py",)
+    geometry_checked_files: tuple[str, ...] = (
+        "core/state_store.py", "core/interest.py", "core/soi.py",
+        "core/soi_baseline.py")
     # Where unbounded cache-named containers are a memory hazard
     # (REP-P406): the serve path holds caches for the lifetime of a
     # worker process, so any dict/OrderedDict named like a cache needs an

@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.describe.profile import StreetProfile
     from repro.core.results import SOIResult
     from repro.core.soi import SOIEngine
+    from repro.core.state_store import MassSlots, StoreLayout
     from repro.index.photo_grid import PhotoCell
 
 BOUND_TOL = 1e-9
@@ -135,13 +136,16 @@ class SOIContractMonitor:
         weighted: bool,
         k: int,
         results: "list[SOIResult]",
+        layout: "StoreLayout",
+        slots: "MassSlots",
     ) -> None:
         """Output contract of ``top_k`` plus the Definition 1 cross-check.
 
         The reported interests must be positive, strictly ranked with the
         documented (interest desc, street id asc) tie-break, at most ``k``
         long — and for a deterministic sample of the winners, the indexed
-        mass of the best segment must agree with a full brute-force scan
+        mass of the best segment (summed from the run's materialised
+        ``slots`` over ``layout``) must agree with a full brute-force scan
         and reproduce the reported interest exactly.
         """
         from repro.core.interest import (
@@ -178,8 +182,8 @@ class SOIContractMonitor:
 
         for result in results[:MASS_SAMPLE]:
             segment = engine.network.segment(result.best_segment_id)
-            indexed = segment_mass(segment, engine.poi_index,
-                                   engine.cell_maps, query, eps, weighted)
+            indexed = segment_mass(layout, slots,
+                                   layout.dense_index[segment.id])
             brute = segment_mass_bruteforce(segment, engine.pois, query,
                                             eps, weighted)
             if abs(indexed - brute) > BOUND_TOL * max(1.0, abs(brute)):

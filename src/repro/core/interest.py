@@ -9,29 +9,30 @@
 * **Street interest** (Definition 3): the maximum interest among the
   street's segments.
 
-Two implementations of mass are provided: an indexed one driven by the
-``eps``-augmented cell maps (the production path shared by the SOI
-algorithm and the BL baseline) and a brute-force scan, the ground truth
-of the test oracle (``tests/oracle.py``) and of the runtime contracts.
+Two implementations of mass are provided: one vectorised pass that
+materialises every ``(segment, cell)`` slot mass of a store layout (the
+production path shared by the SOI algorithm, the BL baseline and the
+region query) and a brute-force scan, the ground truth of the test
+oracle (``tests/oracle.py``) and of the runtime contracts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.analysis import contracts
+from repro.core.state_store import MassSlots, StoreLayout
 from repro.obs import tracer as obs_tracer
 from repro.obs.tracer import trace_span
 from repro.data.poi import POISet
 from repro.errors import QueryError
 from repro.geometry.distance import (
-    point_segment_distance,
     points_segment_distance,
+    points_segments_within,
 )
-from repro.index.cell_maps import SegmentCellMaps
 from repro.index.poi_grid import POIGridIndex
 from repro.network.model import RoadNetwork, Segment
 
@@ -64,283 +65,129 @@ def validate_query(keywords: Iterable[str], k: int, eps: float) -> frozenset[str
     return query
 
 
-class RelevantCellCache:
-    """Per-query cache of the relevant POIs of each visited cell.
-
-    Several segments share each cell, and the SOI algorithm may visit a
-    cell once per nearby segment; materialising the relevant positions and
-    their coordinates once per cell turns every subsequent visit into a
-    pair of NumPy gathers.  ``hits``/``misses`` count lookups for the
-    instrumentation layer (a *miss* is a first visit that materialises the
-    entry).
-    """
-
-    _EMPTY = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
-              np.empty(0))
-
-    def __init__(self, poi_index: POIGridIndex, keywords: frozenset[str]) -> None:
-        self._poi_index = poi_index
-        self._keywords = keywords
-        self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray, np.ndarray]] = {}
-        self._mask: np.ndarray | None = None
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, cell: tuple[int, int]):
-        """``(positions, xs, ys, weights)`` of the cell's relevant POIs."""
-        entry = self._cache.get(cell)
-        if entry is None:
-            self.misses += 1
-            if obs_tracer.ENABLED:
-                with trace_span("soi.cell_gather"):
-                    entry = self._materialise(cell)
-            else:
-                entry = self._materialise(cell)
-            self._cache[cell] = entry
-        else:
-            self.hits += 1
-        return entry
-
-    def _materialise(self, cell: tuple[int, int]):
-        """First-visit gather of a cell's relevant POI arrays.
-
-        The cell's position array is ascending and duplicate-free, so
-        masking it yields exactly the sorted deduplicated merge of the
-        matching postings.
-        """
-        mask = self._mask
-        if mask is None:
-            mask = self._poi_index.relevant_position_mask(self._keywords)
-            self._mask = mask
-        cell_positions = self._poi_index.cell_positions(cell)
-        if cell_positions.size == 0:
-            return self._EMPTY
-        positions = cell_positions[mask[cell_positions]]
-        if positions.size == 0:
-            return self._EMPTY
-        pois = self._poi_index.pois
-        return (positions, pois.xs[positions], pois.ys[positions],
-                pois.weights[positions])
-
-    def __len__(self) -> int:
-        return len(self._cache)
+_EXACT_HYPOT_CELL_MAX = 4
+"""Slots whose cell holds at most this many relevant POIs round their
+point-segment distances as ``math.hypot`` (via ``_hypot_exact``), the
+others as ``np.hypot``: the rounding each kind of cell has always been
+evaluated with, which keeps every materialised mass the same float."""
 
 
-_SCALAR_CELL_MAX = 4
-"""Cells with at most this many relevant POIs take the scalar fast path
-(NumPy dispatch overhead dominates tiny cells).  The batched kernel keeps
-the same split so batched and per-cell evaluation stay bit-identical."""
-
-
-def _cell_mass_scalar(
-    xs: np.ndarray, ys: np.ndarray, weights: np.ndarray,
-    segment: Segment, eps: float, weighted: bool,
-) -> float:
-    """Scalar-path mass of one tiny cell (shared by both evaluation modes)."""
-    total = 0.0
-    for i in range(len(xs)):
-        d = point_segment_distance(float(xs[i]), float(ys[i]),
-                                   segment.ax, segment.ay,
-                                   segment.bx, segment.by)
-        if d <= eps:
-            total += float(weights[i]) if weighted else 1.0
-    return total
-
-
-def segment_mass_in_cell(
-    segment: Segment,
-    cell: tuple[int, int],
-    cache: RelevantCellCache,
-    eps: float,
+def materialise_slot_masses(
+    layout: StoreLayout,
+    poi_index: POIGridIndex,
+    keywords: frozenset[str],
     weighted: bool = False,
     stats=None,
-) -> float:
-    """Mass contribution of one cell to a segment.
+) -> MassSlots:
+    """Definition 1 for every ``(segment, cell)`` slot of ``layout`` in
+    one vectorised pass.
 
-    Exact: every relevant POI of the cell is tested against the segment
-    with the vectorised distance kernel.  Because each POI lives in exactly
-    one grid cell, summing this over ``C_eps(l)`` gives the exact mass.
+    One row per (slot, relevant POI of the slot's cell), slot-major with
+    POI positions ascending, gets its ``dist(p, l) <= eps`` test from one
+    row-wise kernel call.  A slot's mass counts its rows within
+    ``layout.eps``; weighted, it sums their weights as ``np.sum`` over
+    the slot's within-``eps`` weights in position order (for fewer than
+    eight that is the left-to-right sum from 0.0).  Slots whose cell has
+    no relevant POI hold 0.0.  Summing a segment's slot masses in slot
+    order (:func:`segment_mass`) is exact Definition 1, since every POI
+    lies in exactly one cell of ``C_eps(l)`` or in none.
 
-    ``stats`` (a :class:`~repro.core.results.SOIStats`, or anything with
-    the same counter attributes) receives the kernel counters.
-    """
-    positions, xs, ys, weights = cache.get(cell)
-    n = len(positions)
-    if n == 0:
-        return 0.0
-    if n <= _SCALAR_CELL_MAX:
-        if stats is not None:
-            stats.scalar_point_evals += n
-        return _cell_mass_scalar(xs, ys, weights, segment, eps, weighted)
-    if stats is not None:
-        stats.kernel_calls += 1
-    dists = points_segment_distance(xs, ys, segment.ax, segment.ay,
-                                    segment.bx, segment.by)
-    within = dists <= eps
-    if weighted:
-        return float(weights[within].sum())
-    return float(np.count_nonzero(within))
-
-
-def segment_mass_batched(
-    segment: Segment,
-    cells: Iterable[tuple[int, int]],
-    cache: RelevantCellCache,
-    eps: float,
-    weighted: bool = False,
-    stats=None,
-) -> float:
-    """Mass of a segment over several cells with one vectorised kernel call.
-
-    Concatenates the ``(xs, ys, weights)`` arrays of every non-tiny cell
-    and evaluates :func:`points_segment_distance` **once** for the whole
-    batch, instead of once per ``(segment, cell)`` pair.  Per-cell
-    contributions are then recovered from slices of the batch, so the
-    result is bit-identical to summing :func:`segment_mass_in_cell` over
-    the same cells in the same order: tiny cells (``<= _SCALAR_CELL_MAX``
-    POIs) keep the scalar fast path, larger cells see exactly the same
-    element-wise arithmetic whether their arrays are evaluated alone or
-    inside a batch.  This is :func:`segment_mass_batched_slots` over a
-    throwaway all-unknown memo.
-    """
-    cells = list(cells)
-    n = len(cells)
-    return segment_mass_batched_slots(
-        segment, cells, range(n), [0.0] * n, [False] * n, cache, eps,
-        weighted, stats=stats, count_memo=False)
-
-
-def segment_mass_batched_slots(
-    segment: Segment,
-    cells: Sequence[tuple[int, int]],
-    slots: Sequence[int],
-    slot_mass: list[float],
-    slot_known: list[bool],
-    cache: RelevantCellCache,
-    eps: float,
-    weighted: bool = False,
-    stats=None,
-    count_memo: bool = True,
-) -> float:
-    """Like :func:`segment_mass_batched`, memoised into slot columns.
-
-    ``slots[i]`` is the store-layout slot of ``(segment, cells[i])``;
-    ``slot_mass``/``slot_known`` are the
-    :class:`~repro.core.state_store.MassSlots` columns.  Known slots are
-    served from the memo; every fresh value is stored there and equals
-    :func:`segment_mass_in_cell` for its cell bit for bit.  Contributions
-    accumulate in cell order.  ``count_memo=False`` is for ephemeral
-    per-run slots: their misses are not attributed to the memo counters.
+    ``stats`` (an :class:`~repro.core.results.SOIStats` or anything with
+    the same attributes) counts the kernel call in ``kernel_calls`` and
+    the relevant slots in ``mass_cache_misses``.
     """
     if obs_tracer.ENABLED:
-        with trace_span("soi.mass_kernel"):
-            return _segment_mass_batched_slots_impl(
-                segment, cells, slots, slot_mass, slot_known, cache, eps,
-                weighted, stats, count_memo)
-    return _segment_mass_batched_slots_impl(
-        segment, cells, slots, slot_mass, slot_known, cache, eps,
-        weighted, stats, count_memo)
+        with trace_span("soi.mass_kernel", slots=layout.num_slots):
+            return _materialise_slot_masses(layout, poi_index, keywords,
+                                            weighted, stats)
+    return _materialise_slot_masses(layout, poi_index, keywords, weighted,
+                                    stats)
 
 
-def _segment_mass_batched_slots_impl(
-    segment: Segment,
-    cells: Sequence[tuple[int, int]],
-    slots: Sequence[int],
-    slot_mass: list[float],
-    slot_known: list[bool],
-    cache: RelevantCellCache,
-    eps: float,
-    weighted: bool,
-    stats=None,
-    count_memo: bool = True,
-) -> float:
-    contributions: list[float] = []
-    # (contribution slot, memo slot, batch start, batch stop) per batched cell.
-    pending: list[tuple[int, int, int, int]] = []
-    batch_xs: list[np.ndarray] = []
-    batch_ys: list[np.ndarray] = []
-    batch_weights: list[np.ndarray] = []
-    offset = 0
-    cached_hits = 0
-    fresh = 0
-    for cell, slot in zip(cells, slots):
-        if slot_known[slot]:
-            cached_hits += 1
-            contributions.append(float(slot_mass[slot]))
-            continue
-        positions, xs, ys, weights = cache.get(cell)
-        n = len(positions)
-        if n > _SCALAR_CELL_MAX:
-            pending.append((len(contributions), slot, offset, offset + n))
-            batch_xs.append(xs)
-            batch_ys.append(ys)
-            batch_weights.append(weights)
-            offset += n
-            contributions.append(0.0)  # patched after the kernel call
-            fresh += 1
-            continue
-        if n == 0:
-            value = 0.0
-        else:
-            if stats is not None:
-                stats.scalar_point_evals += n
-            value = _cell_mass_scalar(xs, ys, weights, segment, eps, weighted)
-        contributions.append(value)
-        fresh += 1
-        slot_mass[slot] = value
-        slot_known[slot] = True
-    if pending:
-        if stats is not None:
-            stats.kernel_calls += 1
-        xs_all = np.concatenate(batch_xs)
-        ys_all = np.concatenate(batch_ys)
-        dists = points_segment_distance(xs_all, ys_all,
-                                        segment.ax, segment.ay,
-                                        segment.bx, segment.by)
-        within = dists <= eps
-        weights_all = np.concatenate(batch_weights) if weighted else None
-        for pos, slot, start, stop in pending:
-            if weighted:
-                value = float(weights_all[start:stop]
-                              [within[start:stop]].sum())
-            else:
-                value = float(np.count_nonzero(within[start:stop]))
-            contributions[pos] = value
-            slot_mass[slot] = value
-            slot_known[slot] = True
+def _materialise_slot_masses(layout, poi_index, keywords, weighted,
+                             stats) -> MassSlots:
+    num_slots = layout.num_slots
+    # Relevant POI positions grouped by linearised cell, ascending within
+    # each cell (a stable sort of ascending positions).
+    rel = np.flatnonzero(poi_index.relevant_position_mask(keywords))
+    rel_lin = poi_index.cell_lin[rel]
+    order = np.argsort(rel_lin, kind="stable")
+    rel = rel[order]
+    keys, starts, counts = np.unique(rel_lin[order], return_index=True,
+                                     return_counts=True)
+    found, at = layout.locate_cells(keys)
+    cell_n = np.zeros(layout.num_cells, dtype=np.int64)
+    cell_n[at] = counts[found]
+    cell_start = np.zeros(layout.num_cells, dtype=np.int64)
+    cell_start[at] = starts[found]
+    slot_n = cell_n[layout.slot_cell]
+    slots = np.flatnonzero(slot_n)
+    if slots.shape[0] == 0:
+        return MassSlots([0.0] * num_slots, [0] * layout.num_segments, 0)
+    n = slot_n[slots]
+    row_slot = np.repeat(slots, n)
+    rank = (np.arange(row_slot.shape[0], dtype=np.int64)
+            - np.repeat(np.cumsum(n) - n, n))
+    row_poi = rel[np.repeat(cell_start[layout.slot_cell[slots]], n) + rank]
+    row_seg = layout.slot_seg[row_slot]
+    ax, ay, bx, by = (column[row_seg] for column in layout.endpoints)
+    pois = poi_index.pois
+    within = points_segments_within(
+        pois.xs[row_poi], pois.ys[row_poi], ax, ay, bx, by, layout.eps,
+        exact=np.repeat(n <= _EXACT_HYPOT_CELL_MAX, n))
     if stats is not None:
-        stats.mass_cache_hits += cached_hits
-        if count_memo:
-            stats.mass_cache_misses += fresh
-    # Accumulate in cell order, matching the per-cell evaluation exactly.
+        stats.kernel_calls += 1
+        stats.mass_cache_misses += int(slots.shape[0])
+    if weighted:
+        mass = _run_sums(row_slot[within], pois.weights[row_poi[within]],
+                         num_slots)
+    else:
+        mass = np.bincount(row_slot[within],
+                           minlength=num_slots).astype(np.float64)
+    # Zero slots share one 0.0 object: a session holds one list per
+    # (eps, weighted), and most slots of a layout hold no mass.
+    values = [0.0] * num_slots
+    positive = np.flatnonzero(mass)
+    for slot, value in zip(positive.tolist(), mass[positive].tolist()):
+        values[slot] = value
+    seg_relevant = np.bincount(layout.slot_seg[slots],
+                               minlength=layout.num_segments)
+    return MassSlots(values, seg_relevant.tolist(), int(slots.shape[0]))
+
+
+def _run_sums(keys: np.ndarray, values: np.ndarray,
+              num_keys: int) -> np.ndarray:
+    """``out[key]`` = ``np.sum`` of that key's run of ``values``, for
+    ``keys`` sorted ascending; 0.0 for absent keys.
+
+    Runs are grouped by length and each group reduced along the rows of
+    one 2-D gather, which applies the same summation to every row that
+    ``np.sum`` applies to a 1-D run of that length.
+    """
+    lengths = np.bincount(keys, minlength=num_keys)
+    out = np.zeros(num_keys)
+    first = np.cumsum(lengths) - lengths
+    present = np.flatnonzero(lengths)
+    present = present[np.argsort(lengths[present], kind="stable")]
+    widths, begins, counts = np.unique(
+        lengths[present], return_index=True, return_counts=True)
+    for width, begin, count in zip(widths.tolist(), begins.tolist(),
+                                   counts.tolist()):
+        group = present[begin:begin + count]
+        out[group] = values[first[group][:, None]
+                            + np.arange(width)].sum(axis=1)
+    return out
+
+
+def segment_mass(layout: StoreLayout, slots: MassSlots, dense: int) -> float:
+    """Definition 1 for the segment at dense position ``dense``: its slot
+    masses summed in ascending slot (``cells_of_segment``) order, the one
+    order every path settles a mass in."""
     total = 0.0
-    for value in contributions:
+    for value in slots.mass[layout.slot_offsets[dense]:
+                            layout.slot_offsets[dense + 1]]:
         total += value
     return total
-
-
-def segment_mass(
-    segment: Segment,
-    poi_index: POIGridIndex,
-    cell_maps: SegmentCellMaps,
-    keywords: frozenset[str],
-    eps: float,
-    weighted: bool = False,
-    cache: RelevantCellCache | None = None,
-    stats=None,
-) -> float:
-    """Definition 1: relevant POIs within ``eps`` of the segment.
-
-    Aggregates the ``eps``-augmented cells ``C_eps(l)`` through the
-    batched kernel (one vectorised distance evaluation per segment), which
-    is bit-identical to summing per-cell contributions.
-    """
-    if cache is None:
-        cache = RelevantCellCache(poi_index, keywords)
-    return segment_mass_batched(
-        segment, cell_maps.cells_of_segment(segment.id, eps), cache, eps,
-        weighted, stats=stats)
 
 
 def segment_mass_bruteforce(

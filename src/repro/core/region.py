@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.interest import (
-    RelevantCellCache,
-    segment_mass_in_cell,
+    materialise_slot_masses,
+    segment_mass,
     validate_query,
 )
 from repro.core.soi import DEFAULT_EPS, SOIEngine
@@ -65,13 +65,10 @@ class RegionQuery:
         if max_length <= 0:
             raise QueryError(f"max_length must be positive, got {max_length}")
         query = validate_query(keywords, 1, eps)
-        cache = RelevantCellCache(self.engine.poi_index, query)
-        scores: dict[int, float] = {}
-        for segment in self.engine.network.iter_segments():
-            mass = 0.0
-            for cell in self.engine.cell_maps.cells_of_segment(segment.id, eps):
-                mass += segment_mass_in_cell(segment, cell, cache, eps)
-            scores[segment.id] = mass
+        layout = self.engine.store_layout(eps)
+        slots = materialise_slot_masses(layout, self.engine.poi_index, query)
+        scores = {segment.id: segment_mass(layout, slots, dense)
+                  for dense, segment in enumerate(layout.segments)}
 
         seed = self._best_seed(scores, max_length)
         if seed is None:

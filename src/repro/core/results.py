@@ -38,23 +38,30 @@ class SOIResult:
     interest: float
     best_segment_id: int
 
+    def __reduce__(self):
+        # Positional reconstruction: a complete ranking crosses the worker
+        # result queue as hundreds of these, and the default slotted
+        # dataclass pickling (field by field) costs ~30x more.
+        return (SOIResult, (self.street_id, self.street_name,
+                            self.interest, self.best_segment_id))
+
 
 @dataclass(slots=True)
 class SOIStats:
     """Work counters of one SOI run, for the performance experiments.
 
     ``phase_seconds`` records the three phases the paper breaks Figure 4
-    bars into: ``"build"`` (source-list construction), ``"filter"`` and
-    ``"refine"``.
+    bars into: ``"build"`` (source-list construction, including the
+    slot-mass materialisation), ``"filter"`` and ``"refine"``.
 
     The kernel and cache counters instrument the performance layer:
-    ``kernel_calls`` counts invocations of the vectorised
-    :func:`~repro.geometry.distance.points_segment_distance` kernel
-    (``refine_kernel_calls`` is the refinement-phase share — at most one
-    per refined segment on the batched path), ``scalar_point_evals``
-    counts points evaluated through the tiny-cell scalar fast path, and
-    the ``*_cache_*`` counters record :class:`RelevantCellCache` and
-    per-``(segment, cell)`` mass-cache traffic.  ``session_reused`` is
+    ``kernel_calls`` counts invocations of the row-wise distance kernel
+    (:func:`~repro.geometry.distance.points_segments_within`), one per
+    slot-mass materialisation the run performed (0 when it read slot
+    masses an earlier run materialised); ``mass_cache_misses`` counts
+    the relevant ``(segment, cell)`` slots that materialisation filled,
+    and ``mass_cache_hits`` the relevant slot masses the run read from
+    slots an earlier run filled.  ``session_reused`` is
     true when the run was served from a warm
     :class:`~repro.perf.session.QuerySession`; ``store_reused`` when the
     run recycled a session-pooled
@@ -81,10 +88,6 @@ class SOIStats:
     termination_checks: int = 0
     lbk_heap_updates: int = 0
     kernel_calls: int = 0
-    refine_kernel_calls: int = 0
-    scalar_point_evals: int = 0
-    relevant_cache_hits: int = 0
-    relevant_cache_misses: int = 0
     mass_cache_hits: int = 0
     mass_cache_misses: int = 0
     session_reused: bool = False
@@ -110,10 +113,6 @@ class SOIStats:
             "termination_checks": self.termination_checks,
             "lbk_heap_updates": self.lbk_heap_updates,
             "kernel_calls": self.kernel_calls,
-            "refine_kernel_calls": self.refine_kernel_calls,
-            "scalar_point_evals": self.scalar_point_evals,
-            "relevant_cache_hits": self.relevant_cache_hits,
-            "relevant_cache_misses": self.relevant_cache_misses,
             "mass_cache_hits": self.mass_cache_hits,
             "mass_cache_misses": self.mass_cache_misses,
             "session_reused": int(self.session_reused),

@@ -39,15 +39,18 @@ from repro.obs import tracer as obs_tracer
 from repro.obs.slowlog import SLOWLOG
 from repro.obs.tracer import perf_now, trace_span
 from repro.core.interest import (
-    RelevantCellCache,
     buffer_area,
+    materialise_slot_masses,
     segment_interest,
-    segment_mass_batched_slots,
-    segment_mass_in_cell,
+    segment_mass,
     validate_query,
 )
 from repro.core.results import SOIResult, SOIStats
-from repro.core.source_lists import CellSourceList, SegmentSourceList
+from repro.core.source_lists import (
+    CellBounds,
+    CellSourceList,
+    SegmentSourceList,
+)
 from repro.core.state_store import (
     MassSlots,
     SegmentStateStore,
@@ -341,14 +344,16 @@ class SOIEngine:
         use_session: bool = True,
     ) -> float:
         """Exact Definition 2 interest of one segment (indexed path)."""
-        from repro.core.interest import segment_mass
-
         query = validate_query(keywords, 1, eps)
-        session = self.sessions.get(query) if use_session else None
         segment = self.network.segment(segment_id)
-        mass = segment_mass(
-            segment, self.poi_index, self.cell_maps, query, eps, weighted,
-            cache=session.cache if session is not None else None)
+        layout = self.store_layout(eps)
+        if use_session:
+            slots, _reused = self.sessions.get(query).store_mass_slots(
+                layout, weighted)
+        else:
+            slots = materialise_slot_masses(layout, self.poi_index, query,
+                                            weighted)
+        mass = segment_mass(layout, slots, layout.dense_index[segment_id])
         return segment_interest(mass, segment.length, eps)
 
 
@@ -376,21 +381,18 @@ class _SOIRun:
         self.stats = SOIStats()
         self.session = session
         if session is not None:
-            # Cross-query reuse: the session owns the relevant-cell cache
-            # and the slot mass memo for this (eps, weighted).
-            self.cache = session.cache
+            # Cross-query reuse: the session owns the SL1 bounds and the
+            # slot masses for this (eps, weighted).
             self.stats.session_reused = session.queries_served > 0
             session.queries_served += 1
-        else:
-            self.cache = RelevantCellCache(engine.poi_index, query)
         # Bound by _store_setup when the source lists are built.
         self.store: SegmentStateStore | None = None
         self._layout: StoreLayout | None = None
         self._bind: SignatureBindings | None = None
         self._mass_slots: MassSlots | None = None
-        # Mass-memo misses count only when the memo outlives this run
-        # (session-owned slots); a sessionless run's slots are scratch.
-        self._count_memo = session is not None
+        # Slot reads count as mass-cache hits only when an earlier run
+        # materialised the slots (set by _store_setup).
+        self._slots_reused = False
         self._lbk_topk = TopKThreshold(k)
         self._lbk_dirty = True
         self._lbk = 0.0
@@ -410,7 +412,6 @@ class _SOIRun:
         with trace_span("soi.query", k=self.k, eps=self.eps,
                         strategy=self.strategy.value, weighted=self.weighted,
                         keywords=",".join(sorted(self.query))):
-            hits0, misses0 = self.cache.hits, self.cache.misses
             t0 = perf_now()
             with trace_span("soi.build_source_lists"):
                 self._build_source_lists()
@@ -418,7 +419,6 @@ class _SOIRun:
             with trace_span("soi.filter"):
                 self._filter()
             t2 = perf_now()
-            kernels_before_refine = self.stats.kernel_calls
             with trace_span("soi.refine"):
                 results = self._refine()
             t3 = perf_now()
@@ -426,10 +426,6 @@ class _SOIRun:
             # Recycle the scratch columns; on an exception the store is
             # simply dropped, so a poisoned run can never be reused.
             self.session.release_state_store(self.store)
-        self.stats.refine_kernel_calls = (
-            self.stats.kernel_calls - kernels_before_refine)
-        self.stats.relevant_cache_hits = self.cache.hits - hits0
-        self.stats.relevant_cache_misses = self.cache.misses - misses0
         self.stats.phase_seconds = {
             "build": t1 - t0, "filter": t2 - t1, "refine": t3 - t2}
         obs_metrics.record_soi_query(self.stats)
@@ -445,32 +441,21 @@ class _SOIRun:
             self._monitor.check_results(
                 self.engine, self.query, self.eps, self.weighted,
                 max(self.k, len(results)) if self.stats.complete else self.k,
-                results)
+                results, self._layout, self._mass_slots)
         return results, self.stats
 
     # -- phase 1: source lists --------------------------------------------
 
     def _build_source_lists(self) -> None:
-        # Per-cell |P_Psi(c)| upper bounds; cells absent from this map hold
-        # no relevant POI, so visiting them contributes nothing to mass.
+        # SL1 from the per-cell |P_Psi(c)| upper bounds (Algorithm 1, line
+        # 2): keyword-only, so a session computes them once per signature
+        # and every (k, eps, strategy) configuration reuses the presorted
+        # entries.  Cells absent from SL1 hold no relevant POI.
         if self.session is not None:
-            # Keyword-only aggregate: computed once per signature, shared
-            # by every (k, eps, strategy) configuration of the sweep.  The
-            # SL1 order is likewise signature-only, so the session serves
-            # it presorted and warm queries skip the re-sort.
-            self._cell_ub = self.session.cell_upper_bounds()
-            self.sl1 = CellSourceList(self.session.sl1_entries(),
-                                      presorted=True)
+            self._cell_bounds = self.session.cell_upper_bounds()
         else:
-            poi_index = self.engine.poi_index
-            self._cell_ub: dict[CellCoord, int] = {}
-            sl1_entries = []
-            for cell in poi_index.candidate_cells(self.query):
-                ub = poi_index.relevant_count_upper_bound(cell, self.query)
-                if ub > 0:
-                    self._cell_ub[cell] = ub
-                    sl1_entries.append((cell, ub))
-            self.sl1 = CellSourceList(sl1_entries)
+            self._cell_bounds = CellBounds(self.engine.poi_index, self.query)
+        self.sl1 = CellSourceList(self._cell_bounds.entries, presorted=True)
 
         # Threshold for the paper's adaptive SL2 access: "we only access
         # segments via the second source SL2 in the case that a few
@@ -491,23 +476,27 @@ class _SOIRun:
         self._lists = {"SL1": self.sl1, "SL2": self.sl2, "SL3": self.sl3}
 
     def _store_setup(self) -> None:
-        """Bind the layout, signature bindings, mass slots and scratch.
+        """Bind the layout, signature bindings, slot masses and scratch.
 
-        With a session every piece is pooled: the bindings and slot memo
-        are computed once per signature and the scratch store is recycled
-        run-to-run, so a warm query allocates no columns at all.
+        Every slot mass the run can read is materialised here, in one
+        pass.  With a session every piece is pooled: the bindings and slot
+        masses are computed once per signature and the scratch store is
+        recycled run-to-run, so a warm query allocates no columns at all.
         """
         layout = self.engine.store_layout(self.eps)
         self._layout = layout
         session = self.session
         if session is not None:
             self._bind = session.store_bindings(layout)
-            self._mass_slots = session.store_mass_slots(layout, self.weighted)
+            self._mass_slots, self._slots_reused = session.store_mass_slots(
+                layout, self.weighted, self.stats)
             store, reused = session.acquire_state_store(layout)
             self.stats.store_reused = reused
         else:
-            self._bind = SignatureBindings(layout, self._cell_ub)
-            self._mass_slots = MassSlots(layout.num_slots)
+            self._bind = SignatureBindings(layout, self._cell_bounds)
+            self._mass_slots = materialise_slot_masses(
+                layout, self.engine.poi_index, self.query, self.weighted,
+                self.stats)
             store = SegmentStateStore(layout)
         store.begin_run()
         self.store = store
@@ -627,11 +616,12 @@ class _SOIRun:
     def _access(self, name: str) -> bool:
         """Perform one access on the named list; False when exhausted."""
         if name == "SL1":
+            cell_ub = self.sl1.top()
             cell = self.sl1.pop()
             if cell is None:
                 return False
             self.stats.cells_popped += 1
-            self._store_visit_cell(cell)
+            self._store_visit_cell(cell, cell_ub)
             return True
         source: SegmentSourceList = self._lists[name]
         segment_id = source.pop()
@@ -641,17 +631,16 @@ class _SOIRun:
         self._store_finalize(self._layout.dense_index[segment_id])
         return True
 
-    def _store_visit_cell(self, cell: CellCoord) -> None:
+    def _store_visit_cell(self, cell: CellCoord, cell_ub: int) -> None:
         """The paper's ``UpdateInterest(l, c, Psi)`` for every ``l`` in
-        ``L_eps(c)`` of a popped cell.
+        ``L_eps(c)`` of a popped cell, whose SL1 bound is ``cell_ub > 0``.
 
         Per ``(segment, slot)`` pair in ``cell_group`` order: mark visited,
-        init-if-fresh, decrement ``to_visit``, add the slot mass (memoised
-        or freshly computed), record the street lower bound, finalise on
-        zero ``to_visit`` — driven by Python ints against the flat columns
+        init-if-fresh, decrement ``to_visit``, add the materialised slot
+        mass, record the street lower bound, finalise on zero
+        ``to_visit`` — driven by Python ints against the flat columns
         (cell groups hold only a handful of segments, see the state_store
-        module docs).  Cells holding no relevant POI are ticked off without
-        touching the POI data.
+        module docs).
         """
         layout = self._layout
         seg_list, slot_list = layout.cell_group(cell)
@@ -672,15 +661,12 @@ class _SOIRun:
         street_list = layout.street_list
         buffer_list = layout.buffer_list
         lengths_list = layout.lengths_list
-        mass_slots = self._mass_slots
-        slot_known = mass_slots.known
-        slot_mass = mass_slots.mass
+        slot_mass = self._mass_slots.mass
         active = store.active
         seen_ids = store.seen_ids
         final_ids = store.final_ids
         topk = self._lbk_topk
-        cell_ub = self._cell_ub.get(cell, 0)
-        relevant = cell_ub > 0
+        count_hits = self._slots_reused
         weighted = self.weighted
         checking = contracts.ENABLED
         for dense, slot in zip(seg_list, slot_list):
@@ -697,29 +683,19 @@ class _SOIRun:
                 seen_ids.add(seg_ids[dense])
                 stats.segments_seen += 1
             to_visit[dense] -= 1
-            if relevant:
-                if slot_known[slot]:
-                    stats.mass_cache_hits += 1
-                    value = slot_mass[slot]
-                else:
-                    value = segment_mass_in_cell(
-                        layout.segments[dense], cell, self.cache, self.eps,
-                        self.weighted, stats)
-                    slot_mass[slot] = value
-                    slot_known[slot] = True
-                    if self._count_memo:
-                        stats.mass_cache_misses += 1
-                new_mass = mass_col[dense] + value
-                mass_col[dense] = new_mass
-                remaining[dense] -= cell_ub
-                if new_mass > 0.0:
-                    if checking:
-                        contracts.check_definition2(
-                            new_mass, lengths_list[dense], self.eps)
-                    if topk.update(street_list[dense],
-                                   new_mass / buffer_list[dense]):
-                        stats.lbk_heap_updates += 1
-                        self._lbk_dirty = True
+            if count_hits:
+                stats.mass_cache_hits += 1
+            new_mass = mass_col[dense] + slot_mass[slot]
+            mass_col[dense] = new_mass
+            remaining[dense] -= cell_ub
+            if new_mass > 0.0:
+                if checking:
+                    contracts.check_definition2(
+                        new_mass, lengths_list[dense], self.eps)
+                if topk.update(street_list[dense],
+                               new_mass / buffer_list[dense]):
+                    stats.lbk_heap_updates += 1
+                    self._lbk_dirty = True
             if to_visit[dense] == 0:
                 # An unvisited slot implies the segment was not yet final,
                 # so this zero crossing is its (single) finalisation.
@@ -765,55 +741,36 @@ class _SOIRun:
         self.stats.segments_seen += 1
 
     def _store_visit_rest(self, dense: int) -> None:
-        """Visit every remaining cell of a segment, then settle its mass.
+        """Visit every remaining cell of a segment and settle its mass.
 
-        The unvisited relevant slots are served from the memo or computed
-        with one batched kernel; the CSR slice yields them in ascending
-        slot order, the canonical ``cells_of_segment`` order.
+        One walk of the segment's slot run marks the unvisited slots and
+        sums the slot masses in ascending slot order, the canonical
+        ``cells_of_segment`` order (a slot whose cell holds no relevant
+        POI adds 0.0).
         """
         store = self.store
         layout = self._layout
         epoch = store.epoch
-        start = int(layout.slot_offsets[dense])
-        stop = int(layout.slot_offsets[dense + 1])
-        mass_slots = self._mass_slots
-        # Mark visited and split the relevant slots into memoised vs fresh
-        # in one walk of the segment's slot run, summing the settled mass
-        # on the way (valid when every relevant slot is memoised).
         visit_epoch = store.visit_epoch
-        slot_relevant = self._bind.slot_relevant_list
-        slot_known = mass_slots.known
-        slot_mass = mass_slots.mass
-        rel_list: list[int] = []
+        slot_mass = self._mass_slots.mass
         count = 0
-        all_known = True
         total = 0.0
-        for slot in range(start, stop):
-            relevant = slot_relevant[slot]
-            if relevant:
-                total += slot_mass[slot]
-            if visit_epoch[slot] == epoch:
-                continue
-            visit_epoch[slot] = epoch
-            count += 1
-            if relevant:
-                rel_list.append(slot)
-                if not slot_known[slot]:
-                    all_known = False
+        for slot in range(int(layout.slot_offsets[dense]),
+                          int(layout.slot_offsets[dense + 1])):
+            total += slot_mass[slot]
+            if visit_epoch[slot] != epoch:
+                visit_epoch[slot] = epoch
+                count += 1
         if count:
             self.stats.cell_visits += count
-        if all_known:
-            # Warm fast path: every contribution is memoised.
-            self.stats.mass_cache_hits += len(rel_list)
-            store.mass[dense] = total
-            return
-        slot_cells = layout.slot_cells
-        segment_mass_batched_slots(
-            layout.segments[dense],
-            [slot_cells[slot] for slot in rel_list], rel_list,
-            slot_mass, slot_known, self.cache, self.eps, self.weighted,
-            stats=self.stats, count_memo=self._count_memo)
-        self._store_settle_mass(dense)
+        if self._slots_reused:
+            # Earlier visits came from SL1 pops, whose cells all hold
+            # relevant POIs: the segment's other relevant slots are the
+            # ones this walk reads for the first time.
+            self.stats.mass_cache_hits += (
+                self._mass_slots.seg_relevant[dense]
+                - layout.cell_counts_list[dense] + store.to_visit[dense])
+        store.mass[dense] = total
 
     def _store_settle_mass(self, dense: int) -> None:
         """Set a fully visited segment's mass to the sum of its relevant
@@ -821,15 +778,8 @@ class _SOIRun:
         sums.  The filter's running sum follows SL1 pop order, which
         depends on where the run stops; weight sums can differ from it in
         the last bits."""
-        layout = self._layout
-        slot_relevant = self._bind.slot_relevant_list
-        slot_mass = self._mass_slots.mass
-        total = 0.0
-        for slot in range(int(layout.slot_offsets[dense]),
-                          int(layout.slot_offsets[dense + 1])):
-            if slot_relevant[slot]:
-                total += slot_mass[slot]
-        self.store.mass[dense] = total
+        self.store.mass[dense] = segment_mass(self._layout, self._mass_slots,
+                                              dense)
 
     def _store_finalize(self, dense: int) -> None:
         """Filter-phase finalisation: visit the rest, mark final, record LB.

@@ -15,14 +15,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.aggregates import StreetAggregate
 
 from repro.core.interest import (
-    RelevantCellCache,
+    materialise_slot_masses,
     segment_interest,
-    segment_mass_batched_slots,
+    segment_mass,
     validate_query,
 )
 from repro.core.results import SOIResult
 from repro.core.soi import DEFAULT_EPS, SOIEngine
-from repro.core.state_store import MassSlots
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import trace_span
 
@@ -106,13 +105,12 @@ class BaselineSOI:
         """Exact Definition 2 interest of *every* segment.
 
         Also used by the effectiveness experiments that need the full
-        ranking rather than just the top k.  One batched distance kernel
-        runs per segment (over its whole ``eps``-neighbourhood), and with
-        ``use_session=True`` the per-cell materialisations and masses are
-        shared with the engine's other queries on the same keyword set
-        (masses are memoised in the session's slot columns).  ``stats``
-        (an :class:`~repro.core.results.SOIStats` or compatible) collects
-        kernel/cache counters.
+        ranking rather than just the top k.  Every slot mass comes from
+        one materialisation pass, shared through the session with the
+        engine's other queries on the same keyword set when
+        ``use_session=True``.  ``stats`` (an
+        :class:`~repro.core.results.SOIStats` or compatible) collects the
+        pass's kernel and mass-cache counters.
         """
         query = validate_query(keywords, k, eps)
         with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
@@ -120,53 +118,32 @@ class BaselineSOI:
             session = (self.engine.sessions.get(query) if use_session
                        else None)
             if session is not None:
-                cache = session.cache
                 if stats is not None:
                     stats.session_reused = session.queries_served > 0
                 session.queries_served += 1
-            else:
-                cache = RelevantCellCache(self.engine.poi_index, query)
-            out = self._interests_via_store(eps, weighted, session, cache,
+            out = self._interests_via_store(query, eps, weighted, session,
                                             stats)
         obs_metrics.REGISTRY.inc("soi.baseline_queries")
         obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned", len(out))
         return out
 
-    def _interests_via_store(self, eps, weighted, session, cache,
+    def _interests_via_store(self, query, eps, weighted, session,
                              stats) -> dict[int, float]:
-        """Scan every segment through the store layout's CSR slots.
+        """Every segment's interest from the store layout's slot masses.
 
         The dense order *is* ``iter_segments`` order and each segment's
-        slot run *is* its ``cells_of_segment`` order, so every mass
-        accumulates its cells in that order, cold or warm.
+        slot run *is* its ``cells_of_segment`` order, so every mass sums
+        its cells in that order, as the SOI run settles it.
         """
         layout = self.engine.store_layout(eps)
         if session is not None:
-            mass_slots = session.store_mass_slots(layout, weighted)
-            count_memo = True
+            slots, reused = session.store_mass_slots(layout, weighted, stats)
+            if reused and stats is not None:
+                stats.mass_cache_hits += slots.num_relevant
         else:
-            mass_slots = MassSlots(layout.num_slots)
-            count_memo = False
-        slot_cells = layout.slot_cells
-        offsets = layout.slot_offsets
-        known_col = mass_slots.known
-        mass_col = mass_slots.mass
-        out: dict[int, float] = {}
-        for dense, segment in enumerate(layout.segments):
-            start = int(offsets[dense])
-            stop = int(offsets[dense + 1])
-            if start < stop and all(known_col[start:stop]):
-                # Warm fast path: every contribution is memoised;
-                # accumulate the slot run in cell order.
-                if stats is not None:
-                    stats.mass_cache_hits += stop - start
-                mass = 0.0
-                for value in mass_col[start:stop]:
-                    mass += value
-            else:
-                mass = segment_mass_batched_slots(
-                    segment, slot_cells[start:stop], range(start, stop),
-                    mass_col, known_col, cache, eps, weighted,
-                    stats=stats, count_memo=count_memo)
-            out[segment.id] = segment_interest(mass, segment.length, eps)
-        return out
+            slots = materialise_slot_masses(layout, self.engine.poi_index,
+                                            query, weighted, stats)
+        return {
+            segment.id: segment_interest(segment_mass(layout, slots, dense),
+                                         segment.length, eps)
+            for dense, segment in enumerate(layout.segments)}

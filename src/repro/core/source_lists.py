@@ -16,9 +16,39 @@ remaining (unseen) segments smaller or equal.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.index.grid import CellCoord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.index.poi_grid import POIGridIndex
+
+
+class CellBounds:
+    """``|P_Psi(c)|`` of every candidate cell for one keyword signature
+    (Algorithm 1, line 2), built in one vectorised pass.
+
+    ``lin``/``ub`` are the bounds as columns in ascending linearised-cell
+    order (how :class:`~repro.core.state_store.SignatureBindings` projects
+    them onto a store layout); ``entries`` holds the SL1 entries
+    ``(cell, bound)`` presorted on ``(-bound, cell)``.  Every bound is
+    positive: a candidate cell holds at least one matching POI.
+    """
+
+    __slots__ = ("lin", "ub", "entries")
+
+    def __init__(self, poi_index: "POIGridIndex",
+                 keywords: Iterable[str]) -> None:
+        lin, ub = poi_index.relevant_count_upper_bounds(keywords)
+        # Linearised order is (i, j) order, so this is (-bound, cell).
+        order = np.lexsort((lin, -ub))
+        cell_i, cell_j = np.divmod(lin[order], np.int64(poi_index.grid.ny))
+        self.lin = lin
+        self.ub = ub
+        self.entries: tuple[tuple[CellCoord, int], ...] = tuple(zip(
+            zip(cell_i.tolist(), cell_j.tolist()), ub[order].tolist()))
 
 
 class CellSourceList:

@@ -9,13 +9,13 @@ the remaining per-cell upper-bound contribution.
 
 The immutable layout and per-signature columns are NumPy arrays — they
 are *built* vectorised (one ufunc for every buffer area, one ``bincount``
-for every segment's total upper bound) and mirrored to Python lists for
-element-wise reads.  The mutable run scratch and the slot mass memo are
-plain Python lists: profiling the street grids shows a popped cell
-touches only 2–8 segments and a finalised segment ~10 slots, far below
-NumPy's per-call dispatch break-even, so the filter loop is driven by
-list indexing while the heavy lifting (mass kernels, column
-construction) stays batched.
+for every segment's total upper bound, one row-wise distance pass for
+every slot mass) and mirrored to Python lists for element-wise reads.
+The mutable run scratch and the slot masses are plain Python lists:
+profiling the street grids shows a popped cell touches only 2–8 segments
+and a finalised segment ~10 slots, far below NumPy's per-call dispatch
+break-even, so the filter loop is driven by list indexing while the
+heavy lifting (the mass pass, column construction) stays batched.
 
 Layout vs. scratch
 ------------------
@@ -25,12 +25,13 @@ Layout vs. scratch
 * :class:`SignatureBindings` and :class:`MassSlots` are per keyword
   signature (the latter also per ``weighted``), normally owned by a
   :class:`~repro.perf.session.QuerySession`: the cell upper bounds of
-  Algorithm 1 line 2 projected onto the layout, and the slot-indexed
-  ``(segment, cell)`` mass memo.
+  Algorithm 1 line 2 projected onto the layout, and every
+  ``(segment, cell)`` slot's mass, materialised by
+  :func:`~repro.core.interest.materialise_slot_masses`.
 * :class:`SegmentStateStore` is mutable per-run scratch, recycled across
   runs through an epoch counter so a warm query allocates nothing.
 
-Every cached float is the bitwise-exact value a fresh evaluation
+Every materialised float is the bitwise-exact value a fresh evaluation
 computes.  A segment's partial mass is a running sum in SL1 pop order and
 serves only as a bound; its exact mass is settled as the sum of its slot
 masses in ``cells_of_segment`` order, the order BL sums in.  Cold and
@@ -53,6 +54,7 @@ import numpy as np
 from repro.index.csr import counts_to_offsets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.source_lists import CellBounds
     from repro.index.cell_maps import SegmentCellMaps
     from repro.index.grid import CellCoord
     from repro.network.model import RoadNetwork, Segment
@@ -159,11 +161,12 @@ class StoreLayout:
 
     __slots__ = (
         "eps", "segments", "num_segments", "seg_ids", "lengths",
-        "street_of", "buffer_col", "dense_index", "num_slots", "num_cells",
-        "cells", "cell_index", "slot_offsets", "slot_cell", "slot_cells",
-        "cell_counts", "seg_ids_list", "street_list", "lengths_list",
-        "buffer_list", "cell_counts_list", "_group_offsets", "_group_segs",
-        "_group_slots", "_groups",
+        "street_of", "buffer_col", "endpoints", "dense_index", "num_slots",
+        "num_cells", "cells", "cell_index", "slot_offsets",
+        "slot_cell", "slot_seg", "slot_cells", "cell_counts",
+        "seg_ids_list", "street_list", "lengths_list", "buffer_list",
+        "cell_counts_list", "_sorted_lin", "_sorted_pos", "_group_offsets",
+        "_group_segs", "_group_slots", "_groups",
     )
 
     def __init__(self, network: "RoadNetwork",
@@ -184,6 +187,8 @@ class StoreLayout:
         # association Python gives buffer_area(), so each element is the
         # bitwise float buffer_area() returns.
         self.buffer_col = (2.0 * eps) * self.lengths + (math.pi * eps) * eps
+        # (ax, ay, bx, by) columns in dense order, shared with the maps.
+        self.endpoints = cell_maps.endpoint_columns
         self.dense_index = {seg.id: pos for pos, seg in enumerate(segments)}
         # Python-list mirrors of the read-only columns for the small-group
         # element-wise path: grid cells overlap only a couple of segments
@@ -203,7 +208,8 @@ class StoreLayout:
                              flat_j: np.ndarray) -> None:
         """Slot geometry from the flat CSR pair columns: cells numbered by
         first appearance in the slot stream, the cell-major inverse kept
-        as one CSR for :meth:`cell_group`."""
+        as one CSR for :meth:`cell_group`, and the cells' linearised
+        ``i * ny + j`` in ascending order for :meth:`locate_cells`."""
         n = self.num_segments
         lin = flat_i * np.int64(ny) + flat_j
         uniq, first_idx, inverse = np.unique(
@@ -220,9 +226,12 @@ class StoreLayout:
         self.num_slots = int(lin.shape[0])
         self.num_cells = num_cells
         self.cells = cells
+        self._sorted_lin = uniq
+        self._sorted_pos = inv_rank
         self.cell_index = {cell: pos for pos, cell in enumerate(cells)}
         self.slot_offsets = np.asarray(offsets, dtype=np.int64)
         self.slot_cell = slot_cell
+        self.slot_seg = seg_col
         self.slot_cells = [cells[pos] for pos in slot_cell.tolist()]
         self.cell_counts = np.diff(self.slot_offsets)
         self.cell_counts_list = self.cell_counts.tolist()
@@ -231,6 +240,19 @@ class StoreLayout:
         self._group_segs = seg_col[slot_order]
         self._group_slots = slot_order
         self._groups: dict["CellCoord", tuple[list[int], list[int]]] = {}
+
+    def locate_cells(
+            self, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the linearised cells ``lin`` (ascending) the layout
+        holds, as a mask over ``lin``, and those cells' layout positions.
+        """
+        if not (lin.shape[0] and self.num_cells):
+            return (np.zeros(lin.shape[0], dtype=bool),
+                    np.zeros(0, dtype=np.int64))
+        pos = np.minimum(np.searchsorted(self._sorted_lin, lin),
+                         self.num_cells - 1)
+        found = self._sorted_lin[pos] == lin
+        return found, self._sorted_pos[pos[found]]
 
     def cell_group(self, cell: "CellCoord") -> tuple[Sequence[int],
                                                      Sequence[int]]:
@@ -262,72 +284,50 @@ class SignatureBindings:
     """One keyword signature's cell upper bounds projected onto a layout.
 
     ``cell_ub[c]`` is ``|P_Psi(c)|`` (Algorithm 1, line 2) for the
-    layout's cells (cells the signature never populates stay 0),
-    ``relevant`` its positivity mask, and ``total_ub[d]`` the per-segment
-    sum over ``C_eps(l)`` — the starting value of the
-    incrementally-decremented remaining upper-bound column.
+    layout's cells (cells the signature never populates stay 0), and
+    ``total_ub[d]`` the per-segment sum over ``C_eps(l)`` — the starting
+    value of the incrementally-decremented remaining upper-bound column.
     """
 
-    __slots__ = ("layout", "cell_ub", "relevant", "slot_relevant",
-                 "slot_relevant_list", "total_ub", "total_ub_list")
+    __slots__ = ("layout", "cell_ub", "total_ub", "total_ub_list")
 
-    def __init__(self, layout: StoreLayout,
-                 cell_ub: dict["CellCoord", int]) -> None:
+    def __init__(self, layout: StoreLayout, bounds: "CellBounds") -> None:
         self.layout = layout
-        bounds = np.zeros(layout.num_cells, dtype=np.int64)
-        index = layout.cell_index
-        for cell, count in cell_ub.items():
-            pos = index.get(cell)
-            if pos is not None:
-                bounds[pos] = count
-        self.cell_ub = bounds
-        self.relevant = bounds > 0
-        # Slot-major relevance: one list probe per slot in the finalise
-        # walk instead of a cell-index indirection.
-        self.slot_relevant = (self.relevant[layout.slot_cell]
-                              if layout.num_slots
-                              else np.zeros(0, dtype=bool))
-        self.slot_relevant_list = self.slot_relevant.tolist()
-        if layout.num_slots:
-            slot_seg = np.repeat(np.arange(layout.num_segments),
-                                 layout.cell_counts)
-            # bincount sums small integer counts in float64 — exact far
-            # below 2**53 — and unlike add.reduceat has no empty-run
-            # pitfall for segments with zero cells.
-            totals = np.bincount(slot_seg,
-                                 weights=bounds[layout.slot_cell].astype(
-                                     np.float64),
-                                 minlength=layout.num_segments)
-            self.total_ub = totals.astype(np.int64)
-        else:
-            self.total_ub = np.zeros(layout.num_segments, dtype=np.int64)
+        found, at = layout.locate_cells(bounds.lin)
+        cell_ub = np.zeros(layout.num_cells, dtype=np.int64)
+        cell_ub[at] = bounds.ub[found]
+        self.cell_ub = cell_ub
+        # bincount sums small integer counts in float64 — exact far below
+        # 2**53 — and unlike add.reduceat has no empty-run pitfall for
+        # segments with zero cells.
+        self.total_ub = np.bincount(
+            layout.slot_seg,
+            weights=cell_ub[layout.slot_cell].astype(np.float64),
+            minlength=layout.num_segments).astype(np.int64)
         self.total_ub_list = self.total_ub.tolist()
 
 
 class MassSlots:
-    """Slot-indexed ``(segment, cell)`` mass memo, one instance per
-    ``(signature, eps, weighted)``.
+    """Every ``(segment, cell)`` slot's mass for one
+    ``(signature, eps, weighted)``, as materialised by
+    :func:`~repro.core.interest.materialise_slot_masses`.
 
-    ``known`` gates reads; writers store the mass *before* flipping the
-    flag so a concurrent reader can never observe an unset value.  Both
-    orders are safe either way — every writer would store the same
-    deterministic float — which is what keeps the session's add-only
-    thread-compatibility contract intact.
-
-    The columns are Python lists: every access is a single-slot probe or
-    a short per-segment slice, where list indexing beats NumPy scalar
-    indexing severalfold (see the module docstring).
+    ``mass`` holds 0.0 for every slot whose cell has no relevant POI;
+    ``seg_relevant[d]`` counts the slots of dense segment ``d`` whose
+    cell has one, and ``num_relevant`` all such slots.  Both columns are
+    Python lists: every read is a single-slot probe or a short
+    per-segment run, where list indexing beats NumPy scalar indexing
+    severalfold (see the module docstring).  Immutable once built, so
+    sessions share it between concurrent runs.
     """
 
-    __slots__ = ("mass", "known")
+    __slots__ = ("mass", "seg_relevant", "num_relevant")
 
-    def __init__(self, num_slots: int) -> None:
-        self.mass: list[float] = [0.0] * num_slots
-        self.known: list[bool] = [False] * num_slots
-
-    def known_count(self) -> int:
-        """Memoised slots (for reports)."""
-        return sum(self.known)
+    def __init__(self, mass: list[float], seg_relevant: list[int],
+                 num_relevant: int) -> None:
+        self.mass = mass
+        self.seg_relevant = seg_relevant
+        self.num_relevant = num_relevant
 
 
 _EPOCH_LIMIT = 2**31 - 2

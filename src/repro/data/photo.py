@@ -8,12 +8,14 @@ spatio-textually diverse subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.data.keywords import normalize_keywords
 from repro.data.table import ItemTable, KeywordColumns
+from repro.errors import DataError
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,6 +28,10 @@ class Photo:
     keywords: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise DataError(
+                f"photo {self.id} needs finite coordinates, "
+                f"got ({self.x}, {self.y})")
         object.__setattr__(self, "keywords", normalize_keywords(self.keywords))
 
     def distance_to(self, other: "Photo") -> float:

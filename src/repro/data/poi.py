@@ -31,6 +31,10 @@ class POI:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise DataError(
+                f"POI {self.id} needs finite coordinates, "
+                f"got ({self.x}, {self.y})")
         if not (self.weight >= 0 and math.isfinite(self.weight)):
             raise DataError(
                 f"POI {self.id} needs a finite non-negative weight, "

@@ -9,20 +9,24 @@ These functions implement the distance semantics of the paper:
 * segment/box minimum distance (used to build the ``eps``-augmented
   cell-to-segment and segment-to-cell maps of Section 3.2.1).
 
-Scalar kernels are pure Python; :func:`points_segment_distance` is the
-NumPy-vectorised batch used on the hot path of mass computation, and
-:func:`segments_bbox_mindist_batched` is the cold-path batch behind the
-vectorised ``eps``-augmentation of :mod:`repro.index.cell_maps`.
+Scalar kernels are pure Python; :func:`points_segments_within` is the
+row-wise NumPy batch behind the one-pass slot-mass materialisation of
+:mod:`repro.core.interest`, :func:`points_segment_distance` a
+one-segment distance batch, and :func:`segments_bbox_mindist_batched`
+the cold-path batch behind the vectorised ``eps``-augmentation of
+:mod:`repro.index.cell_maps`.
 
 The batched kernels are **bit-identical** to their scalar counterparts:
 every IEEE-754 operation is applied to the same operands in the same
 order, and the one library call whose rounding is not pinned down by the
 standard — ``math.hypot`` — is replaced by :func:`_hypot_exact`, a NumPy
 transcription of CPython's scaled, compensated ``vector_norm`` algorithm
-(``Modules/mathmodule.c``).  ``np.hypot`` itself is *not* used on these
-paths: it differs from ``math.hypot`` in the last ulp for roughly 0.07%
-of inputs on this platform, which would break the augmented maps'
-set-equality with the scalar reference.
+(``Modules/mathmodule.c``).  ``np.hypot`` is used only for rows whose
+reference is itself ``np.hypot``-rounded (:func:`points_segment_distance`
+and the non-``exact`` rows of :func:`points_segments_within`): it
+differs from ``math.hypot`` in the last ulp for roughly 0.07% of inputs
+on this platform, which would break the augmented maps' set-equality
+with the scalar reference.
 """
 
 from __future__ import annotations
@@ -222,6 +226,25 @@ def segment_segment_distance(
     )
 
 
+def _closest_point_offsets(
+    px: np.ndarray, py: np.ndarray,
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``(px - cx, py - cy)`` for the point ``c`` of each row's
+    segment closest to ``p``, computed operation for operation as
+    :func:`point_segment_distance` computes it before its ``hypot``."""
+    dx = bx - ax
+    dy = by - ay
+    denom = dx * dx + dy * dy
+    ok = denom > 0.0
+    t = ((px - ax) * dx + (py - ay) * dy) / np.where(ok, denom, 1.0)  # repro-lint: disable=REP-N202 (degenerate rows divide by the 1.0 placeholder and are masked next line)
+    t = np.where(ok, t, 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    cx = ax + t * (bx - ax)
+    cy = ay + t * (by - ay)
+    return px - cx, py - cy
+
+
 def _points_segments_distance(
     px: np.ndarray, py: np.ndarray,
     ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
@@ -233,16 +256,37 @@ def _points_segments_distance(
     including the exact-hypot tail — so it can participate in bit-identical
     batched predicates.
     """
-    dx = bx - ax
-    dy = by - ay
-    denom = dx * dx + dy * dy
-    ok = denom > 0.0
-    t = ((px - ax) * dx + (py - ay) * dy) / np.where(ok, denom, 1.0)  # repro-lint: disable=REP-N202 (degenerate rows divide by the 1.0 placeholder and are masked next line)
-    t = np.where(ok, t, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    cx = ax + t * (bx - ax)
-    cy = ay + t * (by - ay)
-    return _hypot_exact(px - cx, py - cy)
+    return _hypot_exact(*_closest_point_offsets(px, py, ax, ay, bx, by))
+
+
+_NEAR_ULPS = 16
+"""Half-width, in ulps of ``eps``, of the band around ``eps`` where
+:func:`points_segments_within` re-rounds an exact row: ``math.hypot``
+and ``np.hypot`` are each within one ulp of the true distance, so they
+can only disagree about ``dist <= eps`` for distances two ulps from it."""
+
+
+def points_segments_within(
+    px: np.ndarray, py: np.ndarray,
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
+    eps: float, exact: np.ndarray,
+) -> np.ndarray:
+    """Row-wise ``dist(p, l) <= eps``, one segment per row.
+
+    Rows where ``exact`` is set decide as :func:`point_segment_distance`
+    rounds (``math.hypot``, via :func:`_hypot_exact`); the other rows as
+    :func:`points_segment_distance` rounds (``np.hypot``).  Both share
+    the closest-point arithmetic, so each row's decision is the one the
+    kernel it names makes.  The two roundings can only disagree within a
+    few ulps of ``eps``, so only exact rows in that band pay for
+    :func:`_hypot_exact`.
+    """
+    ex, ey = _closest_point_offsets(px, py, ax, ay, bx, by)
+    dist = np.hypot(ex, ey)
+    near = exact & (np.abs(dist - eps) <= _NEAR_ULPS * math.ulp(eps))
+    if near.any():
+        dist[near] = _hypot_exact(ex[near], ey[near])
+    return dist <= eps
 
 
 def _orient_batched(ox: np.ndarray, oy: np.ndarray,

@@ -175,6 +175,14 @@ class SegmentCellMaps:
         """Segment ids in builder (``iter_segments``) order."""
         return self._seg_ids
 
+    @property
+    def endpoint_columns(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Segment endpoints ``(ax, ay, bx, by)`` as float64 columns
+        aligned with :attr:`segment_ids_column`."""
+        return self._ax, self._ay, self._bx, self._by
+
     def augmented_csr(
         self, eps: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -58,12 +58,18 @@ class UniformGrid:
         The rectangle to cover.  The grid always covers it entirely; the
         last row/column may extend beyond ``extent.max_x`` / ``max_y``.
     cell_size:
-        Side length of each (square) cell.  Must be positive.
+        Side length of each (square) cell.  Must be positive and finite,
+        and the extent's bounds finite
+        (:class:`~repro.errors.GridIndexError` otherwise).
     """
 
     def __init__(self, extent: BBox, cell_size: float) -> None:
-        if cell_size <= 0:
-            raise GridIndexError(f"cell_size must be positive, got {cell_size}")
+        if not (cell_size > 0 and math.isfinite(cell_size)):
+            raise GridIndexError(
+                f"cell_size must be positive and finite, got {cell_size}")
+        if not all(math.isfinite(bound) for bound in (
+                extent.min_x, extent.min_y, extent.max_x, extent.max_y)):
+            raise GridIndexError(f"grid extent must be finite, got {extent}")
         self.extent = extent
         self.cell_size = float(cell_size)
         self.nx = max(1, math.ceil(extent.width / cell_size))

@@ -145,16 +145,25 @@ class GlobalInvertedIndex:
         """``I[psi]``: cells with their counts, sorted decreasingly."""
         entries = self._entries.get(keyword)
         if entries is None:
-            row = self._row.get(keyword)
-            if row is None:
+            if keyword not in self._row:
                 return ()
-            begin, end = self._offsets[row], self._offsets[row + 1]
-            entries = tuple(zip(
-                zip(self._cell_i[begin:end].tolist(),
-                    self._cell_j[begin:end].tolist()),
-                self._count[begin:end].tolist()))
+            cell_i, cell_j, count = self.count_columns(keyword)
+            entries = tuple(zip(zip(cell_i.tolist(), cell_j.tolist()),
+                                count.tolist()))
             self._entries[keyword] = entries
         return entries
+
+    def count_columns(
+        self, keyword: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``I[psi]`` as ``(cell_i, cell_j, count)`` column views, in
+        entry order; empty columns for an unknown keyword."""
+        row = self._row.get(keyword)
+        if row is None:
+            return self._cell_i[:0], self._cell_j[:0], self._count[:0]
+        begin, end = self._offsets[row], self._offsets[row + 1]
+        return (self._cell_i[begin:end], self._cell_j[begin:end],
+                self._count[begin:end])
 
     def count(self, keyword: str, cell: CellCoord) -> int:
         """``I[psi][c]``: items in ``cell`` carrying ``keyword``."""

@@ -7,7 +7,9 @@ SOI algorithm keeps asking:
 * "which POIs in cell ``c`` match any query keyword?" (exact, via the local
   index merge), and
 * "at most how many POIs in cell ``c`` can match?" (the ``|P_Psi(c)|``
-  upper bound of Algorithm 1, line 2: ``min(|P_c|, sum_psi I[psi][c])``).
+  upper bound of Algorithm 1, line 2: ``min(|P_c|, sum_psi I[psi][c])``),
+  answered for every candidate cell at once from the global index's
+  count columns.
 """
 
 from __future__ import annotations
@@ -78,7 +80,12 @@ class POIGridIndex:
         ny = self.grid.ny
         i, j = self.grid.cells_of_batched(pois.xs, pois.ys)
         span = np.int64(self.grid.nx) * np.int64(ny)
-        cell_lin = (i * np.int64(ny) + j)[incidence_pos]
+        # Linearised cell (i * ny + j) of every POI position, and |P_c|
+        # per occupied cell in ascending linearised order.
+        self.cell_lin = i * np.int64(ny) + j
+        self._occupied_lin, self._occupied_count = np.unique(
+            self.cell_lin, return_counts=True)
+        cell_lin = self.cell_lin[incidence_pos]
         pair, counts = np.unique(kw * span + cell_lin, return_counts=True)
         pair_kw = pair // span
         pair_cell = pair % span
@@ -152,20 +159,38 @@ class POIGridIndex:
         return np.fromiter(index.matching_positions(keywords),
                            dtype=np.intp)
 
-    def relevant_count_upper_bound(
-        self, cell: CellCoord, keywords: Iterable[str]
-    ) -> int:
-        """``|P_Psi(c)| = min(|P_c|, sum_psi I[psi][c])`` (Algorithm 1, l.2).
+    def relevant_count_upper_bounds(
+        self, keywords: Iterable[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``|P_Psi(c)| = min(|P_c|, sum_psi I[psi][c])`` (Algorithm 1,
+        l.2) of every candidate cell, as ``(cell_lin, bound)`` int64
+        columns in ascending linearised-cell order.
 
-        Exact for single-keyword queries; an upper bound when a POI matches
-        several query keywords.
+        One pass over the keywords' ``(cell, count)`` columns of the global
+        index: ``np.unique`` groups the cells and ``bincount`` sums their
+        counts.  Exact for single-keyword queries; an upper bound when a
+        POI matches several query keywords.  Every candidate cell holds a
+        matching POI, so every bound is positive.
         """
-        total = self.cell_size_of(cell)
-        if total == 0:
-            return 0
-        summed = sum(self.global_index.count(k, cell)
-                     for k in set(keywords))  # repro-lint: disable=REP-D102 (integer counts; sum is order-independent)
-        return min(total, summed)
+        ny = np.int64(self.grid.ny)
+        lins: list[np.ndarray] = []
+        counts: list[np.ndarray] = []
+        for keyword in sorted(set(keywords)):
+            cell_i, cell_j, count = self.global_index.count_columns(keyword)
+            lins.append(cell_i * ny + cell_j)
+            counts.append(count)
+        if not lins:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty.copy()
+        cell_lin, inverse = np.unique(np.concatenate(lins),
+                                      return_inverse=True)
+        # Integer counts summed in float64: exact far below 2**53.
+        summed = np.bincount(inverse.reshape(-1),
+                             weights=np.concatenate(counts),
+                             minlength=cell_lin.shape[0]).astype(np.int64)
+        totals = self._occupied_count[
+            np.searchsorted(self._occupied_lin, cell_lin)]
+        return cell_lin, np.minimum(totals, summed)
 
     def candidate_cells(self, keywords: Iterable[str]) -> set[CellCoord]:
         """Cells that can contain at least one relevant POI."""

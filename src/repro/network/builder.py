@@ -9,6 +9,7 @@ time.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.errors import NetworkError
@@ -45,8 +46,13 @@ class RoadNetworkBuilder:
 
         Coordinates are deduplicated: adding a vertex at coordinates already
         present returns the existing id, which keeps intersections shared
-        between crossing streets.
+        between crossing streets.  Raises
+        :class:`~repro.errors.NetworkError` for a NaN or infinite
+        coordinate.
         """
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NetworkError(
+                f"vertex coordinates must be finite, got ({x}, {y})")
         key = (x, y)
         existing = self._vertex_at.get(key)
         if existing is not None:

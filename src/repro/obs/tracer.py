@@ -69,7 +69,7 @@ span: a nonzero value means traces read from the buffer are truncated."""
 SPAN_NAMES = frozenset({
     # Algorithm 1 (k-SOI: filter / refine round structure).
     "soi.query", "soi.baseline_query", "soi.build_source_lists",
-    "soi.filter", "soi.pull", "soi.cell_gather", "soi.mass_kernel",
+    "soi.filter", "soi.pull", "soi.mass_kernel",
     "soi.termination_check", "soi.refine",
     # Algorithm 2 (describe: round / bounds structure).
     "describe.select", "describe.round", "describe.filter",

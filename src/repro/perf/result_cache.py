@@ -113,18 +113,21 @@ def slice_payload(payload: list, k: int) -> list:
 def estimate_payload_bytes(payload) -> int:
     """Deterministic rough byte size of a payload for the cache budget.
 
-    ``sys.getsizeof`` of the container plus one level of items (SOI
-    results are flat slotted dataclasses; describe payloads are ints).
-    An estimate is enough: the budget exists to bound memory growth, not
-    to account for it exactly.
+    ``sys.getsizeof`` of the container plus ``len(payload)`` times the
+    size of its first item (with the street name of an SOI result): the
+    items of one payload share a type, so one sample sizes them all in
+    O(1).  An estimate is enough: the budget exists to bound memory
+    growth, not to account for it exactly.
     """
     if isinstance(payload, (list, tuple)):
         total = sys.getsizeof(payload)
-        for item in payload:
-            total += sys.getsizeof(item)
+        if payload:
+            item = payload[0]
+            per_item = sys.getsizeof(item)
             name = getattr(item, "street_name", None)
             if name is not None:
-                total += sys.getsizeof(name)
+                per_item += sys.getsizeof(name)
+            total += len(payload) * per_item
         return total
     return sys.getsizeof(payload)
 

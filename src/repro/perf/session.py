@@ -2,23 +2,21 @@
 
 A k-SOI parameter sweep (varying ``k``, ``eps`` or the access strategy)
 re-runs the engine with the *same normalised keyword set* many times, and
-every run used to rebuild the same per-cell materialisations from scratch:
-the relevant-POI gather of each visited cell, the per-cell relevant-count
-upper bounds that seed SL1, and — most expensively — the per
-``(segment, cell)`` mass contributions of Definition 1.
+every run needs the same materialisations: the per-cell relevant-count
+upper bounds that seed SL1, and the mass of every ``(segment, cell)``
+slot of Definition 1.
 
-A :class:`QuerySession` owns exactly those three caches for one keyword
-signature:
+A :class:`QuerySession` owns both for one keyword signature:
 
-* the :class:`~repro.core.interest.RelevantCellCache` (positions and
-  coordinate arrays of each cell's relevant POIs);
-* the per-cell relevant-count aggregate ``|P_Psi(c)|`` (Algorithm 1,
-  line 2), which depends only on the keywords — not on ``k``/``eps``;
-* per-``(eps, weighted)`` mass memos
-  (:class:`~repro.core.state_store.MassSlots`, one value per
-  ``(segment, cell)`` slot of the store layout).  A cached mass is the
-  bitwise-exact float the kernel would recompute, so serving it cannot
-  change any downstream comparison or bound.
+* the :class:`~repro.core.source_lists.CellBounds` ``|P_Psi(c)|``
+  (Algorithm 1, line 2), which depends only on the keywords — not on
+  ``k``/``eps`` — and its projection onto each ``eps``'s store layout;
+* per-``(eps, weighted)`` :class:`~repro.core.state_store.MassSlots`,
+  built by one vectorised pass
+  (:func:`~repro.core.interest.materialise_slot_masses`) when first
+  asked for.  Every mass is the bitwise-exact float a fresh pass would
+  compute, so serving it cannot change any downstream comparison or
+  bound.
 
 It also recycles the per-run scratch
 :class:`~repro.core.state_store.SegmentStateStore` columns.
@@ -40,7 +38,8 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-from repro.core.interest import RelevantCellCache
+from repro.core.interest import materialise_slot_masses
+from repro.core.source_lists import CellBounds
 from repro.core.state_store import (
     MassSlots,
     SegmentStateStore,
@@ -50,7 +49,6 @@ from repro.obs.metrics import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.state_store import StoreLayout
-    from repro.index.grid import CellCoord
     from repro.index.poi_grid import POIGridIndex
 
 DEFAULT_MAX_SESSIONS = 8
@@ -62,21 +60,18 @@ than a handful of keyword sets before the oldest is cold anyway."""
 class QuerySession:
     """All cached per-query materialisations for one keyword signature."""
 
-    __slots__ = ("signature", "generation", "cache", "_poi_index",
-                 "_cell_ub", "_sl1_entries", "queries_served",
-                 "_store_lock", "_bindings", "_mass_slots", "_state_stores",
-                 "store_reuses")
+    __slots__ = ("signature", "generation", "_poi_index", "_bounds",
+                 "queries_served", "_store_lock", "_bindings",
+                 "_mass_slots", "_state_stores", "store_reuses")
 
     def __init__(self, poi_index: "POIGridIndex",
                  signature: frozenset[str], generation: int = 0) -> None:
         self.signature = signature
         self.generation = generation
         self._poi_index = poi_index
-        self.cache = RelevantCellCache(poi_index, signature)
-        self._cell_ub: dict["CellCoord", int] | None = None
-        self._sl1_entries: tuple[tuple["CellCoord", int], ...] | None = None
+        self._bounds: CellBounds | None = None
         self.queries_served = 0
-        # Per-eps signature bindings, per (eps, weighted) slot memos, and
+        # Per-eps signature bindings, per (eps, weighted) slot masses, and
         # the recycled scratch stores.  Unlike the add-only caches, the
         # scratch stores are *mutated* per run, so the free-list hands
         # each out exclusively; the lock serialises all three maps.
@@ -86,34 +81,16 @@ class QuerySession:
         self._state_stores: dict[float, list[SegmentStateStore]] = {}
         self.store_reuses = 0
 
-    def cell_upper_bounds(self) -> dict["CellCoord", int]:
+    def cell_upper_bounds(self) -> CellBounds:
         """``|P_Psi(c)| > 0`` per candidate cell (Algorithm 1, line 2).
 
         Computed once per signature; every sweep configuration seeds its
-        SL1 from this aggregate instead of re-scanning the global index.
+        SL1 from these presorted entries instead of re-scanning the
+        global index.
         """
-        if self._cell_ub is None:
-            bounds: dict["CellCoord", int] = {}
-            for cell in self._poi_index.candidate_cells(self.signature):
-                ub = self._poi_index.relevant_count_upper_bound(
-                    cell, self.signature)
-                if ub > 0:
-                    bounds[cell] = ub
-            self._cell_ub = bounds
-        return self._cell_ub
-
-    def sl1_entries(self) -> tuple[tuple["CellCoord", int], ...]:
-        """The SL1 entries presorted (count desc, then cell coordinates).
-
-        The order depends only on the keyword signature, so warm queries
-        hand the shared tuple straight to
-        :class:`~repro.core.source_lists.CellSourceList` without re-sorting.
-        """
-        if self._sl1_entries is None:
-            self._sl1_entries = tuple(sorted(
-                self.cell_upper_bounds().items(),
-                key=lambda e: (-e[1], e[0])))
-        return self._sl1_entries
+        if self._bounds is None:
+            self._bounds = CellBounds(self._poi_index, self.signature)
+        return self._bounds
 
     def store_bindings(self, layout: "StoreLayout") -> SignatureBindings:
         """This signature's cell upper bounds projected onto ``layout``."""
@@ -127,16 +104,25 @@ class QuerySession:
                 bindings = self._bindings.setdefault(layout.eps, built)
         return bindings
 
-    def store_mass_slots(self, layout: "StoreLayout",
-                         weighted: bool) -> MassSlots:
-        """The slot-indexed mass memo for one ``(eps, weighted)``."""
+    def store_mass_slots(self, layout: "StoreLayout", weighted: bool,
+                         stats=None) -> tuple[MassSlots, bool]:
+        """Every slot mass for one ``(eps, weighted)``; True when another
+        call already materialised them.
+
+        A miss runs the pass outside the lock (``stats`` counts it) and
+        keeps whichever concurrent result landed first: both are the same
+        deterministic floats.
+        """
         key = (layout.eps, weighted)
         with self._store_lock:
             slots = self._mass_slots.get(key)
-            if slots is None:
-                slots = MassSlots(layout.num_slots)
-                self._mass_slots[key] = slots
-        return slots
+        if slots is not None:
+            return slots, True
+        built = materialise_slot_masses(layout, self._poi_index,
+                                        self.signature, weighted, stats)
+        with self._store_lock:
+            slots = self._mass_slots.setdefault(key, built)
+        return slots, False
 
     def acquire_state_store(
             self, layout: "StoreLayout") -> tuple[SegmentStateStore, bool]:
@@ -162,10 +148,10 @@ class QuerySession:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._store_lock:
-            masses = sum(slots.known_count()
+            masses = sum(slots.num_relevant
                          for slots in self._mass_slots.values())
         return (f"QuerySession(signature={sorted(self.signature)!r}, "
-                f"cells={len(self.cache)}, masses={masses})")
+                f"masses={masses})")
 
 
 class QuerySessionPool:

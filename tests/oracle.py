@@ -10,12 +10,17 @@ no incremental evaluator:
   ``eps``-buffer area, and a street takes the maximum over its segments.
 * :func:`greedy_mmr` is the greedy MaxSum loop with Equation 10
   recomputed from scratch for every candidate in every round.
+* :func:`slot_mass` and :func:`sl1_entries` are Definition 1 for one
+  ``(segment, cell)`` slot and Algorithm 1, line 2, one cell at a time:
+  the references for the vectorised pass that materialises both.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Sequence
 
+import numpy as np
 import pytest
 
 from repro.core.describe.greedy import _validate
@@ -25,6 +30,10 @@ from repro.core.interest import (
     segment_interest,
     segment_mass_bruteforce,
     street_interest_bruteforce,
+)
+from repro.geometry.distance import (
+    point_segment_distance,
+    points_segment_distance,
 )
 
 
@@ -43,6 +52,56 @@ def soi_topk(network, pois, keywords: Iterable[str], k: int, eps: float,
             scored.append((interest, street_id))
     scored.sort(key=lambda item: (-item[0], item[1]))
     return scored[:k]
+
+
+def slot_mass(segment, cell, grid, pois, keywords: Iterable[str],
+              eps: float, weighted: bool = False) -> float:
+    """Definition 1 over the relevant POIs of one grid cell.
+
+    The cell's relevant POIs are taken in position order.  A cell of at
+    most four is evaluated point by point with ``math.hypot`` rounding
+    and its weights summed left to right; a larger cell with one
+    ``np.hypot``-rounded batch and ``np.sum`` over the weights within
+    ``eps``: the rounding the index has always used for each kind.
+    """
+    query = frozenset(keywords)
+    members = [pos for pos in range(len(pois))
+               if pois[pos].matches(query)
+               and grid.cell_of(float(pois.xs[pos]),
+                                float(pois.ys[pos])) == cell]
+    if len(members) <= 4:
+        total = 0.0
+        for pos in members:
+            dist = point_segment_distance(
+                float(pois.xs[pos]), float(pois.ys[pos]),
+                segment.ax, segment.ay, segment.bx, segment.by)
+            if dist <= eps:
+                total += float(pois.weights[pos]) if weighted else 1.0
+        return total
+    within = points_segment_distance(
+        pois.xs[members], pois.ys[members],
+        segment.ax, segment.ay, segment.bx, segment.by) <= eps
+    if weighted:
+        return float(pois.weights[members][within].sum())
+    return float(np.count_nonzero(within))
+
+
+def sl1_entries(grid, pois, keywords: Iterable[str]) -> list[tuple]:
+    """SL1 by Algorithm 1, line 2: ``(cell, min(|P_c|, sum_psi
+    I[psi][c]))`` for every cell holding a POI with a query keyword,
+    ordered by decreasing bound, then cell."""
+    query = frozenset(keywords)
+    size: Counter = Counter()
+    summed: Counter = Counter()
+    for poi in pois:
+        cell = grid.cell_of(poi.x, poi.y)
+        size[cell] += 1
+        for keyword in query:
+            if keyword in poi.keywords:
+                summed[cell] += 1
+    return sorted(((cell, min(size[cell], count))
+                   for cell, count in summed.items()),
+                  key=lambda entry: (-entry[1], entry[0]))
 
 
 def ranking(results) -> list[tuple[float, int]]:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.interest import (
-    RelevantCellCache,
     buffer_area,
+    materialise_slot_masses,
     segment_interest,
     segment_mass,
     segment_mass_bruteforce,
@@ -83,11 +83,10 @@ class TestMass:
                                                    cross_pois):
         engine = SOIEngine(cross_network, cross_pois, cell_size=0.2)
         query = frozenset({"shop"})
-        cache = RelevantCellCache(engine.poi_index, query)
-        for segment in cross_network.iter_segments():
-            indexed = segment_mass(segment, engine.poi_index,
-                                   engine.cell_maps, query, 0.15,
-                                   cache=cache)
+        layout = engine.store_layout(0.15)
+        slots = materialise_slot_masses(layout, engine.poi_index, query)
+        for dense, segment in enumerate(layout.segments):
+            indexed = segment_mass(layout, slots, dense)
             brute = segment_mass_bruteforce(segment, cross_pois, query, 0.15)
             assert indexed == brute
 
@@ -95,12 +94,11 @@ class TestMass:
            st.sampled_from([0.0004, 0.001, 0.0025]))
     def test_indexed_matches_bruteforce_property(self, network, pois, eps):
         engine = SOIEngine(network, pois, cell_size=0.0015)
+        layout = engine.store_layout(eps)
         for query in (frozenset({"shop"}), frozenset({"shop", "bar"})):
-            cache = RelevantCellCache(engine.poi_index, query)
-            for segment in network.iter_segments():
-                indexed = segment_mass(segment, engine.poi_index,
-                                       engine.cell_maps, query, eps,
-                                       cache=cache)
+            slots = materialise_slot_masses(layout, engine.poi_index, query)
+            for dense, segment in enumerate(layout.segments):
+                indexed = segment_mass(layout, slots, dense)
                 brute = segment_mass_bruteforce(segment, pois, query, eps)
                 assert indexed == brute
 
@@ -128,20 +126,11 @@ class TestInterest:
             pytest.approx(max(per_segment))
 
 
-class TestRelevantCellCache:
-    def test_caches_entries(self, cross_network, cross_pois):
+class TestSlotMasses:
+    def test_irrelevant_cells_hold_zero(self, cross_network, cross_pois):
         engine = SOIEngine(cross_network, cross_pois, cell_size=0.2)
-        cache = RelevantCellCache(engine.poi_index, frozenset({"shop"}))
-        cell = engine.poi_index.grid.cell_of(0.1, 0.05)
-        first = cache.get(cell)
-        second = cache.get(cell)
-        assert first is second
-        assert len(cache) == 1
-
-    def test_irrelevant_cell_is_empty(self, cross_network, cross_pois):
-        engine = SOIEngine(cross_network, cross_pois, cell_size=0.2)
-        cache = RelevantCellCache(engine.poi_index, frozenset({"zoo"}))
-        cell = engine.poi_index.grid.cell_of(0.1, 0.05)
-        positions, xs, ys, weights = cache.get(cell)
-        assert len(positions) == 0
-        assert len(xs) == len(ys) == len(weights) == 0
+        layout = engine.store_layout(0.15)
+        slots = materialise_slot_masses(layout, engine.poi_index,
+                                        frozenset({"zoo"}))
+        assert slots.num_relevant == 0
+        assert slots.mass == [0.0] * layout.num_slots

@@ -163,3 +163,15 @@ class TestStatsAndValidation:
             small_engine.top_k(["shop"], k=0)
         with pytest.raises(QueryError):
             small_engine.top_k(["shop"], k=5, eps=-1.0)
+
+
+def test_pickled_ranking_round_trips(small_engine):
+    """A complete ranking crosses the worker result queue pickled; it must
+    come back equal, as ``SOIResult`` objects."""
+    import pickle
+
+    ranking, stats = small_engine.top_k_with_stats(["shop"], k=1)
+    assert stats.complete and len(ranking) > 1
+    restored = pickle.loads(pickle.dumps(ranking))
+    assert restored == ranking
+    assert all(type(item) is type(ranking[0]) for item in restored)

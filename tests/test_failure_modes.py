@@ -23,8 +23,9 @@ from repro import (
 )
 from repro.core.soi_baseline import BaselineSOI
 from repro.data.keywords import KeywordFrequencyVector
-from repro.errors import DataError
+from repro.errors import DataError, GridIndexError, NetworkError
 from repro.geometry.bbox import BBox
+from repro.network.builder import RoadNetworkBuilder
 from repro.serve.server import SOIRequest, serve_request
 
 
@@ -110,6 +111,40 @@ class TestParameterAbuse:
         with pytest.raises(QueryError):
             StreetProfile(photos, phi, max_d=1.0,
                           extent=BBox(0, 0, 1, 1), rho=-1.0)
+
+
+class TestNonFiniteGeometry:
+    """NaN and infinite coordinates stop where the data enters, with a
+    typed error, before any index reads them in bulk."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_is_a_network_error(self, bad):
+        builder = RoadNetworkBuilder()
+        builder.add_vertex(0.0, 0.0)
+        with pytest.raises(NetworkError):
+            builder.add_vertex(bad, 0.001)
+        with pytest.raises(NetworkError):
+            builder.add_vertex(0.001, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_poi_or_photo_is_a_data_error(self, bad):
+        with pytest.raises(DataError):
+            POI(0, bad, 0.1, frozenset({"shop"}))
+        with pytest.raises(DataError):
+            POI(0, 0.1, bad, frozenset({"shop"}))
+        with pytest.raises(DataError):
+            Photo(0, bad, 0.1, frozenset({"x"}))
+        with pytest.raises(DataError):
+            Photo(0, 0.1, bad, frozenset({"x"}))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_is_a_grid_index_error(self, cross_network,
+                                                   cross_pois, bad):
+        with pytest.raises(GridIndexError):
+            SOIEngine(cross_network, cross_pois, cell_size=bad)
+        # An infinite margin makes the grid extent infinite.
+        with pytest.raises(GridIndexError):
+            SOIEngine(cross_network, cross_pois, extent_margin=math.inf)
 
 
 class TestOutOfExtentData:

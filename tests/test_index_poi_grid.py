@@ -25,6 +25,14 @@ def _index() -> POIGridIndex:
     return POIGridIndex(pois, EXTENT, cell_size=0.1)
 
 
+def _bounds_by_cell(index: POIGridIndex, keywords) -> dict:
+    """``relevant_count_upper_bounds`` keyed by ``(i, j)`` cell."""
+    lin, bound = index.relevant_count_upper_bounds(keywords)
+    ny = index.grid.ny
+    return {(cell // ny, cell % ny): count
+            for cell, count in zip(lin.tolist(), bound.tolist())}
+
+
 class TestCellContents:
     def test_positions_grouped_by_cell(self):
         index = _index()
@@ -60,14 +68,18 @@ class TestQueries:
 
     def test_relevant_count_upper_bound_single_keyword_exact(self):
         index = _index()
-        assert index.relevant_count_upper_bound((0, 0), ["shop"]) == 2
-        assert index.relevant_count_upper_bound((9, 9), ["shop"]) == 0
+        # Cell (0, 0) is 0 * ny + 0 = 0 linearised; (9, 9) has no "shop".
+        lin, bound = index.relevant_count_upper_bounds(["shop"])
+        assert lin.tolist() == [0] and bound.tolist() == [2]
+        lin, bound = index.relevant_count_upper_bounds(["zoo"])
+        assert lin.tolist() == [] and bound.tolist() == []
 
     def test_relevant_count_upper_bound_caps_at_cell_size(self):
         index = _index()
         # POI 1 matches both keywords: the sum 2 + 1 = 3 exceeds the true
         # relevant count (2) but is capped by |P_c| = 2.
-        assert index.relevant_count_upper_bound((0, 0), ["shop", "food"]) == 2
+        assert _bounds_by_cell(index, ["shop", "food"]) == {
+            (0, 0): 2, (9, 9): 1}
 
     def test_candidate_cells(self):
         index = _index()
@@ -92,9 +104,11 @@ class TestQueries:
     def test_upper_bound_dominates_exact(self, pois):
         index = POIGridIndex(pois, BBox(0, 0, 0.02, 0.02), cell_size=0.004)
         query = frozenset({"shop", "food", "bar"})
+        bounds = _bounds_by_cell(index, query)
         for cell in index.occupied_cells():
             exact = len(index.relevant_positions_in_cell(cell, query))
-            assert index.relevant_count_upper_bound(cell, query) >= exact
+            assert bounds.get(cell, 0) >= exact
+            assert (cell in bounds) == (exact > 0)
 
     @given(random_pois(max_size=30))
     def test_every_poi_in_exactly_one_cell(self, pois):

@@ -1,9 +1,10 @@
 """Bit-identity of the performance layer against the plain paths.
 
-The optimised paths — the batched mass kernel, the slot mass memo,
-session-served SOI queries and the incremental greedy MMR evaluator —
-must produce results *bitwise* equal to the per-cell kernel, uncached
-runs and the oracle's from-scratch greedy (``tests/oracle.py``).  Every
+The optimised paths — the one-pass slot-mass materialisation, the
+session-held slot masses, session-served SOI queries and the incremental
+greedy MMR evaluator — must produce results *bitwise* equal to the
+oracle's per-slot masses, uncached runs and the oracle's from-scratch
+greedy (``tests/oracle.py``).  Every
 property here asserts exact ``==`` on floats, over random Hypothesis
 cities, and the whole module runs twice: once plain and once with the
 runtime invariant contracts enabled (``REPRO_CHECK=1`` semantics).
@@ -19,15 +20,9 @@ from repro.core.describe.greedy import GreedyDescriber
 from repro.core.describe.measures import MMREvaluator, mmr_value
 from repro.core.describe.profile import StreetProfile
 from repro.core.describe.st_rel_div import STRelDivDescriber
-from repro.core.interest import (
-    RelevantCellCache,
-    segment_mass_batched,
-    segment_mass_batched_slots,
-    segment_mass_in_cell,
-)
+from repro.core.interest import materialise_slot_masses, segment_mass
 from repro.core.soi import SOIEngine
 from repro.core.soi_baseline import BaselineSOI
-from repro.core.state_store import MassSlots
 from repro.data.keywords import KeywordFrequencyVector
 from repro.geometry.bbox import BBox
 
@@ -37,7 +32,7 @@ from tests.conftest import (
     random_photos,
     random_pois,
 )
-from tests.oracle import greedy_mmr
+from tests.oracle import greedy_mmr, slot_mass
 
 EPS = 0.0005
 
@@ -58,49 +53,51 @@ def _maybe_contracts(request):
 queries = st.sets(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=3)
 
 
-# -- batched kernel ----------------------------------------------------------
+# -- one-pass slot masses ------------------------------------------------
 
 @given(network=random_networks(), pois=random_pois(min_size=1),
        keywords=queries)
 def test_batched_mass_equals_per_cell_sum(network, pois, keywords):
+    """A segment's mass settled from the pass equals the oracle's
+    per-slot masses summed in ``cells_of_segment`` order."""
     engine = SOIEngine(network, pois)
     query = frozenset(keywords)
-    for segment in network.iter_segments():
-        cells = engine.cell_maps.cells_of_segment(segment.id, EPS)
-        for weighted in (False, True):
-            scalar_cache = RelevantCellCache(engine.poi_index, query)
-            per_cell = sum(
-                segment_mass_in_cell(segment, cell, scalar_cache, EPS,
-                                     weighted)
-                for cell in cells)
-            batch_cache = RelevantCellCache(engine.poi_index, query)
-            batched = segment_mass_batched(segment, cells, batch_cache,
-                                           EPS, weighted)
-            assert batched == per_cell
+    layout = engine.store_layout(EPS)
+    grid = engine.poi_index.grid
+    for weighted in (False, True):
+        slots = materialise_slot_masses(layout, engine.poi_index, query,
+                                        weighted)
+        for dense, segment in enumerate(layout.segments):
+            per_cell = 0.0
+            for cell in engine.cell_maps.cells_of_segment(segment.id, EPS):
+                per_cell += slot_mass(segment, cell, grid, pois, query, EPS,
+                                      weighted)
+            assert segment_mass(layout, slots, dense) == per_cell
 
 
 @given(network=random_networks(), pois=random_pois(min_size=1),
        keywords=queries)
 def test_batched_mass_cache_stores_exact_values(network, pois, keywords):
-    """Every memoised slot mass equals a fresh per-cell value."""
+    """The session keeps the first pass's slot masses, and every one
+    equals a fresh sessionless pass and the oracle's per-slot mass."""
     engine = SOIEngine(network, pois)
     query = frozenset(keywords)
     layout = engine.store_layout(EPS)
-    cache = RelevantCellCache(engine.poi_index, query)
-    fresh_cache = RelevantCellCache(engine.poi_index, query)
+    session = engine.sessions.get(query)
+    grid = engine.poi_index.grid
     for weighted in (False, True):
-        slots = MassSlots(layout.num_slots)
-        for dense, segment in enumerate(layout.segments[:4]):
-            start = int(layout.slot_offsets[dense])
-            stop = int(layout.slot_offsets[dense + 1])
-            segment_mass_batched_slots(
-                segment, layout.slot_cells[start:stop], range(start, stop),
-                slots.mass, slots.known, cache, EPS, weighted)
-            for slot in range(start, stop):
-                assert slots.known[slot]
-                assert slots.mass[slot] == segment_mass_in_cell(
-                    segment, layout.slot_cells[slot], fresh_cache, EPS,
-                    weighted)
+        kept, reused = session.store_mass_slots(layout, weighted)
+        assert not reused
+        again, reused = session.store_mass_slots(layout, weighted)
+        assert reused and again is kept
+        fresh = materialise_slot_masses(layout, engine.poi_index, query,
+                                        weighted)
+        assert kept.mass == fresh.mass
+        for slot, cell in enumerate(layout.slot_cells):
+            dense = int(layout.slot_seg[slot])
+            assert kept.mass[slot] == slot_mass(
+                layout.segments[dense], cell, grid, pois, query, EPS,
+                weighted)
 
 
 # -- session-served SOI ------------------------------------------------------
@@ -111,7 +108,7 @@ def test_session_soi_identical_to_uncached(network, pois, keywords, k):
     engine = SOIEngine(network, pois)
     baseline = engine.top_k(keywords, k=k, eps=EPS, use_session=False)
     cold = engine.top_k(keywords, k=k, eps=EPS)
-    warm = engine.top_k(keywords, k=k, eps=EPS)  # mass memo fully hot
+    warm = engine.top_k(keywords, k=k, eps=EPS)  # slot masses held
     assert cold == baseline
     assert warm == baseline
 
@@ -134,7 +131,7 @@ def test_session_baseline_identical_to_uncached(network, pois, keywords):
     fresh = baseline.all_segment_interests(keywords, eps=EPS,
                                            use_session=False)
     assert baseline.all_segment_interests(keywords, eps=EPS) == fresh
-    # Warm rerun (mass memo populated) must also be exact.
+    # Warm rerun (slot masses held by the session) must also be exact.
     assert baseline.all_segment_interests(keywords, eps=EPS) == fresh
 
 

@@ -21,29 +21,33 @@ class TestQuerySession:
     def test_cell_upper_bounds_cached_and_positive(self, engine):
         session = engine.session_for(["shop"])
         bounds = session.cell_upper_bounds()
-        assert bounds and all(ub > 0 for ub in bounds.values())
+        assert bounds.entries and all(ub > 0 for _cell, ub in bounds.entries)
         assert session.cell_upper_bounds() is bounds
 
     def test_mass_cache_keyed_by_eps_and_weighted(self, engine):
         session = engine.session_for(["shop"])
         layout = engine.store_layout(0.0005)
-        memo = session.store_mass_slots(layout, False)
-        assert session.store_mass_slots(layout, False) is memo
-        assert session.store_mass_slots(layout, True) is not memo
+        memo, reused = session.store_mass_slots(layout, False)
+        assert not reused
+        assert session.store_mass_slots(layout, False) == (memo, True)
+        assert session.store_mass_slots(layout, True)[0] is not memo
         assert session.store_mass_slots(engine.store_layout(0.001),
-                                        False) is not memo
+                                        False)[0] is not memo
 
     def test_cached_masses_counts_all_memos(self, engine):
-        """Every mass a cold run counts as a miss lands in the slot memo
-        of its ``(eps, weighted)``, exactly once."""
+        """A cold run materialises every relevant slot of its
+        ``(eps, weighted)`` in one pass, counted as its misses, and the
+        session keeps exactly those slots."""
         session = engine.session_for(["shop"])
         layout = engine.store_layout(DEFAULT_EPS)
         for weighted in (False, True):
             _res, stats = engine.top_k_with_stats(["shop"], k=5,
                                                   weighted=weighted)
-            memo = session.store_mass_slots(layout, weighted)
+            memo, reused = session.store_mass_slots(layout, weighted)
+            assert reused
+            assert stats.kernel_calls == 1
             assert stats.mass_cache_misses > 0
-            assert memo.known_count() == stats.mass_cache_misses
+            assert memo.num_relevant == stats.mass_cache_misses
 
 
 class TestQuerySessionPool:
@@ -91,7 +95,7 @@ class TestQuerySessionPool:
         fresh = engine.session_for(["shop"])
         assert fresh is not session
         # The fresh session must read the *new* index.
-        assert fresh.cache._poi_index is engine.poi_index
+        assert fresh._poi_index is engine.poi_index
 
     def test_rebuild_indexes_results_unchanged(self, engine):
         before = engine.top_k(["shop"], k=5)
@@ -113,7 +117,9 @@ class TestSessionStats:
         _res, stats = engine.top_k_with_stats(["shop"], k=5,
                                               use_session=False)
         assert not stats.session_reused
-        assert stats.mass_cache_hits == 0 and stats.mass_cache_misses == 0
+        # Its own pass, not the session's slot masses.
+        assert stats.mass_cache_hits == 0
+        assert stats.kernel_calls == 1 and stats.mass_cache_misses > 0
 
     def test_counters_dict_covers_all_counters(self, engine):
         _res, stats = engine.top_k_with_stats(["shop"], k=5)

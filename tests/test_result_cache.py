@@ -170,6 +170,24 @@ def test_estimate_payload_bytes_counts_items():
     assert estimate_payload_bytes([1, 2, 3]) > estimate_payload_bytes([1])
 
 
+def test_estimate_payload_bytes_grows_linearly_with_length():
+    """Beyond the container itself, every item of a ranking adds the same
+    bytes (its street name included), so sizing is O(1) per payload."""
+    import sys
+
+    from repro.core.results import SOIResult
+
+    def items_bytes(n: int) -> int:
+        payload = [SOIResult(i, f"Street {i}", 1.0 / (i + 1), i)
+                   for i in range(n)]
+        return estimate_payload_bytes(payload) - sys.getsizeof(payload)
+
+    per_item = items_bytes(1)
+    assert per_item > 0
+    for n in (10, 100, 431):
+        assert items_bytes(n) == n * per_item
+
+
 # -- generation stamping ------------------------------------------------------
 
 def test_generation_invalidation_is_wholesale():

@@ -1,0 +1,166 @@
+"""The one-pass materialisation of SL1 and every slot mass.
+
+:class:`~repro.core.source_lists.CellBounds` and
+:func:`~repro.core.interest.materialise_slot_masses` build, for one
+``(Psi, eps, weighted)``, every SL1 entry and every ``(segment, cell)``
+slot mass a k-SOI run can read.  Each must equal the per-cell and
+per-slot references of ``tests/oracle.py`` (Algorithm 1, line 2 and
+Definition 1) exactly, floats included.  The cities here always hold:
+
+* a cluster of 17-24 POIs within 0.0001 of one point, every one tagged
+  ``shop`` like every query, so at least one cell holds more than four
+  relevant POIs, and isolated POIs in cells of one to four;
+* POIs exactly ``eps`` away from a street on a cell border (for the
+  matching ``eps`` and cell size draws);
+* a zero-length segment inside the cluster;
+* POIs carrying several query keywords, where ``min(|P_c|, sum)`` caps
+  the SL1 bound;
+* weights drawn from {0.1, 0.3, 0.7, 1.3}.
+
+The module runs plain and with the runtime contracts enabled.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis import contracts
+from repro.core.interest import materialise_slot_masses
+from repro.core.soi import SOIEngine
+from repro.core.source_lists import CellBounds
+from repro.data.poi import POI, POISet
+from repro.network.model import RoadNetwork, Segment, Street, Vertex
+
+from tests import oracle
+
+WEIGHTS = (0.1, 0.3, 0.7, 1.3)
+TAGS = ("shop", "food", "bar")
+
+
+@pytest.fixture(params=[False, True], ids=["plain", "contracts"],
+                autouse=True)
+def _maybe_contracts(request):
+    """Run every test in this module with contracts off and on."""
+    previous = contracts.ENABLED
+    if request.param:
+        contracts.enable_contracts()
+    try:
+        yield
+    finally:
+        contracts.enable_contracts(previous)
+
+
+def _frame_with_dot(x: float, y: float) -> RoadNetwork:
+    """Four streets on the square (0, 0)-(0.004, 0.004) and a street of
+    one zero-length segment at ``(x, y)``."""
+    corners = [(0.0, 0.0), (0.004, 0.0), (0.0, 0.004), (0.004, 0.004)]
+    vertices = [Vertex(vid, cx, cy) for vid, (cx, cy) in enumerate(corners)]
+    vertices += [Vertex(4, x, y), Vertex(5, x, y)]
+    ends = [(0, 1), (2, 3), (0, 2), (1, 3), (4, 5)]
+    segments = [Segment(sid, sid, u, v, vertices[u].x, vertices[u].y,
+                        vertices[v].x, vertices[v].y)
+                for sid, (u, v) in enumerate(ends)]
+    names = ["H0", "H1", "V0", "V1", "Dot"]
+    streets = [Street(sid, name, (sid,)) for sid, name in enumerate(names)]
+    return RoadNetwork(vertices, segments, streets)
+
+
+@st.composite
+def pass_cities(draw):
+    """``(network, pois)`` holding every case the module docstring lists."""
+    cx = draw(st.floats(min_value=0.0005, max_value=0.0035))
+    cy = draw(st.floats(min_value=0.0005, max_value=0.0035))
+    near = st.floats(min_value=-0.0001, max_value=0.0001)
+    weight = st.sampled_from(WEIGHTS)
+    tags = st.frozensets(st.sampled_from(TAGS[1:])).map(
+        lambda extra: extra | {"shop"})
+    cluster = draw(st.lists(st.tuples(near, near, tags, weight),
+                            min_size=17, max_size=24))
+    spread = st.floats(min_value=-0.001, max_value=0.005)
+    loose = draw(st.lists(
+        st.tuples(spread, spread, st.frozensets(st.sampled_from(TAGS)),
+                  weight),
+        max_size=6))
+    items = [(cx + dx, cy + dy, kws, wt) for dx, dy, kws, wt in cluster]
+    # Exactly 0.001 above V0's top end and 0.0005 right of V1: on a cell
+    # border for cell sizes 0.001 and 0.0005 respectively.
+    items.append((0.0, 0.005, frozenset({"shop"}), draw(weight)))
+    items.append((0.0045, 0.002, frozenset({"shop", "food"}), draw(weight)))
+    items += loose
+    pois = POISet(POI(i, x, y, kws, weight=wt)
+                  for i, (x, y, kws, wt) in enumerate(items))
+    return _frame_with_dot(cx, cy), pois
+
+
+queries = st.frozensets(st.sampled_from(TAGS[1:])).map(
+    lambda extra: extra | {"shop"})
+
+
+@given(city=pass_cities(), query=queries,
+       eps=st.sampled_from([0.0005, 0.001]),
+       cell_size=st.sampled_from([None, 0.0005]))
+@settings(max_examples=40)
+def test_pass_matches_per_slot_and_per_cell_references(city, query, eps,
+                                                       cell_size):
+    network, pois = city
+    engine = SOIEngine(network, pois, cell_size=cell_size)
+    grid = engine.poi_index.grid
+    assert list(CellBounds(engine.poi_index, query).entries) == \
+        oracle.sl1_entries(grid, pois, query)
+    layout = engine.store_layout(eps)
+    offsets = layout.slot_offsets.tolist()
+    relevant_in_cell = {
+        cell: sum(pois[pos].matches(query) for pos in
+                  engine.poi_index.cell_positions(cell).tolist())
+        for cell in layout.cells}
+    sizes = set(relevant_in_cell.values())
+    assert max(sizes) > 4 and sizes & {1, 2, 3, 4}
+    for weighted in (False, True):
+        slots = materialise_slot_masses(layout, engine.poi_index, query,
+                                        weighted)
+        for dense, segment in enumerate(layout.segments):
+            for slot in range(offsets[dense], offsets[dense + 1]):
+                cell = layout.slot_cells[slot]
+                assert slots.mass[slot] == oracle.slot_mass(
+                    segment, cell, grid, pois, query, eps, weighted), \
+                    (segment.id, cell, weighted)
+        assert slots.num_relevant == sum(
+            relevant_in_cell[cell] > 0 for cell in layout.slot_cells)
+        assert slots.seg_relevant == [
+            sum(relevant_in_cell[cell] > 0 for cell in
+                layout.slot_cells[offsets[dense]:offsets[dense + 1]])
+            for dense in range(layout.num_segments)]
+
+
+# Offsets from a point whose distance rounds to either side of 0.0005
+# depending on the hypot: ``math.hypot`` within and ``np.hypot`` beyond,
+# then the other way round.
+MATH_WITHIN = (0.0004129557275535392, 0.0002818999238749936)
+NUMPY_WITHIN = (0.00036796955983302743, 0.00033852385888780145)
+
+
+@pytest.mark.parametrize("offset, companions, expected", [
+    (MATH_WITHIN, 3, 4.0), (MATH_WITHIN, 4, 4.0),
+    (NUMPY_WITHIN, 3, 3.0), (NUMPY_WITHIN, 4, 5.0)])
+def test_cells_round_distances_with_their_kernel(offset, companions,
+                                                 expected):
+    """A cell of at most four relevant POIs rounds as ``math.hypot``, a
+    larger one as ``np.hypot``: a POI whose two roundings straddle
+    ``eps`` counts in one kind of cell and not in the other."""
+    network = _frame_with_dot(0.0, 0.0)
+    pois = POISet(
+        [POI(0, offset[0], offset[1], frozenset({"shop"}))]
+        + [POI(i, 0.0, 0.0, frozenset({"shop"}))
+           for i in range(1, companions + 1)])
+    engine = SOIEngine(network, pois)
+    layout = engine.store_layout(0.0005)
+    cell = engine.poi_index.grid.cell_of(0.0, 0.0)
+    assert engine.poi_index.grid.cell_of(*offset) == cell
+    slots = materialise_slot_masses(layout, engine.poi_index,
+                                    frozenset({"shop"}))
+    dot = layout.dense_index[4]
+    slot = layout.slot_cells.index(cell, int(layout.slot_offsets[dot]))
+    assert slots.mass[slot] == expected == oracle.slot_mass(
+        network.segment(4), cell, engine.poi_index.grid, pois, ["shop"],
+        0.0005)

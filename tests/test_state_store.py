@@ -134,210 +134,208 @@ GOLDEN_FIELDS = (
     "cells_popped", "segments_popped", "segments_seen",
     "segments_finalized_in_filter", "cell_visits", "refinement_finalized",
     "refinement_pruned", "iterations", "termination_checks",
-    "lbk_heap_updates", "kernel_calls", "refine_kernel_calls",
-    "scalar_point_evals", "relevant_cache_hits", "relevant_cache_misses",
-    "mass_cache_hits", "mass_cache_misses", "session_reused",
-    "store_reused",
+    "lbk_heap_updates", "kernel_calls", "mass_cache_hits",
+    "mass_cache_misses", "session_reused", "store_reused",
 )
 GOLDEN_SIGNATURES = (("shop",), ("food", "services"))
 
 GOLDEN_COUNTERS = """
 [vienna shop]
-alternate       1 0 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
-alternate       1 0 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
-alternate       1 1 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
-alternate       1 1 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
-alternate      10 0 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
-alternate      10 0 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
-alternate      10 1 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
-alternate      10 1 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
-alternate      50 0 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
-alternate      50 0 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
-alternate      50 1 cold  64  68  73  68 2751 0 0 132 34 23 0 0  74  8  62   0  70 0 0
-alternate      50 1 warm  64  68  73  68 2751 0 0 132 34 23 0 0   0  0   0  70   0 1 1
-round_robin     1 0 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
-round_robin     1 0 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
-round_robin     1 1 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
-round_robin     1 1 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
-round_robin    10 0 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
-round_robin    10 0 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
-round_robin    10 1 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
-round_robin    10 1 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
-round_robin    50 0 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
-round_robin    50 0 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
-round_robin    50 1 cold  42  82  82  82 3582 0 0 124 32 19 0 0  74  8  62   0  70 0 0
-round_robin    50 1 warm  42  82  82  82 3582 0 0 124 32 19 0 0   0  0   0  70   0 1 1
-cells_first     1 0 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
-cells_first     1 0 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
-cells_first     1 1 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
-cells_first     1 1 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
-cells_first    10 0 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
-cells_first    10 0 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
-cells_first    10 1 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
-cells_first    10 1 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
-cells_first    50 0 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
-cells_first    50 0 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
-cells_first    50 1 cold  64   0  27   0   70 0 0  64 17 32 0 0  74  8  62   0  70 0 0
-cells_first    50 1 warm  64   0  27   0   70 0 0  64 17 32 0 0   0  0   0  70   0 1 1
-segments_first  1 0 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
-segments_first  1 0 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
-segments_first  1 1 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
-segments_first  1 1 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
-segments_first 10 0 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
-segments_first 10 0 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
-segments_first 10 1 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
-segments_first 10 1 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
-segments_first 50 0 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
-segments_first 50 0 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
-segments_first 50 1 cold   2  82  82  82 3582 0 0  84 22 13 0 0  74  8  62   0  70 0 0
-segments_first 50 1 warm   2  82  82  82 3582 0 0  84 22 13 0 0   0  0   0  70   0 1 1
+alternate       1 0 cold  64  68  73  68 2751 0 0 132 34 23 1   0  70 0 0
+alternate       1 0 warm  64  68  73  68 2751 0 0 132 34 23 0  70   0 1 1
+alternate       1 1 cold  64  68  73  68 2751 0 0 132 34 23 1   0  70 0 0
+alternate       1 1 warm  64  68  73  68 2751 0 0 132 34 23 0  70   0 1 1
+alternate      10 0 cold  64  68  73  68 2751 0 0 132 34 23 1   0  70 0 0
+alternate      10 0 warm  64  68  73  68 2751 0 0 132 34 23 0  70   0 1 1
+alternate      10 1 cold  64  68  73  68 2751 0 0 132 34 23 1   0  70 0 0
+alternate      10 1 warm  64  68  73  68 2751 0 0 132 34 23 0  70   0 1 1
+alternate      50 0 cold  64  68  73  68 2751 0 0 132 34 23 1   0  70 0 0
+alternate      50 0 warm  64  68  73  68 2751 0 0 132 34 23 0  70   0 1 1
+alternate      50 1 cold  64  68  73  68 2751 0 0 132 34 23 1   0  70 0 0
+alternate      50 1 warm  64  68  73  68 2751 0 0 132 34 23 0  70   0 1 1
+round_robin     1 0 cold  42  82  82  82 3582 0 0 124 32 19 1   0  70 0 0
+round_robin     1 0 warm  42  82  82  82 3582 0 0 124 32 19 0  70   0 1 1
+round_robin     1 1 cold  42  82  82  82 3582 0 0 124 32 19 1   0  70 0 0
+round_robin     1 1 warm  42  82  82  82 3582 0 0 124 32 19 0  70   0 1 1
+round_robin    10 0 cold  42  82  82  82 3582 0 0 124 32 19 1   0  70 0 0
+round_robin    10 0 warm  42  82  82  82 3582 0 0 124 32 19 0  70   0 1 1
+round_robin    10 1 cold  42  82  82  82 3582 0 0 124 32 19 1   0  70 0 0
+round_robin    10 1 warm  42  82  82  82 3582 0 0 124 32 19 0  70   0 1 1
+round_robin    50 0 cold  42  82  82  82 3582 0 0 124 32 19 1   0  70 0 0
+round_robin    50 0 warm  42  82  82  82 3582 0 0 124 32 19 0  70   0 1 1
+round_robin    50 1 cold  42  82  82  82 3582 0 0 124 32 19 1   0  70 0 0
+round_robin    50 1 warm  42  82  82  82 3582 0 0 124 32 19 0  70   0 1 1
+cells_first     1 0 cold  64   0  27   0   70 0 0  64 17 32 1   0  70 0 0
+cells_first     1 0 warm  64   0  27   0   70 0 0  64 17 32 0  70   0 1 1
+cells_first     1 1 cold  64   0  27   0   70 0 0  64 17 32 1   0  70 0 0
+cells_first     1 1 warm  64   0  27   0   70 0 0  64 17 32 0  70   0 1 1
+cells_first    10 0 cold  64   0  27   0   70 0 0  64 17 32 1   0  70 0 0
+cells_first    10 0 warm  64   0  27   0   70 0 0  64 17 32 0  70   0 1 1
+cells_first    10 1 cold  64   0  27   0   70 0 0  64 17 32 1   0  70 0 0
+cells_first    10 1 warm  64   0  27   0   70 0 0  64 17 32 0  70   0 1 1
+cells_first    50 0 cold  64   0  27   0   70 0 0  64 17 32 1   0  70 0 0
+cells_first    50 0 warm  64   0  27   0   70 0 0  64 17 32 0  70   0 1 1
+cells_first    50 1 cold  64   0  27   0   70 0 0  64 17 32 1   0  70 0 0
+cells_first    50 1 warm  64   0  27   0   70 0 0  64 17 32 0  70   0 1 1
+segments_first  1 0 cold   2  82  82  82 3582 0 0  84 22 13 1   0  70 0 0
+segments_first  1 0 warm   2  82  82  82 3582 0 0  84 22 13 0  70   0 1 1
+segments_first  1 1 cold   2  82  82  82 3582 0 0  84 22 13 1   0  70 0 0
+segments_first  1 1 warm   2  82  82  82 3582 0 0  84 22 13 0  70   0 1 1
+segments_first 10 0 cold   2  82  82  82 3582 0 0  84 22 13 1   0  70 0 0
+segments_first 10 0 warm   2  82  82  82 3582 0 0  84 22 13 0  70   0 1 1
+segments_first 10 1 cold   2  82  82  82 3582 0 0  84 22 13 1   0  70 0 0
+segments_first 10 1 warm   2  82  82  82 3582 0 0  84 22 13 0  70   0 1 1
+segments_first 50 0 cold   2  82  82  82 3582 0 0  84 22 13 1   0  70 0 0
+segments_first 50 0 warm   2  82  82  82 3582 0 0  84 22 13 0  70   0 1 1
+segments_first 50 1 cold   2  82  82  82 3582 0 0  84 22 13 1   0  70 0 0
+segments_first 50 1 warm   2  82  82  82 3582 0 0  84 22 13 0  70   0 1 1
 [vienna food+services]
-alternate       1 0 cold  79  81  82  81 3522 0 1 160 41 33 0 0 249 37 155   0 192 0 0
-alternate       1 0 warm  79  81  82  81 3522 0 1 160 41 33 0 0   0  0   0 192   0 1 1
-alternate       1 1 cold  79  81  82  81 3522 0 1 160 41 33 0 0 249 37 155   0 192 0 0
-alternate       1 1 warm  79  81  82  81 3522 0 1 160 41 33 0 0   0  0   0 192   0 1 1
-alternate      10 0 cold  79  81  82  81 3582 1 0 160 41 33 0 0 261 39 165   0 204 0 0
-alternate      10 0 warm  79  81  82  81 3582 1 0 160 41 33 0 0   0  0   0 204   0 1 1
-alternate      10 1 cold  79  81  82  81 3582 1 0 160 41 33 0 0 261 39 165   0 204 0 0
-alternate      10 1 warm  79  81  82  81 3582 1 0 160 41 33 0 0   0  0   0 204   0 1 1
-alternate      50 0 cold  79  81  82  81 3582 1 0 160 41 33 0 0 261 39 165   0 204 0 0
-alternate      50 0 warm  79  81  82  81 3582 1 0 160 41 33 0 0   0  0   0 204   0 1 1
-alternate      50 1 cold  79  81  82  81 3582 1 0 160 41 33 0 0 261 39 165   0 204 0 0
-alternate      50 1 warm  79  81  82  81 3582 1 0 160 41 33 0 0   0  0   0 204   0 1 1
-round_robin     1 0 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
-round_robin     1 0 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
-round_robin     1 1 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
-round_robin     1 1 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
-round_robin    10 0 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
-round_robin    10 0 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
-round_robin    10 1 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
-round_robin    10 1 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
-round_robin    50 0 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
-round_robin    50 0 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
-round_robin    50 1 cold  42  82  82  82 3582 0 0 124 32 24 0 0 261 39 165   0 204 0 0
-round_robin    50 1 warm  42  82  82  82 3582 0 0 124 32 24 0 0   0  0   0 204   0 1 1
-cells_first     1 0 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
-cells_first     1 0 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
-cells_first     1 1 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
-cells_first     1 1 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
-cells_first    10 0 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
-cells_first    10 0 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
-cells_first    10 1 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
-cells_first    10 1 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
-cells_first    50 0 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
-cells_first    50 0 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
-cells_first    50 1 cold 166   2  41   2  345 0 0 168 43 73 0 0 261 39 165   0 204 0 0
-cells_first    50 1 warm 166   2  41   2  345 0 0 168 43 73 0 0   0  0   0 204   0 1 1
-segments_first  1 0 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
-segments_first  1 0 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
-segments_first  1 1 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
-segments_first  1 1 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
-segments_first 10 0 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
-segments_first 10 0 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
-segments_first 10 1 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
-segments_first 10 1 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
-segments_first 50 0 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
-segments_first 50 0 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
-segments_first 50 1 cold   2  82  82  82 3582 0 0  84 22 21 0 0 261 39 165   0 204 0 0
-segments_first 50 1 warm   2  82  82  82 3582 0 0  84 22 21 0 0   0  0   0 204   0 1 1
+alternate       1 0 cold  79  81  82  81 3522 0 1 160 41 33 1   0 204 0 0
+alternate       1 0 warm  79  81  82  81 3522 0 1 160 41 33 0 192   0 1 1
+alternate       1 1 cold  79  81  82  81 3522 0 1 160 41 33 1   0 204 0 0
+alternate       1 1 warm  79  81  82  81 3522 0 1 160 41 33 0 192   0 1 1
+alternate      10 0 cold  79  81  82  81 3582 1 0 160 41 33 1   0 204 0 0
+alternate      10 0 warm  79  81  82  81 3582 1 0 160 41 33 0 204   0 1 1
+alternate      10 1 cold  79  81  82  81 3582 1 0 160 41 33 1   0 204 0 0
+alternate      10 1 warm  79  81  82  81 3582 1 0 160 41 33 0 204   0 1 1
+alternate      50 0 cold  79  81  82  81 3582 1 0 160 41 33 1   0 204 0 0
+alternate      50 0 warm  79  81  82  81 3582 1 0 160 41 33 0 204   0 1 1
+alternate      50 1 cold  79  81  82  81 3582 1 0 160 41 33 1   0 204 0 0
+alternate      50 1 warm  79  81  82  81 3582 1 0 160 41 33 0 204   0 1 1
+round_robin     1 0 cold  42  82  82  82 3582 0 0 124 32 24 1   0 204 0 0
+round_robin     1 0 warm  42  82  82  82 3582 0 0 124 32 24 0 204   0 1 1
+round_robin     1 1 cold  42  82  82  82 3582 0 0 124 32 24 1   0 204 0 0
+round_robin     1 1 warm  42  82  82  82 3582 0 0 124 32 24 0 204   0 1 1
+round_robin    10 0 cold  42  82  82  82 3582 0 0 124 32 24 1   0 204 0 0
+round_robin    10 0 warm  42  82  82  82 3582 0 0 124 32 24 0 204   0 1 1
+round_robin    10 1 cold  42  82  82  82 3582 0 0 124 32 24 1   0 204 0 0
+round_robin    10 1 warm  42  82  82  82 3582 0 0 124 32 24 0 204   0 1 1
+round_robin    50 0 cold  42  82  82  82 3582 0 0 124 32 24 1   0 204 0 0
+round_robin    50 0 warm  42  82  82  82 3582 0 0 124 32 24 0 204   0 1 1
+round_robin    50 1 cold  42  82  82  82 3582 0 0 124 32 24 1   0 204 0 0
+round_robin    50 1 warm  42  82  82  82 3582 0 0 124 32 24 0 204   0 1 1
+cells_first     1 0 cold 166   2  41   2  345 0 0 168 43 73 1   0 204 0 0
+cells_first     1 0 warm 166   2  41   2  345 0 0 168 43 73 0 204   0 1 1
+cells_first     1 1 cold 166   2  41   2  345 0 0 168 43 73 1   0 204 0 0
+cells_first     1 1 warm 166   2  41   2  345 0 0 168 43 73 0 204   0 1 1
+cells_first    10 0 cold 166   2  41   2  345 0 0 168 43 73 1   0 204 0 0
+cells_first    10 0 warm 166   2  41   2  345 0 0 168 43 73 0 204   0 1 1
+cells_first    10 1 cold 166   2  41   2  345 0 0 168 43 73 1   0 204 0 0
+cells_first    10 1 warm 166   2  41   2  345 0 0 168 43 73 0 204   0 1 1
+cells_first    50 0 cold 166   2  41   2  345 0 0 168 43 73 1   0 204 0 0
+cells_first    50 0 warm 166   2  41   2  345 0 0 168 43 73 0 204   0 1 1
+cells_first    50 1 cold 166   2  41   2  345 0 0 168 43 73 1   0 204 0 0
+cells_first    50 1 warm 166   2  41   2  345 0 0 168 43 73 0 204   0 1 1
+segments_first  1 0 cold   2  82  82  82 3582 0 0  84 22 21 1   0 204 0 0
+segments_first  1 0 warm   2  82  82  82 3582 0 0  84 22 21 0 204   0 1 1
+segments_first  1 1 cold   2  82  82  82 3582 0 0  84 22 21 1   0 204 0 0
+segments_first  1 1 warm   2  82  82  82 3582 0 0  84 22 21 0 204   0 1 1
+segments_first 10 0 cold   2  82  82  82 3582 0 0  84 22 21 1   0 204 0 0
+segments_first 10 0 warm   2  82  82  82 3582 0 0  84 22 21 0 204   0 1 1
+segments_first 10 1 cold   2  82  82  82 3582 0 0  84 22 21 1   0 204 0 0
+segments_first 10 1 warm   2  82  82  82 3582 0 0  84 22 21 0 204   0 1 1
+segments_first 50 0 cold   2  82  82  82 3582 0 0  84 22 21 1   0 204 0 0
+segments_first 50 0 warm   2  82  82  82 3582 0 0  84 22 21 0 204   0 1 1
+segments_first 50 1 cold   2  82  82  82 3582 0 0  84 22 21 1   0 204 0 0
+segments_first 50 1 warm   2  82  82  82 3582 0 0  84 22 21 0 204   0 1 1
 [berlin shop]
-alternate       1 0 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
-alternate       1 0 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
-alternate       1 1 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
-alternate       1 1 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
-alternate      10 0 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
-alternate      10 0 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
-alternate      10 1 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
-alternate      10 1 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
-alternate      50 0 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
-alternate      50 0 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
-alternate      50 1 cold  46  54  75  54 1412 0 0 100 26 27 0 0  77  7  46   0  53 0 0
-alternate      50 1 warm  46  54  75  54 1412 0 0 100 26 27 0 0   0  0   0  53   0 1 1
-round_robin     1 0 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
-round_robin     1 0 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
-round_robin     1 1 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
-round_robin     1 1 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
-round_robin    10 0 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
-round_robin    10 0 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
-round_robin    10 1 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
-round_robin    10 1 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
-round_robin    50 0 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
-round_robin    50 0 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
-round_robin    50 1 cold  46  90 104  90 3310 0 0 136 35 25 0 0  77  7  46   0  53 0 0
-round_robin    50 1 warm  46  90 104  90 3310 0 0 136 35 25 0 0   0  0   0  53   0 1 1
-cells_first     1 0 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
-cells_first     1 0 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
-cells_first     1 1 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
-cells_first     1 1 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
-cells_first    10 0 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
-cells_first    10 0 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
-cells_first    10 1 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
-cells_first    10 1 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
-cells_first    50 0 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
-cells_first    50 0 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
-cells_first    50 1 cold  46   2  26   2  173 0 0  48 13 27 0 0  77  7  46   0  53 0 0
-cells_first    50 1 warm  46   2  26   2  173 0 0  48 13 27 0 0   0  0   0  53   0 1 1
-segments_first  1 0 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
-segments_first  1 0 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
-segments_first  1 1 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
-segments_first  1 1 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
-segments_first 10 0 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
-segments_first 10 0 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
-segments_first 10 1 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
-segments_first 10 1 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
-segments_first 50 0 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
-segments_first 50 0 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
-segments_first 50 1 cold   1 203 203 203 7443 0 0 204 52 14 0 0  77  7  46   0  53 0 0
-segments_first 50 1 warm   1 203 203 203 7443 0 0 204 52 14 0 0   0  0   0  53   0 1 1
+alternate       1 0 cold  46  54  75  54 1412 0 0 100 26 27 1   0  53 0 0
+alternate       1 0 warm  46  54  75  54 1412 0 0 100 26 27 0  53   0 1 1
+alternate       1 1 cold  46  54  75  54 1412 0 0 100 26 27 1   0  53 0 0
+alternate       1 1 warm  46  54  75  54 1412 0 0 100 26 27 0  53   0 1 1
+alternate      10 0 cold  46  54  75  54 1412 0 0 100 26 27 1   0  53 0 0
+alternate      10 0 warm  46  54  75  54 1412 0 0 100 26 27 0  53   0 1 1
+alternate      10 1 cold  46  54  75  54 1412 0 0 100 26 27 1   0  53 0 0
+alternate      10 1 warm  46  54  75  54 1412 0 0 100 26 27 0  53   0 1 1
+alternate      50 0 cold  46  54  75  54 1412 0 0 100 26 27 1   0  53 0 0
+alternate      50 0 warm  46  54  75  54 1412 0 0 100 26 27 0  53   0 1 1
+alternate      50 1 cold  46  54  75  54 1412 0 0 100 26 27 1   0  53 0 0
+alternate      50 1 warm  46  54  75  54 1412 0 0 100 26 27 0  53   0 1 1
+round_robin     1 0 cold  46  90 104  90 3310 0 0 136 35 25 1   0  53 0 0
+round_robin     1 0 warm  46  90 104  90 3310 0 0 136 35 25 0  53   0 1 1
+round_robin     1 1 cold  46  90 104  90 3310 0 0 136 35 25 1   0  53 0 0
+round_robin     1 1 warm  46  90 104  90 3310 0 0 136 35 25 0  53   0 1 1
+round_robin    10 0 cold  46  90 104  90 3310 0 0 136 35 25 1   0  53 0 0
+round_robin    10 0 warm  46  90 104  90 3310 0 0 136 35 25 0  53   0 1 1
+round_robin    10 1 cold  46  90 104  90 3310 0 0 136 35 25 1   0  53 0 0
+round_robin    10 1 warm  46  90 104  90 3310 0 0 136 35 25 0  53   0 1 1
+round_robin    50 0 cold  46  90 104  90 3310 0 0 136 35 25 1   0  53 0 0
+round_robin    50 0 warm  46  90 104  90 3310 0 0 136 35 25 0  53   0 1 1
+round_robin    50 1 cold  46  90 104  90 3310 0 0 136 35 25 1   0  53 0 0
+round_robin    50 1 warm  46  90 104  90 3310 0 0 136 35 25 0  53   0 1 1
+cells_first     1 0 cold  46   2  26   2  173 0 0  48 13 27 1   0  53 0 0
+cells_first     1 0 warm  46   2  26   2  173 0 0  48 13 27 0  53   0 1 1
+cells_first     1 1 cold  46   2  26   2  173 0 0  48 13 27 1   0  53 0 0
+cells_first     1 1 warm  46   2  26   2  173 0 0  48 13 27 0  53   0 1 1
+cells_first    10 0 cold  46   2  26   2  173 0 0  48 13 27 1   0  53 0 0
+cells_first    10 0 warm  46   2  26   2  173 0 0  48 13 27 0  53   0 1 1
+cells_first    10 1 cold  46   2  26   2  173 0 0  48 13 27 1   0  53 0 0
+cells_first    10 1 warm  46   2  26   2  173 0 0  48 13 27 0  53   0 1 1
+cells_first    50 0 cold  46   2  26   2  173 0 0  48 13 27 1   0  53 0 0
+cells_first    50 0 warm  46   2  26   2  173 0 0  48 13 27 0  53   0 1 1
+cells_first    50 1 cold  46   2  26   2  173 0 0  48 13 27 1   0  53 0 0
+cells_first    50 1 warm  46   2  26   2  173 0 0  48 13 27 0  53   0 1 1
+segments_first  1 0 cold   1 203 203 203 7443 0 0 204 52 14 1   0  53 0 0
+segments_first  1 0 warm   1 203 203 203 7443 0 0 204 52 14 0  53   0 1 1
+segments_first  1 1 cold   1 203 203 203 7443 0 0 204 52 14 1   0  53 0 0
+segments_first  1 1 warm   1 203 203 203 7443 0 0 204 52 14 0  53   0 1 1
+segments_first 10 0 cold   1 203 203 203 7443 0 0 204 52 14 1   0  53 0 0
+segments_first 10 0 warm   1 203 203 203 7443 0 0 204 52 14 0  53   0 1 1
+segments_first 10 1 cold   1 203 203 203 7443 0 0 204 52 14 1   0  53 0 0
+segments_first 10 1 warm   1 203 203 203 7443 0 0 204 52 14 0  53   0 1 1
+segments_first 50 0 cold   1 203 203 203 7443 0 0 204 52 14 1   0  53 0 0
+segments_first 50 0 warm   1 203 203 203 7443 0 0 204 52 14 0  53   0 1 1
+segments_first 50 1 cold   1 203 203 203 7443 0 0 204 52 14 1   0  53 0 0
+segments_first 50 1 warm   1 203 203 203 7443 0 0 204 52 14 0  53   0 1 1
 [berlin food+services]
-alternate       1 0 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
-alternate       1 0 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
-alternate       1 1 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
-alternate       1 1 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
-alternate      10 0 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
-alternate      10 0 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
-alternate      10 1 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
-alternate      10 1 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
-alternate      50 0 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
-alternate      50 0 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
-alternate      50 1 cold 164 172 182 172 5898 0 0 336 85 49 0 0 230 41 163   0 204 0 0
-alternate      50 1 warm 164 172 182 172 5898 0 0 336 85 49 0 0   0  0   0 204   0 1 1
-round_robin     1 0 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
-round_robin     1 0 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
-round_robin     1 1 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
-round_robin     1 1 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
-round_robin    10 0 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
-round_robin    10 0 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
-round_robin    10 1 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
-round_robin    10 1 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
-round_robin    50 0 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
-round_robin    50 0 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
-round_robin    50 1 cold 105 203 203 203 7443 0 0 308 78 38 0 0 230 41 163   0 204 0 0
-round_robin    50 1 warm 105 203 203 203 7443 0 0 308 78 38 0 0   0  0   0 204   0 1 1
-cells_first     1 0 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
-cells_first     1 0 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
-cells_first     1 1 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
-cells_first     1 1 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
-cells_first    10 0 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
-cells_first    10 0 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
-cells_first    10 1 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
-cells_first    10 1 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
-cells_first    50 0 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
-cells_first    50 0 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
-cells_first    50 1 cold 164   0  62   0  204 0 0 164 42 71 0 0 230 41 163   0 204 0 0
-cells_first    50 1 warm 164   0  62   0  204 0 0 164 42 71 0 0   0  0   0 204   0 1 1
-segments_first  1 0 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
-segments_first  1 0 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
-segments_first  1 1 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
-segments_first  1 1 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
-segments_first 10 0 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
-segments_first 10 0 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
-segments_first 10 1 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
-segments_first 10 1 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
-segments_first 50 0 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
-segments_first 50 0 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
-segments_first 50 1 cold   1 203 203 203 7443 0 0 204 52 28 0 0 230 41 163   0 204 0 0
-segments_first 50 1 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204   0 1 1
+alternate       1 0 cold 164 172 182 172 5898 0 0 336 85 49 1   0 204 0 0
+alternate       1 0 warm 164 172 182 172 5898 0 0 336 85 49 0 204   0 1 1
+alternate       1 1 cold 164 172 182 172 5898 0 0 336 85 49 1   0 204 0 0
+alternate       1 1 warm 164 172 182 172 5898 0 0 336 85 49 0 204   0 1 1
+alternate      10 0 cold 164 172 182 172 5898 0 0 336 85 49 1   0 204 0 0
+alternate      10 0 warm 164 172 182 172 5898 0 0 336 85 49 0 204   0 1 1
+alternate      10 1 cold 164 172 182 172 5898 0 0 336 85 49 1   0 204 0 0
+alternate      10 1 warm 164 172 182 172 5898 0 0 336 85 49 0 204   0 1 1
+alternate      50 0 cold 164 172 182 172 5898 0 0 336 85 49 1   0 204 0 0
+alternate      50 0 warm 164 172 182 172 5898 0 0 336 85 49 0 204   0 1 1
+alternate      50 1 cold 164 172 182 172 5898 0 0 336 85 49 1   0 204 0 0
+alternate      50 1 warm 164 172 182 172 5898 0 0 336 85 49 0 204   0 1 1
+round_robin     1 0 cold 105 203 203 203 7443 0 0 308 78 38 1   0 204 0 0
+round_robin     1 0 warm 105 203 203 203 7443 0 0 308 78 38 0 204   0 1 1
+round_robin     1 1 cold 105 203 203 203 7443 0 0 308 78 38 1   0 204 0 0
+round_robin     1 1 warm 105 203 203 203 7443 0 0 308 78 38 0 204   0 1 1
+round_robin    10 0 cold 105 203 203 203 7443 0 0 308 78 38 1   0 204 0 0
+round_robin    10 0 warm 105 203 203 203 7443 0 0 308 78 38 0 204   0 1 1
+round_robin    10 1 cold 105 203 203 203 7443 0 0 308 78 38 1   0 204 0 0
+round_robin    10 1 warm 105 203 203 203 7443 0 0 308 78 38 0 204   0 1 1
+round_robin    50 0 cold 105 203 203 203 7443 0 0 308 78 38 1   0 204 0 0
+round_robin    50 0 warm 105 203 203 203 7443 0 0 308 78 38 0 204   0 1 1
+round_robin    50 1 cold 105 203 203 203 7443 0 0 308 78 38 1   0 204 0 0
+round_robin    50 1 warm 105 203 203 203 7443 0 0 308 78 38 0 204   0 1 1
+cells_first     1 0 cold 164   0  62   0  204 0 0 164 42 71 1   0 204 0 0
+cells_first     1 0 warm 164   0  62   0  204 0 0 164 42 71 0 204   0 1 1
+cells_first     1 1 cold 164   0  62   0  204 0 0 164 42 71 1   0 204 0 0
+cells_first     1 1 warm 164   0  62   0  204 0 0 164 42 71 0 204   0 1 1
+cells_first    10 0 cold 164   0  62   0  204 0 0 164 42 71 1   0 204 0 0
+cells_first    10 0 warm 164   0  62   0  204 0 0 164 42 71 0 204   0 1 1
+cells_first    10 1 cold 164   0  62   0  204 0 0 164 42 71 1   0 204 0 0
+cells_first    10 1 warm 164   0  62   0  204 0 0 164 42 71 0 204   0 1 1
+cells_first    50 0 cold 164   0  62   0  204 0 0 164 42 71 1   0 204 0 0
+cells_first    50 0 warm 164   0  62   0  204 0 0 164 42 71 0 204   0 1 1
+cells_first    50 1 cold 164   0  62   0  204 0 0 164 42 71 1   0 204 0 0
+cells_first    50 1 warm 164   0  62   0  204 0 0 164 42 71 0 204   0 1 1
+segments_first  1 0 cold   1 203 203 203 7443 0 0 204 52 28 1   0 204 0 0
+segments_first  1 0 warm   1 203 203 203 7443 0 0 204 52 28 0 204   0 1 1
+segments_first  1 1 cold   1 203 203 203 7443 0 0 204 52 28 1   0 204 0 0
+segments_first  1 1 warm   1 203 203 203 7443 0 0 204 52 28 0 204   0 1 1
+segments_first 10 0 cold   1 203 203 203 7443 0 0 204 52 28 1   0 204 0 0
+segments_first 10 0 warm   1 203 203 203 7443 0 0 204 52 28 0 204   0 1 1
+segments_first 10 1 cold   1 203 203 203 7443 0 0 204 52 28 1   0 204 0 0
+segments_first 10 1 warm   1 203 203 203 7443 0 0 204 52 28 0 204   0 1 1
+segments_first 50 0 cold   1 203 203 203 7443 0 0 204 52 28 1   0 204 0 0
+segments_first 50 0 warm   1 203 203 203 7443 0 0 204 52 28 0 204   0 1 1
+segments_first 50 1 cold   1 203 203 203 7443 0 0 204 52 28 1   0 204 0 0
+segments_first 50 1 warm   1 203 203 203 7443 0 0 204 52 28 0 204   0 1 1
 """
 """``SOIStats.counters()`` in ``GOLDEN_FIELDS`` order, one row per
 ``strategy k weighted run`` under a ``[preset signature]`` header.
@@ -345,8 +343,13 @@ segments_first 50 1 warm   1 203 203 203 7443 0 0 204 52 28 0 0   0  0   0 204  
 Recorded on the scale-0.1 vienna and berlin presets at ``EPS`` while the
 per-object scalar filter path still existed: it produced these rows
 counter for counter (bar ``store_reused``, which only the store sets), so
-they carry that equivalence after its removal.  Each cold run starts
-from an invalidated session pool; the warm run repeats the query."""
+they carry that equivalence after its removal.  When the slot masses
+moved into one pass per ``(Psi, eps, weighted)``, only the columns whose
+meaning changed were re-recorded: a cold run's ``kernel_calls`` counts
+that pass (1) and its ``mass_cache_misses`` every relevant slot the pass
+filled; every Algorithm 1 control counter kept its recorded value.  Each
+cold run starts from an invalidated session pool; the warm run repeats
+the query."""
 
 
 def _golden_rows() -> dict[tuple, dict[str, int]]:

@@ -431,6 +431,42 @@ def test_p405_fixed_batched_twin_is_silent():
     assert lint_source(src, relpath="repro/index/x.py", config=CONFIG) == []
 
 
+@pytest.mark.parametrize("relpath", [
+    "repro/core/interest.py", "repro/core/soi.py",
+    "repro/core/soi_baseline.py"])
+def test_p405_flags_per_slot_mass_loop_in_core(relpath):
+    # Planted bug: the per-visit mass path the slot-mass pass replaced,
+    # one scalar distance per (slot, POI) inside the visit loop.
+    src = ("from repro.geometry.distance import point_segment_distance\n"
+           "def slot_mass(pois, seg, eps):\n"
+           "    total = 0.0\n"
+           "    for x, y in pois:\n"
+           "        if point_segment_distance(x, y, *seg) <= eps:\n"
+           "            total += 1.0\n"
+           "    return total\n")
+    findings = lint_source(src, relpath=relpath, config=CONFIG)
+    assert rules_of(findings) == ["REP-P405"]
+    assert "point_segment_distance" in findings[0].message
+
+
+@pytest.mark.parametrize("relpath", [
+    "repro/core/interest.py", "repro/core/soi.py",
+    "repro/core/soi_baseline.py"])
+def test_p405_fixed_slot_mass_pass_is_silent(relpath):
+    # The fix: one row-wise kernel call over every (slot, POI) row, then
+    # loops that only read the materialised masses.
+    src = ("from repro.geometry.distance import points_segments_within\n"
+           "def materialise(px, py, ax, ay, bx, by, exact, eps):\n"
+           "    return points_segments_within(\n"
+           "        px, py, ax, ay, bx, by, eps, exact=exact)\n"
+           "def visit(slots, mass):\n"
+           "    total = 0.0\n"
+           "    for slot in slots:\n"
+           "        total += mass[slot]\n"
+           "    return total\n")
+    assert lint_source(src, relpath=relpath, config=CONFIG) == []
+
+
 def test_p405_unchecked_dirs_and_suppression():
     src = ("from repro.geometry.distance import point_segment_distance\n"
            "def f(pois, seg):\n"
