@@ -154,17 +154,21 @@ CACHE_SMOKE
 python "$SCRATCH/cache_smoke.py"
 # Paging smoke: a fixed list of two signatures times two eps, each paged
 # at k = 10, 20, ..., 80, served by a 2-worker pool with the cache on and
-# off.  Payloads must be bit-identical, later pages must be answered from
-# complete rankings (exhausted hits), and the pool must run fewer k-SOI
-# queries than it receives requests.  Every ranking on this city holds
-# more than 80 streets, so only a complete ranking can answer a later
-# page.  Untimed, like the cache smoke.
+# off.  Payloads must be bit-identical to each other and to Algorithm 1
+# (SOIEngine.top_k) in process, so the served ranking cannot drift from
+# the paper's algorithm; later pages must be answered from complete
+# rankings (exhausted hits).  Every served k-SOI ships its complete
+# ranking, so the pool runs at most one k-SOI query per worker and
+# (signature, eps) pair.  Every ranking on this city holds more than 80
+# streets, so only a complete ranking can answer a later page.  Untimed,
+# like the cache smoke.
 cat > "$SCRATCH/paging_smoke.py" <<'PAGING_SMOKE'
 from repro.core.soi import SOIEngine
 from repro.datagen import build_preset
 from repro.serve import EngineServer
 from repro.serve.server import SOIRequest
 
+WORKERS = 2
 PAGES = [SOIRequest(keywords=signature, k=k, eps=eps)
          for k in range(10, 90, 10)
          for signature in (("food", "shop"), ("shop",))
@@ -172,7 +176,7 @@ PAGES = [SOIRequest(keywords=signature, k=k, eps=eps)
 
 
 def serve(engine, cache: bool):
-    with EngineServer.for_engine(engine, workers=2, micro_batch=4,
+    with EngineServer.for_engine(engine, workers=WORKERS, micro_batch=4,
                                  cache=cache) as server:
         payloads = server.run(PAGES)
         return (payloads, server.cache_stats() if cache else None,
@@ -187,14 +191,25 @@ def main() -> None:
     if cached != baseline:
         raise SystemExit("paging smoke: cached payloads diverge from the "
                          "uncached run")
+    for page, payload in zip(PAGES, cached):
+        if payload != engine.top_k(page.keywords, page.k, eps=page.eps):
+            raise SystemExit(f"paging smoke: served page {page} differs "
+                             "from SOIEngine.top_k")
     if stats["exhausted_hits"] <= 0:
         raise SystemExit("paging smoke: no page was answered from a "
                          f"complete ranking (stats: {stats})")
     if executed >= len(PAGES):
         raise SystemExit(f"paging smoke: {executed} k-SOI queries ran for "
                          f"{len(PAGES)} requests")
-    print(f"paging smoke: {len(PAGES)} pages bit-identical, {executed} "
-          f"k-SOI queries, {stats['exhausted_hits']} complete-ranking hits")
+    pairs = len({(page.keywords, page.eps) for page in PAGES})
+    if executed > WORKERS * pairs:
+        raise SystemExit(f"paging smoke: {executed} k-SOI queries ran for "
+                         f"{pairs} (signature, eps) pairs on {WORKERS} "
+                         "workers")
+    print(f"paging smoke: {len(PAGES)} pages bit-identical to the uncached "
+          f"run and to Algorithm 1, {executed} k-SOI queries for {pairs} "
+          f"(signature, eps) pairs, {stats['exhausted_hits']} "
+          "complete-ranking hits")
 
 
 if __name__ == "__main__":

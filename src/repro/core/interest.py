@@ -123,7 +123,8 @@ def _materialise_slot_masses(layout, poi_index, keywords, weighted,
     slot_n = cell_n[layout.slot_cell]
     slots = np.flatnonzero(slot_n)
     if slots.shape[0] == 0:
-        return MassSlots([0.0] * num_slots, [0] * layout.num_segments, 0)
+        return MassSlots([0.0] * num_slots, np.zeros(num_slots),
+                         [0] * layout.num_segments, 0)
     n = slot_n[slots]
     row_slot = np.repeat(slots, n)
     rank = (np.arange(row_slot.shape[0], dtype=np.int64)
@@ -152,7 +153,8 @@ def _materialise_slot_masses(layout, poi_index, keywords, weighted,
         values[slot] = value
     seg_relevant = np.bincount(layout.slot_seg[slots],
                                minlength=layout.num_segments)
-    return MassSlots(values, seg_relevant.tolist(), int(slots.shape[0]))
+    return MassSlots(values, mass, seg_relevant.tolist(),
+                     int(slots.shape[0]))
 
 
 def _run_sums(keys: np.ndarray, values: np.ndarray,

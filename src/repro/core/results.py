@@ -75,6 +75,9 @@ class SOIStats:
     nothing, so a fresh run at any larger ``k`` returns a prefix of it.
     It describes the answer, not the work, so :meth:`counters` leaves it
     out.
+
+    A BL ranking served in place of a run moves only the pass's counters
+    and times no phase.
     """
 
     cells_popped: int = 0

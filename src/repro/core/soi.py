@@ -455,7 +455,7 @@ class _SOIRun:
             self._cell_bounds = self.session.cell_upper_bounds()
         else:
             self._cell_bounds = CellBounds(self.engine.poi_index, self.query)
-        self.sl1 = CellSourceList(self._cell_bounds.entries, presorted=True)
+        self.sl1 = CellSourceList(self._cell_bounds.entries)
 
         # Threshold for the paper's adaptive SL2 access: "we only access
         # segments via the second source SL2 in the case that a few
@@ -467,12 +467,10 @@ class _SOIRun:
         self._store_setup()
         is_final = self._store_is_final
         is_seen = self._store_is_seen
-        self.sl2 = SegmentSourceList(
-            sl2_entries, descending=True,
-            is_final=is_final, is_seen=is_seen, presorted=True)
-        self.sl3 = SegmentSourceList(
-            self.engine._sl3_entries, descending=False,
-            is_final=is_final, is_seen=is_seen, presorted=True)
+        self.sl2 = SegmentSourceList(sl2_entries, is_final=is_final,
+                                     is_seen=is_seen)
+        self.sl3 = SegmentSourceList(self.engine._sl3_entries,
+                                     is_final=is_final, is_seen=is_seen)
         self._lists = {"SL1": self.sl1, "SL2": self.sl2, "SL3": self.sl3}
 
     def _store_setup(self) -> None:
@@ -828,9 +826,12 @@ class _SOIRun:
         final_col = store.final_epoch
         remaining_col = store.remaining_ub
         weight_cap = self._weight_cap
-        # street_id -> (exact interest, best segment id).  The incremental
-        # threshold tracks the k-th best exact value so the pruning test
-        # needs no nlargest rescan per candidate.
+        # street_id -> (exact interest, dense position of the best
+        # segment).  Equal maxima keep the lowest dense position, BL's
+        # rule, so the best segment does not depend on the order the
+        # access strategy finalised them in.  The incremental threshold
+        # tracks the k-th best exact value so the pruning test needs no
+        # nlargest rescan per candidate.
         exact: dict[int, tuple[float, int]] = {}
         exact_topk = TopKThreshold(self.k)
 
@@ -842,8 +843,10 @@ class _SOIRun:
             street_id = street_of[dense]
             best = exact.get(street_id)
             if best is None or value > best[0]:
-                exact[street_id] = (value, seg_ids[dense])
+                exact[street_id] = (value, dense)
                 exact_topk.update(street_id, value)
+            elif value == best[0] and dense < best[1]:
+                exact[street_id] = (value, dense)
 
         partial: list[tuple[float, int, int]] = []
         for dense in store.active:
@@ -878,8 +881,8 @@ class _SOIRun:
             self.stats.refinement_finalized += 1
 
         ranked = sorted(
-            ((value, street_id, seg_id)
-             for street_id, (value, seg_id) in exact.items() if value > 0),
+            ((value, street_id, seg_ids[dense])
+             for street_id, (value, dense) in exact.items() if value > 0),
             key=lambda item: (-item[0], item[1]))
         # No unseen segment has positive interest and every seen one is
         # exact, so `ranked` holds every positive street; a fresh run at

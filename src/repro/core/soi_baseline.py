@@ -2,24 +2,30 @@
 
 BL "uses only the spatial grid index to efficiently compute the interest of
 every segment, and then determines the k-SOIs": no source lists, no bounds,
-no early termination — every segment's exact mass is computed via its
-``eps``-augmented cells, streets are ranked by their maximum segment
-interest, and the top k are returned.
+no early termination.  Every segment's exact mass is the sum of its
+``(segment, cell)`` slot masses, which the one vectorised pass a session
+shares with Algorithm 1 has already materialised; streets are ranked by
+their maximum segment interest, and the top k are returned.
+
+With the pass shared, BL's exhaustive ranking is one NumPy reduction over
+its mass column, less work than Algorithm 1's filter and refinement, which
+re-add the same known masses in Python.  The serve path therefore answers
+every k-SOI request from :meth:`BaselineSOI.ranking`
+(:mod:`repro.serve.server`); Algorithm 1 stays
+:meth:`~repro.core.soi.SOIEngine.top_k`, the paper's method.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.aggregates import StreetAggregate
 
-from repro.core.interest import (
-    materialise_slot_masses,
-    segment_interest,
-    segment_mass,
-    validate_query,
-)
+from repro.analysis import contracts
+from repro.core.interest import materialise_slot_masses, validate_query
 from repro.core.results import SOIResult
 from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.obs import metrics as obs_metrics
@@ -29,9 +35,10 @@ from repro.obs.tracer import trace_span
 class BaselineSOI:
     """Exhaustive k-SOI evaluation over a prepared :class:`SOIEngine`.
 
-    Shares the engine's indexes (the paper's BL also uses the grid), so a
-    timing comparison against :meth:`SOIEngine.top_k` isolates the benefit
-    of the source-list filtering rather than of indexing itself.
+    Shares the engine's indexes and query sessions (the paper's BL also
+    uses the grid), so a timing comparison against
+    :meth:`SOIEngine.top_k` isolates the benefit of the source-list
+    filtering rather than of indexing itself.
     """
 
     def __init__(self, engine: SOIEngine) -> None:
@@ -52,34 +59,20 @@ class BaselineSOI:
         interest, ties by street id, zero-interest streets omitted.
 
         ``aggregate`` selects how segment interests combine into a street
-        interest (default: Definition 3's maximum).  Alternatives are only
-        available on this exhaustive path — the SOI algorithm's bounds are
-        specific to max-aggregation (see :mod:`repro.core.aggregates`).
+        interest (default: Definition 3's maximum, the first ``k`` entries
+        of :meth:`ranking`).  Alternatives are only available on this
+        exhaustive path — the SOI algorithm's bounds are specific to
+        max-aggregation (see :mod:`repro.core.aggregates`).
         """
         from repro.core.aggregates import StreetAggregate, rank_streets
 
+        validate_query(keywords, k, eps)
+        if aggregate is None or aggregate is StreetAggregate.MAX:
+            return self.ranking(keywords, eps, weighted,
+                                use_session=use_session)[:k]
         interests = self.all_segment_interests(keywords, k, eps, weighted,
                                                use_session=use_session)
         network = self.engine.network
-        if aggregate is None or aggregate is StreetAggregate.MAX:
-            best: dict[int, tuple[float, int]] = {}
-            for segment_id, value in interests.items():
-                street_id = network.segment(segment_id).street_id
-                current = best.get(street_id)
-                if current is None or value > current[0]:
-                    best[street_id] = (value, segment_id)
-            ranked = sorted(
-                ((value, street_id, seg_id)
-                 for street_id, (value, seg_id) in best.items()
-                 if value > 0),
-                key=lambda item: (-item[0], item[1]))
-            return [
-                SOIResult(street_id=street_id,
-                          street_name=network.street(street_id).name,
-                          interest=value,
-                          best_segment_id=seg_id)
-                for value, street_id, seg_id in ranked[:k]
-            ]
         out = []
         for street_id, value in rank_streets(network, interests,
                                              aggregate, eps, k):
@@ -93,6 +86,60 @@ class BaselineSOI:
                 best_segment_id=best_segment.id))
         return out
 
+    def ranking(
+        self,
+        keywords: Iterable[str],
+        eps: float = DEFAULT_EPS,
+        weighted: bool = False,
+        use_session: bool = True,
+        session=None,
+        stats=None,
+    ) -> list[SOIResult]:
+        """Every street of positive interest, ranked (Definition 3).
+
+        Decreasing interest, ties by street id, and each street's best
+        segment the lowest dense position among its equal maxima: the
+        rules of Algorithm 1, so the list is a complete
+        :meth:`~repro.core.soi.SOIEngine.top_k_with_stats` ranking bit
+        for bit.  ``session`` is an already-resolved
+        :class:`~repro.perf.session.QuerySession` of the keyword set;
+        ``stats`` collects the pass's counters.  Under ``REPRO_CHECK=1``
+        the output contract and sampled Definition 1 recount of
+        :class:`~repro.analysis.contracts.SOIContractMonitor` run.
+        """
+        query = validate_query(keywords, 1, eps)
+        with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
+                        keywords=",".join(sorted(query))):
+            layout, slots, interest = self._segment_interests(
+                query, eps, weighted, use_session, session, stats)
+            positive = np.flatnonzero(interest > 0.0)
+            values = interest[positive]
+            streets = layout.street_of[positive]
+            # Stable sort on (street, -interest): among a street's equal
+            # maxima the lowest dense position comes first.
+            order = np.lexsort((-values, streets))
+            streets = streets[order]
+            first = np.ones(streets.shape[0], dtype=bool)
+            first[1:] = streets[1:] != streets[:-1]
+            best = positive[order[first]]
+            streets = streets[first]
+            values = interest[best]
+            ranked = np.lexsort((streets, -values))
+            street = self.engine.network.street
+            results = [
+                SOIResult(street_id, street(street_id).name, value, seg_id)
+                for street_id, value, seg_id in zip(
+                    streets[ranked].tolist(), values[ranked].tolist(),
+                    layout.seg_ids[best[ranked]].tolist())]
+        obs_metrics.REGISTRY.inc("soi.baseline_queries")
+        obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned",
+                                 layout.num_segments)
+        if contracts.ENABLED:
+            contracts.SOIContractMonitor().check_results(
+                self.engine, query, eps, weighted, len(results), results,
+                layout, slots)
+        return results
+
     def all_segment_interests(
         self,
         keywords: Iterable[str],
@@ -104,46 +151,49 @@ class BaselineSOI:
     ) -> dict[int, float]:
         """Exact Definition 2 interest of *every* segment.
 
-        Also used by the effectiveness experiments that need the full
-        ranking rather than just the top k.  Every slot mass comes from
-        one materialisation pass, shared through the session with the
-        engine's other queries on the same keyword set when
-        ``use_session=True``.  ``stats`` (an
+        Used by the alternative street aggregates and the effectiveness
+        experiments, which need every segment rather than the ranking.
+        Reads the same slot-mass pass as :meth:`ranking`; ``stats`` (an
         :class:`~repro.core.results.SOIStats` or compatible) collects the
         pass's kernel and mass-cache counters.
         """
         query = validate_query(keywords, k, eps)
         with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
                         keywords=",".join(sorted(query))):
-            session = (self.engine.sessions.get(query) if use_session
-                       else None)
-            if session is not None:
-                if stats is not None:
-                    stats.session_reused = session.queries_served > 0
-                session.queries_served += 1
-            out = self._interests_via_store(query, eps, weighted, session,
-                                            stats)
+            layout, _slots, interest = self._segment_interests(
+                query, eps, weighted, use_session, None, stats)
+            out = dict(zip(layout.seg_ids_list, interest.tolist()))
         obs_metrics.REGISTRY.inc("soi.baseline_queries")
         obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned", len(out))
         return out
 
-    def _interests_via_store(self, query, eps, weighted, session,
-                             stats) -> dict[int, float]:
-        """Every segment's interest from the store layout's slot masses.
+    def _segment_interests(self, query, eps, weighted, use_session,
+                           session, stats):
+        """``(layout, slots, interest)``: every segment's Definition 2
+        interest in dense order, from the session's slot masses.
 
-        The dense order *is* ``iter_segments`` order and each segment's
-        slot run *is* its ``cells_of_segment`` order, so every mass sums
-        its cells in that order, as the SOI run settles it.
+        ``np.bincount`` adds each segment's slot masses in ascending slot
+        (``cells_of_segment``) order, starting from 0.0, which is how
+        :func:`~repro.core.interest.segment_mass` sums them, so every mass
+        is the same float Algorithm 1 settles.  ``layout.buffer_col`` is
+        bitwise :func:`~repro.core.interest.buffer_area`.
         """
         layout = self.engine.store_layout(eps)
+        if session is None and use_session:
+            session = self.engine.sessions.get(query)
         if session is not None:
+            if stats is not None:
+                stats.session_reused = session.queries_served > 0
+            session.queries_served += 1
             slots, reused = session.store_mass_slots(layout, weighted, stats)
             if reused and stats is not None:
                 stats.mass_cache_hits += slots.num_relevant
         else:
             slots = materialise_slot_masses(layout, self.engine.poi_index,
                                             query, weighted, stats)
-        return {
-            segment.id: segment_interest(segment_mass(layout, slots, dense),
-                                         segment.length, eps)
-            for dense, segment in enumerate(layout.segments)}
+        mass = np.bincount(layout.slot_seg, weights=slots.mass_col,
+                           minlength=layout.num_segments)
+        if contracts.ENABLED:
+            for value, length in zip(mass.tolist(), layout.lengths_list):
+                contracts.check_definition2(value, length, eps)
+        return layout, slots, mass / layout.buffer_col

@@ -52,19 +52,15 @@ class CellBounds:
 
 
 class CellSourceList:
-    """SL1: ``(cell, relevant-count-upper-bound)`` entries, count-descending."""
+    """SL1: ``(cell, relevant-count-upper-bound)`` entries, count-descending.
 
-    def __init__(self, entries: Sequence[tuple[CellCoord, int]],
-                 presorted: bool = False) -> None:
-        # Deterministic order: count desc, then cell coordinates.  A
-        # session that already holds the sorted entries (the order depends
-        # only on the keyword signature) passes ``presorted=True`` so warm
-        # queries skip the O(n log n) re-sort; the list never mutates the
-        # sequence, so a shared tuple is safe.
-        if presorted:
-            self._entries = entries
-        else:
-            self._entries = sorted(entries, key=lambda e: (-e[1], e[0]))
+    ``entries`` come sorted on ``(-count, cell)`` (:class:`CellBounds`
+    makes them once per keyword signature) and are read in that order;
+    the list never mutates the sequence, so a shared tuple is safe.
+    """
+
+    def __init__(self, entries: Sequence[tuple[CellCoord, int]]) -> None:
+        self._entries = entries
         self._next = 0
 
     def top(self) -> int:
@@ -92,27 +88,23 @@ class CellSourceList:
 class SegmentSourceList:
     """SL2 or SL3: segment ids with a weight, in a fixed total order.
 
-    ``pop`` skips segments that are already *final* (their exact interest
-    is known, so accessing them again is useless); ``top`` skips segments
-    that are already *seen* (the ``UB`` formula bounds unseen segments
-    only).  The two predicates are supplied by the algorithm so both SL2
-    and SL3 share one implementation.
+    ``entries`` come in that order, read verbatim: the engine makes SL2's
+    ``(-|C_eps(l)|, id)`` order once per ``eps`` and SL3's ``(length,
+    id)`` order once per index build.  ``pop`` skips segments that are
+    already *final* (their exact interest is known, so accessing them
+    again is useless); ``top`` skips segments that are already *seen*
+    (the ``UB`` formula bounds unseen segments only).  The two
+    predicates are supplied by the algorithm so both SL2 and SL3 share
+    one implementation.
     """
 
     def __init__(
         self,
         entries: Sequence[tuple[int, float]],
-        descending: bool,
         is_final: Callable[[int], bool],
         is_seen: Callable[[int], bool],
-        presorted: bool = False,
     ) -> None:
-        if presorted:
-            self._entries = entries
-        else:
-            sign = -1.0 if descending else 1.0
-            self._entries = sorted(entries,
-                                   key=lambda e: (sign * e[1], e[0]))
+        self._entries = entries
         self._is_final = is_final
         self._is_seen = is_seen
         self._pop_next = 0

@@ -315,17 +315,21 @@ class MassSlots:
     ``mass`` holds 0.0 for every slot whose cell has no relevant POI;
     ``seg_relevant[d]`` counts the slots of dense segment ``d`` whose
     cell has one, and ``num_relevant`` all such slots.  Both columns are
-    Python lists: every read is a single-slot probe or a short
-    per-segment run, where list indexing beats NumPy scalar indexing
-    severalfold (see the module docstring).  Immutable once built, so
-    sessions share it between concurrent runs.
+    Python lists: every read of Algorithm 1 is a single-slot probe or a
+    short per-segment run, where list indexing beats NumPy scalar
+    indexing severalfold (see the module docstring).  ``mass_col`` is
+    the same masses as the pass's float64 array, kept for the whole-layout
+    reductions of the BL ranking: converting the list back costs several
+    times the reduction.  Immutable once built, so sessions share it
+    between concurrent runs.
     """
 
-    __slots__ = ("mass", "seg_relevant", "num_relevant")
+    __slots__ = ("mass", "mass_col", "seg_relevant", "num_relevant")
 
-    def __init__(self, mass: list[float], seg_relevant: list[int],
-                 num_relevant: int) -> None:
+    def __init__(self, mass: list[float], mass_col: np.ndarray,
+                 seg_relevant: list[int], num_relevant: int) -> None:
         self.mass = mass
+        self.mass_col = mass_col
         self.seg_relevant = seg_relevant
         self.num_relevant = num_relevant
 

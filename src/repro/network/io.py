@@ -10,10 +10,12 @@ without touching any library code.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.data.poi import POI, POISet
 from repro.data.photo import Photo, PhotoSet
+from repro.errors import NetworkError
 from repro.network.model import RoadNetwork, Segment, Street, Vertex
 
 
@@ -33,9 +35,19 @@ def save_network_json(network: RoadNetwork, path: str | Path) -> None:
 
 
 def load_network_json(path: str | Path) -> RoadNetwork:
-    """Read a network previously written by :func:`save_network_json`."""
+    """Read a network previously written by :func:`save_network_json`.
+
+    Raises :class:`~repro.errors.NetworkError` for a NaN or infinite
+    vertex coordinate (``json`` reads ``NaN`` and ``Infinity``), as
+    :meth:`~repro.network.builder.RoadNetworkBuilder.add_vertex` does.
+    """
     doc = json.loads(Path(path).read_text())
-    vertices = [Vertex(vid, x, y) for vid, x, y in doc["vertices"]]
+    vertices = []
+    for vid, x, y in doc["vertices"]:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NetworkError(
+                f"vertex {vid} coordinates must be finite, got ({x}, {y})")
+        vertices.append(Vertex(vid, x, y))
     coords = {v.id: (v.x, v.y) for v in vertices}
     segments = []
     for sid, street_id, u, v in doc["segments"]:

@@ -15,13 +15,13 @@ stored entry's: an equal ``k`` is an exact hit and a smaller ``k`` is a
 *dominated-k* hit, both served by slicing.  An entry marked **complete**
 answers any ``k``: its payload is the whole ranking, every street of
 positive interest, so a larger ``k`` is served by slicing too and counted
-as an ``exhausted_hits`` hit.  A complete ranking comes from a run that
-Algorithm 1 itself proved complete (``SOIStats.complete``: the filter
-stopped at UB = 0 and refinement pruned nothing), and a payload shorter
-than its own ``k`` is complete by definition — the engine ran out of
-positive-interest streets.  Under ``REPRO_CHECK=1`` every hit that is not
-the stored payload verbatim is re-derived from scratch and compared
-bit-for-bit (:func:`repro.analysis.contracts.check_prefix_slice`).
+as an ``exhausted_hits`` hit.  The serve path stores a complete ranking
+for every k-SOI it computes (:mod:`repro.serve.server` answers from
+:meth:`~repro.core.soi_baseline.BaselineSOI.ranking`), and a payload
+shorter than its own ``k`` is complete by definition — the engine ran
+out of positive-interest streets.  Under ``REPRO_CHECK=1`` every hit
+that is not the stored payload verbatim is re-derived from scratch and
+compared bit-for-bit (:func:`repro.analysis.contracts.check_prefix_slice`).
 
 Describe signatures **do carry** ``k`` (street, ``ε``, ``λ``, ``w``,
 ``ρ``, ``k``): Equation 10 normalises the diversity term by
@@ -194,7 +194,10 @@ class ResultCache:
                      "misses", "insertions", "evictions", "invalidations",
                      "kmax_elevations")
     """The canonical ``serve.cache.*`` counters, present in every
-    :meth:`stats` snapshot even before their first increment."""
+    :meth:`stats` snapshot even before their first increment.
+    ``kmax_elevations`` counted micro-batch ``k_max`` grouping, which
+    every-page-complete serving replaced; it stays named for the readers
+    of the counter and reads 0."""
 
     def stats(self) -> dict:
         """Counter/gauge snapshot of this cache's registry namespace."""

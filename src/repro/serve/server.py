@@ -23,11 +23,12 @@ Protocol properties:
   :class:`~repro.errors.StaleSnapshotError` until :meth:`EngineServer.refresh`
   re-exports; workers lazily re-attach when the name in a task changes.
 * **Reuse** — with ``cache=True`` the parent and every worker keep a
-  :class:`~repro.perf.result_cache.ResultCache`.  A worker that executes
-  a k-SOI run the engine proves complete ships the whole ranking beside
-  the k-sized payload, as the last field of its result tuple; the parent
-  stores it as a complete entry, so the later pages of that signature
-  never reach a worker.
+  :class:`~repro.perf.result_cache.ResultCache`.  Every k-SOI request is
+  answered from the complete ranking of its ``(Ψ, ε, weighted)``
+  (:meth:`~repro.core.soi_baseline.BaselineSOI.ranking`), and a worker
+  ships that whole ranking beside the k-sized payload, as the last field
+  of its result tuple; the parent stores it as a complete entry, so no
+  later page of that signature reaches a worker.
 * **Cleanup** — the server is the only owner of the shared-memory block
   (workers unregister their attachment from the ``resource_tracker``), and
   :meth:`EngineServer.close` unlinks it even when workers crashed;
@@ -53,7 +54,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_mod
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -73,7 +74,10 @@ from repro.obs.tracer import (
 )
 from repro.core.describe import STRelDivDescriber, build_street_profile
 from repro.core.describe.profile import DEFAULT_RHO
+from repro.core.interest import validate_query
+from repro.core.results import SOIStats
 from repro.core.soi import DEFAULT_EPS, AccessStrategy, SOIEngine
+from repro.core.soi_baseline import BaselineSOI
 from repro.data.keywords import normalize_keywords
 from repro.errors import (
     QueryError,
@@ -155,15 +159,20 @@ def serve_request(
     original in-process engine.  Because both sides run this exact
     function, agreement is structural rather than coincidental.
 
-    k-SOI requests return the engine's :class:`~repro.core.results.SOIResult`
-    list; describe requests return the selected photo ids in selection
-    order.  ``describers`` (an :class:`~collections.OrderedDict`) enables
-    LRU reuse of street profiles across describe queries.  ``session`` is
-    an already-resolved :class:`~repro.perf.session.QuerySession` for the
-    request's keyword signature (micro-batched serving resolves it once
-    per group); it must belong to ``engine``.  Cached session values are
-    bitwise what a fresh run computes, so passing one cannot change a
-    payload.
+    k-SOI requests return the first ``k`` entries of
+    :meth:`~repro.core.soi_baseline.BaselineSOI.ranking`, the complete
+    ranking of the request's ``(Ψ, ε, weighted)``: one NumPy reduction
+    over the slot masses of the pass the session shares with Algorithm 1.
+    It equals :meth:`~repro.core.soi.SOIEngine.top_k` bit for bit at every
+    ``k`` and for every access strategy, so the strategy is validated but
+    does not change the payload.  Describe requests return the selected
+    photo ids in selection order.  ``describers`` (an
+    :class:`~collections.OrderedDict`) enables LRU reuse of street
+    profiles across describe queries.  ``session`` is an already-resolved
+    :class:`~repro.perf.session.QuerySession` for the request's keyword
+    signature (micro-batched serving resolves it once per group); it must
+    belong to ``engine``.  Cached session values are bitwise what a fresh
+    pass computes, so passing one cannot change a payload.
     """
     return _serve_request_impl(engine, photos, request, describers,
                                session)[0]
@@ -176,17 +185,21 @@ def _serve_request_impl(
     describers: "OrderedDict | None" = None,
     session=None,
 ):
-    """:func:`serve_request`'s payload, and the complete ranking it was
-    sliced from when the engine proved its k-SOI run complete
-    (``SOIStats.complete``), else ``None``."""
+    """:func:`serve_request`'s payload, and for a k-SOI request the
+    complete ranking it was sliced from (``None`` for describe).  Each
+    ranking computed counts one ``soi.queries`` with the pass's
+    counters."""
     with trace_span("serve.request", kind=type(request).__name__):
         if isinstance(request, SOIRequest):
-            ranking, stats = engine.top_k_with_stats(
-                request.keywords, request.k, eps=request.eps,
-                strategy=AccessStrategy(request.strategy),
-                weighted=request.weighted, session=session)
-            return (ranking[: request.k],
-                    ranking if stats.complete else None)
+            # Validated only: every strategy's answer is this ranking.
+            AccessStrategy(request.strategy)
+            validate_query(request.keywords, request.k, request.eps)
+            stats = SOIStats()
+            ranking = BaselineSOI(engine).ranking(
+                request.keywords, request.eps, weighted=request.weighted,
+                session=session, stats=stats)
+            obs_metrics.record_soi_query(stats)
+            return ranking[: request.k], ranking
         if isinstance(request, DescribeRequest):
             if photos is None:
                 raise QueryError(
@@ -220,30 +233,25 @@ def serve_request_cached(
     cache: "ResultCache",
     describers: "OrderedDict | None" = None,
     session=None,
-    group_k: int | None = None,
 ):
     """:func:`serve_request` through a :class:`ResultCache`.
 
     The cache is stamped against ``engine.index_generation`` on every call
     (a bumped generation empties it wholesale), then consulted under the
-    request's canonical key.  On a miss the request executes at
-    ``max(request.k, group_k)`` — ``group_k`` is the largest ``k`` of the
-    request's micro-batch signature group, so a drained batch runs each
-    group once at its ``k_max`` and every smaller-``k`` member is served
-    by slicing (prefix stability makes the slice bit-identical to a
-    direct call; under ``REPRO_CHECK=1`` each sliced hit is re-derived
-    and compared).  When the engine proves the executed run complete, the
-    whole ranking is stored as a complete entry, which answers every
-    later ``k`` of the signature.
+    request's canonical key.  A k-SOI miss stores the complete ranking it
+    computed as a complete entry, which answers every ``k`` of the
+    signature by slicing (prefix stability makes the slice bit-identical
+    to a direct call; under ``REPRO_CHECK=1`` each sliced hit is
+    re-derived and compared).
     """
     return _serve_cached(engine, photos, request, cache, describers,
-                         session, group_k)[0]
+                         session)[0]
 
 
 def _serve_cached(engine, photos, request, cache, describers=None,
-                  session=None, group_k=None):
+                  session=None):
     """:func:`serve_request_cached`'s payload, and the complete ranking
-    when this call executed a complete k-SOI run, else ``None``."""
+    when this call computed one (a k-SOI miss), else ``None``."""
     cache.ensure_generation(engine.index_generation)
     key = request_cache_key(request)
     recompute = None
@@ -254,18 +262,13 @@ def _serve_cached(engine, photos, request, cache, describers=None,
     hit = cache.lookup(key, request.k, recompute=recompute)
     if hit is not _CACHE_MISS:
         return hit, None
-    k_exec = max(request.k, group_k or 0)
-    exec_request = (request if k_exec == request.k
-                    else replace(request, k=k_exec))
-    full, ranking = _serve_request_impl(engine, photos, exec_request,
-                                        describers, session)
-    cache.store(key, k_exec, full if ranking is None else ranking,
+    payload, ranking = _serve_request_impl(engine, photos, request,
+                                           describers, session)
+    cache.store(key, request.k, payload if ranking is None else ranking,
                 complete=ranking is not None)
-    if k_exec != request.k:
-        cache.registry.inc("serve.cache.kmax_elevations")
     # Always hand back a copy: the stored list must never be aliased by a
     # caller that might mutate its payload in place.
-    return slice_payload(full, request.k), ranking
+    return slice_payload(payload, request.k), ranking
 
 
 class _WorkerView:
@@ -326,12 +329,11 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
 
     With ``cache=True`` the worker keeps a per-process
     :class:`~repro.perf.result_cache.ResultCache` of exact payloads
-    (emptied whenever the snapshot generation moves): repeats are
-    answered without touching Algorithm 1/2, a smaller-``k`` repeat is
-    answered by slicing, a larger-``k`` page of a complete ranking is
-    answered by slicing too, and each micro-batch signature group
-    executes at most once, at the group's largest ``k``.  Prefix
-    stability keeps all of this bit-identical to uncached serving.
+    (emptied whenever the snapshot generation moves): every k-SOI
+    ranking it computes is complete, so every later page of that
+    signature in the same batch, or in a later one, is answered by
+    slicing, and a describe repeat without recomputing.  Prefix
+    stability keeps this bit-identical to uncached serving.
 
     ``heartbeats``/``states`` are the parent's shared arrays: the loop
     stamps ``monotonic_now()`` (a system-wide clock, unlike
@@ -345,10 +347,10 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
 
     The result tuple is ``(seq, worker_id, status, body, service_s,
     metrics_dump, spans, ranking)``: ``body`` is the k-sized payload, and
-    ``ranking`` is the complete ranking when the worker's cache executed
-    a run the engine proved complete (``None`` otherwise), for the parent
-    cache to store as a complete entry.  The payload's results are the
-    ranking's first ``k`` objects, so pickling ships them once.
+    ``ranking`` is the complete ranking when the worker's cache computed
+    one (``None`` otherwise), for the parent cache to store as a complete
+    entry.  The payload's results are the ranking's first ``k`` objects,
+    so pickling ships them once.
 
     Must stay importable at module level — the pool uses the ``spawn``
     start method, which re-imports this module in the child.
@@ -391,16 +393,6 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                 obs_metrics.record_serve_batch(
                     len(batch),
                     len({_group_key(item[3]) for item in batch}))
-            # The largest k per cache signature in this drained batch:
-            # the group's first miss executes at k_max and every other
-            # member is served from the stored entry by slicing.
-            group_kmax: dict[tuple, int] = {}
-            if result_cache is not None:
-                for item in batch:
-                    cache_key = request_cache_key(item[3])
-                    k = getattr(item[3], "k", 0)
-                    if k > group_kmax.get(cache_key, 0):
-                        group_kmax[cache_key] = k
             # The resolved session of the current group; keys only compare
             # within one attached view (re-attach resets the group).
             current_key: tuple | None = None
@@ -445,9 +437,7 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                                 payload, ranking = _serve_cached(
                                     view.engine, view.photos, request,
                                     result_cache, view.describers,
-                                    session=session,
-                                    group_k=group_kmax.get(
-                                        request_cache_key(request)))
+                                    session=session)
                             status, body = "ok", payload
                         except ReproError as exc:
                             status, body = ("error",
@@ -610,11 +600,11 @@ class EngineServer:
         loop turn (cross-request micro-batching; 1 disables it).
         ``cache`` enables the multi-level result cache: a parent-side
         exact-result cache with singleflight coalescing of identical
-        in-flight requests, plus a per-worker cache with dominated-k
-        reuse.  Complete rankings the workers ship are stored in the
-        parent, so every later page of such a signature is answered
-        without a worker round trip.  Payloads stay bit-identical to
-        uncached serving.
+        in-flight requests, plus a per-worker cache.  Every k-SOI request
+        a worker computes ships its complete ranking, which the parent
+        stores, so every later page of that signature is answered without
+        a worker round trip.  Payloads stay bit-identical to uncached
+        serving.
         """
         snapshot = IndexSnapshot.export(engine, photos, warm_eps=warm_eps)
         return cls(snapshot, workers=workers, source=engine,
@@ -832,8 +822,8 @@ class EngineServer:
         so the arrival can be stitched into the cross-process trace.
 
         With the result cache on, a repeat of an already-answered request,
-        or any page of a signature whose complete ranking the parent
-        holds, completes locally without a worker round-trip, and a
+        or any page of a k-SOI signature a worker has answered before,
+        completes locally from its complete ranking, and a
         repeat of an *in-flight* request (same canonical key, ``k`` no
         larger) coalesces onto the flying one: it is computed once and
         fanned out to every waiter with its own sequence number.  Traced

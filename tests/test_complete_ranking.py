@@ -12,7 +12,10 @@ in another order round differently:
 * a run is complete exactly when the UB it stopped at is 0 and nothing
   was pruned, so a run stopped by LB_k >= UB > 0 never is;
 * weighted answers do not depend on ``k`` in their last bits:
-  ``top_k(k) == top_k(K)[:k]`` and SOI equals BL bit for bit.
+  ``top_k(k) == top_k(K)[:k]`` and SOI equals BL bit for bit;
+* BL's NumPy ranking, which serves every k-SOI request, equals
+  Algorithm 1's complete ranking bit for bit, best segments included,
+  and the served pages agree with ``top_k`` at every ``k``.
 
 Every test runs plain and with the runtime contracts on, through the
 autouse fixture of ``tests/test_state_store.py``.
@@ -28,9 +31,11 @@ from repro.core.interest import validate_query
 from repro.core.soi import AccessStrategy, SOIEngine
 from repro.core.soi_baseline import BaselineSOI
 from repro.data.poi import POI, POISet
+from repro.network.builder import RoadNetworkBuilder
+from repro.serve.server import SOIRequest, serve_request
 
 from tests.conftest import KEYWORD_POOL, random_networks, random_pois
-from tests.oracle import soi_topk
+from tests.oracle import assert_topk_equivalent, ranking, soi_topk
 from tests.test_oracle_differential import (
     _two_street_city,
     clustered_pois,
@@ -138,3 +143,53 @@ def test_weighted_answers_do_not_depend_on_k_on_a_preset():
             for k in (1, 5, 20):
                 assert engine.top_k(keywords, k, eps=eps,
                                     weighted=True) == deep[:k]
+
+
+@given(**cities)
+@settings(max_examples=40)
+def test_numpy_ranking_is_algorithm1_complete_ranking(network, pois,
+                                                      keywords, strategy,
+                                                      weighted):
+    engine = SOIEngine(network, pois, cell_size=0.0015)
+    streets = len(network.streets)
+    complete = engine.top_k(keywords, streets, eps=EPS, strategy=strategy,
+                            weighted=weighted)
+    assert BaselineSOI(engine).ranking(keywords, EPS,
+                                       weighted=weighted) == complete
+    for k in range(1, streets + 2):
+        served = serve_request(engine, None, SOIRequest(
+            tuple(keywords), k, EPS, strategy.value, weighted))
+        assert_topk_equivalent(
+            ranking(served),
+            ranking(engine.top_k(keywords, k, eps=EPS, strategy=strategy,
+                                 weighted=weighted)))
+
+
+def _tied_segments_city():
+    """One street of two equal-length segments with one POI within eps
+    each.  The cell SL1 pops first holds two POIs out of reach and lies
+    in ``C_eps`` of segment 1 only, so the strategies that pop cells
+    finalise segment 1 before segment 0."""
+    builder = RoadNetworkBuilder()
+    builder.add_street("S", [builder.add_vertex(x, 0.0)
+                             for x in (0.0, 0.001, 0.002)])
+    spots = [(0.0005, 0.0001), (0.0015, 0.0001), (0.0029, 0.0001),
+             (0.0025, -0.0008)]
+    pois = POISet(POI(i, x, y, frozenset({"shop"}))
+                  for i, (x, y) in enumerate(spots))
+    return builder.build(), pois
+
+
+def test_equal_segment_maxima_report_the_lowest_dense_position():
+    """Every access strategy, BL and serving report segment 0."""
+    network, pois = _tied_segments_city()
+    engine = SOIEngine(network, pois, cell_size=0.001)
+    first = network.streets[0].segment_ids[0]
+    expected = BaselineSOI(engine).top_k(["shop"], 1, eps=0.0005)
+    assert [r.best_segment_id for r in expected] == [first]
+    for strategy in AccessStrategy:
+        for use_session in (False, True):
+            assert engine.top_k(["shop"], 1, eps=0.0005, strategy=strategy,
+                                use_session=use_session) == expected
+        assert serve_request(engine, None, SOIRequest(
+            ("shop",), 1, 0.0005, strategy.value)) == expected

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 from hypothesis import given
 
 from repro.data.photo import Photo, PhotoSet
 from repro.data.poi import POI, POISet
+from repro.errors import NetworkError
 from repro.network.io import (
     load_network_json,
     load_photos_json,
@@ -41,6 +45,23 @@ class TestNetworkRoundTrip:
         save_network_json(network, path)
         loaded = load_network_json(path)
         assert loaded.stats() == pytest.approx(network.stats())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_non_finite_vertex_is_a_network_error(self, cross_network,
+                                                  tmp_path, bad, axis):
+        """``json`` reads ``NaN`` and ``Infinity``; the loader must refuse
+        them as the builder does, not hand the engine a vertex that
+        silently drops its street from every answer."""
+        path = tmp_path / "network.json"
+        save_network_json(cross_network, path)
+        doc = json.loads(path.read_text())
+        doc["vertices"][0][axis] = bad
+        path.write_text(json.dumps(doc))
+        assert ("NaN" if math.isnan(bad) else "Infinity") in path.read_text()
+        with pytest.raises(NetworkError, match="finite"):
+            load_network_json(path)
 
 
 class TestPOIRoundTrip:

@@ -263,28 +263,24 @@ def test_cached_serve_matches_oracle(network, pois, photos, keywords, k,
     cache = ResultCache(registry=MetricsRegistry(),
                         generation=engine.index_generation)
 
-    def soi(request_k: int, group_k: int | None = None):
+    def soi(request_k: int):
         return serve_request_cached(
             engine, photos, SOIRequest(tuple(keywords), request_k, eps),
-            cache, group_k=group_k)
+            cache)
 
     def oracle(request_k: int):
         return soi_topk(network, pois, keywords, request_k, eps)
 
-    # A miss executed at the group's k_max, sliced to the request's k.
-    assert ranking(soi(k, group_k=k + 3)) == oracle(k)
-    # A dominated-k hit sliced from the k_max entry, then its exact hit.
+    # A miss stores the complete ranking; every later page is a hit
+    # sliced from it: smaller, equal and larger k alike.
+    assert ranking(soi(k)) == oracle(k)
     assert ranking(soi(k - 1)) == oracle(k - 1)
-    assert ranking(soi(k + 3)) == oracle(k + 3)
-    stats = cache.stats()
-    assert stats["misses"] == 1 and stats["kmax_elevations"] == 1
-    assert stats["dominated_hits"] == 1 and stats["exact_hits"] == 1
-    # A page beyond group_k: a hit when the k_max run was complete.
-    _ranked, run = engine.top_k_with_stats(keywords, k + 3, eps=eps)
+    assert ranking(soi(k)) == oracle(k)
     assert ranking(soi(k + 5)) == oracle(k + 5)
     stats = cache.stats()
-    assert stats["exhausted_hits"] == int(run.complete)
-    assert stats["misses"] == 2 - int(run.complete)
+    assert stats["misses"] == 1 and stats["kmax_elevations"] == 0
+    assert stats["dominated_hits"] == 1 and stats["exact_hits"] == 1
+    assert stats["exhausted_hits"] == 1
 
     street_id = min(network.streets)
     request = DescribeRequest(street_id, k, eps, lam, w, DEFAULT_RHO)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.soi import SOIEngine
+from repro.core.soi import AccessStrategy, SOIEngine
 from repro.datagen import build_preset
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.result_cache import ResultCache, request_cache_key
@@ -78,19 +78,6 @@ def test_describe_requests_never_reuse_across_k(small_city, small_engine):
     assert stats["insertions"] == 3  # one entry per k — no cross-k reuse
 
 
-def test_group_k_elevation_precomputes_the_batch_maximum(small_engine):
-    cache = make_cache(small_engine)
-    small = SOIRequest(keywords=("shop",), k=5)
-    # Micro-batch grouping: the first member executes at the group's
-    # k_max, so the later larger-k member is a dominated/exact hit.
-    serve_request_cached(small_engine, None, small, cache, group_k=40)
-    assert cache.registry.counter("serve.cache.kmax_elevations") == 1
-    big = SOIRequest(keywords=("shop",), k=40)
-    cached = serve_request_cached(small_engine, None, big, cache)
-    assert cached == serve_request(small_engine, None, big)
-    assert cache.stats()["misses"] == 1  # only the first request computed
-
-
 def test_cache_invalidated_across_index_generations(small_city):
     # A private engine: rebuild_indexes mutates generation state, which
     # must not leak into the session-scoped small_engine fixture.
@@ -152,6 +139,31 @@ def test_server_serves_later_pages_from_complete_rankings():
     assert any(served == 0.0 and len(payload) == request.k > 10
                for request, payload, served
                in zip(PAGES, payloads, service_s))
+
+
+def test_second_page_after_an_incomplete_algorithm1_run_is_a_hit():
+    """Algorithm 1 at k = 1 stops on LB_k >= UB > 0 on this city, so its
+    run is not complete; the served k = 1 page still ships the complete
+    ranking, and the k = 50 page is answered from it in the parent."""
+    from tests.test_oracle_differential import _two_street_city
+
+    network, pois = _two_street_city(0.0003, [(0.05015, 0.0501, 1.0)])
+    engine = SOIEngine(network, pois)
+    pages = [SOIRequest(keywords=("shop",), k=k, strategy="cells_first")
+             for k in (1, 50)]
+    _ranking, stats = engine.top_k_with_stats(
+        ["shop"], 1, strategy=AccessStrategy.CELLS_FIRST)
+    assert not stats.complete
+    with EngineServer.for_engine(engine, workers=1, cache=True) as server:
+        served = [server.run_with_stats([page]) for page in pages]
+        cache = server.cache_stats()
+        executed = server.metrics().counter("soi.queries")
+    assert [payloads[0] for payloads, _service in served] == [
+        engine.top_k(["shop"], page.k, strategy=AccessStrategy.CELLS_FIRST)
+        for page in pages]
+    assert executed == 1
+    assert cache["exhausted_hits"] == 1
+    assert served[1][1] == [0.0]  # answered in the parent
 
 
 def test_server_without_cache_reports_none():
