@@ -216,5 +216,62 @@ if __name__ == "__main__":
     main()
 PAGING_SMOKE
 python "$SCRATCH/paging_smoke.py"
+# Describe smoke: the describe candidate streets (top 80 streets of each
+# category query) with the most photos on london at scale 0.5, each
+# summarised at k = 5 and 30 by a 1-worker pool with the cache on and
+# off.  Payloads must be bit-identical to each other and to the
+# definitional oracle (tests/oracle.describe_ids), which computes R_s,
+# Phi_s, maxD(s) and Definitions 4 and 6 without the column passes of
+# the profile and the describer.  Untimed, like the smokes above.
+cat > "$SCRATCH/describe_smoke.py" <<'DESCRIBE_SMOKE'
+from repro.core.describe.profile import photos_near_street
+from repro.core.soi import DEFAULT_EPS, SOIEngine
+from repro.datagen import build_preset
+from repro.datagen.vocab import CATEGORIES
+from repro.serve import EngineServer
+from repro.serve.server import DescribeRequest
+from repro.serve.workload import describe_candidates
+
+from tests.oracle import describe_ids
+
+STREETS = 4
+KS = (5, 30)
+
+
+def main() -> None:
+    city = build_preset("london", scale=0.5)
+    engine = SOIEngine(city.network, city.pois)
+    candidates = describe_candidates(engine, tuple(CATEGORIES),
+                                     per_category=80)
+    photos = {street: len(photos_near_street(city.network, street,
+                                             city.photos, DEFAULT_EPS))
+              for street in candidates}
+    streets = sorted(candidates, key=lambda s: (-photos[s], s))[:STREETS]
+    requests = [DescribeRequest(street_id=street, k=k)
+                for street in streets for k in KS]
+    served = {}
+    for cache in (False, True):
+        with EngineServer.for_engine(engine, city.photos, workers=1,
+                                     micro_batch=4, cache=cache) as server:
+            served[cache] = server.run(requests)
+    if served[True] != served[False]:
+        raise SystemExit("describe smoke: cached payloads diverge from the "
+                         "uncached run")
+    for request, payload in zip(requests, served[False]):
+        expected = describe_ids(city.network, city.photos,
+                                request.street_id, request.k, request.eps,
+                                request.lam, request.w, request.rho)
+        if payload != expected:
+            raise SystemExit(f"describe smoke: served {request} differs "
+                             "from the oracle")
+    print(f"describe smoke: {len(requests)} summaries of streets with "
+          f"{[photos[s] for s in streets]} photos bit-identical to the "
+          "uncached run and to the oracle")
+
+
+if __name__ == "__main__":
+    main()
+DESCRIBE_SMOKE
+PYTHONPATH="$PYTHONPATH:." python "$SCRATCH/describe_smoke.py"
 
 echo "ci_smoke: OK"

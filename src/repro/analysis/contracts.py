@@ -14,20 +14,24 @@ path must not pay:
 
 Contract -> paper map (details in DESIGN.md):
 
-==================================  =====================================
-check                               paper obligation
-==================================  =====================================
-:func:`check_definition2`           Definition 2: ``eps > 0``, mass >= 0,
-                                    positive buffer area
-:class:`SOIContractMonitor`         Lemma 1 / Algorithm 1: LBk
-                                    non-decreasing, UB non-increasing,
-                                    results exactly ranked; sampled
-                                    indexed-vs-brute-force mass agreement
-                                    (Definition 1)
-:func:`check_describe_candidate`    Equations 11-18: relevance, diversity
-                                    and mmr cell bounds sandwich the exact
-                                    values (Equation 10)
-==================================  =====================================
+===================================  ====================================
+check                                paper obligation
+===================================  ====================================
+:func:`check_definition2`            Definition 2: ``eps > 0``, mass >= 0,
+                                     positive buffer area
+:class:`SOIContractMonitor`          Lemma 1 / Algorithm 1: LBk
+                                     non-decreasing, UB non-increasing,
+                                     results exactly ranked; sampled
+                                     indexed-vs-brute-force mass
+                                     agreement (Definition 1)
+:func:`check_describe_candidate`     Equations 11-18: relevance,
+                                     diversity and mmr cell bounds
+                                     sandwich the exact values
+                                     (Equation 10)
+:func:`check_describe_cell_columns`  Equations 11-14: the describer's
+                                     column pass equals the per-cell
+                                     reference bit for bit
+===================================  ====================================
 
 The check helpers import :mod:`repro.core` lazily — they only run on the
 cold (enabled) path, and the core modules import this one.
@@ -36,7 +40,7 @@ cold (enabled) path, and the core modules import this one.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ContractViolation
 
@@ -238,6 +242,43 @@ def check_describe_candidate(
                         "eq17-18-textual-div", cell.coord, pos)
     mmr_lo, mmr_hi = bounds.mmr_bounds(cell, list(selected), lam, w, k)
     _check_sandwich(mmr_lo, exact_mmr, mmr_hi, "eq10-mmr", cell.coord, pos)
+
+
+_CELL_COLUMNS = ("eq11-spatial-rel-lo", "eq12-spatial-rel-hi",
+                 "eq13-textual-rel-lo", "eq14-textual-rel-hi", "members",
+                 "psi-min", "psi-max", "box-min-x", "box-min-y",
+                 "box-max-x", "box-max-y")
+
+
+def check_describe_cell_columns(bounds: "CellBoundsContext",
+                                relevance: Sequence) -> None:
+    """The describer's slot columns must equal the scalar reference.
+
+    For every occupied cell, in slot order: the four Equation 11-14
+    columns ``relevance`` (spatial lo/hi, textual lo/hi) bitwise equal
+    :meth:`CellBoundsContext.relevance_bounds`, and the grid's members,
+    ``psi_min``/``psi_max`` and rectangle columns equal the decoded
+    :class:`~repro.index.photo_grid.PhotoCell` and
+    :meth:`~repro.index.photo_grid.PhotoGridIndex.cell_bbox`.
+    """
+    index = bounds.index
+    for slot, cell in enumerate(index.cells()):
+        ref = bounds.relevance_bounds(cell)
+        box = index.cell_bbox(cell.coord)
+        want = (ref.spatial_lo, ref.spatial_hi, ref.textual_lo,
+                ref.textual_hi, cell.positions, cell.psi_min, cell.psi_max,
+                box.min_x, box.min_y, box.max_x, box.max_y)
+        got = (*(float(column[slot]) for column in relevance),
+               index.cell_positions[slot], int(index.psi_min[slot]),
+               int(index.psi_max[slot]), float(index.box_x0[slot]),
+               float(index.box_y0[slot]), float(index.box_x1[slot]),
+               float(index.box_y1[slot]))
+        for name, value, expected in zip(_CELL_COLUMNS, got, want):
+            if value != expected:
+                raise _violation(
+                    "describe-cell-columns",
+                    f"cell {cell.coord} (slot {slot}): {name} column holds "
+                    f"{value!r}, the scalar reference {expected!r}")
 
 
 def check_describe_selection(best_pos: int, iteration: int) -> None:

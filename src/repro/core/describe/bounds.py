@@ -14,13 +14,18 @@ objective can be bounded using only cell statistics:
   the Jaccard bounds).
 
 The relevance bounds do not depend on the already-selected photos, so
-:class:`CellBoundsContext` computes them once per query and reuses them
-across iterations.
+:func:`relevance_bound_columns` computes them for every cell at once, in
+column passes over the grid's slot columns, and the describer reuses them
+across iterations.  :class:`CellBoundsContext` evaluates every bound for
+one cell at a time; it is the scalar reference the runtime contracts and
+the tests check the columns against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.describe.profile import StreetProfile
 from repro.geometry.distance import point_bbox_maxdist, point_bbox_mindist
@@ -182,6 +187,48 @@ class CellBoundsContext:
             lo += lam / (k - 1) * div_lo
             hi += lam / (k - 1) * div_hi
         return lo, hi
+
+
+def relevance_bound_columns(
+    profile: StreetProfile, index: PhotoGridIndex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Equations 11-14 for every occupied cell, in slot order.
+
+    Returns ``(spatial_lo, spatial_hi, textual_lo, textual_hi)``, each
+    entry bitwise what :meth:`CellBoundsContext.relevance_bounds` gives
+    for that cell: the counts of Equations 11/12 are divided by ``|R_s|``
+    as floats, and the Equation 13/14 sums add each cell's ``Phi_s``
+    weights in ascending (``Psi-``) or descending (``Psi+``) order from
+    0.0, as ``sum(sorted(...))`` does.
+    """
+    n = len(profile)
+    slots = len(index.coords)
+    if n == 0:
+        empty = np.zeros(slots)
+        return empty, empty, empty, empty
+    spatial_lo = index.sizes / n
+    spatial_hi = index.spatial_reach_counts() / n
+    norm = profile.phi.norm1
+    vocabulary = len(profile.tag_vocabulary)
+    if norm == 0 or vocabulary == 0:
+        return spatial_lo, spatial_hi, np.zeros(slots), np.zeros(slots)
+    # One row per distinct (cell, tag): the cell vocabulary c.Psi.
+    photo = np.repeat(np.arange(n), np.diff(profile.tag_offsets))
+    pairs = np.unique(index.photo_slot[photo] * vocabulary + profile.tag_ids)
+    cell = pairs // vocabulary
+    weight = profile.tag_weights[pairs % vocabulary]
+    inside = weight > 0
+    outside = np.bincount(cell[~inside], minlength=slots)
+    cell, weight = cell[inside], weight[inside]
+    first = np.searchsorted(cell, np.arange(slots))
+    sums = []
+    for sign, take in ((1.0, index.psi_min - outside), (-1.0, index.psi_max)):
+        order = np.lexsort((sign * weight, cell))
+        rank = np.arange(order.shape[0]) - first[cell[order]]
+        kept = order[rank < take[cell[order]]]
+        sums.append(np.bincount(cell[kept], weights=weight[kept],
+                                minlength=slots) / norm)
+    return spatial_lo, spatial_hi, sums[0], sums[1]
 
 
 #: Paper-facing alias: Section 4.2.2 calls this component the bounds

@@ -6,11 +6,19 @@ frequency vector ``Phi_s``, the distance normaliser ``maxD(s)`` (diagonal
 of the ``eps``-buffered street MBR) and the neighbourhood radius ``rho``.
 It precomputes the per-photo spatial and textual relevances once, since
 every selection method reads them repeatedly.
+
+Every step is a column pass over the photo table: ``R_s`` tests only the
+photos inside the street MBR padded by ``eps`` plus a rounding slack, the
+profile's photos are a column subset (no photo object is decoded),
+Definition 4 counts neighbours over row blocks of the pairwise distance
+matrix, and Definition 6 sums a ``Phi_s`` weight column over interned tag
+ids.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from functools import cached_property
 
 import numpy as np
 
@@ -20,11 +28,16 @@ from repro.data.poi import POISet
 from repro.errors import QueryError
 from repro.geometry.bbox import BBox
 from repro.geometry.distance import points_segment_distance
+from repro.index.grid import rounding_slack
 from repro.network.model import RoadNetwork
 from repro.obs.tracer import trace_span
 
 DEFAULT_RHO = 0.0001
 """The neighbourhood radius used in the paper's experiments (Section 5.2.2)."""
+
+_PAIR_BLOCK = 32768
+"""Most pairwise distances Definition 4 holds at once: whole rows of the
+``|R_s| x |R_s|`` matrix, as many as fit."""
 
 
 class StreetProfile:
@@ -45,6 +58,11 @@ class StreetProfile:
         Neighbourhood radius of Definition 4.
     street_id, street_name:
         Identification, carried through to reports.
+
+    The photos' tags are read as interned ids: ``tag_ids[tag_offsets[p]:
+    tag_offsets[p + 1]]`` are photo ``p``'s tags, numbered by the sorted
+    vocabulary of the profile's photos, and ``tag_weights[t]`` is
+    ``Phi_s`` of tag ``t`` (0.0 outside ``Psi_s``).
     """
 
     def __init__(
@@ -57,8 +75,8 @@ class StreetProfile:
         street_id: int = -1,
         street_name: str = "",
     ) -> None:
-        if rho <= 0:
-            raise QueryError(f"rho must be positive, got {rho}")
+        if not (rho > 0 and math.isfinite(rho)):
+            raise QueryError(f"rho must be positive and finite, got {rho}")
         if max_d <= 0:
             raise QueryError(f"max_d must be positive, got {max_d}")
         self.photos = photos
@@ -68,28 +86,26 @@ class StreetProfile:
         self.rho = float(rho)
         self.street_id = street_id
         self.street_name = street_name
-        self.keyword_sets: tuple[frozenset[str], ...] = tuple(
-            photo.keywords for photo in photos)
-        self.tag_id_sets = self._intern_keyword_sets()
+        vocabulary, self.tag_offsets, self.tag_ids = photos.keyword_columns()
+        self.tag_vocabulary: list[str] = vocabulary
+        self.tag_weights = phi.weights(vocabulary)
+        # Jaccard distance (Definition 7) only needs intersection/union
+        # cardinalities, and the interning is injective, so distances
+        # over the id sets equal distances over the tag strings.
+        ids = self.tag_ids.tolist()
+        bounds = self.tag_offsets.tolist()
+        self.tag_id_sets: tuple[frozenset[int], ...] = tuple(
+            frozenset(ids[begin:end])
+            for begin, end in zip(bounds, bounds[1:]))
         self.spatial_rel = self._compute_spatial_rel()
         self.textual_rel = self._compute_textual_rel()
 
-    def _intern_keyword_sets(self) -> tuple[frozenset[int], ...]:
-        """``keyword_sets`` with every tag replaced by a small integer id.
-
-        Jaccard distance (Definition 7) only needs intersection/union
-        *cardinalities*, and the interning is injective, so distances over
-        the id sets equal distances over the string sets — while set
-        operations on small ints avoid re-hashing tag strings on every
-        pairwise diversity evaluation.  Ids follow the sorted global
-        vocabulary, so they are deterministic across runs.
-        """
-        vocabulary = sorted(set().union(*self.keyword_sets))
-        intern = {keyword: tag_id
-                  for tag_id, keyword in enumerate(vocabulary)}
-        return tuple(
-            frozenset(intern[keyword] for keyword in keywords)
-            for keywords in self.keyword_sets)
+    @cached_property
+    def keyword_sets(self) -> tuple[frozenset[str], ...]:
+        """Every photo's tag set, as strings."""
+        vocabulary = self.tag_vocabulary
+        return tuple(frozenset(vocabulary[tag] for tag in tags)
+                     for tags in self.tag_id_sets)
 
     # -- precomputed per-photo relevances ----------------------------------
 
@@ -97,28 +113,32 @@ class StreetProfile:
         """Definition 4 for every photo: neighbours within ``rho`` / ``|R_s|``.
 
         A photo counts itself (its distance to itself is zero), matching
-        the cell lower bound of Equation 11.
+        the cell lower bound of Equation 11.  Row ``p`` of each block is
+        ``np.hypot(xs - xs[p], ys - ys[p]) <= rho``.
         """
         n = len(self.photos)
         out = np.zeros(n, dtype=np.float64)
         if n == 0:
             return out
         xs, ys = self.photos.xs, self.photos.ys
-        for pos in range(n):
-            within = np.hypot(xs - xs[pos], ys - ys[pos]) <= self.rho
-            out[pos] = np.count_nonzero(within) / n
+        rows = max(1, _PAIR_BLOCK // n)
+        for begin in range(0, n, rows):
+            end = min(n, begin + rows)
+            within = np.hypot(xs - xs[begin:end, None],
+                              ys - ys[begin:end, None]) <= self.rho
+            out[begin:end] = np.count_nonzero(within, axis=1) / n
         return out
 
     def _compute_textual_rel(self) -> np.ndarray:
-        """Definition 6 (Equation 8) for every photo."""
+        """Definition 6 (Equation 8) for every photo: its tags' ``Phi_s``
+        weights summed in tag-id order, over ``||Phi_s||_1``."""
         n = len(self.photos)
-        out = np.zeros(n, dtype=np.float64)
         norm = self.phi.norm1
         if norm == 0:
-            return out
-        for pos in range(n):
-            out[pos] = self.phi.weight_of_set(self.keyword_sets[pos]) / norm
-        return out
+            return np.zeros(n, dtype=np.float64)
+        photo_of = np.repeat(np.arange(n), np.diff(self.tag_offsets))
+        return np.bincount(photo_of, weights=self.tag_weights[self.tag_ids],
+                           minlength=n) / norm
 
     def __len__(self) -> int:
         return len(self.photos)
@@ -128,31 +148,46 @@ class StreetProfile:
                 f"photos={len(self.photos)}, rho={self.rho})")
 
 
+def _near_street(network: RoadNetwork, street_id: int, xs: np.ndarray,
+                 ys: np.ndarray, eps: float) -> np.ndarray:
+    """Ascending positions of the points within ``eps`` of the street.
+
+    ``dist(r, s) = min over segments of dist(r, l)`` (Section 4.1.1 defines
+    photo-to-street distance exactly as for POIs), each ``dist(r, l)`` the
+    :func:`points_segment_distance` float.  Only points inside the street
+    MBR padded by ``eps`` and a rounding slack are tested: a point outside
+    it is more than ``eps`` plus the slack from every segment in exact
+    arithmetic, and the slack exceeds the rounding of the projected
+    point, so its computed distance exceeds ``eps`` as well.
+    """
+    box = network.street_bbox(street_id)
+    pad = eps + rounding_slack(eps + max(abs(box.min_x), abs(box.min_y),
+                                         abs(box.max_x), abs(box.max_y)))
+    candidates = np.flatnonzero(
+        (xs >= box.min_x - pad) & (xs <= box.max_x + pad)
+        & (ys >= box.min_y - pad) & (ys <= box.max_y + pad))
+    cxs, cys = xs[candidates], ys[candidates]
+    within = np.zeros(candidates.shape[0], dtype=bool)
+    for segment in network.segments_of_street(street_id):
+        pending = np.flatnonzero(~within)
+        if pending.shape[0] == 0:
+            break
+        dists = points_segment_distance(
+            cxs[pending], cys[pending],
+            segment.ax, segment.ay, segment.bx, segment.by)
+        within[pending[dists <= eps]] = True
+    return candidates[within]
+
+
 def photos_near_street(
     network: RoadNetwork,
     street_id: int,
     photos: PhotoSet,
     eps: float,
 ) -> list[int]:
-    """Positions of photos within ``eps`` of the street.
-
-    ``dist(r, s) = min over segments of dist(r, l)`` (Section 4.1.1 defines
-    photo-to-street distance exactly as for POIs).
-    """
-    if len(photos) == 0:
-        return []
-    within = np.zeros(len(photos), dtype=bool)
-    xs, ys = photos.xs, photos.ys
-    for segment in network.segments_of_street(street_id):
-        pending = ~within
-        if not pending.any():
-            break
-        dists = points_segment_distance(
-            xs[pending], ys[pending],
-            segment.ax, segment.ay, segment.bx, segment.by)
-        hits = np.flatnonzero(pending)
-        within[hits[dists <= eps]] = True
-    return [int(pos) for pos in np.flatnonzero(within)]
+    """Positions of photos within ``eps`` of the street (``R_s``)."""
+    return _near_street(network, street_id, photos.xs, photos.ys,
+                        eps).tolist()
 
 
 @trace_span("describe.profile_build")
@@ -172,18 +207,28 @@ def build_street_profile(
     keywords of its neighbouring POIs and/or photos"); pass ``pois`` to also
     blend in the keywords of POIs within ``eps``, each contributing
     ``poi_keyword_weight`` per keyword occurrence.
+
+    Raises :class:`~repro.errors.QueryError` for an unknown street, an
+    ``eps`` that is negative or not finite, or a ``rho`` that is not
+    positive and finite.  ``eps = 0`` keeps only photos on the street.
     """
-    positions = photos_near_street(network, street_id, photos, eps)
-    street_photos = photos.subset(positions)
-    keyword_sets: list[Iterable[str]] = [r.keywords for r in street_photos]
-    freq: dict[str, float] = {}
-    for keywords in keyword_sets:
-        for keyword in keywords:
-            # The Phi_s frequency vector is algorithmic state, not telemetry.
-            freq[keyword] = freq.get(keyword, 0.0) + 1.0  # repro-lint: disable=REP-O502 (Phi_s state)
+    if street_id not in network.streets:
+        raise QueryError(f"unknown street id {street_id!r}")
+    if not (eps >= 0 and math.isfinite(eps)):
+        raise QueryError(f"eps must be non-negative and finite, got {eps}")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise QueryError(f"rho must be positive and finite, got {rho}")
+    street_photos = photos.subset(
+        _near_street(network, street_id, photos.xs, photos.ys, eps))
+    vocabulary, _offsets, tags = street_photos.keyword_columns()
+    freq = dict(zip(vocabulary, np.bincount(
+        tags, minlength=len(vocabulary)).astype(np.float64).tolist()))
     if pois is not None:
-        for pos in _pois_near_street(network, street_id, pois, eps):
+        near = _near_street(network, street_id, pois.xs, pois.ys, eps)
+        for pos in near.tolist():
             for keyword in pois[pos].keywords:
+                # The Phi_s frequency vector is algorithmic state, not
+                # telemetry.
                 freq[keyword] = freq.get(keyword, 0.0) + poi_keyword_weight  # repro-lint: disable=REP-O502 (Phi_s state)
     extent = network.street_bbox(street_id).expanded(eps)
     return StreetProfile(
@@ -195,22 +240,3 @@ def build_street_profile(
         street_id=street_id,
         street_name=network.street(street_id).name,
     )
-
-
-def _pois_near_street(
-    network: RoadNetwork, street_id: int, pois: POISet, eps: float
-) -> Sequence[int]:
-    """Positions of POIs within ``eps`` of the street (mirror of photos)."""
-    if len(pois) == 0:
-        return []
-    within = np.zeros(len(pois), dtype=bool)
-    for segment in network.segments_of_street(street_id):
-        pending = ~within
-        if not pending.any():
-            break
-        dists = points_segment_distance(
-            pois.xs[pending], pois.ys[pending],
-            segment.ax, segment.ay, segment.bx, segment.by)
-        hits = np.flatnonzero(pending)
-        within[hits[dists <= eps]] = True
-    return [int(pos) for pos in np.flatnonzero(within)]

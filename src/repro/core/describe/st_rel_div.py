@@ -13,14 +13,16 @@ The selected summary is identical to the naive
 differs, which is what the Figure 6 experiments measure.
 
 The per-cell bound bookkeeping is kept in flat arrays indexed by cell
-position (one slot per occupied cell, in coordinate order): cell
-rectangles, interned keyword bitmasks and the selected-independent
-relevance bounds are materialised once per describer, and each new
-selection folds its diversity bounds into running per-cell sums with one
-vectorised pass instead of per-cell method calls.  Every inlined formula
-replicates :class:`~repro.core.describe.bounds.CellBoundsContext`
-operation for operation, so the bounds — and therefore the selection —
-are bit-identical to the reference implementation the runtime contracts
+slot (one slot per occupied cell, in coordinate order): the grid's slot
+columns (rectangles, sizes, members, ``psi_min``/``psi_max``), interned
+keyword bitmasks and the selected-independent relevance bounds of
+:func:`~repro.core.describe.bounds.relevance_bound_columns` are
+materialised once per describer, and each new selection folds its
+diversity bounds into running per-cell sums with one vectorised pass
+instead of per-cell method calls.  Every formula replicates
+:class:`~repro.core.describe.bounds.CellBoundsContext` operation for
+operation, so the bounds — and therefore the selection — are
+bit-identical to the reference implementation the runtime contracts
 check against.
 """
 
@@ -35,12 +37,15 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from repro.obs.slowlog import SLOWLOG
 from repro.obs.tracer import perf_now, trace_span
-from repro.core.describe.bounds import CellBoundsContext
+from repro.core.describe.bounds import (
+    CellBoundsContext,
+    relevance_bound_columns,
+)
 from repro.core.describe.greedy import _validate
 from repro.core.describe.measures import MMREvaluator
 from repro.core.describe.profile import StreetProfile
 from repro.core.describe.stats import DescribeStats
-from repro.index.photo_grid import PhotoCell, PhotoGridIndex
+from repro.index.photo_grid import PhotoGridIndex
 
 __all__ = ["DescribeStats", "STRelDivDescriber"]
 
@@ -54,16 +59,13 @@ class STRelDivDescriber:
         self.index = index or PhotoGridIndex(
             profile.photos, profile.extent, profile.rho)
         self._bounds = CellBoundsContext(profile, self.index)
-        self._cells: list[PhotoCell] = list(self.index.cells())
-        self._cell_slot = {cell.coord: slot
-                           for slot, cell in enumerate(self._cells)}
         self._build_cell_arrays()
         # Per-cell running sums of the diversity bounds towards the
         # already-selected photos.  The selected set only grows, so each
         # new selection adds one increment per cell — O(cells) per
         # iteration instead of O(cells * |selected|).
-        self._div_lo = np.zeros(len(self._cells))
-        self._div_hi = np.zeros(len(self._cells))
+        self._div_lo = np.zeros(self._num_cells)
+        self._div_hi = np.zeros(self._num_cells)
         # Per-photo fold vectors (Equations 15-18 towards every cell) are
         # selection- and parameter-independent; memoise them across
         # select() calls, like the SOI session mass memos.
@@ -73,32 +75,34 @@ class STRelDivDescriber:
     @trace_span("describe.cell_bounds")
     def _build_cell_arrays(self) -> None:
         """Flat per-cell data reused by every :meth:`select` call."""
-        cells = self._cells
-        boxes = [self.index.cell_bbox(cell.coord) for cell in cells]
-        self._box_x0 = np.array([box.min_x for box in boxes])
-        self._box_y0 = np.array([box.min_y for box in boxes])
-        self._box_x1 = np.array([box.max_x for box in boxes])
-        self._box_y1 = np.array([box.max_y for box in boxes])
+        index = self.index
+        self._num_cells = len(index.coords)
+        self._box_x0, self._box_y0 = index.box_x0, index.box_y0
+        self._box_x1, self._box_y1 = index.box_x1, index.box_y1
+        self._cell_positions = index.cell_positions
+        self._cell_sizes = index.sizes.tolist()
+        self._psi_min = index.psi_min.tolist()
+        self._psi_max = index.psi_max.tolist()
+        self._photo_slot = index.photo_slot.tolist()
         # Interned tag bitmasks: cardinalities of mask intersections equal
         # cardinalities of the string-set intersections, which is all the
         # Equation 17/18 closed forms read.
         tag_sets = self.profile.tag_id_sets
         self._photo_masks = [
             sum(1 << tag_id for tag_id in tags) for tags in tag_sets]
-        self._cell_masks = [0] * len(cells)
-        for slot, cell in enumerate(cells):
+        self._cell_masks = [0] * self._num_cells
+        for slot, positions in enumerate(self._cell_positions):
             mask = 0
-            for pos in cell.positions:
+            for pos in positions:
                 mask |= self._photo_masks[pos]
             self._cell_masks[slot] = mask
-        self._cell_sizes = [len(cell) for cell in cells]
-        # Selected-independent relevance bounds (Equations 11-14), via the
-        # reference evaluator so the flat arrays share its cache.
-        rel = [self._bounds.relevance_bounds(cell) for cell in cells]
-        self._rel_spatial_lo = np.array([b.spatial_lo for b in rel])
-        self._rel_spatial_hi = np.array([b.spatial_hi for b in rel])
-        self._rel_textual_lo = np.array([b.textual_lo for b in rel])
-        self._rel_textual_hi = np.array([b.textual_hi for b in rel])
+        # Selected-independent relevance bounds (Equations 11-14).
+        (self._rel_spatial_lo, self._rel_spatial_hi, self._rel_textual_lo,
+         self._rel_textual_hi) = relevance_bound_columns(self.profile, index)
+        if contracts.ENABLED:
+            contracts.check_describe_cell_columns(self._bounds, (
+                self._rel_spatial_lo, self._rel_spatial_hi,
+                self._rel_textual_lo, self._rel_textual_hi))
 
     def select(self, k: int, lam: float = 0.5, w: float = 0.5) -> list[int]:
         """Photo positions of the ``k``-photo summary (same contract as
@@ -120,10 +124,10 @@ class STRelDivDescriber:
             evaluator = MMREvaluator(self.profile, lam, w, k)
             selected: list[int] = []
             selected_set: set[int] = set()
-            selected_per_cell = [0] * len(self._cells)
-            alive = np.ones(len(self._cells), dtype=bool)
-            self._div_lo = np.zeros(len(self._cells))
-            self._div_hi = np.zeros(len(self._cells))
+            selected_per_cell = [0] * self._num_cells
+            alive = np.ones(self._num_cells, dtype=bool)
+            self._div_lo = np.zeros(self._num_cells)
+            self._div_hi = np.zeros(self._num_cells)
             # The relevance part of every cell's mmr bound is
             # selection-independent; weight it once per query.
             rel_lo = (1.0 - lam) * (w * self._rel_spatial_lo
@@ -142,10 +146,7 @@ class STRelDivDescriber:
                     selected.append(best_pos)
                     selected_set.add(best_pos)
                     evaluator.extend_selection(best_pos)
-                    coord = self.index.grid.cell_of(
-                        float(self.profile.photos.xs[best_pos]),
-                        float(self.profile.photos.ys[best_pos]))
-                    slot = self._cell_slot[coord]
+                    slot = self._photo_slot[best_pos]
                     # Aliveness bookkeeping of the greedy loop, not telemetry.
                     selected_per_cell[slot] += 1  # repro-lint: disable=REP-O502 (algorithmic state)
                     if selected_per_cell[slot] >= self._cell_sizes[slot]:
@@ -207,23 +208,24 @@ class STRelDivDescriber:
         # Equations 17/18 closed forms over the interned tag bitmasks.
         tags_mask = self._photo_masks[pos]
         n_r = len(self.profile.tag_id_sets[pos])
-        t_lo = [0.0] * len(self._cells)
-        t_hi = [0.0] * len(self._cells)
-        for slot, cell in enumerate(self._cells):
+        t_lo = [0.0] * self._num_cells
+        t_hi = [0.0] * self._num_cells
+        for slot, (psi_min, psi_max) in enumerate(zip(self._psi_min,
+                                                      self._psi_max)):
             inter = (self._cell_masks[slot] & tags_mask).bit_count()
             diff = self._cell_masks[slot].bit_count() - inter
-            if inter < cell.psi_min:
-                denom = n_r + cell.psi_min - inter
+            if inter < psi_min:
+                denom = n_r + psi_min - inter
                 t_lo[slot] = 1.0 - inter / denom if denom else 0.0
             else:
-                overlap = min(inter, cell.psi_max)
+                overlap = min(inter, psi_max)
                 t_lo[slot] = (1.0 - overlap / n_r if n_r
-                              else (0.0 if cell.psi_min == 0 else 1.0))
-            if diff >= cell.psi_min:
+                              else (0.0 if psi_min == 0 else 1.0))
+            if diff >= psi_min:
                 t_hi[slot] = 1.0
             else:
                 denom = n_r + diff
-                t_hi[slot] = (1.0 - (cell.psi_min - diff) / denom
+                t_hi[slot] = (1.0 - (psi_min - diff) / denom
                               if denom else 0.0)
         return s_lo, s_hi, np.array(t_lo), np.array(t_hi)
 
@@ -257,29 +259,31 @@ class STRelDivDescriber:
             stats.cells_considered += len(alive_slots)
             mmr_min = lo[alive].max()
             hi_alive = hi[alive].tolist()
-            candidates = [(cell_hi, self._cells[slot])
+            candidates = [(cell_hi, slot)
                           for cell_hi, slot in zip(hi_alive, alive_slots)
                           if cell_hi >= mmr_min]
             stats.cells_pruned_filter += len(alive_slots) - len(candidates)
 
-        # Refinement phase: visit candidate cells by decreasing upper bound.
+        # Refinement phase: visit candidate cells by decreasing upper bound
+        # (slot order is coordinate order).
         with trace_span("describe.refine"):
-            candidates.sort(key=lambda item: (-item[0], item[1].coord))
+            candidates.sort(key=lambda item: (-item[0], item[1]))
             best_value = float("-inf")
             best_pos = -1
-            for cell_hi, cell in candidates:
+            for cell_hi, slot in candidates:
                 if cell_hi < best_value:
                     stats.cells_pruned_refine += 1
                     continue
-                for pos in cell.positions:
+                for pos in self._cell_positions[slot]:
                     if pos in selected_set:
                         continue
                     stats.photos_examined += 1
                     value = evaluator.value(pos)
                     if contracts.ENABLED:
                         contracts.check_describe_candidate(
-                            self.profile, self._bounds, cell, pos, selected,
-                            lam, w, k, value)
+                            self.profile, self._bounds,
+                            self.index.cell(self.index.coords[slot]), pos,
+                            selected, lam, w, k, value)
                     if value > best_value or (value == best_value
                                               and pos < best_pos):
                         best_value = value

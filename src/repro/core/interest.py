@@ -123,8 +123,8 @@ def _materialise_slot_masses(layout, poi_index, keywords, weighted,
     slot_n = cell_n[layout.slot_cell]
     slots = np.flatnonzero(slot_n)
     if slots.shape[0] == 0:
-        return MassSlots([0.0] * num_slots, np.zeros(num_slots),
-                         [0] * layout.num_segments, 0)
+        return MassSlots(np.zeros(num_slots), layout.slot_seg[slots],
+                         layout.num_segments)
     n = slot_n[slots]
     row_slot = np.repeat(slots, n)
     rank = (np.arange(row_slot.shape[0], dtype=np.int64)
@@ -145,16 +145,7 @@ def _materialise_slot_masses(layout, poi_index, keywords, weighted,
     else:
         mass = np.bincount(row_slot[within],
                            minlength=num_slots).astype(np.float64)
-    # Zero slots share one 0.0 object: a session holds one list per
-    # (eps, weighted), and most slots of a layout hold no mass.
-    values = [0.0] * num_slots
-    positive = np.flatnonzero(mass)
-    for slot, value in zip(positive.tolist(), mass[positive].tolist()):
-        values[slot] = value
-    seg_relevant = np.bincount(layout.slot_seg[slots],
-                               minlength=layout.num_segments)
-    return MassSlots(values, mass, seg_relevant.tolist(),
-                     int(slots.shape[0]))
+    return MassSlots(mass, layout.slot_seg[slots], layout.num_segments)
 
 
 def _run_sums(keys: np.ndarray, values: np.ndarray,

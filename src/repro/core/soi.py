@@ -59,6 +59,7 @@ from repro.core.state_store import (
     TopKThreshold,
 )
 from repro.data.poi import POISet
+from repro.errors import QueryError
 from repro.geometry.bbox import BBox
 from repro.index.cell_maps import SegmentCellMaps
 from repro.index.grid import CellCoord
@@ -92,6 +93,25 @@ class AccessStrategy(Enum):
             AccessStrategy.CELLS_FIRST: ("SL1",),
             AccessStrategy.SEGMENTS_FIRST: ("SL3",),
         }[self]
+
+
+_STRATEGIES = {key: member for member in AccessStrategy
+               for key in (member, member.value)}
+
+
+def parse_strategy(strategy: AccessStrategy | str) -> AccessStrategy:
+    """The :class:`AccessStrategy` a member or its value names.
+
+    Raises :class:`~repro.errors.QueryError` for any other value.  A
+    dictionary lookup, since the serve path validates the strategy of
+    every k-SOI request it looks up in its cache.
+    """
+    try:
+        return _STRATEGIES[strategy]
+    except (KeyError, TypeError):
+        raise QueryError(
+            f"unknown access strategy {strategy!r}; expected one of "
+            f"{[member.value for member in AccessStrategy]}") from None
 
 
 class SOIEngine:
@@ -329,6 +349,7 @@ class SOIEngine:
         page of a signature.
         """
         query = validate_query(keywords, k, eps)
+        strategy = parse_strategy(strategy)
         if session is None and use_session:
             session = self.sessions.get(query)
         run = _SOIRun(self, query, k, eps,
@@ -390,6 +411,10 @@ class _SOIRun:
         self._layout: StoreLayout | None = None
         self._bind: SignatureBindings | None = None
         self._mass_slots: MassSlots | None = None
+        # The slot masses and per-segment relevant-slot counts as the
+        # Python lists the filter and refinement index (_store_setup).
+        self._slot_mass: list[float] = []
+        self._seg_relevant: list[int] = []
         # Slot reads count as mass-cache hits only when an earlier run
         # materialised the slots (set by _store_setup).
         self._slots_reused = False
@@ -496,6 +521,8 @@ class _SOIRun:
                 layout, self.engine.poi_index, self.query, self.weighted,
                 self.stats)
             store = SegmentStateStore(layout)
+        self._slot_mass = self._mass_slots.mass
+        self._seg_relevant = self._mass_slots.seg_relevant
         store.begin_run()
         self.store = store
 
@@ -659,7 +686,7 @@ class _SOIRun:
         street_list = layout.street_list
         buffer_list = layout.buffer_list
         lengths_list = layout.lengths_list
-        slot_mass = self._mass_slots.mass
+        slot_mass = self._slot_mass
         active = store.active
         seen_ids = store.seen_ids
         final_ids = store.final_ids
@@ -750,7 +777,7 @@ class _SOIRun:
         layout = self._layout
         epoch = store.epoch
         visit_epoch = store.visit_epoch
-        slot_mass = self._mass_slots.mass
+        slot_mass = self._slot_mass
         count = 0
         total = 0.0
         for slot in range(int(layout.slot_offsets[dense]),
@@ -766,7 +793,7 @@ class _SOIRun:
             # relevant POIs: the segment's other relevant slots are the
             # ones this walk reads for the first time.
             self.stats.mass_cache_hits += (
-                self._mass_slots.seg_relevant[dense]
+                self._seg_relevant[dense]
                 - layout.cell_counts_list[dense] + store.to_visit[dense])
         store.mass[dense] = total
 

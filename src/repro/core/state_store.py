@@ -11,11 +11,12 @@ The immutable layout and per-signature columns are NumPy arrays — they
 are *built* vectorised (one ufunc for every buffer area, one ``bincount``
 for every segment's total upper bound, one row-wise distance pass for
 every slot mass) and mirrored to Python lists for element-wise reads.
-The mutable run scratch and the slot masses are plain Python lists:
-profiling the street grids shows a popped cell touches only 2–8 segments
-and a finalised segment ~10 slots, far below NumPy's per-call dispatch
-break-even, so the filter loop is driven by list indexing while the
-heavy lifting (the mass pass, column construction) stays batched.
+The mutable run scratch and Algorithm 1's view of the slot masses
+(built on its first read) are plain Python lists: profiling the street
+grids shows a popped cell touches only 2–8 segments and a finalised
+segment ~10 slots, far below NumPy's per-call dispatch break-even, so
+the filter loop is driven by list indexing while the heavy lifting (the
+mass pass, column construction) stays batched.
 
 Layout vs. scratch
 ------------------
@@ -312,26 +313,51 @@ class MassSlots:
     ``(signature, eps, weighted)``, as materialised by
     :func:`~repro.core.interest.materialise_slot_masses`.
 
-    ``mass`` holds 0.0 for every slot whose cell has no relevant POI;
-    ``seg_relevant[d]`` counts the slots of dense segment ``d`` whose
-    cell has one, and ``num_relevant`` all such slots.  Both columns are
-    Python lists: every read of Algorithm 1 is a single-slot probe or a
-    short per-segment run, where list indexing beats NumPy scalar
-    indexing severalfold (see the module docstring).  ``mass_col`` is
-    the same masses as the pass's float64 array, kept for the whole-layout
-    reductions of the BL ranking: converting the list back costs several
-    times the reduction.  Immutable once built, so sessions share it
-    between concurrent runs.
+    ``mass_col`` is the pass's float64 column: 0.0 for every slot whose
+    cell has no relevant POI.  The whole-layout reductions of the BL
+    ranking, which serve every k-SOI request, read only it and
+    ``num_relevant``, the number of slots whose cell has a relevant POI.
+    Algorithm 1 reads the same masses as the Python list ``mass`` and
+    ``seg_relevant[d]``, the relevant slots of dense segment ``d``:
+    every read of Algorithm 1 is a single-slot probe or a short
+    per-segment run, where list indexing beats NumPy scalar indexing
+    severalfold (see the module docstring).  Both lists are built on
+    Algorithm 1's first read.  The masses never change after the pass,
+    so sessions share one instance between concurrent runs; two first
+    reads racing build equal lists.
     """
 
-    __slots__ = ("mass", "mass_col", "seg_relevant", "num_relevant")
+    __slots__ = ("mass_col", "num_relevant", "_relevant_seg",
+                 "_num_segments", "_mass", "_seg_relevant")
 
-    def __init__(self, mass: list[float], mass_col: np.ndarray,
-                 seg_relevant: list[int], num_relevant: int) -> None:
-        self.mass = mass
+    def __init__(self, mass_col: np.ndarray, relevant_seg: np.ndarray,
+                 num_segments: int) -> None:
         self.mass_col = mass_col
-        self.seg_relevant = seg_relevant
-        self.num_relevant = num_relevant
+        self.num_relevant = int(relevant_seg.shape[0])
+        self._relevant_seg = relevant_seg
+        self._num_segments = num_segments
+        self._mass: list[float] | None = None
+        self._seg_relevant: list[int] | None = None
+
+    @property
+    def mass(self) -> list[float]:
+        if self._mass is None:
+            # Zero slots share one 0.0 object: a session holds one list
+            # per (eps, weighted), and most slots of a layout hold no mass.
+            values = [0.0] * self.mass_col.shape[0]
+            positive = np.flatnonzero(self.mass_col)
+            for slot, value in zip(positive.tolist(),
+                                   self.mass_col[positive].tolist()):
+                values[slot] = value
+            self._mass = values
+        return self._mass
+
+    @property
+    def seg_relevant(self) -> list[int]:
+        if self._seg_relevant is None:
+            self._seg_relevant = np.bincount(
+                self._relevant_seg, minlength=self._num_segments).tolist()
+        return self._seg_relevant
 
 
 _EPOCH_LIMIT = 2**31 - 2

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:['_-][a-z0-9]+)*")
 
@@ -124,6 +126,13 @@ class KeywordFrequencyVector:
         """
         normalised = {normalize_keyword(k) for k in keywords}
         return sum(self._freq.get(k, 0.0) for k in normalised)
+
+    def weights(self, keywords: Sequence[str]) -> np.ndarray:
+        """``Phi_s(psi)`` of every keyword, as a float64 column (0.0
+        outside the support).  The keywords must already be normalised,
+        as the vocabulary of a photo or POI table is."""
+        return np.array([self._freq.get(keyword, 0.0)
+                         for keyword in keywords], dtype=np.float64)
 
     def sorted_by_frequency(self, descending: bool = True) -> list[tuple[str, float]]:
         """Support keywords with frequencies, sorted by frequency.

@@ -75,6 +75,12 @@ class POISet(ItemTable):
         pois.weights = weights
         return pois
 
+    def subset(self, positions: Iterable[int]) -> "POISet":
+        positions = np.asarray(list(positions), dtype=np.intp)
+        table = super().subset(positions)
+        table.weights = self.weights[positions]
+        return table
+
     def _decode(self, position: int) -> POI:
         return POI(id=int(self.ids[position]), x=float(self.xs[position]),
                    y=float(self.ys[position]),

@@ -8,8 +8,8 @@ vocabulary.  Item objects (:class:`~repro.data.poi.POI`,
 objects keeps them, a table built from columns (a shared-memory snapshot)
 decodes item ``p`` on the first positional access to ``p`` and caches it.
 Algorithm 1 reads POIs only through the columns, so a serving worker
-never materialises a POI; the describe stage decodes only the photos near
-the street it summarises.
+never materialises a POI; the describe stage reads the photos near the
+street it summarises as a column subset (:meth:`ItemTable.subset`).
 """
 
 from __future__ import annotations
@@ -33,6 +33,21 @@ class KeywordColumns(NamedTuple):
     vocabulary: list[str]
     offsets: np.ndarray
     values: np.ndarray
+
+    def take(self, positions: np.ndarray) -> "KeywordColumns":
+        """The incidences of the items at ``positions``, in that order,
+        over the sorted vocabulary of the keywords those items carry."""
+        starts = self.offsets[positions]
+        sizes = self.offsets[positions + 1] - starts
+        offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        values = self.values[np.repeat(starts - offsets[:-1], sizes)
+                             + np.arange(offsets[-1])]
+        used = np.zeros(len(self.vocabulary), dtype=bool)
+        used[values] = True
+        kept = np.flatnonzero(used).tolist()
+        return KeywordColumns([self.vocabulary[kid] for kid in kept],
+                              offsets, (np.cumsum(used) - 1)[values])
 
 
 def keyword_incidence(
@@ -161,8 +176,21 @@ class ItemTable:
                 if not item.keywords.isdisjoint(query)]
 
     def subset(self, positions: Iterable[int]):
-        """A new table of the same kind keeping only the given positions."""
-        return type(self)(self[pos] for pos in positions)
+        """A new table of the same kind keeping only the given positions.
+
+        Built from the columns, like a snapshot-attached table: no item
+        is decoded, and the kept keyword incidences are re-interned over
+        the vocabulary of the kept items.
+        """
+        if not isinstance(positions, np.ndarray):
+            positions = list(positions)
+        positions = np.asarray(positions, dtype=np.intp)
+        positions = np.where(positions < 0, positions + len(self), positions)
+        table = type(self).__new__(type(self))
+        table._attach(self.ids[positions], self.xs[positions],
+                      self.ys[positions],
+                      self.keyword_columns().take(positions))
+        return table
 
     def vocabulary(self) -> frozenset[str]:
         """All keywords appearing in the table."""

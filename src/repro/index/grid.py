@@ -22,9 +22,19 @@ from repro.index.csr import first_appearance_groups
 CellCoord = tuple[int, int]
 
 _ROUNDING_RTOL = 1e-12
-"""Size of :attr:`UniformGrid.rounding_slack` relative to the grid's
-coordinate magnitude: thousands of ulps, against the few by which a cell
-assignment and that cell's rectangle can disagree."""
+"""Size of :func:`rounding_slack` relative to the coordinate magnitude:
+thousands of ulps, against the few by which a cell assignment and that
+cell's rectangle, or a projected point and its segment, can disagree."""
+
+_MAX_CELLS = 2 ** 53
+"""Most cells a grid may have: every cell index and linearised key
+``i * ny + j`` then stays exact in float64 and in int64."""
+
+
+def rounding_slack(magnitude: float) -> float:
+    """A distance that covers the rounding of float operations on
+    coordinates and offsets of at most ``magnitude``."""
+    return _ROUNDING_RTOL * magnitude
 
 
 def bucket_points(
@@ -59,7 +69,7 @@ class UniformGrid:
         last row/column may extend beyond ``extent.max_x`` / ``max_y``.
     cell_size:
         Side length of each (square) cell.  Must be positive and finite,
-        and the extent's bounds finite
+        the extent's bounds finite, and the grid at most ``2**53`` cells
         (:class:`~repro.errors.GridIndexError` otherwise).
     """
 
@@ -74,11 +84,15 @@ class UniformGrid:
         self.cell_size = float(cell_size)
         self.nx = max(1, math.ceil(extent.width / cell_size))
         self.ny = max(1, math.ceil(extent.height / cell_size))
+        if self.nx * self.ny > _MAX_CELLS:
+            raise GridIndexError(
+                f"cell_size {cell_size} gives {self.nx} x {self.ny} cells "
+                f"over {extent}, more than the {_MAX_CELLS} a grid can key")
         # cell_of rounds the offset quotient and cell_bbox rounds
         # min + i * size, so a point can lie a few ulps outside the
         # rectangle of the cell it is assigned to.  Predicates that must
         # cover every point of a cell widen their threshold by this.
-        self.rounding_slack = _ROUNDING_RTOL * (
+        self.rounding_slack = rounding_slack(
             max(abs(extent.min_x), abs(extent.min_y))
             + max(self.nx, self.ny) * self.cell_size)
 

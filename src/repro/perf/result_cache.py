@@ -3,8 +3,9 @@
 A :class:`ResultCache` memoises finished request payloads — the
 :class:`~repro.core.results.SOIResult` list of a k-SOI query or the photo-id
 list of a describe query — keyed by the request's *canonical signature*.
-For k-SOI the signature is every parameter **except** ``k`` (kind,
-normalised ``Ψ``, ``ε``, ``weighted``, access strategy), because the
+For k-SOI the signature is every parameter **except** ``k`` and the
+access strategy (kind, normalised ``Ψ``, ``ε``, ``weighted``): every
+strategy is served the same ranking, and the
 ranking is *prefix-stable* under the engine's deterministic tie-break:
 ``sorted(..., key=(-interest, street_id))`` sliced ``[:k]`` means the
 k′-result is the first k′ entries of the k-result for any k′ ≤ k
@@ -49,6 +50,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis import contracts
+from repro.core.soi import parse_strategy
 from repro.data.keywords import normalize_keywords
 from repro.obs.metrics import REGISTRY
 
@@ -85,16 +87,18 @@ def request_cache_key(request) -> tuple:
     k-dependent, so only identical requests may share a payload).
     Keywords are normalised exactly as the engine normalises them, so
     requests that the engine cannot distinguish share a key.  The access
-    strategy is kept in the key even though all strategies return the
-    same exact answer: the cache promises *bit-identity with the path the
-    caller asked for*, not merely semantic equality.
+    strategy is validated but left out of the key: every strategy is
+    served the same ranking by the same code, so requests that differ
+    only in strategy share one entry.  An unknown strategy raises
+    :class:`~repro.errors.QueryError`, so no lookup ever answers one.
     """
     # Imported late to avoid a cycle: serve.server imports this module.
     from repro.serve.server import DescribeRequest, SOIRequest
 
     if isinstance(request, SOIRequest):
+        parse_strategy(request.strategy)
         return ("soi", tuple(sorted(normalize_keywords(request.keywords))),
-                request.eps, bool(request.weighted), request.strategy)
+                request.eps, bool(request.weighted))
     if isinstance(request, DescribeRequest):
         return ("describe", request.street_id, request.eps,
                 request.lam, request.w, request.rho, request.k)

@@ -76,7 +76,12 @@ from repro.core.describe import STRelDivDescriber, build_street_profile
 from repro.core.describe.profile import DEFAULT_RHO
 from repro.core.interest import validate_query
 from repro.core.results import SOIStats
-from repro.core.soi import DEFAULT_EPS, AccessStrategy, SOIEngine
+from repro.core.soi import (
+    DEFAULT_EPS,
+    AccessStrategy,
+    SOIEngine,
+    parse_strategy,
+)
 from repro.core.soi_baseline import BaselineSOI
 from repro.data.keywords import normalize_keywords
 from repro.errors import (
@@ -192,7 +197,7 @@ def _serve_request_impl(
     with trace_span("serve.request", kind=type(request).__name__):
         if isinstance(request, SOIRequest):
             # Validated only: every strategy's answer is this ranking.
-            AccessStrategy(request.strategy)
+            parse_strategy(request.strategy)
             validate_query(request.keywords, request.k, request.eps)
             stats = SOIStats()
             ranking = BaselineSOI(engine).ranking(
@@ -220,8 +225,8 @@ def _serve_request_impl(
             elif describers is not None:
                 describers.move_to_end(key)
             positions = describer.select(request.k, request.lam, request.w)
-            return ([describer.profile.photos[pos].id for pos in positions],
-                    None)
+            ids = describer.profile.photos.ids
+            return [int(ids[pos]) for pos in positions], None
         raise QueryError(
             f"unsupported request type {type(request).__name__}")
 
@@ -850,7 +855,13 @@ class EngineServer:
         key = None
         k = getattr(request, "k", None)
         if self._result_cache is not None and not trace and k is not None:
-            key = request_cache_key(request)
+            try:
+                key = request_cache_key(request)
+            except QueryError as exc:
+                self._ready[seq] = ("error", (type(exc).__name__, str(exc)),
+                                    0.0)
+                self._inflight.add(seq)
+                return seq
             hit = self._result_cache.lookup(key, k)
             if hit is not _CACHE_MISS:
                 self._ready[seq] = ("ok", hit, 0.0)

@@ -10,6 +10,10 @@ no incremental evaluator:
   ``eps``-buffer area, and a street takes the maximum over its segments.
 * :func:`greedy_mmr` is the greedy MaxSum loop with Equation 10
   recomputed from scratch for every candidate in every round.
+* :class:`StreetContext` is ``R_s``, ``Phi_s``, ``maxD(s)`` and
+  Definitions 4 and 6 for one street, and :func:`describe_ids` runs
+  :func:`greedy_mmr` over it: the references for the profile's column
+  passes.
 * :func:`slot_mass` and :func:`sl1_entries` are Definition 1 for one
   ``(segment, cell)`` slot and Algorithm 1, line 2, one cell at a time:
   the references for the vectorised pass that materialises both.
@@ -17,6 +21,7 @@ no incremental evaluator:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -25,7 +30,7 @@ import pytest
 
 from repro.core.describe.greedy import _validate
 from repro.core.describe.measures import mmr_value
-from repro.core.describe.profile import StreetProfile, build_street_profile
+from repro.core.describe.profile import StreetProfile
 from repro.core.interest import (
     segment_interest,
     segment_mass_bruteforce,
@@ -156,7 +161,8 @@ def greedy_mmr(profile: StreetProfile, k: int, lam: float,
     """Photo positions of the greedy Equation 10 summary.
 
     Each round scores every remaining photo with :func:`mmr_value`;
-    ties keep the smallest position.
+    ties keep the smallest position.  ``profile`` is a
+    :class:`StreetProfile` or a :class:`StreetContext`.
     """
     _validate(k, lam, w)
     n = len(profile)
@@ -175,9 +181,64 @@ def greedy_mmr(profile: StreetProfile, k: int, lam: float,
     return selected
 
 
+class _Coordinates:
+    def __init__(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        self.xs, self.ys = xs, ys
+
+
+class StreetContext:
+    """One street's describe context, straight from the definitions.
+
+    * ``positions`` is ``R_s``: the photos whose distance to the street,
+      the minimum over its segments of ``points_segment_distance``, is at
+      most ``eps``, ascending.
+    * ``phi`` is ``Phi_s``: each tag counted once per photo of ``R_s``.
+    * ``max_d`` is ``maxD(s)``: the diagonal of the street MBR extended
+      by ``eps`` on every side.
+    * ``spatial_rel`` is Definition 4: the photos of ``R_s`` within
+      ``rho`` (``np.hypot`` rounding) over ``|R_s|``, one row at a time.
+    * ``textual_rel`` is Definition 6: a photo's tags' ``Phi_s`` in
+      sorted tag order, over ``||Phi_s||_1``.
+
+    It carries the attributes :func:`mmr_value` reads (``photos.xs``,
+    ``photos.ys``, ``tag_id_sets``, which holds tag strings here: the
+    Jaccard distance only counts them), so :func:`greedy_mmr` runs over
+    it.
+    """
+
+    def __init__(self, network, photos, street_id: int, eps: float,
+                 rho: float) -> None:
+        segments = network.segments_of_street(street_id)
+        dist = np.minimum.reduce([
+            points_segment_distance(photos.xs, photos.ys, segment.ax,
+                                    segment.ay, segment.bx, segment.by)
+            for segment in segments])
+        self.positions = np.flatnonzero(dist <= eps).tolist()
+        self.ids = [photos[pos].id for pos in self.positions]
+        xs = photos.xs[self.positions]
+        ys = photos.ys[self.positions]
+        self.photos = _Coordinates(xs, ys)
+        self.tag_id_sets = [photos[pos].keywords for pos in self.positions]
+        self.phi = Counter(tag for tags in self.tag_id_sets for tag in tags)
+        ends_x = [x for segment in segments for x in (segment.ax, segment.bx)]
+        ends_y = [y for segment in segments for y in (segment.ay, segment.by)]
+        self.max_d = math.hypot((max(ends_x) + eps) - (min(ends_x) - eps),
+                                (max(ends_y) + eps) - (min(ends_y) - eps))
+        n = len(self.positions)
+        self.spatial_rel = np.array([
+            np.count_nonzero(np.hypot(xs - xs[pos], ys - ys[pos]) <= rho) / n
+            for pos in range(n)], dtype=np.float64)
+        norm = sum(self.phi.values())
+        self.textual_rel = np.array([
+            sum(self.phi[tag] for tag in sorted(tags)) / norm if norm
+            else 0.0 for tags in self.tag_id_sets], dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
 def describe_ids(network, photos, street_id: int, k: int, eps: float,
                  lam: float, w: float, rho: float) -> list[int]:
     """Photo ids of a street's ``k``-photo summary (Problem 2)."""
-    profile = build_street_profile(network, street_id, photos, eps, rho=rho)
-    return [profile.photos[pos].id
-            for pos in greedy_mmr(profile, k, lam, w)]
+    context = StreetContext(network, photos, street_id, eps, rho)
+    return [context.ids[pos] for pos in greedy_mmr(context, k, lam, w)]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.errors import QueryError
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,15 @@ class TestDescribe:
     def test_unmatched_keywords_exit_1(self, data_dir, capsys):
         assert main(["describe", "--data", str(data_dir),
                      "--keywords", "warpdrive"]) == 1
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--street", "999999"], "unknown street"),
+        (["--street", "0", "--eps", "-1"], "eps must be non-negative"),
+        (["--street", "0", "--rho", "nan"], "rho must be positive"),
+    ])
+    def test_bad_parameters_are_query_errors(self, data_dir, flags, named):
+        with pytest.raises(QueryError, match=named):
+            main(["describe", "--data", str(data_dir), *flags])
 
 
 class TestBench:

@@ -7,14 +7,16 @@ Three layers:
   small random cities with contracts enabled — no violation may fire on
   correct code;
 * mutation tests that deliberately corrupt a bound (via monkeypatching
-  :class:`~repro.core.describe.bounds.BoundsComputer` and the SOI upper
-  bound) and assert the contracts catch the corruption.
+  :class:`~repro.core.describe.bounds.BoundsComputer`, the describer's
+  column pass and the SOI upper bound) and assert the contracts catch
+  the corruption.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from repro.analysis.contracts import (
 from repro.core.describe.bounds import BoundsComputer, RelevanceBounds
 from repro.core.describe.greedy import GreedyDescriber
 from repro.core.describe.profile import build_street_profile
+from repro.core.describe import st_rel_div
 from repro.core.describe.st_rel_div import STRelDivDescriber
 from repro.core.soi import SOIEngine, _SOIRun
 from repro.errors import ContractViolation
@@ -210,6 +213,27 @@ class TestMutations:
         monkeypatch.setattr(BoundsComputer, "relevance_bounds", corrupted)
         with pytest.raises(ContractViolation, match="spatial-rel"):
             STRelDivDescriber(profile).select(3)
+
+    @pytest.mark.parametrize("column, name", [
+        (1, "eq12-spatial-rel-hi"), (2, "eq13-textual-rel-lo")])
+    def test_corrupted_cell_column_detected(self, small_city, checked,
+                                            monkeypatch, column, name):
+        """One entry of the describer's Equation 11-14 column pass off by
+        an ulp: the describer's check against the per-cell reference
+        fails as the describer is built."""
+        profile = profile_with_photos(small_city)
+        original = st_rel_div.relevance_bound_columns
+
+        def corrupted(profile, index):
+            columns = [values.copy() for values in original(profile, index)]
+            last = len(columns[column]) - 1
+            columns[column][last] = np.nextafter(columns[column][last], 9.0)
+            return tuple(columns)
+
+        monkeypatch.setattr(st_rel_div, "relevance_bound_columns",
+                            corrupted)
+        with pytest.raises(ContractViolation, match=name):
+            STRelDivDescriber(profile)
 
     def test_corrupted_mmr_upper_bound_detected(self, small_city, checked,
                                                 monkeypatch):

@@ -26,7 +26,7 @@ from repro.data.keywords import KeywordFrequencyVector
 from repro.errors import DataError, GridIndexError, NetworkError
 from repro.geometry.bbox import BBox
 from repro.network.builder import RoadNetworkBuilder
-from repro.serve.server import SOIRequest, serve_request
+from repro.serve.server import DescribeRequest, SOIRequest, serve_request
 
 
 class TestEmptyData:
@@ -145,6 +145,55 @@ class TestNonFiniteGeometry:
         # An infinite margin makes the grid extent infinite.
         with pytest.raises(GridIndexError):
             SOIEngine(cross_network, cross_pois, extent_margin=math.inf)
+
+
+class TestDescribeBoundary:
+    """A describe request's street, eps and rho are checked where its
+    profile is built; a grid whose cells int64 keys cannot address is
+    refused where it is built."""
+
+    def _request(self, cross_network, **kwargs):
+        main = cross_network.street_by_name("Main Street")
+        photos = PhotoSet([Photo(0, 0.1, 0.0, frozenset({"on"})),
+                           Photo(1, 0.2, 0.05, frozenset({"near"}))])
+        engine = SOIEngine(cross_network, POISet([]), cell_size=0.2)
+        kwargs.setdefault("street_id", main.id)
+        return engine, photos, DescribeRequest(k=3, **kwargs)
+
+    def test_unknown_street_is_a_query_error(self, cross_network):
+        engine, photos, request = self._request(cross_network,
+                                                street_id=999)
+        with pytest.raises(QueryError, match="street"):
+            serve_request(engine, photos, request)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf, -math.inf])
+    def test_bad_eps_is_a_query_error(self, cross_network, eps):
+        engine, photos, request = self._request(cross_network, eps=eps)
+        with pytest.raises(QueryError, match="eps"):
+            serve_request(engine, photos, request)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_rho_is_a_query_error(self, cross_network, rho):
+        engine, photos, request = self._request(cross_network, rho=rho)
+        with pytest.raises(QueryError, match="rho"):
+            serve_request(engine, photos, request)
+
+    def test_zero_eps_keeps_only_photos_on_the_street(self, cross_network):
+        engine, photos, request = self._request(cross_network, eps=0.0)
+        assert serve_request(engine, photos, request) == [0]
+        off_street = PhotoSet([photos[1]])
+        assert serve_request(engine, off_street, request) == []
+
+    @pytest.mark.parametrize("cell_size", [1e-20, 1e-12])
+    def test_unkeyable_grid_is_a_grid_index_error(self, cross_network,
+                                                  cross_pois, cell_size):
+        with pytest.raises(GridIndexError, match="cells"):
+            SOIEngine(cross_network, cross_pois, cell_size=cell_size)
+
+    def test_unkeyable_photo_grid_is_a_grid_index_error(self, cross_network):
+        engine, photos, request = self._request(cross_network, rho=1e-20)
+        with pytest.raises(GridIndexError, match="cells"):
+            serve_request(engine, photos, request)
 
 
 class TestOutOfExtentData:

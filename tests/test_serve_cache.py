@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.soi import AccessStrategy, SOIEngine
 from repro.datagen import build_preset
+from repro.errors import QueryError
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.result_cache import ResultCache, request_cache_key
 from repro.serve import EngineServer
@@ -164,6 +165,46 @@ def test_second_page_after_an_incomplete_algorithm1_run_is_a_hit():
     assert executed == 1
     assert cache["exhausted_hits"] == 1
     assert served[1][1] == [0.0]  # answered in the parent
+
+
+def test_strategies_share_one_cache_entry(small_engine):
+    """Every strategy is served the same ranking, so a request that
+    differs only in strategy is a hit."""
+    cache = make_cache(small_engine)
+    for strategy in ("alternate", "cells_first"):
+        request = SOIRequest(keywords=("shop",), k=10, strategy=strategy)
+        assert serve_request_cached(small_engine, None, request, cache) == \
+            serve_request(small_engine, None, request)
+    stats = cache.stats()
+    assert (stats["misses"], stats["hits"], stats["insertions"]) == (1, 1, 1)
+
+
+def test_unknown_strategy_is_a_query_error_before_any_lookup(small_engine):
+    cache = make_cache(small_engine)
+    serve_request_cached(small_engine, None,
+                         SOIRequest(keywords=("shop",), k=10), cache)
+    bogus = SOIRequest(keywords=("shop",), k=10, strategy="bogus")
+    for serve in (lambda: serve_request(small_engine, None, bogus),
+                  lambda: serve_request_cached(small_engine, None, bogus,
+                                               cache),
+                  lambda: request_cache_key(bogus),
+                  lambda: small_engine.top_k(["shop"], 10,
+                                             strategy="bogus")):
+        with pytest.raises(QueryError, match="strategy"):
+            serve()
+    assert cache.stats()["hits"] == 0
+
+
+def test_server_delivers_unknown_strategy_error_after_a_cached_page():
+    city = build_preset("vienna", scale=0.1)
+    engine = SOIEngine(city.network, city.pois)
+    good = SOIRequest(keywords=("shop",), k=5)
+    with EngineServer.for_engine(engine, workers=1, cache=True) as server:
+        assert server.run([good]) == [serve_request(engine, None, good)]
+        server.submit(SOIRequest(keywords=("shop",), k=5, strategy="bogus"))
+        with pytest.raises(QueryError, match="strategy"):
+            server.next_result(timeout=30.0)
+        assert server.run([good]) == [serve_request(engine, None, good)]
 
 
 def test_server_without_cache_reports_none():
