@@ -117,11 +117,41 @@ python "$SCRATCH/trace_smoke.py" "$SCRATCH"
 # answered from cache or coalesced onto an in-flight twin).  Untimed:
 # the >=3x speedup acceptance lives in the committed BENCH_serve curves;
 # this gates correctness of the reuse paths within the smoke budget.
+# A submit-all pass then submits a 500-request stream of the same
+# generator before collecting any result, with the cache off and on,
+# and must match server.run of that stream.  Uncached, every request
+# crosses both pipes and the unread results overflow the result pipe,
+# so the parent's task backlog and its bound on written tasks are
+# exercised with two readers and two writers.
 cat > "$SCRATCH/cache_smoke.py" <<'CACHE_SMOKE'
+import time
+
 from repro.core.soi import SOIEngine
 from repro.datagen import build_preset
 from repro.serve import EngineServer
 from repro.serve.workload import make_zipf_workload
+
+
+def submit_all(server, requests, fill_result_pipe: bool) -> list:
+    """Submit every request before collecting any; payloads in order.
+
+    With ``fill_result_pipe``, collection starts only once every worker
+    is blocked writing to the full result pipe (busy, heartbeat stale).
+    """
+    seqs = [server.submit(request) for request in requests]
+    deadline = time.monotonic() + 30.0
+    while fill_result_pipe and not all(
+            worker["state"] == "busy" and worker["status"] == "stalled"
+            for worker in server.worker_health(stall_after_s=0.2)):
+        if time.monotonic() > deadline:
+            raise SystemExit("cache smoke: the workers never blocked on "
+                             "the full result pipe")
+        time.sleep(0.05)
+    payloads = {}
+    for _ in seqs:
+        seq, payload, _service = server.next_result(timeout=60.0)
+        payloads[seq] = payload
+    return [payloads[seq] for seq in seqs]
 
 
 def main() -> None:
@@ -146,6 +176,21 @@ def main() -> None:
     print(f"cache smoke: {len(requests)} requests bit-identical, "
           f"{stats['hits']} hits + {stats['coalesced_waiters']} coalesced "
           f"({stats['hit_rate']:.0%} hit rate)")
+    stream = make_zipf_workload(engine, city.photos, num_queries=500,
+                                seed=2, pool_size=6)
+    expected = None
+    for cache in (False, True):
+        with EngineServer.for_engine(engine, city.photos, workers=2,
+                                     micro_batch=4, cache=cache) as server:
+            if expected is None:
+                expected = server.run(stream)
+            if submit_all(server, stream,
+                          fill_result_pipe=not cache) != expected:
+                raise SystemExit("cache smoke: submit-all payloads with the "
+                                 f"cache {'on' if cache else 'off'} diverge "
+                                 "from server.run")
+    print(f"cache smoke: {len(stream)} requests submitted before any "
+          "collection bit-identical to server.run, cache off and on")
 
 
 if __name__ == "__main__":

@@ -189,7 +189,7 @@ def _present_roots(roots: tuple[str, ...], graph: CallGraph) -> list[str]:
 class WorkerSharedStateRule(ProjectRule):
     id = "REP-C601"
     name = "worker-shared-state-write"
-    hint = ("pass state through the task/result queues or the snapshot; "
+    hint = ("pass state through the task/result channels or the snapshot; "
             "module-level mutations diverge per worker process")
 
     def check(self, pctx: ProjectContext) -> Iterator[Finding]:

@@ -21,14 +21,19 @@ Six subcommands cover the everyday workflow without writing Python:
   log (with trace ids) as JSON;
 * ``repro top``      — replay a serving workload through a live
   :class:`~repro.serve.server.EngineServer` and render rolling QPS,
-  in-flight/queue depth, per-worker heartbeat age and latency quantiles
-  until the workload drains.
+  in-flight requests, the worker queue (tasks bound for a worker and not
+  yet answered), per-worker heartbeat age and latency quantiles until
+  the workload drains.
 
 ``repro soi --check`` / ``repro describe --check`` additionally enable the
 runtime invariant contracts of :mod:`repro.analysis.contracts` for the
 query (the ``REPRO_CHECK=1`` environment variable does the same globally),
 and ``--trace`` enables :mod:`repro.obs` span tracing for the query (the
 ``REPRO_TRACE=1`` environment variable does the same globally).
+
+A :class:`~repro.errors.ReproError` (a typed query, data or serve
+failure) ends the command with one ``error: <ErrorType>: <message>`` line
+on stderr and exit code 2, not a traceback.
 
 Run as ``python -m repro <subcommand> --help``.
 """
@@ -46,6 +51,7 @@ from repro.core.describe.profile import DEFAULT_RHO, build_street_profile
 from repro.core.describe.st_rel_div import STRelDivDescriber
 from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.datagen.presets import CITY_PRESETS, build_preset
+from repro.errors import ReproError
 from repro.eval.reporting import format_table
 from repro.network.io import (
     load_network_json,
@@ -266,10 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="live serve telemetry: QPS, queue depth, worker heartbeats",
+        help="live serve telemetry: QPS, worker queue, worker heartbeats",
         description="Replay a seeded mixed workload through a live "
                     "EngineServer pool and render a telemetry frame per "
-                    "interval — rolling QPS, in-flight/queue depth, "
+                    "interval — rolling QPS, in-flight requests, the "
+                    "worker queue (tasks bound for a worker and not yet "
+                    "answered: the parent's backlog plus the task pipe), "
                     "per-worker heartbeat age and state (a stalled "
                     "worker is flagged, not just a crashed one), shared-"
                     "memory resident bytes, and live p50/p90/p99 per "
@@ -706,7 +714,7 @@ def _print_top_frame(telemetry: dict, final: bool = False) -> None:
     tag = "final" if final else "live"
     print(f"[{tag}] qps {telemetry['qps']:.1f} | "
           f"inflight {telemetry['inflight']} | "
-          f"queue {telemetry['queue_depth']} | "
+          f"worker queue {telemetry['queue_depth']} | "
           f"done {telemetry['completed_total']} | "
           f"shm {shm_mib:.1f} MiB")
     cache = telemetry.get("cache")
@@ -747,7 +755,11 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests

@@ -152,7 +152,9 @@ class STRelDivDescriber:
                     if selected_per_cell[slot] >= self._cell_sizes[slot]:
                         # No unselected photos left in the cell.
                         alive[slot] = False
-                    if lam > 0 and k > 1:
+                    # The last pick's fold would feed no later round (the
+                    # next select resets the sums), so it is skipped.
+                    if lam > 0 and len(selected) < min(k, n):
                         self._accumulate_div_bounds(best_pos, w)
             stats.pair_div_evals = evaluator.pair_div_evals
         seconds = perf_now() - t0

@@ -40,7 +40,7 @@ class SOIResult:
 
     def __reduce__(self):
         # Positional reconstruction: a complete ranking crosses the worker
-        # result queue as hundreds of these, and the default slotted
+        # result pipe as hundreds of these, and the default slotted
         # dataclass pickling (field by field) costs ~30x more.
         return (SOIResult, (self.street_id, self.street_name,
                             self.interest, self.best_segment_id))

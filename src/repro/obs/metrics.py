@@ -230,7 +230,7 @@ class MetricsRegistry:
     """Named counters, gauges and histograms behind one lock.
 
     ``to_dict()`` produces a plain-JSON dump (this is what travels over
-    the `EngineServer` result queue); ``merge()`` folds such a dump back
+    the `EngineServer` result pipe); ``merge()`` folds such a dump back
     in with commutative semantics: counters and histogram buckets add,
     gauges keep the maximum.  Merging the same dumps in any order yields
     an identical registry.

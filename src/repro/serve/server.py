@@ -29,6 +29,10 @@ Protocol properties:
   ships that whole ranking beside the k-sized payload, as the last field
   of its result tuple; the parent stores it as a complete entry, so no
   later page of that signature reaches a worker.
+* **Transport** — tasks and results cross two feeder-less pipes
+  (:class:`_Channel`): the sending thread pickles and writes each
+  message itself.  Tasks the task pipe cannot take yet wait in a
+  parent-side backlog, so :meth:`EngineServer.submit` never blocks.
 * **Cleanup** — the server is the only owner of the shared-memory block
   (workers unregister their attachment from the ``resource_tracker``), and
   :meth:`EngineServer.close` unlinks it even when workers crashed;
@@ -51,10 +55,13 @@ Protocol properties:
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
+import pickle
 import queue as queue_mod
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -122,6 +129,68 @@ _TRACE_LOG_CAPACITY = 65536
 _STATE_STARTING, _STATE_IDLE, _STATE_BUSY = 0, 1, 2
 _STATE_NAMES = {_STATE_STARTING: "starting", _STATE_IDLE: "idle",
                 _STATE_BUSY: "busy"}
+
+_FRAME_BYTES = 4
+"""Length header ``Connection.send_bytes`` writes before each message."""
+
+
+class _Channel:
+    """One direction of message passing between processes, without a
+    feeder thread.
+
+    A ``Pipe(duplex=False)`` with a read lock and a write lock.
+    :meth:`put` pickles in the calling thread, outside the lock, and
+    writes under the write lock, so a message is in the pipe when
+    ``put`` returns; ``multiprocessing.Queue.put`` only buffers it for a
+    feeder thread that must first win the GIL from the thread that
+    called ``put``.  A write blocks while the pipe is full: the parent
+    bounds what it writes (see :meth:`EngineServer._flush`), and a
+    worker blocked on its results is back-pressure.
+    """
+
+    def __init__(self, ctx) -> None:
+        self.reader, self._writer = ctx.Pipe(duplex=False)
+        self._rlock = ctx.Lock()
+        self._wlock = ctx.Lock()
+
+    def put(self, obj) -> None:
+        self.put_bytes(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+    def put_bytes(self, data: bytes) -> None:
+        with self._wlock:
+            self._writer.send_bytes(data)
+
+    def get(self, timeout: float):
+        """The next message, or :class:`queue.Empty` after ``timeout`` s.
+
+        Locks, polls and receives as ``multiprocessing.Queue.get`` does,
+        so two readers never both take one message and a blocked reader
+        still returns on time; unpickles after releasing the lock.
+        """
+        deadline = monotonic_now() + timeout
+        if not self._rlock.acquire(timeout=timeout):
+            raise queue_mod.Empty
+        try:
+            if not self.reader.poll(max(0.0, deadline - monotonic_now())):
+                raise queue_mod.Empty
+            data = self.reader.recv_bytes()
+        finally:
+            self._rlock.release()
+        return pickle.loads(data)
+
+    def capacity(self) -> int:
+        """Bytes the pipe is known to hold: Linux reports its size;
+        elsewhere one page is assumed."""
+        try:
+            import fcntl
+
+            return fcntl.fcntl(self._writer.fileno(), fcntl.F_GETPIPE_SZ)
+        except (ImportError, AttributeError, OSError):
+            return mmap.PAGESIZE
+
+    def close(self) -> None:
+        self.reader.close()
+        self._writer.close()
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,9 +409,15 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
     slicing, and a describe repeat without recomputing.  Prefix
     stability keeps this bit-identical to uncached serving.
 
+    ``tasks`` and ``results`` are the parent's two :class:`_Channel`
+    objects.  Results are written synchronously: a worker whose parent
+    stops collecting blocks on the full result pipe and stops beating,
+    so :meth:`EngineServer.worker_health` reports it stalled — that is
+    back-pressure, not a fault.
+
     ``heartbeats``/``states`` are the parent's shared arrays: the loop
     stamps ``monotonic_now()`` (a system-wide clock, unlike
-    ``perf_counter``) on every turn — including empty-queue wakeups, which
+    ``perf_counter``) on every turn — including empty-pipe wakeups, which
     is why the blocking ``get`` carries a timeout — so the parent can
     tell a worker that stopped making progress from one that is merely
     idle.  Every request is served under a deterministic
@@ -384,7 +459,7 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
             batch = [task]
             while len(batch) < micro_batch:
                 try:
-                    extra = tasks.get_nowait()
+                    extra = tasks.get(timeout=0.0)
                 except queue_mod.Empty:
                     break
                 if extra is None:
@@ -550,10 +625,15 @@ class EngineServer:
         self._source_photos = source_photos
         self._warm_eps = tuple(snapshot.meta.get("warm_eps", ()))
         self._ctx = mp.get_context("spawn")
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
+        self._tasks = _Channel(self._ctx)
+        self._results = _Channel(self._ctx)
+        # Pickled tasks not yet written, and the pipe bytes of each task
+        # written and not yet answered (see _flush).
+        self._backlog: deque[tuple[int, bytes]] = deque()
+        self._written: dict[int, int] = {}
+        self._written_bytes = 0
+        self._write_budget = self._tasks.capacity() // 2
         self._next_seq = 0
-        self._pending: dict[int, tuple] = {}
         self._inflight: set[int] = set()
         # Latest metrics dump and last completed request seq per worker id
         # (updated on every arrival; read by metrics() and crash reports).
@@ -769,23 +849,20 @@ class EngineServer:
         """One ``repro top`` frame: load, queueing, memory and health.
 
         ``qps`` is completions over the trailing ``qps_window_s`` seconds;
-        ``queue_depth`` is the task queue's current size (``-1`` where the
-        platform cannot report it); ``shm_bytes`` counts every mapped
-        snapshot block including stale generations not yet unlinked.
+        ``queue_depth`` counts the tasks bound for a worker and not yet
+        answered: the parent's backlog plus the tasks written to the
+        pipe; ``shm_bytes`` counts every mapped snapshot block including
+        stale generations not yet unlinked.
         """
         now = monotonic_now()
         recent = sum(1 for stamp in self._completions
                      if now - stamp <= qps_window_s)
-        try:
-            queue_depth = self._tasks.qsize()
-        except NotImplementedError:  # pragma: no cover - macOS only
-            queue_depth = -1
         shm_bytes = (self._snapshot.nbytes
                      + sum(s.nbytes for s in self._stale_snapshots))
         return {
             "qps": recent / qps_window_s,
             "inflight": len(self._inflight),
-            "queue_depth": queue_depth,
+            "queue_depth": len(self._backlog) + len(self._written),
             "completed_total": self._completed_total,
             "shm_bytes": shm_bytes,
             "snapshot_generation": self._snapshot.generation,
@@ -820,6 +897,9 @@ class EngineServer:
 
     def submit(self, request: Request) -> int:
         """Enqueue one request; returns its sequence number.
+
+        Never blocks: a task the task pipe cannot take yet waits in the
+        parent's backlog (see :meth:`_flush`).
 
         When tracing is enabled in the parent at submit time, the task
         asks its worker to trace the request and ship the spans back; the
@@ -873,9 +953,11 @@ class EngineServer:
                 self._inflight.add(seq)
                 self._local_metrics.inc("serve.coalesce.waiters")
                 return seq
-        self._tasks.put((seq, self._snapshot.name,
-                         self._snapshot.generation, request, trace))
+        self._backlog.append((seq, pickle.dumps(
+            (seq, self._snapshot.name, self._snapshot.generation, request,
+             trace), pickle.HIGHEST_PROTOCOL)))
         self._inflight.add(seq)
+        self._flush()
         if key is not None:
             # This request is now the key's in-flight primary (the
             # largest-k submission wins, so later small-k repeats ride it).
@@ -898,19 +980,12 @@ class EngineServer:
         while True:
             if self._ready:
                 # Locally-completed results (parent cache hits, fanned-out
-                # coalesced waiters) never cross the worker queue.
-                seq, (status, body, service_s) = next(
-                    iter(self._ready.items()))
-                del self._ready[seq]
-                self._inflight.discard(seq)
-                self._completions.append(monotonic_now())
-                self._completed_total += 1
-                if status == "error":
-                    raise _rehydrate_error(*body)
-                return seq, body, service_s
+                # coalesced waiters, arrivals drained after a worker died)
+                # go first.
+                seq, entry = self._ready.popitem(last=False)
+                return self._hand_back(seq, *entry)
             try:
-                (seq, wid, status, body, service_s, metrics_dump, spans,
-                 ranking) = self._results.get(timeout=_POLL_SECONDS)
+                result = self._results.get(timeout=_POLL_SECONDS)
             except queue_mod.Empty:
                 self._check_workers_alive()
                 if deadline is not None and monotonic_now() > deadline:
@@ -918,13 +993,7 @@ class EngineServer:
                         f"no result within {timeout} s "
                         f"({len(self._inflight)} in flight)") from None
                 continue
-            self._inflight.discard(seq)
-            if wid >= 0:
-                self._note_arrival(seq, wid, service_s, metrics_dump, spans)
-            self._finish_primary(seq, status, body, ranking)
-            if status == "error":
-                raise _rehydrate_error(*body)
-            return seq, body, service_s
+            return self._hand_back(*self._accept(result))
 
     def run(
         self,
@@ -1004,8 +1073,11 @@ class EngineServer:
     def close(self, timeout: float = 5.0) -> None:
         """Stop the workers and unlink every shared-memory block.
 
-        Safe to call repeatedly and after worker crashes: live workers
-        get a sentinel and a join; stragglers (and corpses) are
+        Safe to call repeatedly and after worker crashes: backlogged
+        tasks are dropped, live workers get a sentinel and up to
+        ``timeout`` seconds to exit while unread results are drained and
+        discarded (a worker blocked on a full result pipe could not
+        reach its sentinel otherwise); stragglers (and corpses) are
         terminated; the ``finally`` block unlinks the snapshot(s) no
         matter what happened before.
         """
@@ -1013,18 +1085,23 @@ class EngineServer:
             return
         self._closed = True
         try:
-            for process in self._workers:
-                if process.is_alive():
-                    self._tasks.put(None)
-            for process in self._workers:
-                process.join(timeout=timeout)
+            self._backlog.clear()
+            live = [process for process in self._workers
+                    if process.is_alive()]
+            for _process in live:
+                self._tasks.put(None)
+            deadline = monotonic_now() + timeout
+            while live and monotonic_now() < deadline:
+                wait_ready([self._results.reader,
+                            *(process.sentinel for process in live)],
+                           deadline - monotonic_now())
+                self._arrived()  # discarded: nobody will collect them
+                live = [process for process in live if process.is_alive()]
             for process in self._workers:
                 if process.is_alive():  # pragma: no cover - defensive
                     process.terminate()
                     process.join(timeout=1.0)
         finally:
-            self._tasks.cancel_join_thread()
-            self._results.cancel_join_thread()
             self._tasks.close()
             self._results.close()
             for snapshot in (*self._stale_snapshots, self._snapshot):
@@ -1069,18 +1146,46 @@ class EngineServer:
                 self._ready[waiter_seq] = (status, body, 0.0)
         self._local_metrics.inc("serve.coalesce.fanouts")
 
-    def _note_arrival(self, seq: int, wid: int, service_s: float,
-                      metrics_dump: dict | None, spans: list | None) -> None:
-        """Bookkeeping shared by every first-hand arrival (not re-injections):
-        worker metrics/progress, QPS stamps, and — for traced requests —
-        the stitched-trace log entry.  Queue wait is turnaround minus
-        worker-measured service time (both origin-free durations), so no
-        cross-process clock comparison is needed."""
+    def _flush(self) -> None:
+        """Write backlogged tasks to the task pipe, oldest first, while
+        the pipe bytes of the tasks written and not yet answered stay
+        within half the pipe's capacity; with none outstanding, the next
+        task is written whatever its size.
+
+        The pipe therefore never fills, so neither :meth:`submit` nor
+        :meth:`close`'s sentinels block on it, even while a worker waits
+        on a full result pipe for the parent to collect.  Half, because
+        Linux fills a pipe page by page and a write that does not fit
+        the last page's rest starts a new page: a full pipe can hold
+        less than its capacity in bytes."""
+        while self._backlog:
+            seq, data = self._backlog[0]
+            size = len(data) + _FRAME_BYTES
+            if (self._written
+                    and self._written_bytes + size > self._write_budget):
+                return
+            self._backlog.popleft()
+            self._tasks.put_bytes(data)
+            self._written[seq] = size
+            self._written_bytes += size
+
+    def _accept(self, result: tuple) -> tuple:
+        """Bookkeeping for one worker arrival; returns ``(seq, status,
+        body, service_s)`` for :meth:`_hand_back`.
+
+        Frees the task's pipe bytes and flushes the backlog, keeps the
+        worker's latest metrics dump and progress, logs the
+        stitched-trace entry of a traced request and runs the coalescing
+        epilogue.  Queue wait is turnaround minus worker-measured service
+        time (both origin-free durations), so no cross-process clock
+        comparison is needed."""
+        (seq, wid, status, body, service_s, metrics_dump, spans,
+         ranking) = result
+        self._written_bytes -= self._written.pop(seq)
+        self._flush()
         self._last_done[wid] = seq
         if metrics_dump:
             self._worker_metrics[wid] = metrics_dump
-        self._completions.append(monotonic_now())
-        self._completed_total += 1
         info = self._submit_info.pop(seq, None)
         if info is not None:
             arrival_ns = int(perf_now() * 1e9)
@@ -1094,44 +1199,50 @@ class EngineServer:
                 worker_spans=spans or [],
             )
             self._trace_log.append(info)
+        self._finish_primary(seq, status, body, ranking)
+        return seq, status, body, service_s
+
+    def _hand_back(self, seq: int, status: str, body, service_s: float):
+        """Complete ``seq`` for the caller: its payload, or its error."""
+        self._inflight.discard(seq)
+        self._completions.append(monotonic_now())
+        self._completed_total += 1
+        if status == "error":
+            raise _rehydrate_error(*body)
+        return seq, body, service_s
+
+    def _arrived(self) -> list[tuple]:
+        """Every result already in the result pipe, without waiting."""
+        results = []
+        while True:
+            try:
+                results.append(self._results.get(timeout=0.0))
+            except queue_mod.Empty:
+                return results
 
     def _check_workers_alive(self) -> None:
         dead = [(wid, p) for wid, p in enumerate(self._workers)
                 if not p.is_alive()]
-        if dead and self._inflight:
-            # Drain anything that raced in before declaring the loss.
-            try:
-                while True:
-                    (seq, wid, status, body, service_s, metrics_dump, spans,
-                     ranking) = self._results.get_nowait()
-                    self._inflight.discard(seq)
-                    if wid >= 0:
-                        self._note_arrival(seq, wid, service_s, metrics_dump,
-                                           spans)
-                    self._pending[seq] = (status, body, service_s, ranking)
-            except queue_mod.Empty:
-                pass
-            if self._pending:
-                # Re-inject drained results for next_result callers (wid -1
-                # marks a re-injection: bookkeeping already happened above).
-                for seq, (status, body, service_s,
-                          ranking) in self._pending.items():
-                    self._results.put((seq, -1, status, body, service_s,
-                                       None, None, ranking))
-                    self._inflight.add(seq)
-                self._pending = {}
-                return
-            descriptions = []
-            for wid, process in dead:
-                last = self._last_done.get(wid)
-                descriptions.append(
-                    f"{process.name} (pid {process.pid}, "
-                    f"exitcode {process.exitcode}, last completed request "
-                    f"{'none' if last is None else last})")
-            raise WorkerCrashError(
-                f"worker(s) {', '.join(descriptions)} died with "
-                f"{len(self._inflight)} task(s) in flight; unaccounted "
-                f"request id(s): {sorted(self._inflight)}")
+        if not dead or not self._inflight:
+            return
+        # Results that arrived before the loss stay with the parent:
+        # next_result hands them back before anything else.
+        for result in self._arrived():
+            seq, *entry = self._accept(result)
+            self._ready[seq] = tuple(entry)
+        if self._ready:
+            return
+        descriptions = []
+        for wid, process in dead:
+            last = self._last_done.get(wid)
+            descriptions.append(
+                f"{process.name} (pid {process.pid}, "
+                f"exitcode {process.exitcode}, last completed request "
+                f"{'none' if last is None else last})")
+        raise WorkerCrashError(
+            f"worker(s) {', '.join(descriptions)} died with "
+            f"{len(self._inflight)} task(s) in flight; unaccounted "
+            f"request id(s): {sorted(self._inflight)}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"EngineServer(workers={len(self._workers)}, "

@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.errors import QueryError
+
+
+def assert_one_error_line(capsys, error_type: str, named: str) -> None:
+    """The command printed exactly one ``error: <type>: ...`` line to
+    stderr, naming the problem, and no traceback."""
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()], err
+    assert err.startswith(f"error: {error_type}: "), err
+    assert named in err, err
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +62,11 @@ class TestSOI:
                      "--keywords", "warpdrive"]) == 1
         assert "no street matches" in capsys.readouterr().out
 
+    def test_bad_k_is_a_query_error(self, data_dir, capsys):
+        assert main(["soi", "--data", str(data_dir),
+                     "--keywords", "shop", "-k", "0"]) == 2
+        assert_one_error_line(capsys, "QueryError", "k must be at least 1")
+
 
 class TestDescribe:
     def test_default_street_is_top_soi(self, data_dir, capsys):
@@ -75,9 +88,10 @@ class TestDescribe:
         (["--street", "0", "--eps", "-1"], "eps must be non-negative"),
         (["--street", "0", "--rho", "nan"], "rho must be positive"),
     ])
-    def test_bad_parameters_are_query_errors(self, data_dir, flags, named):
-        with pytest.raises(QueryError, match=named):
-            main(["describe", "--data", str(data_dir), *flags])
+    def test_bad_parameters_are_query_errors(self, data_dir, capsys, flags,
+                                             named):
+        assert main(["describe", "--data", str(data_dir), *flags]) == 2
+        assert_one_error_line(capsys, "QueryError", named)
 
 
 class TestBench:

@@ -8,7 +8,9 @@ the tier-1 guard that the scale-out path actually serves mixed queries.
 from __future__ import annotations
 
 import os
+import re
 import signal
+import threading
 import time
 
 import pytest
@@ -163,3 +165,131 @@ def test_micro_batch_validation():
     # The guard fires before the snapshot is touched or workers spawn.
     with pytest.raises(ValueError):
         EngineServer(None, workers=1, micro_batch=0)
+
+
+def paging_requests(count: int) -> list:
+    """``count`` k-SOI requests over three signatures and many ``k``."""
+    signatures = (("food",), ("shop",), ("food", "shop"))
+    return [SOIRequest(keywords=signatures[i % 3], k=1 + (i // 3) % 40)
+            for i in range(count)]
+
+
+def test_submit_all_before_collecting_completes(small_engine):
+    """Back-pressure: 2,000 tasks submitted before any result is read.
+
+    Written tasks stay within what the task pipe holds and the rest wait
+    in the parent's backlog, so submit() never blocks on a full task
+    pipe while the worker blocks on a full result pipe."""
+    requests = paging_requests(2000)
+    expected = {request: serve_request(small_engine, None, request)
+                for request in set(requests)}
+    with EngineServer.for_engine(small_engine, workers=1) as server:
+        seqs = [server.submit(request) for request in requests]
+        payloads = {}
+        for _ in requests:
+            seq, payload, _service = server.next_result(timeout=60.0)
+            payloads[seq] = payload
+    assert [payloads[seq] for seq in seqs] == [expected[request]
+                                               for request in requests]
+
+
+def test_workers_share_both_pipes_without_loss_or_duplication(
+        small_engine):
+    """Three workers, more than a 2-core host has cores, take tasks from
+    one task pipe and write to one result pipe under its locks: every
+    task is answered exactly once, with its own payload."""
+    requests = paging_requests(600)
+    expected = {request: serve_request(small_engine, None, request)
+                for request in set(requests)}
+    with EngineServer.for_engine(small_engine, workers=3,
+                                 micro_batch=4) as server:
+        deadline = time.monotonic() + 30.0
+        while any(worker["state"] == "starting"
+                  for worker in server.worker_health()):
+            assert time.monotonic() < deadline, server.worker_health()
+            time.sleep(0.05)
+        seqs = [server.submit(request) for request in requests]
+        payloads = {}
+        for _ in requests:
+            seq, payload, _service = server.next_result(timeout=60.0)
+            assert seq not in payloads
+            payloads[seq] = payload
+    assert [payloads[seq] for seq in seqs] == [expected[request]
+                                               for request in requests]
+
+
+def test_close_drains_a_full_result_pipe(small_engine):
+    """A worker blocked on a full result pipe is stalled, not crashed,
+    and close() reads it free instead of waiting out its timeout."""
+    request = SOIRequest(keywords=("food",), k=5)
+    server = EngineServer.for_engine(small_engine, workers=1)
+    name = server.snapshot.name
+    try:
+        server.submit(request)
+        server.next_result(timeout=30.0)  # the worker is attached
+        for _ in range(500):
+            server.submit(request)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            health = server.worker_health(stall_after_s=0.5)[0]
+            if health["state"] == "busy" and health["status"] == "stalled":
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail(f"the worker never blocked on its results: {health}")
+        assert server.telemetry()["queue_depth"] == server.inflight == 500
+        started = time.perf_counter()
+    finally:
+        server.close(timeout=20.0)
+    assert time.perf_counter() - started < 10.0
+    assert not shm_exists(name)
+
+
+def test_no_feeder_thread_while_a_request_is_in_flight(small_engine):
+    with EngineServer.for_engine(small_engine, workers=1) as server:
+        server.submit(SOIRequest(keywords=("food",), k=5))
+        threads = [thread.name for thread in threading.enumerate()]
+        server.next_result(timeout=30.0)
+    assert "QueueFeederThread" not in threads
+
+
+def test_worker_crash_inside_a_micro_batch_accounts_every_request(
+        small_engine):
+    """SIGKILL a worker inside a micro-batch: every sequence number comes
+    back exactly once, as a payload or as unaccounted in the crash."""
+    requests = paging_requests(16)
+    expected = [serve_request(small_engine, None, request)
+                for request in requests]
+    server = EngineServer.for_engine(small_engine, workers=1, micro_batch=8)
+    name = server.snapshot.name
+    answered: list[int] = []
+    unaccounted: list[int] = []
+    try:
+        seqs = [server.submit(request) for request in requests]
+        seq, payload, _service = server.next_result(timeout=30.0)
+        assert payload == expected[seq]
+        answered.append(seq)
+        # Kill once the worker has written a further result, and notice
+        # the loss before reading it: the results written before the
+        # death are drained into the parent and handed back first.
+        assert server._results.reader.poll(30.0)
+        worker = server._workers[0]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        try:
+            server._check_workers_alive()
+            while server.inflight:
+                seq, payload, _service = server.next_result(timeout=30.0)
+                assert payload == expected[seq]
+                answered.append(seq)
+        except WorkerCrashError as exc:
+            listed = re.search(r"request id\(s\): \[([0-9, ]*)\]",
+                               str(exc))
+            assert listed is not None, str(exc)
+            unaccounted = [int(s) for s in listed.group(1).split(",")]
+    finally:
+        server.close()
+    assert len(answered) >= 2
+    assert sorted(answered + unaccounted) == seqs
+    assert not shm_exists(name)
