@@ -300,22 +300,24 @@ def _check_sandwich(lower: float, exact: float, upper: float,
         f"value {exact} of photo position {pos}")
 
 
-# -- Prefix stability: dominated-k result reuse ------------------------------
+# -- Prefix stability: result reuse by slicing -------------------------------
 
 def check_prefix_slice(sliced, fresh, key, k: int) -> None:
-    """A dominated-``k`` cache slice must equal a fresh computation.
+    """A cache hit sliced from a complete entry must equal a fresh
+    computation.
 
-    Both k-SOI rankings and greedy describe selections are prefix-stable
-    under their deterministic tie-breaks (k′ ≤ k ⇒ the k′-result is a
-    prefix of the k-result), which is what lets
-    :class:`~repro.perf.result_cache.ResultCache` answer a small-``k``
-    request by slicing a large-``k`` entry.  This contract re-derives the
-    small-``k`` answer from scratch and demands bit-identity — any
-    divergence means the tie-break (or a cached entry) went stale.
+    A k-SOI ranking is prefix-stable under its deterministic tie-break
+    ``(-interest, street_id)``: the k-result is the first ``k`` entries
+    of the complete ranking, which is what lets
+    :class:`~repro.perf.result_cache.ResultCache` answer every ``k`` of a
+    signature from its one stored ranking.  (Describe selections are not
+    prefix-stable, which is why describe keys carry ``k``.)  This
+    contract re-derives the k-answer from scratch and demands
+    bit-identity — any divergence means the tie-break (or a cached
+    entry) went stale.
     """
     if sliced != fresh:
         raise _violation(
             "prefix-slice",
-            f"dominated-k slice for key {key!r} at k={k} diverges from a "
-            f"fresh computation: cached prefix {sliced!r} vs fresh "
-            f"{fresh!r}")
+            f"cache hit for key {key!r} at k={k} diverges from a fresh "
+            f"computation: cached prefix {sliced!r} vs fresh {fresh!r}")

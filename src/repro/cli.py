@@ -193,9 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "are identical")
     bench.add_argument("--cache", choices=("on", "off"), default="off",
                        help="throughput mode: enable the server's "
-                            "multi-level result cache (parent cache + "
-                            "singleflight coalescing + per-worker "
-                            "dominated-k reuse); --verify still compares "
+                            "two-level result cache (parent cache + "
+                            "per-worker cache); --verify still compares "
                             "against the uncached in-process path")
     bench.add_argument("--zipf", type=float, default=None, metavar="S",
                        help="throughput mode: replay the seeded "
@@ -240,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many times to run the query "
                               "(default 3; exercises session caching)")
     metrics.add_argument("--cache", action="store_true",
-                         help="serve the repeats through an exact-result "
+                         help="serve the repeats through a result "
                               "cache so the serve.cache.* counters and "
-                              "gauges (hits, dominated-k slices, bytes) "
-                              "appear in the dump")
+                              "gauges (hits out of lookups, hit rate, "
+                              "bytes) appear in the dump")
     metrics.add_argument("--json", action="store_true",
                          help="dump the registry as JSON instead of a "
                               "table (machine-readable)")
@@ -293,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--batch", type=int, default=1,
                      help="per-worker micro-batch size (default 1)")
     top.add_argument("--cache", action="store_true",
-                     help="enable the multi-level result cache; frames "
-                          "gain a cache column (hit rate, dominated-k "
-                          "slices, coalesced waiters, bytes)")
+                     help="enable the two-level result cache; frames "
+                          "gain a cache line (hits out of lookups, hit "
+                          "rate, bytes)")
     top.add_argument("--interval", type=float, default=0.5,
                      help="seconds between frames (default 0.5)")
     top.add_argument("--frames", type=int, default=None,
@@ -488,9 +487,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 + f" (best speedup {best:.2f}x)")
             stats = entry.get("cache_stats")
             if stats:
-                line += (f" [cache {stats['hit_rate']:.0%} hit, "
-                         f"{stats['dominated_hits']} sliced, "
-                         f"{stats['coalesced_waiters']} coalesced, "
+                line += (f" [cache {stats['hits']}/"
+                         f"{stats['hits'] + stats['misses']} hits "
+                         f"({stats['hit_rate']:.0%}), "
                          f"{int(stats['bytes'])} B]")
             print(line)
     else:
@@ -575,7 +574,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     engine = SOIEngine(network, pois)
     mark = TRACER.mark() if args.trace else 0
     if args.cache:
-        # Serve the repeats through the exact-result cache: repeat 2..N
+        # Serve the repeats through the result cache: repeat 2..N
         # are cache hits, so the serve.cache.* counters/gauges show up
         # in the table / JSON / OpenMetrics output below.
         from repro.perf.result_cache import ResultCache
@@ -627,15 +626,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                            title="counters"))
     if gauge_rows:
         print(format_table(["gauge", "value"], gauge_rows, title="gauges"))
-    cache_hits = sum(dump["counters"].get(f"serve.cache.{name}", 0)
-                     for name in ("exact_hits", "dominated_hits",
-                                  "exhausted_hits"))
+    cache_hits = dump["counters"].get("serve.cache.hits", 0)
     cache_lookups = cache_hits + dump["counters"].get("serve.cache.misses", 0)
     if cache_lookups:
         print(f"result cache: {cache_hits}/{cache_lookups} hits "
               f"({cache_hits / cache_lookups:.0%}), "
-              f"{dump['counters'].get('serve.cache.dominated_hits', 0)} "
-              f"dominated-k slices, "
               f"{int(dump['gauges'].get('serve.cache.bytes', 0))} bytes in "
               f"{int(dump['gauges'].get('serve.cache.entries', 0))} entries")
     histogram_rows = [
@@ -721,8 +716,6 @@ def _print_top_frame(telemetry: dict, final: bool = False) -> None:
     if cache is not None:
         print(f"  cache: {cache['hit_rate']:.0%} hit "
               f"({cache['hits']}/{cache['hits'] + cache['misses']}) | "
-              f"dominated-k {cache['dominated_hits']} | "
-              f"coalesced {cache['coalesced_waiters']} | "
               f"{cache['bytes'] / 1024:.1f} KiB")
     for worker in telemetry["workers"]:
         last = worker["last_seq"]

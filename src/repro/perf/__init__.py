@@ -12,9 +12,11 @@ the paper's algorithms:
 * :mod:`repro.perf.bench` — the ``repro bench`` harness that measures the
   Figure 4 / Figure 6 configurations and writes the ``BENCH_*.json``
   trajectory files;
-* :mod:`repro.perf.result_cache` — the generation-stamped exact-result
-  :class:`~repro.perf.result_cache.ResultCache` with dominated-``k``
-  reuse, backing the serve path's multi-level caching.
+* :mod:`repro.perf.result_cache` — the generation-stamped
+  :class:`~repro.perf.result_cache.ResultCache`, an LRU of complete
+  payloads (a k-SOI signature's whole ranking, a describe request's
+  summary) that answers ``k`` with the payload's first ``k`` entries;
+  the serve path keeps one in the parent and one per worker.
 
 Everything here is an *accelerator*: optimised paths must produce results
 bit-identical to the plain algorithms (enforced by the equivalence

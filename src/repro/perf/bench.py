@@ -636,7 +636,7 @@ def bench_throughput(
     ``zipf`` switches the workload to the Zipf-skewed repeat mix of
     :func:`~repro.serve.workload.make_zipf_workload` with that exponent
     (``unique_frac`` of the requests become cache-adversarial one-offs);
-    ``cache`` turns on the server's multi-level result cache.  With
+    ``cache`` turns on the server's two-level result cache.  With
     ``verify=True`` the cached payloads are still compared bit-for-bit
     against the *uncached* in-process replay, which is the cache's
     exactness contract.  Because the warm pass also warms the result

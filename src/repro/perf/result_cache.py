@@ -1,36 +1,29 @@
-"""Exact-result caching with dominated-``k`` reuse for the serve path.
+"""Complete-result caching for the serve path.
 
-A :class:`ResultCache` memoises finished request payloads — the
-:class:`~repro.core.results.SOIResult` list of a k-SOI query or the photo-id
-list of a describe query — keyed by the request's *canonical signature*.
-For k-SOI the signature is every parameter **except** ``k`` and the
-access strategy (kind, normalised ``Ψ``, ``ε``, ``weighted``): every
-strategy is served the same ranking, and the
-ranking is *prefix-stable* under the engine's deterministic tie-break:
-``sorted(..., key=(-interest, street_id))`` sliced ``[:k]`` means the
-k′-result is the first k′ entries of the k-result for any k′ ≤ k
-(`repro.core.soi._refine`).
+A :class:`ResultCache` is an LRU of finished payloads keyed by the
+request's *canonical signature* (:func:`request_cache_key`), and every
+entry is complete for its key:
 
-One k-SOI entry per signature therefore answers *every* ``k`` up to the
-stored entry's: an equal ``k`` is an exact hit and a smaller ``k`` is a
-*dominated-k* hit, both served by slicing.  An entry marked **complete**
-answers any ``k``: its payload is the whole ranking, every street of
-positive interest, so a larger ``k`` is served by slicing too and counted
-as an ``exhausted_hits`` hit.  The serve path stores a complete ranking
-for every k-SOI it computes (:mod:`repro.serve.server` answers from
-:meth:`~repro.core.soi_baseline.BaselineSOI.ranking`), and a payload
-shorter than its own ``k`` is complete by definition — the engine ran
-out of positive-interest streets.  Under ``REPRO_CHECK=1`` every hit
-that is not the stored payload verbatim is re-derived from scratch and
-compared bit-for-bit (:func:`repro.analysis.contracts.check_prefix_slice`).
+* A k-SOI key is every parameter **except** ``k`` and the access
+  strategy (kind, normalised ``Ψ``, ``ε``, ``weighted``): every strategy
+  is served the same ranking.  Its payload is the complete ranking of
+  that signature, every street of positive interest
+  (:meth:`~repro.core.soi_baseline.BaselineSOI.ranking`).  The ranking is
+  *prefix-stable* under the engine's deterministic tie-break
+  ``(-interest, street_id)``, so the answer at any ``k`` is its first
+  ``k`` entries.
+* A describe key **carries** ``k`` (street, ``ε``, ``λ``, ``w``, ``ρ``,
+  ``k``): Equation 10 normalises the diversity term by ``λ / (k - 1)``,
+  so the greedy selection itself, not just its length, depends on the
+  requested summary size.  MMR summaries are *not* prefix-stable across
+  ``k`` (``tests/test_prefix_stability.py`` keeps a concrete
+  counterexample), so a describe entry is that request's exact payload.
 
-Describe signatures **do carry** ``k`` (street, ``ε``, ``λ``, ``w``,
-``ρ``, ``k``): Equation 10 normalises the diversity term by
-``λ / (k - 1)``, so the marginal value — and hence the greedy selection
-itself, not just its length — depends on the requested summary size.
-MMR summaries are *not* prefix-stable across ``k``
-(``tests/test_prefix_stability.py`` keeps a concrete counterexample),
-so describe payloads are reused only on exact-signature hits.
+:meth:`ResultCache.lookup` therefore answers ``(key, k)`` with a fresh
+``payload[:k]``.  Under ``REPRO_CHECK=1`` every hit that is not the
+stored payload verbatim (``k`` differs from its length) is re-derived
+from scratch and compared bit-for-bit
+(:func:`repro.analysis.contracts.check_prefix_slice`).
 
 Entries are LRU-ordered and doubly bounded (entry count and estimated
 payload bytes); the cache is stamped with the owning engine's
@@ -50,8 +43,9 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis import contracts
+from repro.core.interest import validate_query
 from repro.core.soi import parse_strategy
-from repro.data.keywords import normalize_keywords
+from repro.errors import QueryError
 from repro.obs.metrics import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,48 +64,46 @@ MISS = object()
 legitimately be empty lists, so ``None`` cannot signal a miss)."""
 
 METRIC_PREFIX = "serve.cache."
-"""Stable metric-name prefix: ``serve.cache.exact_hits``,
-``serve.cache.dominated_hits``, ``serve.cache.exhausted_hits``,
+"""Stable metric-name prefix: ``serve.cache.hits``,
 ``serve.cache.misses``, ``serve.cache.insertions``,
 ``serve.cache.evictions``, ``serve.cache.invalidations`` (counters) and
 ``serve.cache.bytes`` / ``serve.cache.entries`` (gauges)."""
+
+COUNTER_NAMES = ("hits", "misses", "insertions", "evictions",
+                 "invalidations")
+"""The ``serve.cache.*`` counters, present in every stats snapshot even
+before their first increment."""
 
 
 def request_cache_key(request) -> tuple:
     """The canonical signature of a request.
 
-    k-SOI keys drop ``k`` (the ranking is prefix-stable, so one entry
-    answers every smaller ``k`` by slicing, and a complete entry every
-    larger one too); describe keys keep it
+    k-SOI keys drop ``k`` (the entry is the complete ranking, and the
+    answer at every ``k`` is its prefix); describe keys keep it
     (Equation 10's ``λ / (k - 1)`` normalisation makes the selection
     k-dependent, so only identical requests may share a payload).
     Keywords are normalised exactly as the engine normalises them, so
-    requests that the engine cannot distinguish share a key.  The access
-    strategy is validated but left out of the key: every strategy is
-    served the same ranking by the same code, so requests that differ
-    only in strategy share one entry.  An unknown strategy raises
-    :class:`~repro.errors.QueryError`, so no lookup ever answers one.
+    requests that the engine cannot distinguish share a key.  A k-SOI
+    request is validated as the engine validates it, its access strategy
+    included, so no lookup ever answers a request the engine refuses
+    (``k < 1`` would otherwise be answered by slicing).  The strategy is
+    left out of the key: every strategy is served the same ranking by the
+    same code, so requests that differ only in strategy share one entry.
+    Raises :class:`~repro.errors.QueryError` for an invalid k-SOI request
+    or an unsupported request type.
     """
     # Imported late to avoid a cycle: serve.server imports this module.
     from repro.serve.server import DescribeRequest, SOIRequest
 
     if isinstance(request, SOIRequest):
         parse_strategy(request.strategy)
-        return ("soi", tuple(sorted(normalize_keywords(request.keywords))),
-                request.eps, bool(request.weighted))
+        keywords = validate_query(request.keywords, request.k, request.eps)
+        return ("soi", tuple(sorted(keywords)), request.eps,
+                bool(request.weighted))
     if isinstance(request, DescribeRequest):
         return ("describe", request.street_id, request.eps,
                 request.lam, request.w, request.rho, request.k)
-    return ("other", type(request).__name__, repr(request))
-
-
-def slice_payload(payload: list, k: int) -> list:
-    """The first ``k`` entries of a cached payload, as a fresh list.
-
-    Always copies — even when ``k`` covers the whole payload — so every
-    waiter owns its result and no caller can mutate the cached entry.
-    """
-    return payload[:k]
+    raise QueryError(f"unsupported request type {type(request).__name__}")
 
 
 def estimate_payload_bytes(payload) -> int:
@@ -136,22 +128,19 @@ def estimate_payload_bytes(payload) -> int:
     return sys.getsizeof(payload)
 
 
-class _Entry:
-    """One cached payload: the ``k`` it was computed at, its size, and
-    whether it is complete (answers every ``k``)."""
-
-    __slots__ = ("k", "payload", "nbytes", "complete")
-
-    def __init__(self, k: int, payload: list, nbytes: int,
-                 complete: bool) -> None:
-        self.k = k
-        self.payload = payload
-        self.nbytes = nbytes
-        self.complete = complete
+def counter_stats(registry: "MetricsRegistry") -> dict:
+    """The ``serve.cache.*`` counters of ``registry`` (every one of
+    :data:`COUNTER_NAMES`, 0 before its first increment) and
+    ``hit_rate``, hits over lookups."""
+    out = dict.fromkeys(COUNTER_NAMES, 0)
+    out.update(registry.counters_with_prefix(METRIC_PREFIX))
+    lookups = out["hits"] + out["misses"]
+    out["hit_rate"] = (out["hits"] / lookups) if lookups else 0.0
+    return out
 
 
 class ResultCache:
-    """Generation-stamped, LRU + byte-bounded exact-result cache.
+    """Generation-stamped, LRU + byte-bounded cache of complete payloads.
 
     Thread-safe: all bookkeeping happens under one lock (lookups copy the
     payload out, so no caller ever holds a reference into the cache).
@@ -169,7 +158,8 @@ class ResultCache:
                 f"max_entries must be at least 1, got {max_entries}")
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be at least 1, got {max_bytes}")
-        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        # key -> (payload, estimated payload bytes)
+        self._entries: OrderedDict[tuple, tuple[list, int]] = OrderedDict()
         self._lock = threading.Lock()
         self._max_entries = max_entries
         self._max_bytes = max_bytes
@@ -194,28 +184,12 @@ class ResultCache:
         """The metrics registry this cache's counters flow into."""
         return self._registry
 
-    COUNTER_NAMES = ("exact_hits", "dominated_hits", "exhausted_hits",
-                     "misses", "insertions", "evictions", "invalidations",
-                     "kmax_elevations")
-    """The canonical ``serve.cache.*`` counters, present in every
-    :meth:`stats` snapshot even before their first increment.
-    ``kmax_elevations`` counted micro-batch ``k_max`` grouping, which
-    every-page-complete serving replaced; it stays named for the readers
-    of the counter and reads 0."""
-
     def stats(self) -> dict:
         """Counter/gauge snapshot of this cache's registry namespace."""
-        out = dict(self._registry.counters_with_prefix(METRIC_PREFIX))
-        for name in self.COUNTER_NAMES:
-            out.setdefault(name, 0)
+        out = counter_stats(self._registry)
         with self._lock:
             out["entries"] = len(self._entries)
             out["bytes"] = self._nbytes
-        hits = (out.get("exact_hits", 0) + out.get("dominated_hits", 0)
-                + out.get("exhausted_hits", 0))
-        total = hits + out.get("misses", 0)
-        out["hits"] = hits
-        out["hit_rate"] = (hits / total) if total else 0.0
         return out
 
     # -- generation stamping ----------------------------------------------
@@ -245,71 +219,48 @@ class ResultCache:
 
     def lookup(self, key: tuple, k: int,
                recompute: "Callable[[], list] | None" = None):
-        """The payload for ``(key, k)``, or :data:`MISS`.
+        """The first ``k`` entries of ``key``'s payload as a fresh list,
+        or :data:`MISS`.
 
-        A stored entry at ``k_e`` answers ``k == k_e`` exactly, any
-        ``k < k_e`` by slicing (dominated-k reuse), and ``k > k_e`` when
-        it is complete (the whole ranking, so deeper requests see a
-        prefix of the same list).  With contracts enabled and
-        ``recompute`` given, every hit other than the stored payload
-        verbatim is checked bit-for-bit against a fresh computation
-        before being served.
+        With contracts enabled and ``recompute`` given, a hit that is not
+        the stored payload verbatim (``k`` shorter or longer than it) is
+        checked bit-for-bit against a fresh computation before being
+        served.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self._registry.inc(METRIC_PREFIX + "misses")
                 return MISS
-            if k == entry.k:
-                counter = "exact_hits"
-            elif k < entry.k:
-                counter = "dominated_hits"
-            elif entry.complete:
-                counter = "exhausted_hits"
-            else:
-                self._registry.inc(METRIC_PREFIX + "misses")
-                return MISS
             self._entries.move_to_end(key)
-            self._registry.inc(METRIC_PREFIX + counter)
-            payload = slice_payload(entry.payload, k)
-            sliced = len(payload) < len(entry.payload) or k != entry.k
-        if sliced and contracts.ENABLED and recompute is not None:
+            self._registry.inc(METRIC_PREFIX + "hits")
+            stored = entry[0]
+            payload = stored[:k]
+        if k != len(stored) and contracts.ENABLED and recompute is not None:
             contracts.check_prefix_slice(payload, recompute(), key, k)
         return payload
 
-    def store(self, key: tuple, k: int, payload: list,
-              complete: bool = False) -> None:
-        """Remember ``payload`` as the exact answer for ``(key, k)``.
+    def store(self, key: tuple, payload: list) -> None:
+        """Remember ``payload`` as the complete answer for ``key``: a k-SOI
+        signature's whole ranking, or a describe request's payload.
 
-        ``complete`` marks ``payload`` as the whole ranking, which may be
-        longer than ``k``; a payload shorter than ``k`` is complete
-        anyway.  When an entry already exists, a complete entry is kept
-        and otherwise the complete or larger-``k`` payload wins (it
-        dominates the other); a dominated store only refreshes the LRU
-        position.
+        A key already stored keeps its payload, which is the same answer,
+        and only moves to the most recent LRU position.
         """
-        complete = complete or len(payload) < k
         nbytes = estimate_payload_bytes(payload)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            if key in self._entries:
                 self._entries.move_to_end(key)
-                if entry.complete or (k <= entry.k and not complete):
-                    return
-                self._nbytes -= entry.nbytes
-                entry.k, entry.payload, entry.nbytes, entry.complete = (
-                    k, payload, nbytes, complete)
-                self._nbytes += nbytes
-            else:
-                self._entries[key] = _Entry(k, payload, nbytes, complete)
-                self._nbytes += nbytes
-                self._registry.inc(METRIC_PREFIX + "insertions")
+                return
+            self._entries[key] = (payload, nbytes)
+            self._nbytes += nbytes
+            self._registry.inc(METRIC_PREFIX + "insertions")
             evicted = 0
             while (len(self._entries) > self._max_entries
                    or (self._nbytes > self._max_bytes
                        and len(self._entries) > 1)):
-                _, old = self._entries.popitem(last=False)
-                self._nbytes -= old.nbytes
+                _, (_payload, old_nbytes) = self._entries.popitem(last=False)
+                self._nbytes -= old_nbytes
                 evicted += 1
             if evicted:
                 self._registry.inc(METRIC_PREFIX + "evictions", evicted)
@@ -328,11 +279,12 @@ class ResultCache:
 
 
 __all__ = [
+    "COUNTER_NAMES",
     "DEFAULT_MAX_BYTES",
     "DEFAULT_MAX_ENTRIES",
     "MISS",
     "ResultCache",
+    "counter_stats",
     "estimate_payload_bytes",
     "request_cache_key",
-    "slice_payload",
 ]

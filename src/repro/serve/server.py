@@ -23,12 +23,16 @@ Protocol properties:
   :class:`~repro.errors.StaleSnapshotError` until :meth:`EngineServer.refresh`
   re-exports; workers lazily re-attach when the name in a task changes.
 * **Reuse** — with ``cache=True`` the parent and every worker keep a
-  :class:`~repro.perf.result_cache.ResultCache`.  Every k-SOI request is
-  answered from the complete ranking of its ``(Ψ, ε, weighted)``
-  (:meth:`~repro.core.soi_baseline.BaselineSOI.ranking`), and a worker
-  ships that whole ranking beside the k-sized payload, as the last field
-  of its result tuple; the parent stores it as a complete entry, so no
-  later page of that signature reaches a worker.
+  :class:`~repro.perf.result_cache.ResultCache` of complete entries.
+  Every k-SOI request is answered from the complete ranking of its
+  ``(Ψ, ε, weighted)`` (:meth:`~repro.core.soi_baseline.BaselineSOI.ranking`).
+  A worker stores each ranking it computes, and each describe payload,
+  and ships that entry beside the k-sized payload, as the last field of
+  its result tuple; the parent stores it, so no later page of that
+  signature reaches a worker.  A request sent before the parent held
+  its entry, such as a repeat of an in-flight one, is answered by the
+  worker's cache: a worker serves its tasks in order and stores each
+  entry before it serves the next.
 * **Transport** — tasks and results cross two feeder-less pipes
   (:class:`_Channel`): the sending thread pickles and writes each
   message itself.  Tasks the task pipe cannot take yet wait in a
@@ -41,7 +45,7 @@ Protocol properties:
 * **Observability** — every request is served under a deterministic
   request-scoped trace id (``req-<seq>``, minted from the sequence number
   alone).  With tracing enabled at submit time, the worker ships its span
-  buffer for the request back alongside the metrics dump, and the parent
+  buffer for the request back with the result, and the parent
   stitches all shipments into one cross-process Chrome trace
   (:meth:`EngineServer.export_trace`) where each ``serve.request`` parent
   span carries worker id / queue-wait / batch-group annotations.  Workers
@@ -102,8 +106,8 @@ from repro.errors import (
 from repro.perf.result_cache import (
     MISS as _CACHE_MISS,
     ResultCache,
+    counter_stats,
     request_cache_key,
-    slice_payload,
 )
 from repro.serve.snapshot import IndexSnapshot
 from repro.serve.views import attach_engine, attach_photo_set
@@ -248,21 +252,22 @@ def serve_request(
     belong to ``engine``.  Cached session values are bitwise what a fresh
     pass computes, so passing one cannot change a payload.
     """
-    return _serve_request_impl(engine, photos, request, describers,
-                               session)[0]
+    return _complete_answer(engine, photos, request, describers,
+                            session)[: request.k]
 
 
-def _serve_request_impl(
+def _complete_answer(
     engine: SOIEngine,
     photos: "PhotoSet | None",
     request: Request,
     describers: "OrderedDict | None" = None,
     session=None,
-):
-    """:func:`serve_request`'s payload, and for a k-SOI request the
-    complete ranking it was sliced from (``None`` for describe).  Each
-    ranking computed counts one ``soi.queries`` with the pass's
-    counters."""
+) -> list:
+    """The answer :func:`serve_request` slices to ``k``: for a k-SOI
+    request the complete ranking of its ``(Ψ, ε, weighted)``, for a
+    describe request its payload.  This is what a result cache stores
+    under the request's key.  Each ranking computed counts one
+    ``soi.queries`` with the pass's counters."""
     with trace_span("serve.request", kind=type(request).__name__):
         if isinstance(request, SOIRequest):
             # Validated only: every strategy's answer is this ranking.
@@ -273,7 +278,7 @@ def _serve_request_impl(
                 request.keywords, request.eps, weighted=request.weighted,
                 session=session, stats=stats)
             obs_metrics.record_soi_query(stats)
-            return ranking[: request.k], ranking
+            return ranking
         if isinstance(request, DescribeRequest):
             if photos is None:
                 raise QueryError(
@@ -295,7 +300,7 @@ def _serve_request_impl(
                 describers.move_to_end(key)
             positions = describer.select(request.k, request.lam, request.w)
             ids = describer.profile.photos.ids
-            return [int(ids[pos]) for pos in positions], None
+            return [int(ids[pos]) for pos in positions]
         raise QueryError(
             f"unsupported request type {type(request).__name__}")
 
@@ -312,11 +317,11 @@ def serve_request_cached(
 
     The cache is stamped against ``engine.index_generation`` on every call
     (a bumped generation empties it wholesale), then consulted under the
-    request's canonical key.  A k-SOI miss stores the complete ranking it
-    computed as a complete entry, which answers every ``k`` of the
-    signature by slicing (prefix stability makes the slice bit-identical
-    to a direct call; under ``REPRO_CHECK=1`` each sliced hit is
-    re-derived and compared).
+    request's canonical key.  A miss stores the ranking of a k-SOI
+    request, which answers every ``k`` of the signature by slicing
+    (prefix stability makes the slice bit-identical to a direct call;
+    under ``REPRO_CHECK=1`` each sliced hit is re-derived and compared),
+    or the payload of a describe request.
     """
     return _serve_cached(engine, photos, request, cache, describers,
                          session)[0]
@@ -324,8 +329,9 @@ def serve_request_cached(
 
 def _serve_cached(engine, photos, request, cache, describers=None,
                   session=None):
-    """:func:`serve_request_cached`'s payload, and the complete ranking
-    when this call computed one (a k-SOI miss), else ``None``."""
+    """:func:`serve_request_cached`'s payload, and the entry this call
+    stored in the cache (see :func:`_complete_answer`), or ``None`` on a
+    hit."""
     cache.ensure_generation(engine.index_generation)
     key = request_cache_key(request)
     recompute = None
@@ -336,13 +342,11 @@ def _serve_cached(engine, photos, request, cache, describers=None,
     hit = cache.lookup(key, request.k, recompute=recompute)
     if hit is not _CACHE_MISS:
         return hit, None
-    payload, ranking = _serve_request_impl(engine, photos, request,
-                                           describers, session)
-    cache.store(key, request.k, payload if ranking is None else ranking,
-                complete=ranking is not None)
-    # Always hand back a copy: the stored list must never be aliased by a
-    # caller that might mutate its payload in place.
-    return slice_payload(payload, request.k), ranking
+    entry = _complete_answer(engine, photos, request, describers, session)
+    cache.store(key, entry)
+    # A fresh slice: the stored list must never be aliased by a caller
+    # that might mutate its payload in place.
+    return entry[: request.k], entry
 
 
 class _WorkerView:
@@ -402,12 +406,12 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
     serving because session caches only memoise exact values.
 
     With ``cache=True`` the worker keeps a per-process
-    :class:`~repro.perf.result_cache.ResultCache` of exact payloads
+    :class:`~repro.perf.result_cache.ResultCache` of complete entries
     (emptied whenever the snapshot generation moves): every k-SOI
-    ranking it computes is complete, so every later page of that
-    signature in the same batch, or in a later one, is answered by
-    slicing, and a describe repeat without recomputing.  Prefix
-    stability keeps this bit-identical to uncached serving.
+    ranking it computes answers every later page of that signature in
+    the same batch, or in a later one, by slicing, and a describe repeat
+    is answered without recomputing.  Prefix stability keeps this
+    bit-identical to uncached serving.
 
     ``tasks`` and ``results`` are the parent's two :class:`_Channel`
     objects.  Results are written synchronously: a worker whose parent
@@ -426,11 +430,15 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
     dicts) in the result tuple for parent-side stitching.
 
     The result tuple is ``(seq, worker_id, status, body, service_s,
-    metrics_dump, spans, ranking)``: ``body`` is the k-sized payload, and
-    ``ranking`` is the complete ranking when the worker's cache computed
-    one (``None`` otherwise), for the parent cache to store as a complete
-    entry.  The payload's results are the ranking's first ``k`` objects,
-    so pickling ships them once.
+    metrics_dump, spans, entry)``: ``body`` is the k-sized payload, and
+    ``entry`` is what the worker's cache stored for the request (the
+    complete ranking of a k-SOI, the payload of a describe; ``None`` on
+    a cache hit or with the cache off), for the parent cache to store.
+    A k-SOI payload's results are the ranking's first ``k`` objects, so
+    pickling ships them once.  ``metrics_dump`` is the worker's whole
+    metrics registry, sent with the last result of each drained batch
+    only, after every record of that batch (``None`` with the others):
+    the parent keeps only the latest dump per worker.
 
     Must stay importable at module level — the pool uses the ``spawn``
     start method, which re-imports this module in the child.
@@ -477,8 +485,9 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
             # within one attached view (re-attach resets the group).
             current_key: tuple | None = None
             session = None
+            last_seq = batch[-1][0]
             for seq, shm_name, generation, request, trace in batch:
-                ranking = None
+                entry = None
                 trace_id = mint_trace_id(seq)
                 mark = TRACER.mark() if trace else 0
                 previous_enabled = tracing_enabled()
@@ -514,7 +523,7 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                                     view.engine, view.photos, request,
                                     view.describers, session=session)
                             else:
-                                payload, ranking = _serve_cached(
+                                payload, entry = _serve_cached(
                                     view.engine, view.photos, request,
                                     result_cache, view.describers,
                                     session=session)
@@ -536,13 +545,15 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                 obs_metrics.record_serve_request(
                     _request_kind(request), service_s, trace_id=trace_id,
                     error=(status == "error"))
-                # Each response carries the worker's full metrics snapshot;
-                # the parent keeps only the latest dump per worker and
-                # merges them on demand, so worker metrics survive worker
-                # restarts and aggregate centrally without a side channel.
-                results.put((seq, worker_id, status, body, service_s,
-                             obs_metrics.REGISTRY.to_dict(), span_dicts,
-                             ranking))
+                # A batch's last response carries the worker's full
+                # metrics snapshot; the parent keeps only the latest dump
+                # per worker and merges them on demand, so worker metrics
+                # survive worker restarts and aggregate centrally without
+                # a side channel.
+                dump = (obs_metrics.REGISTRY.to_dict()
+                        if seq == last_seq else None)
+                results.put((seq, worker_id, status, body, service_s, dump,
+                             span_dicts, entry))
                 beat(_STATE_BUSY)
             beat(_STATE_IDLE)
     finally:
@@ -605,20 +616,18 @@ class EngineServer:
             raise ValueError(
                 f"micro_batch must be at least 1, got {micro_batch}")
         self._micro_batch = micro_batch
-        # Parent-side metrics (result cache, coalescing): merged into
-        # metrics() alongside the worker dumps.
+        # Parent-side metrics (the result cache): merged into metrics()
+        # alongside the worker dumps.
         self._local_metrics = obs_metrics.MetricsRegistry()
         self._cache_enabled = bool(cache)
         self._result_cache = (
             ResultCache(generation=snapshot.generation,
                         registry=self._local_metrics)
             if cache else None)
-        # Singleflight coalescing state: the in-flight primary per
-        # canonical key, its (key, k) by seq, the waiters riding each
-        # primary, and locally-completed results awaiting collection.
-        self._coalesce_primary: dict[tuple, tuple[int, int]] = {}
-        self._primary_info: dict[int, tuple[tuple, int]] = {}
-        self._waiters: dict[int, list[tuple[int, int]]] = {}
+        # The cache key of each worker-bound request whose answer the
+        # parent cache stores, and locally-completed results awaiting
+        # collection.
+        self._cache_keys: dict[int, tuple] = {}
         self._ready: OrderedDict[int, tuple] = OrderedDict()
         self._snapshot = snapshot
         self._source = source
@@ -683,13 +692,12 @@ class EngineServer:
 
         ``micro_batch`` is how many queued requests each worker drains per
         loop turn (cross-request micro-batching; 1 disables it).
-        ``cache`` enables the multi-level result cache: a parent-side
-        exact-result cache with singleflight coalescing of identical
-        in-flight requests, plus a per-worker cache.  Every k-SOI request
-        a worker computes ships its complete ranking, which the parent
-        stores, so every later page of that signature is answered without
-        a worker round trip.  Payloads stay bit-identical to uncached
-        serving.
+        ``cache`` enables the two-level result cache: one in the parent,
+        looked up before a request crosses the task pipe, and one per
+        worker.  Every k-SOI request a worker computes ships its complete
+        ranking, which the parent stores, so every later page of that
+        signature is answered without a worker round trip.  Payloads
+        stay bit-identical to uncached serving.
         """
         snapshot = IndexSnapshot.export(engine, photos, warm_eps=warm_eps)
         return cls(snapshot, workers=workers, source=engine,
@@ -719,12 +727,12 @@ class EngineServer:
     def metrics(self) -> "obs_metrics.MetricsRegistry":
         """Aggregated worker metrics as a fresh registry.
 
-        Each response carries the answering worker's full
+        The last response of each batch a worker drains carries its full
         :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` snapshot; this
-        merges the latest snapshot of every worker.  The merge is
-        commutative (counters add, gauges keep the max, histogram buckets
-        add), so the aggregate is deterministic regardless of response
-        arrival order.
+        merges the latest snapshot of every worker, so once every request
+        is collected it counts all of them.  The merge is commutative
+        (counters add, gauges keep the max, histogram buckets add), so the
+        aggregate is deterministic regardless of response arrival order.
         """
         merged = obs_metrics.MetricsRegistry()
         for wid in sorted(self._worker_metrics):
@@ -738,31 +746,24 @@ class EngineServer:
 
     @property
     def cache_enabled(self) -> bool:
-        """Whether the multi-level result cache is on for this server."""
+        """Whether the two-level result cache is on for this server."""
         return self._cache_enabled
 
     def cache_stats(self) -> dict:
-        """Aggregated result-cache / coalescing counters over all levels.
+        """Aggregated result-cache counters over both levels.
 
         Counters (parent cache + every worker cache) add up; the byte and
         entry gauges merge as the largest single level, which is the
         bound that matters for memory.  ``hit_rate`` is hits over
-        lookups across exact, dominated-k and exhausted hits.
+        lookups.  ``coalesced_waiters`` and ``kmax_elevations`` read 0:
+        the serve benchmark still reads them, though request coalescing
+        and micro-batch ``k_max`` grouping are gone.
         """
         registry = self.metrics()
-        prefix = "serve.cache."
-        out = dict(registry.counters_with_prefix(prefix))
-        for name in ResultCache.COUNTER_NAMES:
-            out.setdefault(name, 0)
-        hits = (out.get("exact_hits", 0) + out.get("dominated_hits", 0)
-                + out.get("exhausted_hits", 0))
-        lookups = hits + out.get("misses", 0)
-        out["hits"] = hits
-        out["hit_rate"] = (hits / lookups) if lookups else 0.0
-        out["coalesced_waiters"] = registry.counter(
-            "serve.coalesce.waiters")
-        out["bytes"] = registry.gauge(prefix + "bytes") or 0.0
-        out["entries"] = registry.gauge(prefix + "entries") or 0.0
+        out = counter_stats(registry)
+        out["coalesced_waiters"] = out["kmax_elevations"] = 0
+        for gauge in ("bytes", "entries"):
+            out[gauge] = registry.gauge("serve.cache." + gauge) or 0.0
         return out
 
     # -- live telemetry ----------------------------------------------------
@@ -832,10 +833,10 @@ class EngineServer:
         ``{"kinds": {...}, "workers": {...}}`` — per request kind over
         all workers, and per worker over all kinds it served.  Values
         come from the mergeable :class:`~repro.obs.metrics.QuantileSketch`
-        dumps shipped with every response, so no per-request samples are
-        stored anywhere; ``slowest`` is the exemplar trace id of the
-        slowest request, joinable against the slowlog and the stitched
-        Chrome trace.
+        dumps shipped with each batch's last response, so no per-request
+        samples are stored anywhere; ``slowest`` is the exemplar trace id
+        of the slowest request, joinable against the slowlog and the
+        stitched Chrome trace.
         """
         summary = {"kinds": _sketch_stats(self.metrics()), "workers": {}}
         for wid in sorted(self._worker_metrics):
@@ -908,11 +909,9 @@ class EngineServer:
 
         With the result cache on, a repeat of an already-answered request,
         or any page of a k-SOI signature a worker has answered before,
-        completes locally from its complete ranking, and a
-        repeat of an *in-flight* request (same canonical key, ``k`` no
-        larger) coalesces onto the flying one: it is computed once and
-        fanned out to every waiter with its own sequence number.  Traced
-        requests always execute for real — the trace is the point.
+        completes locally from the parent's cache; an invalid request
+        completes locally with its :class:`~repro.errors.QueryError`.
+        Traced requests always execute for real — the trace is the point.
         """
         if self._closed:
             raise ReproError("EngineServer is closed")
@@ -932,9 +931,7 @@ class EngineServer:
                 "batch_group": repr(_group_key(request)),
                 "submit_ns": int(perf_now() * 1e9),
             }
-        key = None
-        k = getattr(request, "k", None)
-        if self._result_cache is not None and not trace and k is not None:
+        if self._result_cache is not None and not trace:
             try:
                 key = request_cache_key(request)
             except QueryError as exc:
@@ -942,27 +939,17 @@ class EngineServer:
                                     0.0)
                 self._inflight.add(seq)
                 return seq
-            hit = self._result_cache.lookup(key, k)
+            hit = self._result_cache.lookup(key, request.k)
             if hit is not _CACHE_MISS:
                 self._ready[seq] = ("ok", hit, 0.0)
                 self._inflight.add(seq)
                 return seq
-            primary = self._coalesce_primary.get(key)
-            if primary is not None and k <= primary[1]:
-                self._waiters.setdefault(primary[0], []).append((seq, k))
-                self._inflight.add(seq)
-                self._local_metrics.inc("serve.coalesce.waiters")
-                return seq
+            self._cache_keys[seq] = key
         self._backlog.append((seq, pickle.dumps(
             (seq, self._snapshot.name, self._snapshot.generation, request,
              trace), pickle.HIGHEST_PROTOCOL)))
         self._inflight.add(seq)
         self._flush()
-        if key is not None:
-            # This request is now the key's in-flight primary (the
-            # largest-k submission wins, so later small-k repeats ride it).
-            self._coalesce_primary[key] = (seq, k)
-            self._primary_info[seq] = (key, k)
         return seq
 
     def next_result(self, timeout: float | None = None):
@@ -979,9 +966,8 @@ class EngineServer:
                     else monotonic_now() + timeout)
         while True:
             if self._ready:
-                # Locally-completed results (parent cache hits, fanned-out
-                # coalesced waiters, arrivals drained after a worker died)
-                # go first.
+                # Locally-completed results (parent cache hits, invalid
+                # requests, arrivals drained after a worker died) go first.
                 seq, entry = self._ready.popitem(last=False)
                 return self._hand_back(seq, *entry)
             try:
@@ -1117,35 +1103,6 @@ class EngineServer:
 
     # -- internals --------------------------------------------------------
 
-    def _finish_primary(self, seq: int, status: str, body,
-                        ranking: list | None) -> None:
-        """Coalescing epilogue for a worker arrival: store the payload in
-        the parent cache — or the complete ``ranking`` the worker shipped,
-        as a complete entry — and fan it out, sliced to each waiter's own
-        ``k``, to every request that coalesced onto this one.  Waiters
-        report zero service time (the primary did the work); errors
-        propagate to every waiter verbatim."""
-        info = self._primary_info.pop(seq, None)
-        if info is None:
-            return
-        key, k = info
-        if self._coalesce_primary.get(key) == (seq, k):
-            del self._coalesce_primary[key]
-        if status == "ok" and self._result_cache is not None:
-            self._result_cache.store(key, k,
-                                     body if ranking is None else ranking,
-                                     complete=ranking is not None)
-        waiters = self._waiters.pop(seq, None)
-        if not waiters:
-            return
-        for waiter_seq, waiter_k in waiters:
-            if status == "ok":
-                self._ready[waiter_seq] = (
-                    "ok", slice_payload(body, waiter_k), 0.0)
-            else:
-                self._ready[waiter_seq] = (status, body, 0.0)
-        self._local_metrics.inc("serve.coalesce.fanouts")
-
     def _flush(self) -> None:
         """Write backlogged tasks to the task pipe, oldest first, while
         the pipe bytes of the tasks written and not yet answered stay
@@ -1175,12 +1132,12 @@ class EngineServer:
 
         Frees the task's pipe bytes and flushes the backlog, keeps the
         worker's latest metrics dump and progress, logs the
-        stitched-trace entry of a traced request and runs the coalescing
-        epilogue.  Queue wait is turnaround minus worker-measured service
-        time (both origin-free durations), so no cross-process clock
-        comparison is needed."""
+        stitched-trace entry of a traced request and stores the entry the
+        worker's cache stored in the parent's cache.  Queue wait is
+        turnaround minus worker-measured service time (both origin-free
+        durations), so no cross-process clock comparison is needed."""
         (seq, wid, status, body, service_s, metrics_dump, spans,
-         ranking) = result
+         entry) = result
         self._written_bytes -= self._written.pop(seq)
         self._flush()
         self._last_done[wid] = seq
@@ -1199,7 +1156,9 @@ class EngineServer:
                 worker_spans=spans or [],
             )
             self._trace_log.append(info)
-        self._finish_primary(seq, status, body, ranking)
+        key = self._cache_keys.pop(seq, None)
+        if key is not None and entry is not None:
+            self._result_cache.store(key, entry)
         return seq, status, body, service_s
 
     def _hand_back(self, seq: int, status: str, body, service_s: float):

@@ -278,9 +278,7 @@ def test_cached_serve_matches_oracle(network, pois, photos, keywords, k,
     assert ranking(soi(k)) == oracle(k)
     assert ranking(soi(k + 5)) == oracle(k + 5)
     stats = cache.stats()
-    assert stats["misses"] == 1 and stats["kmax_elevations"] == 0
-    assert stats["dominated_hits"] == 1 and stats["exact_hits"] == 1
-    assert stats["exhausted_hits"] == 1
+    assert (stats["misses"], stats["hits"], stats["insertions"]) == (1, 3, 1)
 
     street_id = min(network.streets)
     request = DescribeRequest(street_id, k, eps, lam, w, DEFAULT_RHO)
@@ -288,4 +286,5 @@ def test_cached_serve_matches_oracle(network, pois, photos, keywords, k,
                             DEFAULT_RHO)
     assert serve_request_cached(engine, photos, request, cache) == expected
     assert serve_request_cached(engine, photos, request, cache) == expected
-    assert cache.stats()["exact_hits"] == 2
+    stats = cache.stats()
+    assert (stats["misses"], stats["hits"], stats["insertions"]) == (2, 4, 2)

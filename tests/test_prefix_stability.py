@@ -1,8 +1,10 @@
-"""The prefix-stability property behind dominated-k cache reuse.
+"""The prefix-stability property behind answering every k from one
+cached ranking.
 
-The result cache answers a k′-request from a cached k-entry (k′ ≤ k) by
-slicing, which is only sound if the payload kind is *prefix-stable*:
-k-SOI ranks ``sorted(..., key=(-interest, street_id))`` then slices, so
+The result cache answers a k-request from a signature's cached complete
+ranking by slicing, which is only sound if the payload kind is
+*prefix-stable*: k-SOI ranks ``sorted(..., key=(-interest, street_id))``
+then slices, so
 ``top_k(k′) == top_k(k)[:k′]`` under the deterministic tie-break.  These
 tests state that property directly — over Hypothesis-generated inputs,
 over the Figure 4 preset city, plain and with runtime contracts enabled

@@ -2,8 +2,9 @@
 
 These exercise the cache in isolation with synthetic payloads; the
 bit-identity of cached serving against the real engine lives in
-``test_serve_cache.py`` and the prefix-stability property behind the
-dominated-k reuse in ``test_prefix_stability.py``.
+``test_serve_cache.py`` and the prefix-stability property behind
+answering every ``k`` from one complete ranking in
+``test_prefix_stability.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.perf.result_cache import (
     ResultCache,
     estimate_payload_bytes,
     request_cache_key,
-    slice_payload,
 )
 from repro.serve.server import DescribeRequest, SOIRequest
 
@@ -59,84 +59,72 @@ def test_key_separates_kinds_and_parameters():
     assert request_cache_key(soi)[0] == "soi"
 
 
-# -- hit taxonomy -------------------------------------------------------------
+# -- hits -------------------------------------------------------------------
 
 def test_exact_dominated_exhausted_and_miss():
+    """Every entry is complete: a lookup is answered at its own ``k``
+    whether that is the payload's length, shorter or longer."""
     cache = make_cache()
-    key = ("soi", ("shop",), 0.001, False, "alternate")
+    key = ("soi", ("shop",), 0.001, False)
     assert cache.lookup(key, 5) is MISS
 
-    cache.store(key, 5, ["a", "b", "c", "d", "e"])
-    assert cache.lookup(key, 5) == ["a", "b", "c", "d", "e"]  # exact
-    assert cache.lookup(key, 2) == ["a", "b"]  # dominated-k slice
-    assert cache.lookup(key, 9) is MISS  # deeper than stored, not exhausted
+    cache.store(key, ["a", "b", "c", "d", "e"])
+    assert cache.lookup(key, 5) == ["a", "b", "c", "d", "e"]  # verbatim
+    assert cache.lookup(key, 2) == ["a", "b"]  # shorter: a slice
+    assert cache.lookup(key, 9) == ["a", "b", "c", "d", "e"]  # the whole
 
-    # Exhausted entry: stored at k=5 but only 3 results existed, so any
-    # deeper request sees the same full list.
-    short = ("soi", ("rare",), 0.001, False, "alternate")
-    cache.store(short, 5, ["x", "y", "z"])
-    assert cache.lookup(short, 50) == ["x", "y", "z"]
+    assert cache.lookup(("soi", ("rare",), 0.001, False), 5) is MISS
 
     stats = cache.stats()
-    assert stats["exact_hits"] == 1
-    assert stats["dominated_hits"] == 1
-    assert stats["exhausted_hits"] == 1
-    assert stats["misses"] == 2
     assert stats["hits"] == 3
+    assert stats["misses"] == 2
     assert stats["hit_rate"] == pytest.approx(3 / 5)
 
 
 def test_complete_entry_answers_every_k():
     cache = make_cache()
-    key = ("soi", ("shop",), 0.001, False, "alternate")
+    key = ("soi", ("shop",), 0.001, False)
     ranking = ["a", "b", "c", "d", "e", "f"]
-    cache.store(key, 2, ranking, complete=True)  # run at k=2, ranked all
-    assert cache.lookup(key, 1) == ["a"]  # dominated
-    assert cache.lookup(key, 2) == ["a", "b"]  # exact, still a slice
+    cache.store(key, ranking)  # computed for a k=2 page, ranked all
+    assert cache.lookup(key, 1) == ["a"]
+    assert cache.lookup(key, 2) == ["a", "b"]
     assert cache.lookup(key, 4) == ["a", "b", "c", "d"]  # deeper page
     assert cache.lookup(key, 50) == ranking  # past the end
     stats = cache.stats()
-    assert (stats["dominated_hits"], stats["exact_hits"],
-            stats["exhausted_hits"], stats["misses"]) == (1, 1, 2, 0)
-
-
-def test_complete_entry_dominates_every_partial_one():
-    cache = make_cache()
-    cache.store(("k",), 8, list(range(8)))
-    cache.store(("k",), 2, list(range(5)), complete=True)  # replaces
-    assert cache.lookup(("k",), 9) == list(range(5))
-    cache.store(("k",), 50, list(range(50)))  # cannot beat a complete one
-    assert cache.lookup(("k",), 9) == list(range(5))
-    assert cache.stats()["insertions"] == 1
+    assert (stats["hits"], stats["misses"], stats["insertions"]) == (4, 0, 1)
 
 
 def test_lookup_returns_fresh_copies():
     cache = make_cache()
-    cache.store(("k",), 2, [1, 2])
+    payload = [1, 2]
+    cache.store(("k",), payload)
     first = cache.lookup(("k",), 2)
+    assert first is not payload
     first.append(99)
     assert cache.lookup(("k",), 2) == [1, 2]
-    assert slice_payload([1, 2], 2) is not None
 
 
-def test_store_keeps_the_larger_k_entry():
-    cache = make_cache()
-    cache.store(("k",), 4, [1, 2, 3, 4])
-    cache.store(("k",), 2, [9, 9])  # smaller k: ignored (LRU refresh only)
-    assert cache.lookup(("k",), 4) == [1, 2, 3, 4]
-    cache.store(("k",), 6, [1, 2, 3, 4, 5, 6])  # larger k: replaces
-    assert cache.lookup(("k",), 6) == [1, 2, 3, 4, 5, 6]
-    assert cache.stats()["insertions"] == 1  # one signature throughout
+def test_second_store_of_a_key_keeps_one_entry():
+    cache = make_cache(max_entries=2)
+    cache.store(("a",), [1, 2, 3])
+    cache.store(("b",), [4])
+    cache.store(("a",), [1, 2, 3])  # the same answer: an LRU refresh
+    assert cache.stats()["insertions"] == 2
+    assert cache.nbytes == (estimate_payload_bytes([1, 2, 3])
+                            + estimate_payload_bytes([4]))
+    cache.store(("c",), [5])  # evicts b, the least recent
+    assert cache.lookup(("b",), 1) is MISS
+    assert cache.lookup(("a",), 3) == [1, 2, 3]
 
 
 # -- bounds -------------------------------------------------------------------
 
 def test_lru_entry_bound_evicts_least_recent():
     cache = make_cache(max_entries=2)
-    cache.store(("a",), 1, [1])
-    cache.store(("b",), 1, [2])
+    cache.store(("a",), [1])
+    cache.store(("b",), [2])
     assert cache.lookup(("a",), 1) == [1]  # refreshes a
-    cache.store(("c",), 1, [3])  # evicts b, the least recent
+    cache.store(("c",), [3])  # evicts b, the least recent
     assert cache.lookup(("b",), 1) is MISS
     assert cache.lookup(("a",), 1) == [1]
     assert cache.lookup(("c",), 1) == [3]
@@ -148,8 +136,8 @@ def test_byte_bound_evicts_but_keeps_at_least_one_entry():
     payload = list(range(64))
     nbytes = estimate_payload_bytes(payload)
     cache = make_cache(max_bytes=int(nbytes * 1.5))
-    cache.store(("a",), 64, list(payload))
-    cache.store(("b",), 64, list(payload))  # over budget: a evicted
+    cache.store(("a",), list(payload))
+    cache.store(("b",), list(payload))  # over budget: a evicted
     assert cache.lookup(("a",), 64) is MISS
     assert cache.lookup(("b",), 64) == payload
     # A single entry above the budget is kept: an empty cache that can
@@ -192,7 +180,7 @@ def test_estimate_payload_bytes_grows_linearly_with_length():
 
 def test_generation_invalidation_is_wholesale():
     cache = make_cache(generation=1)
-    cache.store(("k",), 2, [1, 2])
+    cache.store(("k",), [1, 2])
     cache.ensure_generation(1)  # no-op: stamp unchanged
     assert cache.lookup(("k",), 2) == [1, 2]
     cache.ensure_generation(2)  # index moved on: drop everything
@@ -205,7 +193,7 @@ def test_generation_invalidation_is_wholesale():
 
 def test_explicit_invalidate_restamps():
     cache = make_cache(generation=3)
-    cache.store(("k",), 1, [1])
+    cache.store(("k",), [1])
     cache.invalidate(7)
     assert cache.generation == 7
     assert cache.lookup(("k",), 1) is MISS
@@ -215,7 +203,7 @@ def test_explicit_invalidate_restamps():
 
 def test_contract_checks_dominated_slices_against_recompute():
     cache = make_cache()
-    cache.store(("k",), 4, [1, 2, 3, 4])
+    cache.store(("k",), [1, 2, 3, 4])
     previous = contracts.ENABLED
     contracts.enable_contracts(True)
     try:
@@ -229,21 +217,31 @@ def test_contract_checks_dominated_slices_against_recompute():
 
 
 def test_contract_checks_exact_hits_sliced_from_a_complete_entry():
+    """Every hit but the stored payload verbatim is re-derived: a
+    shorter page, and a page deeper than the payload holds."""
     cache = make_cache()
-    cache.store(("k",), 2, [1, 2, 3], complete=True)
+    cache.store(("k",), [1, 2, 3])
     previous = contracts.ENABLED
     contracts.enable_contracts(True)
     try:
         assert cache.lookup(("k",), 2, recompute=lambda: [1, 2]) == [1, 2]
         with pytest.raises(ContractViolation):
             cache.lookup(("k",), 2, recompute=lambda: [1, 99])
+        assert cache.lookup(("k",), 5,
+                            recompute=lambda: [1, 2, 3]) == [1, 2, 3]
+        with pytest.raises(ContractViolation):
+            cache.lookup(("k",), 5, recompute=lambda: [1, 2, 3, 4])
+
+        def boom():
+            raise AssertionError("a verbatim hit needs no recompute")
+        assert cache.lookup(("k",), 3, recompute=boom) == [1, 2, 3]
     finally:
         contracts.enable_contracts(previous)
 
 
 def test_contract_disabled_skips_recompute():
     cache = make_cache()
-    cache.store(("k",), 4, [1, 2, 3, 4])
+    cache.store(("k",), [1, 2, 3, 4])
     previous = contracts.ENABLED
     contracts.enable_contracts(False)
     try:
@@ -259,7 +257,7 @@ def test_contract_disabled_skips_recompute():
 def test_gauges_track_bytes_and_entries():
     registry = MetricsRegistry()
     cache = make_cache(registry=registry)
-    cache.store(("k",), 2, [1, 2])
+    cache.store(("k",), [1, 2])
     assert registry.gauge("serve.cache.bytes") == float(cache.nbytes)
     assert registry.gauge("serve.cache.entries") == 1.0
     cache.invalidate()

@@ -1,17 +1,20 @@
-"""Result caching and request coalescing on the serve path.
+"""Result caching on the serve path.
 
 ``serve_request_cached`` is exercised in-process against the uncached
 ``serve_request`` reference (bit-identity is the whole contract); the
-multiprocess ``EngineServer`` cache/coalescing tests keep their pools
-small like the rest of the serving suite.  The Zipf repeat-mix workload
+multiprocess ``EngineServer`` cache tests keep their pools small like
+the rest of the serving suite.  The Zipf repeat-mix workload
 generator is tested here too, since its only consumer is the cached
 throughput bench.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.analysis import contracts
 from repro.core.soi import AccessStrategy, SOIEngine
 from repro.datagen import build_preset
 from repro.errors import QueryError
@@ -60,8 +63,8 @@ def test_dominated_k_slices_match_for_soi(small_city, small_engine):
         small = SOIRequest(keywords=("food", "shop"), k=k)
         cached = serve_request_cached(small_engine, None, small, cache)
         assert cached == serve_request(small_engine, None, small)
-    assert cache.stats()["dominated_hits"] >= 1
-    assert cache.stats()["insertions"] == 1
+    stats = cache.stats()
+    assert (stats["misses"], stats["hits"], stats["insertions"]) == (1, 3, 1)
 
 
 def test_describe_requests_never_reuse_across_k(small_city, small_engine):
@@ -75,7 +78,7 @@ def test_describe_requests_never_reuse_across_k(small_city, small_engine):
         assert cached == serve_request(small_engine, small_city.photos,
                                        request)
     stats = cache.stats()
-    assert stats["dominated_hits"] == 0
+    assert stats["hits"] == 0
     assert stats["insertions"] == 3  # one entry per k — no cross-k reuse
 
 
@@ -110,8 +113,8 @@ def test_server_cache_is_bit_identical_and_hits_on_repeats():
         telemetry = server.telemetry()
     assert payloads == expected
     # 24 Zipf draws over 6 distinct requests must repeat: every repeat is
-    # a parent-cache hit, a coalesced waiter, or a worker-cache hit.
-    assert stats["hits"] + stats["coalesced_waiters"] > 0
+    # a parent-cache hit or a worker-cache hit.
+    assert stats["hits"] > 0
     assert stats["hit_rate"] > 0.0
     assert telemetry["cache"] == stats
 
@@ -133,10 +136,16 @@ def test_server_serves_later_pages_from_complete_rankings():
         stats = server.cache_stats()
         executed = server.metrics().counter("soi.queries")
     assert payloads == expected
-    assert stats["exhausted_hits"] > 0
+    assert stats["hits"] > 0
     assert executed < len(PAGES)
-    # A full later page answered in the parent (zero service time) can
-    # only come from a complete ranking a worker shipped beside its page.
+    # The one worker computes each (signature, eps) pair once, at its
+    # first page, k = 10, and the parent stores the ranking it ships:
+    # one insertion per pair in each cache.  Every later page is a hit.
+    pairs = len({(page.keywords, page.eps) for page in PAGES})
+    assert stats["insertions"] == 2 * pairs
+    # So a full page deeper than k = 10 answered in the parent (zero
+    # service time) can only come from the complete ranking a worker
+    # shipped beside a k = 10 page.
     assert any(served == 0.0 and len(payload) == request.k > 10
                for request, payload, served
                in zip(PAGES, payloads, service_s))
@@ -163,7 +172,7 @@ def test_second_page_after_an_incomplete_algorithm1_run_is_a_hit():
         engine.top_k(["shop"], page.k, strategy=AccessStrategy.CELLS_FIRST)
         for page in pages]
     assert executed == 1
-    assert cache["exhausted_hits"] == 1
+    assert cache["hits"] == 1
     assert served[1][1] == [0.0]  # answered in the parent
 
 
@@ -179,19 +188,29 @@ def test_strategies_share_one_cache_entry(small_engine):
     assert (stats["misses"], stats["hits"], stats["insertions"]) == (1, 1, 1)
 
 
+INVALID_PAGES = (
+    (SOIRequest(keywords=("shop",), k=10, strategy="bogus"), "strategy"),
+    (SOIRequest(keywords=("shop",), k=0), "k must be at least 1"),
+    (SOIRequest(keywords=("shop",), k=-1), "k must be at least 1"),
+)
+"""k-SOI requests the engine refuses, with their error messages: a
+cached ranking of ``("shop",)`` must not answer them by slicing."""
+
+
 def test_unknown_strategy_is_a_query_error_before_any_lookup(small_engine):
     cache = make_cache(small_engine)
     serve_request_cached(small_engine, None,
                          SOIRequest(keywords=("shop",), k=10), cache)
-    bogus = SOIRequest(keywords=("shop",), k=10, strategy="bogus")
-    for serve in (lambda: serve_request(small_engine, None, bogus),
-                  lambda: serve_request_cached(small_engine, None, bogus,
-                                               cache),
-                  lambda: request_cache_key(bogus),
-                  lambda: small_engine.top_k(["shop"], 10,
-                                             strategy="bogus")):
-        with pytest.raises(QueryError, match="strategy"):
-            serve()
+    for bogus, message in INVALID_PAGES:
+        for serve in (
+                lambda: serve_request(small_engine, None, bogus),
+                lambda: serve_request_cached(small_engine, None, bogus,
+                                             cache),
+                lambda: request_cache_key(bogus),
+                lambda: small_engine.top_k(["shop"], bogus.k,
+                                           strategy=bogus.strategy)):
+            with pytest.raises(QueryError, match=message):
+                serve()
     assert cache.stats()["hits"] == 0
 
 
@@ -201,10 +220,47 @@ def test_server_delivers_unknown_strategy_error_after_a_cached_page():
     good = SOIRequest(keywords=("shop",), k=5)
     with EngineServer.for_engine(engine, workers=1, cache=True) as server:
         assert server.run([good]) == [serve_request(engine, None, good)]
-        server.submit(SOIRequest(keywords=("shop",), k=5, strategy="bogus"))
-        with pytest.raises(QueryError, match="strategy"):
-            server.next_result(timeout=30.0)
+        for bogus, message in INVALID_PAGES:
+            server.submit(bogus)
+            with pytest.raises(QueryError, match=message):
+                server.next_result(timeout=30.0)
         assert server.run([good]) == [serve_request(engine, None, good)]
+
+
+def test_in_flight_repeats_reach_the_worker_cache():
+    """A repeat of a request still in flight crosses the task pipe, and
+    the worker's cache answers it: the worker serves its tasks in order
+    and stores each entry before it serves the next."""
+    city = build_preset("vienna", scale=0.1)
+    engine = SOIEngine(city.network, city.pois)
+    describe = DescribeRequest(
+        street_id=engine.top_k(["shop"], k=1)[0].street_id, k=5)
+    requests = [describe, describe,
+                SOIRequest(keywords=("food", "shop"), k=10),
+                SOIRequest(keywords=("food", "shop"), k=5)]
+    with EngineServer.for_engine(engine, city.photos, workers=1,
+                                 micro_batch=4, cache=True) as server:
+        seqs = [server.submit(request) for request in requests]
+        arrivals = {}
+        for _ in requests:
+            seq, payload, service_s = server.next_result(timeout=30.0)
+            arrivals[seq] = (payload, service_s)
+        metrics = server.metrics()
+        stats = server.cache_stats()
+    assert [arrivals[seq][0] for seq in seqs] == [
+        serve_request(engine, city.photos, request) for request in requests]
+    # Under REPRO_CHECK=1 the worker also re-derives the k = 5 page it
+    # sliced from its cached ranking (contracts.check_prefix_slice): one
+    # more ranking, computed only to be compared.  The spawned worker
+    # reads REPRO_CHECK from the environment it inherits.
+    checks = contracts._env_enabled(os.environ.get("REPRO_CHECK"))
+    assert metrics.counter("soi.queries") == 1 + int(checks)
+    assert metrics.counter("describe.queries") == 1
+    # Every request crossed the pipe, and the worker's cache answered
+    # both repeats.
+    assert all(service_s > 0 for _payload, service_s in arrivals.values())
+    assert stats["hits"] == 2
+    assert stats["coalesced_waiters"] == 0
 
 
 def test_server_without_cache_reports_none():

@@ -161,6 +161,32 @@ def test_micro_batching_is_payload_identical(small_engine):
     assert hist is not None and hist.sum == len(requests)
 
 
+def test_metrics_dump_ships_once_per_drained_batch(small_engine):
+    """Only the last result of a drained batch carries the worker's
+    metrics dump, taken after every record of that batch, so the merged
+    metrics still count every collected request."""
+    requests = paging_requests(16)
+    with EngineServer.for_engine(small_engine, workers=1,
+                                 micro_batch=8) as server:
+        dumps: list[bool] = []
+        accept = server._accept
+
+        def accept_counting_dumps(result):
+            dumps.append(result[5] is not None)
+            return accept(result)
+
+        server._accept = accept_counting_dumps
+        for request in requests:
+            server.submit(request)
+        for _ in requests:
+            server.next_result(timeout=30.0)
+        merged = server.metrics()
+    assert len(dumps) == len(requests)
+    assert sum(dumps) < len(requests)
+    assert dumps[-1]
+    assert merged.counter("serve.requests") == len(requests)
+
+
 def test_micro_batch_validation():
     # The guard fires before the snapshot is touched or workers spawn.
     with pytest.raises(ValueError):
