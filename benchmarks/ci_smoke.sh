@@ -195,17 +195,18 @@ if __name__ == "__main__":
     main()
 CACHE_SMOKE
 python "$SCRATCH/cache_smoke.py"
-# Paging smoke: a fixed list of two signatures times two eps, each paged
-# at k = 10, 20, ..., 80, served by a 2-worker pool with the cache on and
-# off.  Payloads must be bit-identical to each other and to Algorithm 1
-# (SOIEngine.top_k) in process, so the served ranking cannot drift from
-# the paper's algorithm; later pages must be answered from complete
-# rankings (cache hits: the pages ask for increasing k, so any hit is a
-# later page).  Every served k-SOI ships its complete
-# ranking, so the pool runs at most one k-SOI query per worker and
-# (signature, eps) pair.  Every ranking on this city holds more than 80
-# streets, so only a complete ranking can answer a later page.  Untimed,
-# like the cache smoke.
+# Paging smoke: a fixed list of two signatures times two eps, and one
+# signature's weighted pages at both eps (the weighted slot-mass sums),
+# each paged at k = 10, 20, ..., 80, served by a 2-worker pool with the
+# cache on and off.  Payloads must be bit-identical to each other and to
+# Algorithm 1 (SOIEngine.top_k, weighted where the page is) in process,
+# so the served ranking cannot drift from the paper's algorithm; later
+# pages must be answered from complete rankings (cache hits: the pages
+# ask for increasing k, so any hit is a later page).  Every served k-SOI
+# ships its complete ranking, so the pool runs at most one k-SOI query
+# per worker and (signature, eps, weighted) triple.  Every ranking on
+# this city holds more than 80 streets, so only a complete ranking can
+# answer a later page.  Untimed, like the cache smoke.
 cat > "$SCRATCH/paging_smoke.py" <<'PAGING_SMOKE'
 from repro.core.soi import SOIEngine
 from repro.datagen import build_preset
@@ -213,9 +214,10 @@ from repro.serve import EngineServer
 from repro.serve.server import SOIRequest
 
 WORKERS = 2
-PAGES = [SOIRequest(keywords=signature, k=k, eps=eps)
+PAGES = [SOIRequest(keywords=signature, k=k, eps=eps, weighted=weighted)
          for k in range(10, 90, 10)
-         for signature in (("food", "shop"), ("shop",))
+         for signature, weighted in ((("food", "shop"), False),
+                                     (("shop",), False), (("food",), True))
          for eps in (0.0003, 0.0005)]
 
 
@@ -236,7 +238,8 @@ def main() -> None:
         raise SystemExit("paging smoke: cached payloads diverge from the "
                          "uncached run")
     for page, payload in zip(PAGES, cached):
-        if payload != engine.top_k(page.keywords, page.k, eps=page.eps):
+        if payload != engine.top_k(page.keywords, page.k, eps=page.eps,
+                                   weighted=page.weighted):
             raise SystemExit(f"paging smoke: served page {page} differs "
                              "from SOIEngine.top_k")
     if stats["hits"] <= 0:
@@ -245,14 +248,15 @@ def main() -> None:
     if executed >= len(PAGES):
         raise SystemExit(f"paging smoke: {executed} k-SOI queries ran for "
                          f"{len(PAGES)} requests")
-    pairs = len({(page.keywords, page.eps) for page in PAGES})
-    if executed > WORKERS * pairs:
+    triples = len({(page.keywords, page.eps, page.weighted)
+                   for page in PAGES})
+    if executed > WORKERS * triples:
         raise SystemExit(f"paging smoke: {executed} k-SOI queries ran for "
-                         f"{pairs} (signature, eps) pairs on {WORKERS} "
-                         "workers")
+                         f"{triples} (signature, eps, weighted) triples on "
+                         f"{WORKERS} workers")
     print(f"paging smoke: {len(PAGES)} pages bit-identical to the uncached "
-          f"run and to Algorithm 1, {executed} k-SOI queries for {pairs} "
-          f"(signature, eps) pairs, {stats['hits']} "
+          f"run and to Algorithm 1, {executed} k-SOI queries for {triples} "
+          f"(signature, eps, weighted) triples, {stats['hits']} "
           "complete-ranking hits")
 
 

@@ -212,9 +212,15 @@ def relevance_bound_columns(
     vocabulary = len(profile.tag_vocabulary)
     if norm == 0 or vocabulary == 0:
         return spatial_lo, spatial_hi, np.zeros(slots), np.zeros(slots)
-    # One row per distinct (cell, tag): the cell vocabulary c.Psi.
+    # One row per distinct (cell, tag): the cell vocabulary c.Psi.  A sort
+    # and a neighbour test, not np.unique: without an optional output,
+    # NumPy 2.4's np.unique imports numpy.ma, 12-24 ms on a worker's first
+    # describe.
     photo = np.repeat(np.arange(n), np.diff(profile.tag_offsets))
-    pairs = np.unique(index.photo_slot[photo] * vocabulary + profile.tag_ids)
+    pairs = np.sort(index.photo_slot[photo] * vocabulary + profile.tag_ids)
+    distinct = np.ones(pairs.shape[0], dtype=bool)
+    distinct[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[distinct]
     cell = pairs // vocabulary
     weight = profile.tag_weights[pairs % vocabulary]
     inside = weight > 0

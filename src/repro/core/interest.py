@@ -13,7 +13,11 @@ Two implementations of mass are provided: one vectorised pass that
 materialises every ``(segment, cell)`` slot mass of a store layout (the
 production path shared by the SOI algorithm, the BL baseline and the
 region query) and a brute-force scan, the ground truth of the test
-oracle (``tests/oracle.py``) and of the runtime contracts.
+oracle (``tests/oracle.py``) and of the runtime contracts.  The pass
+computes no distance: it selects, with the query's keyword mask, rows
+of the layout's within-``eps`` incidence
+(:class:`~repro.core.state_store.SlotIncidence`), which one distance
+kernel call per ``(engine, eps)`` layout built.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from repro.obs.tracer import trace_span
 from repro.data.poi import POISet
 from repro.errors import QueryError
 from repro.geometry.distance import (
+    MATH_HYPOT_WITHIN,
+    NP_HYPOT_WITHIN,
     points_segment_distance,
-    points_segments_within,
 )
 from repro.index.poi_grid import POIGridIndex
 from repro.network.model import RoadNetwork, Segment
@@ -82,19 +87,25 @@ def materialise_slot_masses(
     """Definition 1 for every ``(segment, cell)`` slot of ``layout`` in
     one vectorised pass.
 
-    One row per (slot, relevant POI of the slot's cell), slot-major with
-    POI positions ascending, gets its ``dist(p, l) <= eps`` test from one
-    row-wise kernel call.  A slot's mass counts its rows within
-    ``layout.eps``; weighted, it sums their weights as ``np.sum`` over
-    the slot's within-``eps`` weights in position order (for fewer than
-    eight that is the left-to-right sum from 0.0).  Slots whose cell has
-    no relevant POI hold 0.0.  Summing a segment's slot masses in slot
-    order (:func:`segment_mass`) is exact Definition 1, since every POI
-    lies in exactly one cell of ``C_eps(l)`` or in none.
+    The distance test is the layout's
+    :class:`~repro.core.state_store.SlotIncidence`, built once per
+    layout: every ``(slot, POI)`` row whose POI lies in the slot's cell
+    and within ``layout.eps`` of its segment, slot-major with POI
+    positions ascending.  The pass keeps the rows whose POI matches
+    ``keywords``; a row only one rounding puts within ``eps`` counts
+    when that rounding is its cell's (``math.hypot`` for a cell of at
+    most :data:`_EXACT_HYPOT_CELL_MAX` relevant POIs, ``np.hypot``
+    above).  A slot's mass counts its kept rows; weighted, it sums their
+    weights as ``np.sum`` over the slot's within-``eps`` weights in
+    position order (for fewer than eight that is the left-to-right sum
+    from 0.0).  Slots whose cell has no relevant POI hold 0.0.  Summing
+    a segment's slot masses in slot order (:func:`segment_mass`) is
+    exact Definition 1, since every POI lies in exactly one cell of
+    ``C_eps(l)`` or in none.
 
     ``stats`` (an :class:`~repro.core.results.SOIStats` or anything with
-    the same attributes) counts the kernel call in ``kernel_calls`` and
-    the relevant slots in ``mass_cache_misses``.
+    the same attributes) counts a pass that found a relevant slot in
+    ``kernel_calls`` and the relevant slots in ``mass_cache_misses``.
     """
     if obs_tracer.ENABLED:
         with trace_span("soi.mass_kernel", slots=layout.num_slots):
@@ -107,45 +118,32 @@ def materialise_slot_masses(
 def _materialise_slot_masses(layout, poi_index, keywords, weighted,
                              stats) -> MassSlots:
     num_slots = layout.num_slots
-    # Relevant POI positions grouped by linearised cell, ascending within
-    # each cell (a stable sort of ascending positions).
-    rel = np.flatnonzero(poi_index.relevant_position_mask(keywords))
-    rel_lin = poi_index.cell_lin[rel]
-    order = np.argsort(rel_lin, kind="stable")
-    rel = rel[order]
-    keys, starts, counts = np.unique(rel_lin[order], return_index=True,
-                                     return_counts=True)
-    found, at = layout.locate_cells(keys)
-    cell_n = np.zeros(layout.num_cells, dtype=np.int64)
-    cell_n[at] = counts[found]
-    cell_start = np.zeros(layout.num_cells, dtype=np.int64)
-    cell_start[at] = starts[found]
-    slot_n = cell_n[layout.slot_cell]
-    slots = np.flatnonzero(slot_n)
-    if slots.shape[0] == 0:
-        return MassSlots(np.zeros(num_slots), layout.slot_seg[slots],
-                         layout.num_segments)
-    n = slot_n[slots]
-    row_slot = np.repeat(slots, n)
-    rank = (np.arange(row_slot.shape[0], dtype=np.int64)
-            - np.repeat(np.cumsum(n) - n, n))
-    row_poi = rel[np.repeat(cell_start[layout.slot_cell[slots]], n) + rank]
-    row_seg = layout.slot_seg[row_slot]
-    ax, ay, bx, by = (column[row_seg] for column in layout.endpoints)
-    pois = poi_index.pois
-    within = points_segments_within(
-        pois.xs[row_poi], pois.ys[row_poi], ax, ay, bx, by, layout.eps,
-        exact=np.repeat(n <= _EXACT_HYPOT_CELL_MAX, n))
+    incidence = layout.poi_incidence(poi_index)
+    relevant = poi_index.relevant_position_mask(keywords)
+    # Relevant POIs per layout cell; bin 0 takes the POIs in no cell.
+    cell_n = np.bincount(incidence.poi_cell[relevant] + 1,
+                         minlength=layout.num_cells + 1)[1:]
+    relevant_cells = cell_n > 0
+    if not relevant_cells.any():
+        return MassSlots(np.zeros(num_slots), layout, relevant_cells)
+    keep = np.take(relevant, incidence.poi)
+    boundary = incidence.boundary
+    if boundary.shape[0]:
+        rounding = np.where(
+            cell_n[layout.slot_cell[incidence.slot[boundary]]]
+            <= _EXACT_HYPOT_CELL_MAX, MATH_HYPOT_WITHIN, NP_HYPOT_WITHIN)
+        keep[boundary] &= (incidence.within[boundary] & rounding) != 0
+    row_slot = incidence.slot[keep]
+    if weighted:
+        weights = poi_index.pois.weights[incidence.poi[keep]]
+        mass = _run_sums(row_slot, weights, num_slots)
+    else:
+        mass = np.bincount(row_slot, minlength=num_slots).astype(np.float64)
+    slots = MassSlots(mass, layout, relevant_cells)
     if stats is not None:
         stats.kernel_calls += 1
-        stats.mass_cache_misses += int(slots.shape[0])
-    if weighted:
-        mass = _run_sums(row_slot[within], pois.weights[row_poi[within]],
-                         num_slots)
-    else:
-        mass = np.bincount(row_slot[within],
-                           minlength=num_slots).astype(np.float64)
-    return MassSlots(mass, layout.slot_seg[slots], layout.num_segments)
+        stats.mass_cache_misses += slots.num_relevant
+    return slots
 
 
 def _run_sums(keys: np.ndarray, values: np.ndarray,

@@ -55,10 +55,13 @@ class SOIStats:
     slot-mass materialisation), ``"filter"`` and ``"refine"``.
 
     The kernel and cache counters instrument the performance layer:
-    ``kernel_calls`` counts invocations of the row-wise distance kernel
-    (:func:`~repro.geometry.distance.points_segments_within`), one per
-    slot-mass materialisation the run performed (0 when it read slot
-    masses an earlier run materialised); ``mass_cache_misses`` counts
+    ``kernel_calls`` counts the slot-mass passes the run performed, one
+    per materialisation that found a relevant slot (0 when it read slot
+    masses an earlier run materialised).  A pass computes no distance:
+    it reads the store layout's within-``eps`` incidence, which one
+    call of the row-wise distance kernel
+    (:func:`~repro.geometry.distance.points_segments_within`) built per
+    ``(engine, eps)``.  ``mass_cache_misses`` counts
     the relevant ``(segment, cell)`` slots that materialisation filled,
     and ``mass_cache_hits`` the relevant slot masses the run read from
     slots an earlier run filled.  ``session_reused`` is

@@ -9,8 +9,9 @@ the remaining per-cell upper-bound contribution.
 
 The immutable layout and per-signature columns are NumPy arrays — they
 are *built* vectorised (one ufunc for every buffer area, one ``bincount``
-for every segment's total upper bound, one row-wise distance pass for
-every slot mass) and mirrored to Python lists for element-wise reads.
+for every segment's total upper bound, one row-wise distance pass per
+layout for every within-``eps`` ``(slot, POI)`` pair, which every slot
+mass then reads) and mirrored to Python lists for element-wise reads.
 The mutable run scratch and Algorithm 1's view of the slot masses
 (built on its first read) are plain Python lists: profiling the street
 grids shows a popped cell touches only 2–8 segments and a finalised
@@ -22,7 +23,11 @@ Layout vs. scratch
 ------------------
 * :class:`StoreLayout` is immutable and engine-owned, one per ``eps``:
   dense columns plus the CSR of ``(segment, cell)`` *slots* and its
-  cell-major inverse.
+  cell-major inverse, and the layout's :class:`SlotIncidence`, the only
+  caller of the distance kernel
+  (:func:`~repro.geometry.distance.points_segments_within`): one call
+  when the layout's first slot-mass pass (or a snapshot attach, for a
+  warm ``eps``) builds it.
 * :class:`SignatureBindings` and :class:`MassSlots` are per keyword
   signature (the latter also per ``weighted``), normally owned by a
   :class:`~repro.perf.session.QuerySession`: the cell upper bounds of
@@ -52,18 +57,26 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.geometry.distance import (
+    MATH_HYPOT_WITHIN,
+    NP_HYPOT_WITHIN,
+    points_segments_within,
+)
 from repro.index.csr import counts_to_offsets
+from repro.obs.tracer import trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.source_lists import CellBounds
     from repro.index.cell_maps import SegmentCellMaps
     from repro.index.grid import CellCoord
+    from repro.index.poi_grid import POIGridIndex
     from repro.network.model import RoadNetwork, Segment
 
 __all__ = [
     "MassSlots",
     "SegmentStateStore",
     "SignatureBindings",
+    "SlotIncidence",
     "StoreLayout",
     "TopKThreshold",
 ]
@@ -164,10 +177,10 @@ class StoreLayout:
         "eps", "segments", "num_segments", "seg_ids", "lengths",
         "street_of", "buffer_col", "endpoints", "dense_index", "num_slots",
         "num_cells", "cells", "cell_index", "slot_offsets",
-        "slot_cell", "slot_seg", "slot_cells", "cell_counts",
+        "slot_cell", "slot_seg", "slot_cells", "cell_counts", "cell_slots",
         "seg_ids_list", "street_list", "lengths_list", "buffer_list",
         "cell_counts_list", "_sorted_lin", "_sorted_pos", "_group_offsets",
-        "_group_segs", "_group_slots", "_groups",
+        "_group_segs", "_group_slots", "_groups", "_incidence",
     )
 
     def __init__(self, network: "RoadNetwork",
@@ -203,6 +216,7 @@ class StoreLayout:
 
         offsets, flat_i, flat_j = cell_maps.augmented_csr(eps)
         self._init_cells_from_csr(cell_maps.grid.ny, offsets, flat_i, flat_j)
+        self._incidence: SlotIncidence | None = None
 
     def _init_cells_from_csr(self, ny: int, offsets: np.ndarray,
                              flat_i: np.ndarray,
@@ -236,16 +250,17 @@ class StoreLayout:
         self.slot_cells = [cells[pos] for pos in slot_cell.tolist()]
         self.cell_counts = np.diff(self.slot_offsets)
         self.cell_counts_list = self.cell_counts.tolist()
-        self._group_offsets = counts_to_offsets(
-            np.bincount(slot_cell, minlength=num_cells)).tolist()
+        self.cell_slots = np.bincount(slot_cell, minlength=num_cells)
+        self._group_offsets = counts_to_offsets(self.cell_slots).tolist()
         self._group_segs = seg_col[slot_order]
         self._group_slots = slot_order
         self._groups: dict["CellCoord", tuple[list[int], list[int]]] = {}
 
     def locate_cells(
             self, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which of the linearised cells ``lin`` (ascending) the layout
-        holds, as a mask over ``lin``, and those cells' layout positions.
+        """Which of the linearised cells ``lin`` the layout holds, as a
+        mask over ``lin``, and those cells' layout positions in ``lin``
+        order.
         """
         if not (lin.shape[0] and self.num_cells):
             return (np.zeros(lin.shape[0], dtype=bool),
@@ -254,6 +269,20 @@ class StoreLayout:
                          self.num_cells - 1)
         found = self._sorted_lin[pos] == lin
         return found, self._sorted_pos[pos[found]]
+
+    def poi_incidence(self, poi_index: "POIGridIndex") -> "SlotIncidence":
+        """The layout's within-``eps`` :class:`SlotIncidence` over the
+        engine's POI index, built on the first call.
+
+        A layout belongs to one engine, so every call passes the same
+        index.  Add-only: concurrent first calls store equal incidences.
+        """
+        incidence = self._incidence
+        if incidence is None:
+            with trace_span("index.slot_incidence", eps=self.eps):
+                incidence = SlotIncidence(self, poi_index)
+            self._incidence = incidence
+        return incidence
 
     def cell_group(self, cell: "CellCoord") -> tuple[Sequence[int],
                                                      Sequence[int]]:
@@ -279,6 +308,62 @@ class StoreLayout:
 
 
 _NO_GROUP: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+
+
+class SlotIncidence:
+    """Every ``(slot, POI)`` pair of one :class:`StoreLayout` whose POI
+    lies in the slot's cell and within ``eps`` of the slot's segment,
+    whatever the POI's keywords.
+
+    Definition 1 filters POIs by keyword and by distance; only the
+    keyword test depends on the query, so one
+    :func:`~repro.geometry.distance.points_segments_within` pass over
+    every ``(slot, POI of the slot's cell)`` pair settles the distance
+    test for all queries at the layout's ``eps``, as the
+    ``eps``-augmented maps of Section 3.2.1 settle the cell geometry.
+
+    * ``slot``, ``poi``: int32 row columns, slot-major with POI
+      positions ascending within a slot — the order a weighted mass
+      sums its weights in.
+    * ``within``: the row's int8 flags, which rounding puts it within
+      ``eps`` (:data:`~repro.geometry.distance.NP_HYPOT_WITHIN`,
+      :data:`~repro.geometry.distance.MATH_HYPOT_WITHIN` or both); a
+      pair neither rounding puts within ``eps`` has no row.
+    * ``boundary``: the rows only one rounding keeps, which the
+      slot-mass pass settles by its cell's rounding rule.
+    * ``poi_cell``: the layout cell of every POI position, int32, -1 for
+      a POI in no cell of the layout.
+    """
+
+    __slots__ = ("slot", "poi", "within", "boundary", "poi_cell")
+
+    def __init__(self, layout: StoreLayout,
+                 poi_index: "POIGridIndex") -> None:
+        found, at = layout.locate_cells(poi_index.cell_lin)
+        poi_cell = np.full(found.shape[0], -1, dtype=np.int32)
+        poi_cell[found] = at
+        # POI positions grouped by layout cell, ascending within each
+        # cell (a stable sort of ascending positions).
+        by_cell = np.flatnonzero(found)[np.argsort(at, kind="stable")]
+        cell_n = np.bincount(at, minlength=layout.num_cells)
+        cell_start = np.cumsum(cell_n) - cell_n
+        n = cell_n[layout.slot_cell]
+        row_slot = np.repeat(np.arange(layout.num_slots, dtype=np.int64), n)
+        rank = (np.arange(row_slot.shape[0], dtype=np.int64)
+                - np.repeat(np.cumsum(n) - n, n))
+        row_poi = by_cell[np.repeat(cell_start[layout.slot_cell], n) + rank]
+        row_seg = layout.slot_seg[row_slot]
+        ax, ay, bx, by = (column[row_seg] for column in layout.endpoints)
+        pois = poi_index.pois
+        within = points_segments_within(
+            pois.xs[row_poi], pois.ys[row_poi], ax, ay, bx, by, layout.eps)
+        rows = np.flatnonzero(within)
+        self.slot = row_slot[rows].astype(np.int32)
+        self.poi = row_poi[rows].astype(np.int32)
+        self.within = within[rows]
+        self.boundary = np.flatnonzero(
+            self.within != (NP_HYPOT_WITHIN | MATH_HYPOT_WITHIN))
+        self.poi_cell = poi_cell
 
 
 class SignatureBindings:
@@ -316,26 +401,26 @@ class MassSlots:
     ``mass_col`` is the pass's float64 column: 0.0 for every slot whose
     cell has no relevant POI.  The whole-layout reductions of the BL
     ranking, which serve every k-SOI request, read only it and
-    ``num_relevant``, the number of slots whose cell has a relevant POI.
-    Algorithm 1 reads the same masses as the Python list ``mass`` and
-    ``seg_relevant[d]``, the relevant slots of dense segment ``d``:
-    every read of Algorithm 1 is a single-slot probe or a short
-    per-segment run, where list indexing beats NumPy scalar indexing
-    severalfold (see the module docstring).  Both lists are built on
-    Algorithm 1's first read.  The masses never change after the pass,
-    so sessions share one instance between concurrent runs; two first
-    reads racing build equal lists.
+    ``num_relevant``, the number of slots whose cell has a relevant POI
+    (``relevant_cells`` masks those cells).  Algorithm 1 reads the same
+    masses as the Python list ``mass`` and ``seg_relevant[d]``, the
+    relevant slots of dense segment ``d``: every read of Algorithm 1 is
+    a single-slot probe or a short per-segment run, where list indexing
+    beats NumPy scalar indexing severalfold (see the module docstring).
+    Both lists are built on Algorithm 1's first read.  The masses never
+    change after the pass, so sessions share one instance between
+    concurrent runs; two first reads racing build equal lists.
     """
 
-    __slots__ = ("mass_col", "num_relevant", "_relevant_seg",
-                 "_num_segments", "_mass", "_seg_relevant")
+    __slots__ = ("mass_col", "num_relevant", "_layout", "_relevant_cells",
+                 "_mass", "_seg_relevant")
 
-    def __init__(self, mass_col: np.ndarray, relevant_seg: np.ndarray,
-                 num_segments: int) -> None:
+    def __init__(self, mass_col: np.ndarray, layout: StoreLayout,
+                 relevant_cells: np.ndarray) -> None:
         self.mass_col = mass_col
-        self.num_relevant = int(relevant_seg.shape[0])
-        self._relevant_seg = relevant_seg
-        self._num_segments = num_segments
+        self.num_relevant = int(layout.cell_slots[relevant_cells].sum())
+        self._layout = layout
+        self._relevant_cells = relevant_cells
         self._mass: list[float] | None = None
         self._seg_relevant: list[int] | None = None
 
@@ -355,8 +440,11 @@ class MassSlots:
     @property
     def seg_relevant(self) -> list[int]:
         if self._seg_relevant is None:
+            layout = self._layout
+            relevant = self._relevant_cells[layout.slot_cell]
             self._seg_relevant = np.bincount(
-                self._relevant_seg, minlength=self._num_segments).tolist()
+                layout.slot_seg[relevant],
+                minlength=layout.num_segments).tolist()
         return self._seg_relevant
 
 

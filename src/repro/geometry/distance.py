@@ -10,20 +10,21 @@ These functions implement the distance semantics of the paper:
   cell-to-segment and segment-to-cell maps of Section 3.2.1).
 
 Scalar kernels are pure Python; :func:`points_segments_within` is the
-row-wise NumPy batch behind the one-pass slot-mass materialisation of
-:mod:`repro.core.interest`, :func:`points_segment_distance` a
-one-segment distance batch, and :func:`segments_bbox_mindist_batched`
-the cold-path batch behind the vectorised ``eps``-augmentation of
-:mod:`repro.index.cell_maps`.
+row-wise NumPy batch behind a store layout's within-``eps`` incidence
+(:class:`repro.core.state_store.SlotIncidence`), which runs it once per
+``(engine, eps)`` layout so that no k-SOI query computes a distance,
+:func:`points_segment_distance` a one-segment distance batch, and
+:func:`segments_bbox_mindist_batched` the cold-path batch behind the
+vectorised ``eps``-augmentation of :mod:`repro.index.cell_maps`.
 
 The batched kernels are **bit-identical** to their scalar counterparts:
 every IEEE-754 operation is applied to the same operands in the same
 order, and the one library call whose rounding is not pinned down by the
 standard — ``math.hypot`` — is replaced by :func:`_hypot_exact`, a NumPy
 transcription of CPython's scaled, compensated ``vector_norm`` algorithm
-(``Modules/mathmodule.c``).  ``np.hypot`` is used only for rows whose
+(``Modules/mathmodule.c``).  ``np.hypot`` is used only for results whose
 reference is itself ``np.hypot``-rounded (:func:`points_segment_distance`
-and the non-``exact`` rows of :func:`points_segments_within`): it
+and the :data:`NP_HYPOT_WITHIN` flag of :func:`points_segments_within`): it
 differs from ``math.hypot`` in the last ulp for roughly 0.07% of inputs
 on this platform, which would break the augmented maps' set-equality
 with the scalar reference.
@@ -261,32 +262,46 @@ def _points_segments_distance(
 
 _NEAR_ULPS = 16
 """Half-width, in ulps of ``eps``, of the band around ``eps`` where
-:func:`points_segments_within` re-rounds an exact row: ``math.hypot``
-and ``np.hypot`` are each within one ulp of the true distance, so they
-can only disagree about ``dist <= eps`` for distances two ulps from it."""
+:func:`points_segments_within` re-rounds a row as ``math.hypot``:
+``math.hypot`` and ``np.hypot`` are each within one ulp of the true
+distance, so they can only disagree about ``dist <= eps`` for distances
+two ulps from it."""
+
+NP_HYPOT_WITHIN = 1
+"""Flag bit of :func:`points_segments_within`: the ``np.hypot``-rounded
+distance is at most ``eps``."""
+
+MATH_HYPOT_WITHIN = 2
+"""Flag bit of :func:`points_segments_within`: the ``math.hypot``-rounded
+distance is at most ``eps``."""
 
 
 def points_segments_within(
     px: np.ndarray, py: np.ndarray,
     ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
-    eps: float, exact: np.ndarray,
+    eps: float,
 ) -> np.ndarray:
-    """Row-wise ``dist(p, l) <= eps``, one segment per row.
+    """Row-wise ``dist(p, l) <= eps`` under both roundings, one segment
+    per row, as int8 flags.
 
-    Rows where ``exact`` is set decide as :func:`point_segment_distance`
-    rounds (``math.hypot``, via :func:`_hypot_exact`); the other rows as
-    :func:`points_segment_distance` rounds (``np.hypot``).  Both share
-    the closest-point arithmetic, so each row's decision is the one the
-    kernel it names makes.  The two roundings can only disagree within a
-    few ulps of ``eps``, so only exact rows in that band pay for
-    :func:`_hypot_exact`.
+    A row carries :data:`NP_HYPOT_WITHIN` when the distance rounded as
+    :func:`points_segment_distance` rounds it (``np.hypot``) is at most
+    ``eps``, and :data:`MATH_HYPOT_WITHIN` when the distance rounded as
+    :func:`point_segment_distance` rounds it (``math.hypot``, via
+    :func:`_hypot_exact`) is.  Both share the closest-point arithmetic.
+    The two roundings can only disagree within a few ulps of ``eps``, so
+    only rows in that band pay for :func:`_hypot_exact`.
     """
     ex, ey = _closest_point_offsets(px, py, ax, ay, bx, by)
     dist = np.hypot(ex, ey)
-    near = exact & (np.abs(dist - eps) <= _NEAR_ULPS * math.ulp(eps))
-    if near.any():
-        dist[near] = _hypot_exact(ex[near], ey[near])
-    return dist <= eps
+    numpy_within = dist <= eps
+    math_within = numpy_within.copy()
+    near = np.flatnonzero(np.abs(dist - eps) <= _NEAR_ULPS * math.ulp(eps))
+    if near.shape[0]:
+        math_within[near] = _hypot_exact(ex[near], ey[near]) <= eps
+    flags = numpy_within.astype(np.int8)  # NP_HYPOT_WITHIN is bit 1
+    flags[math_within] |= MATH_HYPOT_WITHIN
+    return flags
 
 
 def _orient_batched(ox: np.ndarray, oy: np.ndarray,

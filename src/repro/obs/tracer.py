@@ -78,6 +78,7 @@ SPAN_NAMES = frozenset({
     # Index construction and eps-augmentation.
     "index.build", "index.poi_grid", "index.cell_maps",
     "index.source_list_orders", "index.store_layout", "index.augment_eps",
+    "index.slot_incidence",
     # Snapshot lifecycle and serving.
     "snapshot.export", "snapshot.attach", "snapshot.attach_network",
     "snapshot.attach_pois", "snapshot.attach_photo_set",

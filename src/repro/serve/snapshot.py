@@ -173,7 +173,9 @@ def build_arrays(
         eps_values.append(float(eps))
         # Warm the source engine's store layout too: for_engine servers
         # verify payloads against the source, and the layout derives from
-        # exactly the maps serialised above.
+        # exactly the maps serialised above.  Its within-eps incidence
+        # stays unbuilt: the source's first query at this eps builds it,
+        # and building it here would add to every server's set-up.
         engine.store_layout(float(eps))
 
     # -- incremental augmentation distance cache --------------------------

@@ -11,7 +11,8 @@ attach builds, in exactly the element order the exporter recorded:
 * the keyword postings and ``(keyword, cell)`` count columns, from the POI
   keyword incidences by the builder a fresh index uses;
 * the per-``eps`` segment/cell CSRs and the store layout of every warmed
-  ``eps`` (its columns, not its per-cell groups).
+  ``eps`` (its columns and within-``eps`` POI incidence, not its
+  per-cell groups).
 
 Everything else is decoded on first use: a :class:`~repro.data.poi.POI`
 or :class:`~repro.data.photo.Photo` on the first positional access to it
@@ -229,9 +230,10 @@ def attach_engine(
         network, pois, poi_index, cell_maps, extent, sl3_entries,
         index_generation=snapshot.generation,
         session_pool_size=session_pool_size)
-    # Pre-build the store layout of every warmed eps: the CSR derives
-    # from the attached cell maps (in the recorded element order), so the
-    # first query pays neither the augmentation nor the layout pass.
+    # Pre-build the store layout of every warmed eps and its
+    # within-eps incidence: the CSR derives from the attached cell maps
+    # (in the recorded element order), so the first query pays neither
+    # the augmentation, the layout pass nor the distance kernel.
     for eps in snapshot.meta.get("warm_eps", ()):
-        engine.store_layout(float(eps))
+        engine.store_layout(float(eps)).poi_incidence(poi_index)
     return engine

@@ -181,3 +181,31 @@ def test_server_import_leaves_networkx_unloaded():
         capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+_SERVE_ONE_OF_EACH = """
+import sys
+from repro.core.soi import SOIEngine
+from repro.datagen import build_preset
+from repro.serve.server import DescribeRequest, SOIRequest, serve_request
+
+city = build_preset("vienna", 0.1)
+engine = SOIEngine(city.network, city.pois)
+ranking = serve_request(engine, city.photos,
+                        SOIRequest(keywords=("shop",), k=3))
+summary = serve_request(engine, city.photos,
+                        DescribeRequest(street_id=ranking[0].street_id, k=5))
+print(len(summary), "numpy.ma" in sys.modules)
+"""
+
+
+def test_serving_leaves_numpy_ma_unloaded():
+    """A fresh worker's first k-SOI and describe import no ``numpy.ma``:
+    importing it cost the first describe 12-24 ms (NumPy's ``np.unique``
+    without an optional output imports it to test for a masked array)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _SERVE_ONE_OF_EACH],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["5", "False"]

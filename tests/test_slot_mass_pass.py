@@ -22,15 +22,24 @@ The module runs plain and with the runtime contracts enabled.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import contracts
-from repro.core.interest import materialise_slot_masses
+from repro.core.interest import buffer_area, materialise_slot_masses
 from repro.core.soi import SOIEngine
 from repro.core.source_lists import CellBounds
 from repro.data.poi import POI, POISet
+from repro.errors import ContractViolation
+from repro.geometry.distance import (
+    point_segment_distance,
+    points_segment_distance,
+)
 from repro.network.model import RoadNetwork, Segment, Street, Vertex
+from repro.serve.server import SOIRequest, serve_request
 
 from tests import oracle
 
@@ -164,3 +173,143 @@ def test_cells_round_distances_with_their_kernel(offset, companions,
     assert slots.mass[slot] == expected == oracle.slot_mass(
         network.segment(4), cell, engine.poi_index.grid, pois, ["shop"],
         0.0005)
+
+
+# -- POIs on eps's rounding boundary ----------------------------------------
+
+BOUNDARY_EPS = 0.0005
+
+
+def _boundary_points(ax: float, ay: float, bx: float, by: float,
+                     eps: float) -> tuple[list[tuple[float, float]],
+                                          list[tuple[float, float]]]:
+    """Two points ``math.hypot`` rounds within ``eps`` of segment ``a-b``
+    and ``np.hypot`` beyond, and two the other way round.
+
+    Searched at ``eps`` +- 2 ulps from ``b``, in directions where the
+    closest point of the segment is ``b`` (its end cap) and the point
+    stays in ``b``'s cell for the cities below.
+    """
+    found: dict[bool, list[tuple[float, float]]] = {True: [], False: []}
+    ulp = math.ulp(eps)
+    for step in range(20000):
+        angle = math.radians(20.0 + 40.0 * step / 20000)
+        for ulps in (-2, -1, 1, 2):
+            reach = eps + ulps * ulp
+            x = bx + reach * math.cos(angle)
+            y = by + reach * math.sin(angle)
+            exact = point_segment_distance(x, y, ax, ay, bx, by) <= eps
+            batched = points_segment_distance(
+                np.array([x]), np.array([y]), ax, ay, bx, by)[0] <= eps
+            if exact != batched and len(found[exact]) < 2:
+                found[exact].append((x, y))
+        if len(found[True]) == len(found[False]) == 2:
+            return found[True], found[False]
+    pytest.skip("np.hypot and math.hypot agree near eps on this platform")
+
+
+def _boundary_city() -> tuple[RoadNetwork, POISet]:
+    """The four frame streets, a street ``Small`` ending at the centre of
+    one cell and a street ``Big`` ending at the centre of another, with
+    POIs on ``eps``'s rounding boundary at their end caps: two
+    ``math.hypot``-only POIs and one ``np.hypot``-only POI at ``Small``'s,
+    one of each at ``Big``'s.  Each cell holds six POIs: for
+    Psi = {shop} ``Small``'s holds 3 relevant POIs and ``Big``'s 5; with
+    ``bar`` both hold 6."""
+    corners = [(0.0, 0.0), (0.004, 0.0), (0.0, 0.004), (0.004, 0.004)]
+    ends = [(0.0015, 0.0015), (0.0025, 0.0015),
+            (0.0015, 0.0025), (0.0025, 0.0025)]
+    vertices = [Vertex(vid, x, y) for vid, (x, y) in enumerate(corners + ends)]
+    pairs = [(0, 1), (2, 3), (0, 2), (1, 3), (4, 5), (6, 7)]
+    segments = [Segment(sid, sid, u, v, vertices[u].x, vertices[u].y,
+                        vertices[v].x, vertices[v].y)
+                for sid, (u, v) in enumerate(pairs)]
+    names = ["H0", "H1", "V0", "V1", "Small", "Big"]
+    streets = [Street(sid, name, (sid,)) for sid, name in enumerate(names)]
+    items = []
+    for (ax, ay), (bx, by), math_only, numpy_only, shops, bars in (
+            (ends[0], ends[1], 2, 1, 0, 3), (ends[2], ends[3], 1, 1, 3, 1)):
+        math_within, numpy_within = _boundary_points(ax, ay, bx, by,
+                                                     BOUNDARY_EPS)
+        items += [(x, y, "shop") for x, y in
+                  math_within[:math_only] + numpy_within[:numpy_only]]
+        items += [(bx + 0.0002, by - 0.0001 * (i + 1), "shop")
+                  for i in range(shops)]
+        items += [(bx + 0.0001 * (i + 1), by - 0.0003, "bar")
+                  for i in range(bars)]
+    pois = POISet(POI(i, x, y, frozenset({tag}), weight=WEIGHTS[i % 4])
+                  for i, (x, y, tag) in enumerate(items))
+    return RoadNetwork(vertices, segments, streets), pois
+
+
+def _slot_oracle_ranking(network, layout, grid, pois, query, eps,
+                         weighted) -> list[tuple[float, int]]:
+    """Definitions 2-3 over ``oracle.slot_mass``: each segment's slot
+    masses summed in slot order, over its buffer area, the street's
+    maximum, ranked as ``oracle.soi_topk`` ranks."""
+    best: dict[int, float] = {}
+    offsets = layout.slot_offsets.tolist()
+    for dense, segment in enumerate(layout.segments):
+        mass = 0.0
+        for slot in range(offsets[dense], offsets[dense + 1]):
+            mass += oracle.slot_mass(segment, layout.slot_cells[slot], grid,
+                                     pois, query, eps, weighted)
+        interest = mass / buffer_area(segment.length, eps)
+        best[segment.street_id] = max(best.get(segment.street_id, 0.0),
+                                      interest)
+    return sorted(((interest, sid) for sid, interest in best.items()
+                   if interest > 0), key=lambda item: (-item[0], item[1]))
+
+
+@pytest.mark.parametrize("query", [("shop",), ("shop", "bar")])
+def test_rows_on_the_rounding_boundary_follow_their_cell(query):
+    """POIs whose ``np.hypot`` and ``math.hypot`` distances straddle
+    ``eps``, in cells of at most four and of at least five relevant POIs:
+    every slot mass, weighted and unweighted, is ``oracle.slot_mass``,
+    and the served ranking is Definitions 2-3 over it (with the runtime
+    contracts on, the ``shop`` query raises their Definition 1 check,
+    which rounds every distance as ``np.hypot``).
+
+    With ``bar`` in the query every boundary POI sits in a cell of six
+    relevant POIs, which rounds as ``np.hypot`` like ``oracle.soi_topk``,
+    so the served ranking is ``soi_topk`` too.  With ``shop`` alone
+    ``Small``'s cell rounds as ``math.hypot`` and the two references
+    differ by its boundary POIs."""
+    network, pois = _boundary_city()
+    engine = SOIEngine(network, pois)
+    grid = engine.poi_index.grid
+    layout = engine.store_layout(BOUNDARY_EPS)
+    relevant = {}
+    for street, sid in (("Small", 4), ("Big", 5)):
+        end = network.segment(sid)
+        cell = grid.cell_of(end.bx, end.by)
+        members = engine.poi_index.cell_positions(cell).tolist()
+        assert len(members) == 6, street
+        relevant[street] = sum(pois[pos].matches(frozenset(query))
+                               for pos in members)
+    assert relevant == ({"Small": 3, "Big": 5} if query == ("shop",)
+                        else {"Small": 6, "Big": 6})
+    for weighted in (False, True):
+        slots = materialise_slot_masses(layout, engine.poi_index,
+                                        frozenset(query), weighted)
+        offsets = layout.slot_offsets.tolist()
+        for dense, segment in enumerate(layout.segments):
+            for slot in range(offsets[dense], offsets[dense + 1]):
+                assert slots.mass[slot] == oracle.slot_mass(
+                    segment, layout.slot_cells[slot], grid, pois, query,
+                    BOUNDARY_EPS, weighted), (segment.id, slot, weighted)
+        request = SOIRequest(keywords=query, k=6, eps=BOUNDARY_EPS,
+                             weighted=weighted)
+        if contracts.ENABLED and "bar" not in query:
+            # The runtime contract checks each winner's mass against
+            # segment_mass_bruteforce, which rounds as np.hypot, so it
+            # rejects Small's math.hypot-rounded cell.
+            with pytest.raises(ContractViolation, match="def1-mass"):
+                serve_request(engine, None, request)
+            continue
+        served = oracle.ranking(serve_request(engine, None, request))
+        assert served == _slot_oracle_ranking(
+            network, layout, grid, pois, query, BOUNDARY_EPS, weighted)
+        if "bar" in query:
+            assert served == oracle.soi_topk(network, pois, query, 6,
+                                             BOUNDARY_EPS, weighted)

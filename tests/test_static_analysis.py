@@ -456,9 +456,9 @@ def test_p405_fixed_slot_mass_pass_is_silent(relpath):
     # The fix: one row-wise kernel call over every (slot, POI) row, then
     # loops that only read the materialised masses.
     src = ("from repro.geometry.distance import points_segments_within\n"
-           "def materialise(px, py, ax, ay, bx, by, exact, eps):\n"
+           "def materialise(px, py, ax, ay, bx, by, eps):\n"
            "    return points_segments_within(\n"
-           "        px, py, ax, ay, bx, by, eps, exact=exact)\n"
+           "        px, py, ax, ay, bx, by, eps)\n"
            "def visit(slots, mass):\n"
            "    total = 0.0\n"
            "    for slot in slots:\n"
