@@ -206,8 +206,14 @@ python "$SCRATCH/cache_smoke.py"
 # ships its complete ranking, so the pool runs at most one k-SOI query
 # per worker and (signature, eps, weighted) triple.  Every ranking on
 # this city holds more than 80 streets, so only a complete ranking can
-# answer a later page.  Untimed, like the cache smoke.
+# answer a later page.  A third, cache-on pool is spawned with
+# REPRO_CHECK=1 in its environment: its workers re-derive every page
+# they slice from a cached columnar ranking and compare it
+# (check_prefix_slice), and its payloads must equal the uncached run.
+# Untimed, like the cache smoke.
 cat > "$SCRATCH/paging_smoke.py" <<'PAGING_SMOKE'
+import os
+
 from repro.core.soi import SOIEngine
 from repro.datagen import build_preset
 from repro.serve import EngineServer
@@ -254,10 +260,19 @@ def main() -> None:
         raise SystemExit(f"paging smoke: {executed} k-SOI queries ran for "
                          f"{triples} (signature, eps, weighted) triples on "
                          f"{WORKERS} workers")
+    # Spawned workers read REPRO_CHECK from the environment they inherit;
+    # this process read it at import, so its own checks stay as they were.
+    os.environ["REPRO_CHECK"] = "1"
+    checked, checked_stats, checked_executed = serve(engine, cache=True)
+    if checked != baseline:
+        raise SystemExit("paging smoke: payloads of the pool with the "
+                         "runtime contracts on diverge from the uncached run")
     print(f"paging smoke: {len(PAGES)} pages bit-identical to the uncached "
           f"run and to Algorithm 1, {executed} k-SOI queries for {triples} "
           f"(signature, eps, weighted) triples, {stats['hits']} "
-          "complete-ranking hits")
+          f"complete-ranking hits; with REPRO_CHECK=1 in the workers, "
+          f"{checked_stats['hits']} hits and {checked_executed} k-SOI "
+          "queries, re-derivations included")
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from repro.core.describe.profile import (
 from repro.core.describe.st_rel_div import STRelDivDescriber
 from repro.core.describe.variants import VARIANTS, run_variant
 from repro.core.region import RegionQuery
-from repro.core.results import SOIQuery, SOIResult, SOIStats
+from repro.core.results import SOIQuery, SOIRanking, SOIResult, SOIStats
 from repro.core.routes import Route, recommend_route
 from repro.core.soi import DEFAULT_EPS, AccessStrategy, SOIEngine
 from repro.core.soi_baseline import BaselineSOI
@@ -78,6 +78,7 @@ __all__ = [
     "Route",
     "SOIEngine",
     "SOIQuery",
+    "SOIRanking",
     "SOIResult",
     "SOIStats",
     "STRelDivDescriber",

@@ -16,7 +16,7 @@
 """
 
 from repro.core.aggregates import StreetAggregate
-from repro.core.results import SOIQuery, SOIResult, SOIStats
+from repro.core.results import SOIQuery, SOIRanking, SOIResult, SOIStats
 from repro.core.soi import AccessStrategy, SOIEngine
 from repro.core.soi_baseline import BaselineSOI
 
@@ -25,6 +25,7 @@ __all__ = [
     "BaselineSOI",
     "SOIEngine",
     "SOIQuery",
+    "SOIRanking",
     "SOIResult",
     "SOIStats",
     "StreetAggregate",

@@ -33,11 +33,7 @@ from repro.obs import tracer as obs_tracer
 from repro.obs.tracer import trace_span
 from repro.data.poi import POISet
 from repro.errors import QueryError
-from repro.geometry.distance import (
-    MATH_HYPOT_WITHIN,
-    NP_HYPOT_WITHIN,
-    points_segment_distance,
-)
+from repro.geometry.distance import points_segment_distance
 from repro.index.poi_grid import POIGridIndex
 from repro.network.model import RoadNetwork, Segment
 
@@ -70,13 +66,6 @@ def validate_query(keywords: Iterable[str], k: int, eps: float) -> frozenset[str
     return query
 
 
-_EXACT_HYPOT_CELL_MAX = 4
-"""Slots whose cell holds at most this many relevant POIs round their
-point-segment distances as ``math.hypot`` (via ``_hypot_exact``), the
-others as ``np.hypot``: the rounding each kind of cell has always been
-evaluated with, which keeps every materialised mass the same float."""
-
-
 def materialise_slot_masses(
     layout: StoreLayout,
     poi_index: POIGridIndex,
@@ -91,17 +80,15 @@ def materialise_slot_masses(
     :class:`~repro.core.state_store.SlotIncidence`, built once per
     layout: every ``(slot, POI)`` row whose POI lies in the slot's cell
     and within ``layout.eps`` of its segment, slot-major with POI
-    positions ascending.  The pass keeps the rows whose POI matches
-    ``keywords``; a row only one rounding puts within ``eps`` counts
-    when that rounding is its cell's (``math.hypot`` for a cell of at
-    most :data:`_EXACT_HYPOT_CELL_MAX` relevant POIs, ``np.hypot``
-    above).  A slot's mass counts its kept rows; weighted, it sums their
-    weights as ``np.sum`` over the slot's within-``eps`` weights in
-    position order (for fewer than eight that is the left-to-right sum
-    from 0.0).  Slots whose cell has no relevant POI hold 0.0.  Summing
-    a segment's slot masses in slot order (:func:`segment_mass`) is
-    exact Definition 1, since every POI lies in exactly one cell of
-    ``C_eps(l)`` or in none.
+    positions ascending, each distance rounded as ``np.hypot``, as
+    :func:`segment_mass_bruteforce` rounds it.  The pass keeps the rows
+    whose POI matches ``keywords``.  A slot's mass counts its kept rows;
+    weighted, it sums their weights as ``np.sum`` over the slot's
+    within-``eps`` weights in position order (for fewer than eight that
+    is the left-to-right sum from 0.0).  Slots whose cell has no
+    relevant POI hold 0.0.  Summing a segment's slot masses in slot
+    order (:func:`segment_mass`) is exact Definition 1, since every POI
+    lies in exactly one cell of ``C_eps(l)`` or in none.
 
     ``stats`` (an :class:`~repro.core.results.SOIStats` or anything with
     the same attributes) counts a pass that found a relevant slot in
@@ -127,12 +114,6 @@ def _materialise_slot_masses(layout, poi_index, keywords, weighted,
     if not relevant_cells.any():
         return MassSlots(np.zeros(num_slots), layout, relevant_cells)
     keep = np.take(relevant, incidence.poi)
-    boundary = incidence.boundary
-    if boundary.shape[0]:
-        rounding = np.where(
-            cell_n[layout.slot_cell[incidence.slot[boundary]]]
-            <= _EXACT_HYPOT_CELL_MAX, MATH_HYPOT_WITHIN, NP_HYPOT_WITHIN)
-        keep[boundary] &= (incidence.within[boundary] & rounding) != 0
     row_slot = incidence.slot[keep]
     if weighted:
         weights = poi_index.pois.weights[incidence.poi[keep]]

@@ -1,8 +1,16 @@
-"""Result and statistics records shared by the SOI engine and its baseline."""
+"""Result and statistics records shared by the SOI engine and its baseline.
+
+:class:`SOIResult` is one street of an answer; :class:`SOIRanking` holds
+a complete BL ranking as columns and builds results only for the rows
+it is sliced to.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from repro.core.interest import validate_query
 
@@ -39,11 +47,57 @@ class SOIResult:
     best_segment_id: int
 
     def __reduce__(self):
-        # Positional reconstruction: a complete ranking crosses the worker
-        # result pipe as hundreds of these, and the default slotted
-        # dataclass pickling (field by field) costs ~30x more.
+        # Positional reconstruction: a served page crosses the worker
+        # result pipe as up to k of these (a complete ranking crosses as
+        # a SOIRanking's columns), and the default slotted dataclass
+        # pickling (field by field) costs ~30x more.
         return (SOIResult, (self.street_id, self.street_name,
                             self.interest, self.best_segment_id))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class SOIRanking:
+    """Every street of positive interest, ranked, as columns.
+
+    Row ``i`` is the ``i``-th street of the ranking: ``street_ids``
+    (int64), ``interests`` (float64), ``best_segment_ids`` (int64) and
+    ``street_names``.  The arrays are read-only and the names a tuple,
+    so a ranking is immutable.  Slicing, ``ranking[:k]``, builds a fresh
+    ``list`` of :class:`SOIResult` for those rows only; iterating
+    builds every row.  A ranking pickles as its columns, never as
+    :class:`SOIResult` objects.
+    """
+
+    street_ids: np.ndarray
+    interests: np.ndarray
+    best_segment_ids: np.ndarray
+    street_names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for column in (self.street_ids, self.interests,
+                       self.best_segment_ids):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.street_names)
+
+    def __getitem__(self, rows: slice) -> list[SOIResult]:
+        if not isinstance(rows, slice):
+            raise TypeError("an SOIRanking is sliced, not indexed: "
+                            f"ranking[:k], not ranking[{rows!r}]")
+        # .tolist() gives the Python ints and floats, bit for bit, that
+        # a row-by-row read of the columns would.
+        return list(map(SOIResult, self.street_ids[rows].tolist(),
+                        self.street_names[rows],
+                        self.interests[rows].tolist(),
+                        self.best_segment_ids[rows].tolist()))
+
+    def __iter__(self) -> Iterator[SOIResult]:
+        return iter(self[:])
+
+    def __reduce__(self):
+        return (SOIRanking, (self.street_ids, self.interests,
+                             self.best_segment_ids, self.street_names))
 
 
 @dataclass(slots=True)

@@ -11,8 +11,10 @@ With the pass shared, BL's exhaustive ranking is one NumPy reduction over
 its mass column, less work than Algorithm 1's filter and refinement, which
 re-add the same known masses in Python.  The serve path therefore answers
 every k-SOI request from :meth:`BaselineSOI.ranking`
-(:mod:`repro.serve.server`); Algorithm 1 stays
-:meth:`~repro.core.soi.SOIEngine.top_k`, the paper's method.
+(:mod:`repro.serve.server`), a :class:`~repro.core.results.SOIRanking`
+of columns that builds result objects only for the rows a request
+returns; Algorithm 1 stays :meth:`~repro.core.soi.SOIEngine.top_k`, the
+paper's method.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.analysis import contracts
 from repro.core.interest import materialise_slot_masses, validate_query
-from repro.core.results import SOIResult
+from repro.core.results import SOIRanking, SOIResult
 from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import trace_span
@@ -94,14 +96,17 @@ class BaselineSOI:
         use_session: bool = True,
         session=None,
         stats=None,
-    ) -> list[SOIResult]:
+    ) -> SOIRanking:
         """Every street of positive interest, ranked (Definition 3).
 
         Decreasing interest, ties by street id, and each street's best
         segment the lowest dense position among its equal maxima: the
-        rules of Algorithm 1, so the list is a complete
+        rules of Algorithm 1, so ``list(ranking)`` is a complete
         :meth:`~repro.core.soi.SOIEngine.top_k_with_stats` ranking bit
-        for bit.  ``session`` is an already-resolved
+        for bit, and ``ranking[:k]`` its top k.  The ranking is returned
+        as columns; only slicing or iterating it builds
+        :class:`~repro.core.results.SOIResult` objects.  ``session`` is
+        an already-resolved
         :class:`~repro.perf.session.QuerySession` of the keyword set;
         ``stats`` collects the pass's counters.  Under ``REPRO_CHECK=1``
         the output contract and sampled Definition 1 recount of
@@ -125,20 +130,18 @@ class BaselineSOI:
             streets = streets[first]
             values = interest[best]
             ranked = np.lexsort((streets, -values))
-            street = self.engine.network.street
-            results = [
-                SOIResult(street_id, street(street_id).name, value, seg_id)
-                for street_id, value, seg_id in zip(
-                    streets[ranked].tolist(), values[ranked].tolist(),
-                    layout.seg_ids[best[ranked]].tolist())]
+            best = best[ranked]
+            ranking = SOIRanking(
+                streets[ranked], values[ranked], layout.seg_ids[best],
+                tuple(layout.street_name_of[best].tolist()))
         obs_metrics.REGISTRY.inc("soi.baseline_queries")
         obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned",
                                  layout.num_segments)
         if contracts.ENABLED:
             contracts.SOIContractMonitor().check_results(
-                self.engine, query, eps, weighted, len(results), results,
-                layout, slots)
-        return results
+                self.engine, query, eps, weighted, len(ranking),
+                list(ranking), layout, slots)
+        return ranking
 
     def all_segment_interests(
         self,

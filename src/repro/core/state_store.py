@@ -57,11 +57,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.geometry.distance import (
-    MATH_HYPOT_WITHIN,
-    NP_HYPOT_WITHIN,
-    points_segments_within,
-)
+from repro.geometry.distance import points_segments_within
 from repro.index.csr import counts_to_offsets
 from repro.obs.tracer import trace_span
 
@@ -175,7 +171,8 @@ class StoreLayout:
 
     __slots__ = (
         "eps", "segments", "num_segments", "seg_ids", "lengths",
-        "street_of", "buffer_col", "endpoints", "dense_index", "num_slots",
+        "street_of", "street_name_of", "buffer_col", "endpoints",
+        "dense_index", "num_slots",
         "num_cells", "cells", "cell_index", "slot_offsets",
         "slot_cell", "slot_seg", "slot_cells", "cell_counts", "cell_slots",
         "seg_ids_list", "street_list", "lengths_list", "buffer_list",
@@ -196,6 +193,11 @@ class StoreLayout:
                                    dtype=np.float64, count=n)
         self.street_of = np.fromiter((seg.street_id for seg in segments),
                                      dtype=np.int64, count=n)
+        # Object column of street names, so a ranking gathers its rows'
+        # names in one take.
+        street = network.street
+        self.street_name_of = np.array(
+            [street(seg.street_id).name for seg in segments], dtype=object)
         # Definition 2 denominator column.  Evaluated as
         # (2.0 * eps) * length + (math.pi * eps) * eps — the exact
         # association Python gives buffer_area(), so each element is the
@@ -324,18 +326,13 @@ class SlotIncidence:
 
     * ``slot``, ``poi``: int32 row columns, slot-major with POI
       positions ascending within a slot — the order a weighted mass
-      sums its weights in.
-    * ``within``: the row's int8 flags, which rounding puts it within
-      ``eps`` (:data:`~repro.geometry.distance.NP_HYPOT_WITHIN`,
-      :data:`~repro.geometry.distance.MATH_HYPOT_WITHIN` or both); a
-      pair neither rounding puts within ``eps`` has no row.
-    * ``boundary``: the rows only one rounding keeps, which the
-      slot-mass pass settles by its cell's rounding rule.
+      sums its weights in.  A pair whose ``np.hypot``-rounded distance
+      exceeds ``eps`` has no row.
     * ``poi_cell``: the layout cell of every POI position, int32, -1 for
       a POI in no cell of the layout.
     """
 
-    __slots__ = ("slot", "poi", "within", "boundary", "poi_cell")
+    __slots__ = ("slot", "poi", "poi_cell")
 
     def __init__(self, layout: StoreLayout,
                  poi_index: "POIGridIndex") -> None:
@@ -357,12 +354,8 @@ class SlotIncidence:
         pois = poi_index.pois
         within = points_segments_within(
             pois.xs[row_poi], pois.ys[row_poi], ax, ay, bx, by, layout.eps)
-        rows = np.flatnonzero(within)
-        self.slot = row_slot[rows].astype(np.int32)
-        self.poi = row_poi[rows].astype(np.int32)
-        self.within = within[rows]
-        self.boundary = np.flatnonzero(
-            self.within != (NP_HYPOT_WITHIN | MATH_HYPOT_WITHIN))
+        self.slot = row_slot[within].astype(np.int32)
+        self.poi = row_poi[within].astype(np.int32)
         self.poi_cell = poi_cell
 
 

@@ -22,9 +22,9 @@ every IEEE-754 operation is applied to the same operands in the same
 order, and the one library call whose rounding is not pinned down by the
 standard — ``math.hypot`` — is replaced by :func:`_hypot_exact`, a NumPy
 transcription of CPython's scaled, compensated ``vector_norm`` algorithm
-(``Modules/mathmodule.c``).  ``np.hypot`` is used only for results whose
-reference is itself ``np.hypot``-rounded (:func:`points_segment_distance`
-and the :data:`NP_HYPOT_WITHIN` flag of :func:`points_segments_within`): it
+(``Modules/mathmodule.c``).  ``np.hypot`` is used only for Definition 1's
+distance test, whose reference is itself ``np.hypot``-rounded
+(:func:`points_segment_distance` and :func:`points_segments_within`): it
 differs from ``math.hypot`` in the last ulp for roughly 0.07% of inputs
 on this platform, which would break the augmented maps' set-equality
 with the scalar reference.
@@ -260,48 +260,19 @@ def _points_segments_distance(
     return _hypot_exact(*_closest_point_offsets(px, py, ax, ay, bx, by))
 
 
-_NEAR_ULPS = 16
-"""Half-width, in ulps of ``eps``, of the band around ``eps`` where
-:func:`points_segments_within` re-rounds a row as ``math.hypot``:
-``math.hypot`` and ``np.hypot`` are each within one ulp of the true
-distance, so they can only disagree about ``dist <= eps`` for distances
-two ulps from it."""
-
-NP_HYPOT_WITHIN = 1
-"""Flag bit of :func:`points_segments_within`: the ``np.hypot``-rounded
-distance is at most ``eps``."""
-
-MATH_HYPOT_WITHIN = 2
-"""Flag bit of :func:`points_segments_within`: the ``math.hypot``-rounded
-distance is at most ``eps``."""
-
-
 def points_segments_within(
     px: np.ndarray, py: np.ndarray,
     ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """Row-wise ``dist(p, l) <= eps`` under both roundings, one segment
-    per row, as int8 flags.
+    """Row-wise ``dist(p, l) <= eps``, one segment per row, as booleans.
 
-    A row carries :data:`NP_HYPOT_WITHIN` when the distance rounded as
-    :func:`points_segment_distance` rounds it (``np.hypot``) is at most
-    ``eps``, and :data:`MATH_HYPOT_WITHIN` when the distance rounded as
-    :func:`point_segment_distance` rounds it (``math.hypot``, via
-    :func:`_hypot_exact`) is.  Both share the closest-point arithmetic.
-    The two roundings can only disagree within a few ulps of ``eps``, so
-    only rows in that band pay for :func:`_hypot_exact`.
+    The distance is rounded as :func:`points_segment_distance` rounds it
+    (``np.hypot``), the rounding of Definition 1's brute-force reference
+    (:func:`~repro.core.interest.segment_mass_bruteforce`), so a POI on
+    ``eps``'s rounding boundary counts the same way on every path.
     """
-    ex, ey = _closest_point_offsets(px, py, ax, ay, bx, by)
-    dist = np.hypot(ex, ey)
-    numpy_within = dist <= eps
-    math_within = numpy_within.copy()
-    near = np.flatnonzero(np.abs(dist - eps) <= _NEAR_ULPS * math.ulp(eps))
-    if near.shape[0]:
-        math_within[near] = _hypot_exact(ex[near], ey[near]) <= eps
-    flags = numpy_within.astype(np.int8)  # NP_HYPOT_WITHIN is bit 1
-    flags[math_within] |= MATH_HYPOT_WITHIN
-    return flags
+    return np.hypot(*_closest_point_offsets(px, py, ax, ay, bx, by)) <= eps
 
 
 def _orient_batched(ox: np.ndarray, oy: np.ndarray,

@@ -35,11 +35,9 @@ from repro.obs.metrics import (
     REGISTRY,
     bucket_bounds,
     bucket_exponent,
-    describe_counters,
     record_describe_query,
     record_serve_request,
     record_soi_query,
-    soi_counters,
 )
 from repro.obs.openmetrics import registry_to_openmetrics, write_openmetrics
 from repro.obs.slowlog import SLOWLOG, SlowQueryLog
@@ -76,7 +74,6 @@ __all__ = [
     "bucket_exponent",
     "build_tree",
     "current_trace_id",
-    "describe_counters",
     "enable_tracing",
     "mint_trace_id",
     "monotonic_now",
@@ -88,7 +85,6 @@ __all__ = [
     "roots",
     "self_time_by_name",
     "self_times_ns",
-    "soi_counters",
     "spans_to_chrome",
     "spans_to_jsonl",
     "stitch_serve_requests",

@@ -21,8 +21,7 @@ the cross-stack aggregation point: :func:`record_soi_query` /
 :func:`record_describe_query` fold a stats object's ``counters()`` view
 into namespaced registry counters (``soi.*`` / ``describe.*``) and phase
 histograms, while the stats dataclasses remain the per-query return
-value.  :func:`soi_counters` / :func:`describe_counters` give back the
-un-namespaced compatible view.
+value.
 """
 
 from __future__ import annotations
@@ -431,18 +430,6 @@ def record_serve_request(kind: str, seconds: float,
                        exemplar=trace_id)
 
 
-def soi_counters(registry: MetricsRegistry | None = None) -> dict[str, int]:
-    """Aggregated SOI counters, keyed like ``SOIStats.counters()``."""
-    reg = REGISTRY if registry is None else registry
-    return reg.counters_with_prefix("soi.")
-
-
-def describe_counters(registry: MetricsRegistry | None = None) -> dict[str, int]:
-    """Aggregated describe counters, keyed like ``DescribeStats.counters()``."""
-    reg = REGISTRY if registry is None else registry
-    return reg.counters_with_prefix("describe.")
-
-
 __all__ = [
     "Histogram",
     "MAX_EXP",
@@ -452,10 +439,8 @@ __all__ = [
     "REGISTRY",
     "bucket_bounds",
     "bucket_exponent",
-    "describe_counters",
     "record_describe_query",
     "record_serve_batch",
     "record_serve_request",
     "record_soi_query",
-    "soi_counters",
 ]

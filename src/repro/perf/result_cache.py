@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.analysis import contracts
 from repro.core.interest import validate_query
+from repro.core.results import SOIRanking
 from repro.core.soi import parse_strategy
 from repro.errors import QueryError
 from repro.obs.metrics import REGISTRY
@@ -109,12 +110,18 @@ def request_cache_key(request) -> tuple:
 def estimate_payload_bytes(payload) -> int:
     """Deterministic rough byte size of a payload for the cache budget.
 
+    A columnar :class:`~repro.core.results.SOIRanking` is its arrays'
+    ``nbytes`` plus its names tuple, sized like a list.  A list is
     ``sys.getsizeof`` of the container plus ``len(payload)`` times the
     size of its first item (with the street name of an SOI result): the
     items of one payload share a type, so one sample sizes them all in
     O(1).  An estimate is enough: the budget exists to bound memory
     growth, not to account for it exactly.
     """
+    if isinstance(payload, SOIRanking):
+        return (sys.getsizeof(payload) + payload.street_ids.nbytes
+                + payload.interests.nbytes + payload.best_segment_ids.nbytes
+                + estimate_payload_bytes(payload.street_names))
     if isinstance(payload, (list, tuple)):
         total = sys.getsizeof(payload)
         if payload:

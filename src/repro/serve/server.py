@@ -26,13 +26,16 @@ Protocol properties:
   :class:`~repro.perf.result_cache.ResultCache` of complete entries.
   Every k-SOI request is answered from the complete ranking of its
   ``(Ψ, ε, weighted)`` (:meth:`~repro.core.soi_baseline.BaselineSOI.ranking`).
-  A worker stores each ranking it computes, and each describe payload,
+  A worker stores each ranking it computes as its columns
+  (:class:`~repro.core.results.SOIRanking`), and each describe payload,
   and ships that entry beside the k-sized payload, as the last field of
-  its result tuple; the parent stores it, so no later page of that
-  signature reaches a worker.  A request sent before the parent held
+  its result tuple; the parent builds the ranking's result list once and
+  stores that, so no later page of that signature reaches a worker and
+  a parent hit is a list slice.  A request sent before the parent held
   its entry, such as a repeat of an in-flight one, is answered by the
-  worker's cache: a worker serves its tasks in order and stores each
-  entry before it serves the next.
+  worker's cache, which builds results for the page's rows only: a
+  worker serves its tasks in order and stores each entry before it
+  serves the next.
 * **Transport** — tasks and results cross two feeder-less pipes
   (:class:`_Channel`): the sending thread pickles and writes each
   message itself.  Tasks the task pipe cannot take yet wait in a
@@ -113,6 +116,7 @@ from repro.serve.snapshot import IndexSnapshot
 from repro.serve.views import attach_engine, attach_photo_set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.results import SOIRanking
     from repro.data.photo import PhotoSet
 
 _POLL_SECONDS = 0.1
@@ -262,12 +266,13 @@ def _complete_answer(
     request: Request,
     describers: "OrderedDict | None" = None,
     session=None,
-) -> list:
+) -> "SOIRanking | list":
     """The answer :func:`serve_request` slices to ``k``: for a k-SOI
-    request the complete ranking of its ``(Ψ, ε, weighted)``, for a
-    describe request its payload.  This is what a result cache stores
-    under the request's key.  Each ranking computed counts one
-    ``soi.queries`` with the pass's counters."""
+    request the complete ranking of its ``(Ψ, ε, weighted)`` as columns,
+    for a describe request its payload.  Either slices to a fresh list.
+    This is what a result cache stores under the request's key.  Each
+    ranking computed counts one ``soi.queries`` with the pass's
+    counters."""
     with trace_span("serve.request", kind=type(request).__name__):
         if isinstance(request, SOIRequest):
             # Validated only: every strategy's answer is this ranking.
@@ -434,11 +439,12 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
     ``entry`` is what the worker's cache stored for the request (the
     complete ranking of a k-SOI, the payload of a describe; ``None`` on
     a cache hit or with the cache off), for the parent cache to store.
-    A k-SOI payload's results are the ranking's first ``k`` objects, so
-    pickling ships them once.  ``metrics_dump`` is the worker's whole
-    metrics registry, sent with the last result of each drained batch
-    only, after every record of that batch (``None`` with the others):
-    the parent keeps only the latest dump per worker.
+    A k-SOI ``body`` holds the ``k`` result objects of its page; its
+    ``entry`` crosses the pipe as the ranking's columns, not as objects.
+    ``metrics_dump`` is the worker's whole metrics registry, sent with
+    the last result of each drained batch only, after every record of
+    that batch (``None`` with the others): the parent keeps only the
+    latest dump per worker.
 
     Must stay importable at module level — the pool uses the ``spawn``
     start method, which re-imports this module in the child.
@@ -1133,9 +1139,10 @@ class EngineServer:
         Frees the task's pipe bytes and flushes the backlog, keeps the
         worker's latest metrics dump and progress, logs the
         stitched-trace entry of a traced request and stores the entry the
-        worker's cache stored in the parent's cache.  Queue wait is
-        turnaround minus worker-measured service time (both origin-free
-        durations), so no cross-process clock comparison is needed."""
+        worker's cache stored in the parent's cache, as a list.  Queue
+        wait is turnaround minus worker-measured service time (both
+        origin-free durations), so no cross-process clock comparison is
+        needed."""
         (seq, wid, status, body, service_s, metrics_dump, spans,
          entry) = result
         self._written_bytes -= self._written.pop(seq)
@@ -1158,7 +1165,9 @@ class EngineServer:
             self._trace_log.append(info)
         key = self._cache_keys.pop(seq, None)
         if key is not None and entry is not None:
-            self._result_cache.store(key, entry)
+            # A k-SOI entry arrives as columns: its result list is built
+            # once here, so every parent hit is a list slice.
+            self._result_cache.store(key, list(entry))
         return seq, status, body, service_s
 
     def _hand_back(self, seq: int, status: str, body, service_s: float):

@@ -36,10 +36,7 @@ from repro.core.interest import (
     segment_mass_bruteforce,
     street_interest_bruteforce,
 )
-from repro.geometry.distance import (
-    point_segment_distance,
-    points_segment_distance,
-)
+from repro.geometry.distance import points_segment_distance
 
 
 def soi_topk(network, pois, keywords: Iterable[str], k: int, eps: float,
@@ -63,26 +60,15 @@ def slot_mass(segment, cell, grid, pois, keywords: Iterable[str],
               eps: float, weighted: bool = False) -> float:
     """Definition 1 over the relevant POIs of one grid cell.
 
-    The cell's relevant POIs are taken in position order.  A cell of at
-    most four is evaluated point by point with ``math.hypot`` rounding
-    and its weights summed left to right; a larger cell with one
-    ``np.hypot``-rounded batch and ``np.sum`` over the weights within
-    ``eps``: the rounding the index has always used for each kind.
+    The cell's relevant POIs are taken in position order, each distance
+    rounded as ``np.hypot`` (as ``segment_mass_bruteforce`` rounds it),
+    and the weights within ``eps`` summed by ``np.sum``.
     """
     query = frozenset(keywords)
     members = [pos for pos in range(len(pois))
                if pois[pos].matches(query)
                and grid.cell_of(float(pois.xs[pos]),
                                 float(pois.ys[pos])) == cell]
-    if len(members) <= 4:
-        total = 0.0
-        for pos in members:
-            dist = point_segment_distance(
-                float(pois.xs[pos]), float(pois.ys[pos]),
-                segment.ax, segment.ay, segment.bx, segment.by)
-            if dist <= eps:
-                total += float(pois.weights[pos]) if weighted else 1.0
-        return total
     within = points_segment_distance(
         pois.xs[members], pois.ys[members],
         segment.ax, segment.ay, segment.bx, segment.by) <= eps

@@ -154,8 +154,8 @@ def test_numpy_ranking_is_algorithm1_complete_ranking(network, pois,
     streets = len(network.streets)
     complete = engine.top_k(keywords, streets, eps=EPS, strategy=strategy,
                             weighted=weighted)
-    assert BaselineSOI(engine).ranking(keywords, EPS,
-                                       weighted=weighted) == complete
+    assert list(BaselineSOI(engine).ranking(keywords, EPS,
+                                            weighted=weighted)) == complete
     for k in range(1, streets + 2):
         served = serve_request(engine, None, SOIRequest(
             tuple(keywords), k, EPS, strategy.value, weighted))

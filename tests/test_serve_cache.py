@@ -3,27 +3,38 @@
 ``serve_request_cached`` is exercised in-process against the uncached
 ``serve_request`` reference (bit-identity is the whole contract); the
 multiprocess ``EngineServer`` cache tests keep their pools small like
-the rest of the serving suite.  The Zipf repeat-mix workload
-generator is tested here too, since its only consumer is the cached
+the rest of the serving suite.  The columnar ranking a worker's cache
+stores and ships (``SOIRanking``) is tested here, and so is the Zipf
+repeat-mix workload generator, since its only consumer is the cached
 throughput bench.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.analysis import contracts
+from repro.core.results import SOIRanking, SOIResult
 from repro.core.soi import AccessStrategy, SOIEngine
+from repro.core.soi_baseline import BaselineSOI
 from repro.datagen import build_preset
-from repro.errors import QueryError
+from repro.errors import ContractViolation, QueryError
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.result_cache import ResultCache, request_cache_key
+from repro.perf.result_cache import (
+    ResultCache,
+    estimate_payload_bytes,
+    request_cache_key,
+)
 from repro.serve import EngineServer
 from repro.serve.server import (
     DescribeRequest,
     SOIRequest,
+    _serve_cached,
     serve_request,
     serve_request_cached,
 )
@@ -135,7 +146,13 @@ def test_server_serves_later_pages_from_complete_rankings():
         payloads, service_s = server.run_with_stats(PAGES)
         stats = server.cache_stats()
         executed = server.metrics().counter("soi.queries")
+        parent_entries = [entry for entry, _nbytes
+                          in server._result_cache._entries.values()]
     assert payloads == expected
+    # Rankings arrive as columns; the parent keeps each as the result
+    # list its hits slice.
+    assert parent_entries
+    assert all(type(entry) is list for entry in parent_entries)
     assert stats["hits"] > 0
     assert executed < len(PAGES)
     # The one worker computes each (signature, eps) pair once, at its
@@ -269,6 +286,103 @@ def test_server_without_cache_reports_none():
     with EngineServer.for_engine(engine, workers=1) as server:
         assert not server.cache_enabled
         assert server.telemetry()["cache"] is None
+
+
+# -- the columnar ranking ----------------------------------------------------
+
+def _worker_entry(engine, request):
+    """The entry a worker's cache stores, and ships, for ``request``."""
+    _payload, entry = _serve_cached(engine, None, request,
+                                    make_cache(engine))
+    return entry
+
+
+def test_worker_entry_pickles_as_columns(small_engine):
+    """A k-SOI entry crosses the result pipe as its columns: no
+    ``SOIResult`` in the pickle stream, and the same rows on the far
+    side."""
+    entry = _worker_entry(small_engine, SOIRequest(keywords=("shop",), k=5))
+    assert isinstance(entry, SOIRanking) and len(entry) > 5
+    data = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+    assert b"SOIResult" not in data
+    back = pickle.loads(data)
+    assert isinstance(back, SOIRanking)
+    assert list(back) == list(entry)
+    assert [column.dtype for column in (back.street_ids, back.interests,
+                                        back.best_segment_ids)] == [
+        np.int64, np.float64, np.int64]
+
+
+def test_ranking_slices_are_fresh_result_lists(small_engine):
+    ranking = BaselineSOI(small_engine).ranking(["shop"])
+    rows = list(ranking)
+    assert len(rows) == len(ranking) > 1
+    assert all(isinstance(row, SOIResult) for row in rows)
+    for k in (0, 1, len(ranking), len(ranking) + 5):
+        page = ranking[:k]
+        assert type(page) is list and page == rows[:k]
+    with pytest.raises(TypeError):
+        ranking[0]
+    with pytest.raises(ValueError):
+        ranking.interests[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ranking.street_names = ()
+    empty = BaselineSOI(small_engine).ranking(["no-such-keyword"])
+    assert len(empty) == 0 and empty[:5] == [] and list(empty) == []
+
+
+def test_mutating_a_hit_leaves_the_next_hit_alone(small_engine):
+    cache = make_cache(small_engine)
+    request = SOIRequest(keywords=("food",), k=5)
+    expected = serve_request(small_engine, None, request)
+    serve_request_cached(small_engine, None, request, cache)
+    hit = serve_request_cached(small_engine, None, request, cache)
+    assert hit == expected
+    hit[0] = None
+    hit.clear()
+    assert serve_request_cached(small_engine, None, request, cache) == \
+        expected
+    assert cache.stats()["hits"] == 2
+
+
+def test_corrupt_columnar_entry_fails_the_prefix_slice_contract(
+        small_engine):
+    """One interest corrupted in a stored columnar entry: under
+    ``REPRO_CHECK=1`` the next sliced hit is re-derived and rejected;
+    without the contracts it is served as stored."""
+    request = SOIRequest(keywords=("shop",), k=3)
+    ranking = _worker_entry(small_engine, request)
+    interests = ranking.interests.copy()
+    interests[1] = np.nextafter(interests[1], np.inf)
+    corrupt = SOIRanking(ranking.street_ids, interests,
+                         ranking.best_segment_ids, ranking.street_names)
+    previous = contracts.ENABLED
+    try:
+        for checks in (True, False):
+            contracts.enable_contracts(checks)
+            cache = make_cache(small_engine)
+            cache.store(request_cache_key(request), corrupt)
+            if checks:
+                with pytest.raises(ContractViolation, match="prefix-slice"):
+                    serve_request_cached(small_engine, None, request, cache)
+            else:
+                assert serve_request_cached(small_engine, None, request,
+                                            cache) == corrupt[:3]
+            cache.invalidate()
+            cache.store(request_cache_key(request), ranking)
+            assert serve_request_cached(small_engine, None, request,
+                                        cache) == ranking[:3]
+    finally:
+        contracts.enable_contracts(previous)
+
+
+def test_columnar_entry_size_grows_with_its_rows(small_engine):
+    ranking = _worker_entry(small_engine, SOIRequest(keywords=("shop",), k=1))
+    sizes = [estimate_payload_bytes(SOIRanking(
+        ranking.street_ids[:n], ranking.interests[:n],
+        ranking.best_segment_ids[:n], ranking.street_names[:n]))
+        for n in (0, 1, len(ranking) // 2, len(ranking))]
+    assert sizes == sorted(set(sizes))
 
 
 # -- the Zipf repeat-mix workload ---------------------------------------------

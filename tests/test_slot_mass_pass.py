@@ -33,7 +33,6 @@ from repro.core.interest import buffer_area, materialise_slot_masses
 from repro.core.soi import SOIEngine
 from repro.core.source_lists import CellBounds
 from repro.data.poi import POI, POISet
-from repro.errors import ContractViolation
 from repro.geometry.distance import (
     point_segment_distance,
     points_segment_distance,
@@ -150,13 +149,14 @@ NUMPY_WITHIN = (0.00036796955983302743, 0.00033852385888780145)
 
 
 @pytest.mark.parametrize("offset, companions, expected", [
-    (MATH_WITHIN, 3, 4.0), (MATH_WITHIN, 4, 4.0),
-    (NUMPY_WITHIN, 3, 3.0), (NUMPY_WITHIN, 4, 5.0)])
+    (MATH_WITHIN, 3, 3.0), (MATH_WITHIN, 4, 4.0),
+    (NUMPY_WITHIN, 3, 4.0), (NUMPY_WITHIN, 4, 5.0)])
 def test_cells_round_distances_with_their_kernel(offset, companions,
                                                  expected):
-    """A cell of at most four relevant POIs rounds as ``math.hypot``, a
-    larger one as ``np.hypot``: a POI whose two roundings straddle
-    ``eps`` counts in one kind of cell and not in the other."""
+    """Every cell rounds as ``np.hypot``, whatever its number of
+    relevant POIs: a POI whose two roundings straddle ``eps`` counts
+    only when ``np.hypot`` puts it within, in a cell of four relevant
+    POIs as in a cell of five."""
     network = _frame_with_dot(0.0, 0.0)
     pois = POISet(
         [POI(0, offset[0], offset[1], frozenset({"shop"}))]
@@ -264,17 +264,13 @@ def _slot_oracle_ranking(network, layout, grid, pois, query, eps,
 @pytest.mark.parametrize("query", [("shop",), ("shop", "bar")])
 def test_rows_on_the_rounding_boundary_follow_their_cell(query):
     """POIs whose ``np.hypot`` and ``math.hypot`` distances straddle
-    ``eps``, in cells of at most four and of at least five relevant POIs:
-    every slot mass, weighted and unweighted, is ``oracle.slot_mass``,
-    and the served ranking is Definitions 2-3 over it (with the runtime
-    contracts on, the ``shop`` query raises their Definition 1 check,
-    which rounds every distance as ``np.hypot``).
-
-    With ``bar`` in the query every boundary POI sits in a cell of six
-    relevant POIs, which rounds as ``np.hypot`` like ``oracle.soi_topk``,
-    so the served ranking is ``soi_topk`` too.  With ``shop`` alone
-    ``Small``'s cell rounds as ``math.hypot`` and the two references
-    differ by its boundary POIs."""
+    ``eps``, in cells of at most four and of at least five relevant POIs
+    (``shop``) or of six (``shop``, ``bar``): every slot mass, weighted
+    and unweighted, is ``oracle.slot_mass``, and the served ranking is
+    Definitions 2-3 over it and ``oracle.soi_topk``, with the runtime
+    contracts off and on.  Every path rounds each distance as
+    ``np.hypot``, so a boundary POI counts the same way whichever cell
+    it shares."""
     network, pois = _boundary_city()
     engine = SOIEngine(network, pois)
     grid = engine.poi_index.grid
@@ -300,16 +296,8 @@ def test_rows_on_the_rounding_boundary_follow_their_cell(query):
                     BOUNDARY_EPS, weighted), (segment.id, slot, weighted)
         request = SOIRequest(keywords=query, k=6, eps=BOUNDARY_EPS,
                              weighted=weighted)
-        if contracts.ENABLED and "bar" not in query:
-            # The runtime contract checks each winner's mass against
-            # segment_mass_bruteforce, which rounds as np.hypot, so it
-            # rejects Small's math.hypot-rounded cell.
-            with pytest.raises(ContractViolation, match="def1-mass"):
-                serve_request(engine, None, request)
-            continue
         served = oracle.ranking(serve_request(engine, None, request))
         assert served == _slot_oracle_ranking(
             network, layout, grid, pois, query, BOUNDARY_EPS, weighted)
-        if "bar" in query:
-            assert served == oracle.soi_topk(network, pois, query, 6,
-                                             BOUNDARY_EPS, weighted)
+        assert served == oracle.soi_topk(network, pois, query, 6,
+                                         BOUNDARY_EPS, weighted)
