@@ -111,25 +111,28 @@ if __name__ == "__main__":
     main()
 TRACE_SMOKE
 python "$SCRATCH/trace_smoke.py" "$SCRATCH"
-# Result-cache smoke: the same Zipf repeat-mix stream served by a
-# 2-worker pool with the two-level cache on and off must produce
-# bit-identical payloads, and the cached run must actually hit (repeats
-# answered from the parent's or a worker's cache).  Untimed:
-# the >=3x speedup acceptance lives in the committed BENCH_serve curves;
-# this gates correctness of the reuse paths within the smoke budget.
-# A submit-all pass then submits a 500-request stream of the same
-# generator before collecting any result, with the cache off and on,
-# and must match server.run of that stream.  Uncached, every request
-# crosses both pipes and the unread results overflow the result pipe,
-# so the parent's task backlog and its bound on written tasks are
-# exercised with two readers and two writers.
+# Result-cache smoke: six mixed requests, each served four times in a
+# fixed order by a 2-worker pool with the two-level cache on and off,
+# must produce bit-identical payloads.  Every request of the cached run
+# is a parent-cache hit, a worker-cache hit or computed, and each worker
+# computes a request at most once (nothing is evicted at this size), so
+# all but workers x distinct requests must hit.  Untimed: this gates
+# correctness of the reuse paths within the smoke budget.
+# A submit-all pass then submits a 500-request stream of the same six
+# requests in the same fixed order before collecting any result, with
+# the cache off and on, and must match server.run of that stream.
+# Uncached, every request crosses both pipes and the unread results
+# overflow the result pipe, so the parent's task backlog and its bound
+# on written tasks are exercised with two readers and two writers.
 cat > "$SCRATCH/cache_smoke.py" <<'CACHE_SMOKE'
 import time
 
 from repro.core.soi import SOIEngine
 from repro.datagen import build_preset
 from repro.serve import EngineServer
-from repro.serve.workload import make_zipf_workload
+from repro.serve.workload import make_workload
+
+WORKERS = 2
 
 
 def submit_all(server, requests, fill_result_pipe: bool) -> list:
@@ -157,28 +160,27 @@ def submit_all(server, requests, fill_result_pipe: bool) -> list:
 def main() -> None:
     city = build_preset("vienna", scale=0.1)
     engine = SOIEngine(city.network, city.pois)
-    requests = make_zipf_workload(engine, city.photos, num_queries=24,
-                                  seed=2, pool_size=6)
-    with EngineServer.for_engine(engine, city.photos, workers=2,
+    distinct = make_workload(engine, city.photos, num_queries=6, seed=2)
+    requests = distinct * 4
+    with EngineServer.for_engine(engine, city.photos, workers=WORKERS,
                                  micro_batch=4) as server:
         baseline = server.run(requests)
-    with EngineServer.for_engine(engine, city.photos, workers=2,
+    with EngineServer.for_engine(engine, city.photos, workers=WORKERS,
                                  micro_batch=4, cache=True) as server:
         cached = server.run(requests)
         stats = server.cache_stats()
     if cached != baseline:
         raise SystemExit("cache smoke: cached payloads diverge from the "
                          "uncached run")
-    if stats["hits"] <= 0:
-        raise SystemExit("cache smoke: Zipf repeats never hit the cache "
+    if stats["hits"] < len(requests) - WORKERS * len(set(distinct)):
+        raise SystemExit("cache smoke: a worker computed a request twice "
                          f"(stats: {stats})")
     print(f"cache smoke: {len(requests)} requests bit-identical, "
           f"{stats['hits']} hits ({stats['hit_rate']:.0%} hit rate)")
-    stream = make_zipf_workload(engine, city.photos, num_queries=500,
-                                seed=2, pool_size=6)
+    stream = [distinct[i % len(distinct)] for i in range(500)]
     expected = None
     for cache in (False, True):
-        with EngineServer.for_engine(engine, city.photos, workers=2,
+        with EngineServer.for_engine(engine, city.photos, workers=WORKERS,
                                      micro_batch=4, cache=cache) as server:
             if expected is None:
                 expected = server.run(stream)

@@ -12,7 +12,7 @@ require dependencies the runtime lacks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 try:  # Python >= 3.11
@@ -67,8 +67,6 @@ class LintConfig:
     # eviction bound (pop/popitem/clear/del or a len() guard).
     cache_checked_dirs: tuple[str, ...] = ("perf", "serve")
     assume_positive: tuple[str, ...] = ("buffer_area", "buffer_col", "max_d")
-    deprecated_names: dict[str, str] = field(
-        default_factory=lambda: {"IndexError_": "GridIndexError"})
     disabled_rules: tuple[str, ...] = ()
     # -- cross-module pass (REP-C6xx / F7xx / R8xx) -----------------------
     cross_module: bool = True
@@ -121,8 +119,6 @@ class LintConfig:
                 continue
             if isinstance(value, list):
                 value = tuple(str(item) for item in value)
-            elif isinstance(value, dict):
-                value = {str(k): str(v) for k, v in value.items()}
             updates[key] = value
         return replace(config, **updates)
 

@@ -196,7 +196,6 @@ def default_rules(config: LintConfig) -> tuple[Rule, ...]:
     from repro.analysis.rules.hygiene import (
         AllDriftRule,
         BroadExceptRule,
-        DeprecatedNameRule,
         MutableDefaultRule,
     )
     from repro.analysis.rules.numeric import (
@@ -228,7 +227,6 @@ def default_rules(config: LintConfig) -> tuple[Rule, ...]:
         MutableDefaultRule(),
         BroadExceptRule(),
         AllDriftRule(),
-        DeprecatedNameRule(),
         SortedInLoopRule(),
         ListMembershipInLoopRule(),
         HeapRescanInLoopRule(),

@@ -11,10 +11,6 @@
   re-exports) are exempt; files defining a module-level ``__getattr__``
   (lazy exports) skip the unbound direction, which cannot be decided
   statically.
-* **REP-H304** — use of a deprecated name (configured under
-  ``[tool.repro.lint] deprecated-names``, which maps each old name to its
-  replacement).  Assignments creating a back-compat alias are not
-  flagged; imports and loads are.
 """
 
 from __future__ import annotations
@@ -183,46 +179,8 @@ class AllDriftRule(Rule):
         return values
 
 
-class DeprecatedNameRule(Rule):
-    id = "REP-H304"
-    name = "deprecated-name"
-    hint = "use the replacement name; the old alias exists only for " \
-           "backwards compatibility"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        deprecated = ctx.config.deprecated_names
-        if not deprecated:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    replacement = deprecated.get(alias.name)
-                    if replacement is not None:
-                        yield self.finding(
-                            ctx, alias,
-                            f"import of deprecated '{alias.name}' "
-                            f"(renamed to '{replacement}')")
-            elif isinstance(node, ast.Name) and \
-                    isinstance(node.ctx, ast.Load):
-                replacement = deprecated.get(node.id)
-                if replacement is not None:
-                    yield self.finding(
-                        ctx, node,
-                        f"use of deprecated '{node.id}' "
-                        f"(renamed to '{replacement}')")
-            elif isinstance(node, ast.Attribute) and \
-                    isinstance(node.ctx, ast.Load):
-                replacement = deprecated.get(node.attr)
-                if replacement is not None:
-                    yield self.finding(
-                        ctx, node,
-                        f"use of deprecated '{node.attr}' "
-                        f"(renamed to '{replacement}')")
-
-
 __all__ = [
     "AllDriftRule",
     "BroadExceptRule",
-    "DeprecatedNameRule",
     "MutableDefaultRule",
 ]

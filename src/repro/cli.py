@@ -9,9 +9,9 @@ Six subcommands cover the everyday workflow without writing Python:
 * ``repro describe`` — photo-summarise a street of a saved city;
 * ``repro bench``    — run the Figure 4 / Figure 6 latency suites
   (``BENCH_soi.json`` / ``BENCH_describe.json``) or, with
-  ``--mode throughput``, the multiprocess serving bench
-  (``BENCH_serve.json``); ``--check-against`` compares the fresh report
-  to a committed baseline and fails on regressions;
+  ``--mode build``, the cold-path build suite (``BENCH_build.json``);
+  ``--check-against`` compares the fresh report to a committed baseline
+  and fails on regressions (serving is measured by ``perfbench/``);
 * ``repro lint``     — run the repo's custom static-analysis pass;
 * ``repro metrics``  — run a small query workload and dump the unified
   :mod:`repro.obs` metrics registry (counters, gauges, latency
@@ -65,6 +65,22 @@ from repro.network.io import (
 NETWORK_FILE = "network.json"
 POIS_FILE = "pois.json"
 PHOTOS_FILE = "photos.json"
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """An argparse type: a float that is not negative (nor NaN)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,16 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time the Figure 4 (k-SOI sweeps) and Figure 6 "
                     "(greedy describe) configurations on synthetic city "
                     "presets and write JSON reports with medians and "
-                    "work counters; --mode throughput instead replays a "
-                    "seeded mixed workload through the repro.serve "
-                    "process pool and appends QPS/latency records to "
-                    "BENCH_serve.json.")
+                    "work counters; --mode build times the cold index "
+                    "build instead.  Serving is measured by perfbench/.")
     bench.add_argument("--mode",
-                       choices=("latency", "throughput", "build",
-                                "soi", "describe"),
+                       choices=("latency", "build", "soi", "describe"),
                        default="latency",
                        help="latency: sequential Figure 4/6 suites; "
-                            "throughput: multiprocess EngineServer replay; "
                             "build: cold-path index construction timings "
                             "(BENCH_build.json); "
                             "soi / describe: shorthand for --mode latency "
@@ -140,78 +152,40 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", choices=("soi", "describe", "all"),
                        default="all",
                        help="which latency suites to run "
-                            "(ignored with --mode throughput)")
+                            "(ignored with --mode build)")
     bench.add_argument("--trace-out", type=Path, default=None,
                        metavar="DIR",
                        help="latency modes: additionally run each sweep "
                             "point once with span tracing on and write a "
-                            "Chrome trace-event file per point into DIR; "
-                            "throughput mode: serve one traced replay per "
-                            "city and write the stitched cross-process "
-                            "trace (open at chrome://tracing)")
+                            "Chrome trace-event file per point into DIR "
+                            "(open at chrome://tracing)")
     bench.add_argument("--cities", nargs="+", default=None,
                        metavar="PRESET",
                        help="city presets to measure (default: "
                             "vienna berlin london)")
-    bench.add_argument("--repeats", type=int, default=None,
+    bench.add_argument("--repeats", type=_positive_int, default=None,
                        help="sweep repetitions per median "
-                            "(default: 5 for soi, 3 for describe)")
+                            "(default: 5 for soi, 3 for describe and "
+                            "build)")
     bench.add_argument("--scale", type=float, default=1.0,
                        help="dataset size multiplier (default 1.0)")
     bench.add_argument("--out", type=Path, default=Path("."),
                        help="directory for the BENCH_*.json reports")
     bench.add_argument("--jobs", type=int, default=None,
                        help="thread workers for the untimed per-city "
-                            "setup; timed work is either sequential "
-                            "(latency suites) or runs on the --workers "
-                            "process pool (throughput mode)")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="max worker processes for --mode throughput; "
-                            "the sweep measures 1..N (default 4)")
-    bench.add_argument("--concurrency", type=int, default=None,
-                       help="max in-flight queries per throughput run "
-                            "(default: 4 per worker)")
-    bench.add_argument("--queries", type=int, default=64,
-                       help="workload size per city for --mode "
-                            "throughput (default 64)")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="workload RNG seed for --mode throughput")
-    bench.add_argument("--batch", type=int, default=1, metavar="B",
-                       help="throughput mode: per-worker micro-batch "
-                            "size — each worker drains up to B queued "
-                            "requests per loop turn and serves "
-                            "same-signature runs against one shared "
-                            "session (default 1: no batching)")
+                            "setup; the timed work is sequential")
     bench.add_argument("--history", type=Path, default=None,
                        metavar="FILE",
                        help="append a one-line JSON summary (suite, "
-                            "medians/QPS, counters, environment) per "
+                            "medians, counters, environment) per "
                             "produced report to this .jsonl log")
-    bench.add_argument("--verify", action="store_true",
-                       help="throughput mode: also replay the workload "
-                            "in-process and fail unless worker payloads "
-                            "are identical")
-    bench.add_argument("--cache", choices=("on", "off"), default="off",
-                       help="throughput mode: enable the server's "
-                            "two-level result cache (parent cache + "
-                            "per-worker cache); --verify still compares "
-                            "against the uncached in-process path")
-    bench.add_argument("--zipf", type=float, default=None, metavar="S",
-                       help="throughput mode: replay the seeded "
-                            "Zipf-skewed repeat workload with exponent S "
-                            "instead of the all-distinct mixed workload")
-    bench.add_argument("--unique-frac", type=float, default=0.0,
-                       metavar="F",
-                       help="throughput mode, with --zipf: fraction of "
-                            "the workload made of never-repeating "
-                            "one-off requests (1.0 = all-unique, the "
-                            "cache-adversarial case)")
     bench.add_argument("--check-against", type=Path, default=None,
                        metavar="FILE",
                        help="compare the fresh report of the same suite "
                             "against this committed BENCH_*.json and "
-                            "exit non-zero when medians/QPS regress")
-    bench.add_argument("--tolerance", type=float, default=0.2,
+                            "exit non-zero when a median regresses or a "
+                            "work counter changes")
+    bench.add_argument("--tolerance", type=_non_negative_float, default=0.2,
                        help="relative regression tolerance for "
                             "--check-against (default 0.2)")
 
@@ -283,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "request kind from the merged latency sketches.")
     top.add_argument("--data", type=Path, required=True,
                      help="directory written by 'repro generate'")
-    top.add_argument("--workers", type=int, default=2,
+    top.add_argument("--workers", type=_positive_int, default=2,
                      help="worker processes (default 2)")
-    top.add_argument("--queries", type=int, default=32,
+    top.add_argument("--queries", type=_positive_int, default=32,
                      help="workload size (default 32)")
     top.add_argument("--seed", type=int, default=0,
                      help="workload RNG seed")
-    top.add_argument("--batch", type=int, default=1,
+    top.add_argument("--batch", type=_positive_int, default=1,
                      help="per-worker micro-batch size (default 1)")
     top.add_argument("--cache", action="store_true",
                      help="enable the two-level result cache; frames "
@@ -467,31 +441,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     f"{entry['speedups']['incremental_augment_speedup']:.1f}"
                     f"x)")
             print(line)
-    elif args.mode == "throughput":
-        run = bench.bench_throughput(
-            cities, workers=args.workers, concurrency=args.concurrency,
-            queries=args.queries, seed=args.seed, scale=args.scale,
-            jobs=args.jobs, verify=args.verify, micro_batch=args.batch,
-            trace_out=args.trace_out, cache=(args.cache == "on"),
-            zipf=args.zipf, unique_frac=args.unique_frac)
-        path = args.out / bench.SERVE_REPORT
-        bench.append_serve_run(run, path)
-        produced["serve"] = run
-        written.append(path)
-        for name, entry in run["cities"].items():
-            speedups = entry["qps_speedup_vs_1_worker"]
-            best = max(speedups.values())
-            line = (f"{name}: " + ", ".join(
-                f"{rec['workers']}w {rec['qps']:.1f} qps"
-                for rec in entry["records"])
-                + f" (best speedup {best:.2f}x)")
-            stats = entry.get("cache_stats")
-            if stats:
-                line += (f" [cache {stats['hits']}/"
-                         f"{stats['hits'] + stats['misses']} hits "
-                         f"({stats['hit_rate']:.0%}), "
-                         f"{int(stats['bytes'])} B]")
-            print(line)
     else:
         if args.suite in ("soi", "all"):
             report = bench.bench_soi(
@@ -533,16 +482,7 @@ def _check_against_baseline(args: argparse.Namespace,
         print(f"error: baseline {args.check_against} is a {suite!r} report "
               f"but this run produced {sorted(produced) or 'nothing'}")
         return 2
-    current = produced[suite]
-    if suite == "serve":
-        # The serve report is an append-only log; compare the new run
-        # against the baseline's most recent run.
-        runs = baseline.get("runs") or []
-        if not runs:
-            print(f"error: baseline {args.check_against} has no runs")
-            return 2
-        baseline = runs[-1]
-    regressions = bench.compare_reports(current, baseline,
+    regressions = bench.compare_reports(produced[suite], baseline,
                                         tolerance=args.tolerance)
     if not regressions:
         print(f"check-against {args.check_against}: OK "

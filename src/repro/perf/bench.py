@@ -14,32 +14,21 @@ writes ``BENCH_soi.json`` / ``BENCH_describe.json`` reports that combine:
   evidence of *why* a timing moved, including a cold-vs-warm query pair
   that shows what :class:`~repro.perf.session.QuerySession` reuse saves.
 
-A third mode measures *throughput* rather than single-query latency:
-``bench_throughput`` replays a seeded mixed k-SOI/describe workload
-(:mod:`repro.serve.workload`) against an
-:class:`~repro.serve.server.EngineServer` process pool at increasing
-worker counts and appends QPS / latency-percentile records to
-``BENCH_serve.json``.
-
-Parallelism is split across two documented code paths: the *untimed*
-per-city setup fans out over threads via
-:func:`~repro.perf.parallel.run_parallel` (``--jobs``), while *timed*
-concurrent query execution always goes through the process-based serving
-pool — never the thread pool, whose pure-Python phases serialise on the
-GIL.  Latency suites (``soi``/``describe``) still time their query loops
-sequentially so medians stay comparable across commits.
+Per-city setup is untimed and fans out over threads via
+:func:`~repro.perf.parallel.run_parallel` (``--jobs``); the timed query
+loops run sequentially so medians stay comparable across commits.  The
+serve path is measured end to end by ``perfbench/``, not here.
 
 Every report carries ``schema_version`` (:data:`SCHEMA_VERSION`) and can
 be compared against a committed baseline with :func:`compare_reports`
-(``repro bench --check-against``), which flags median/QPS regressions
-beyond a tolerance.
+(``repro bench --check-against``), which flags median regressions beyond
+a tolerance and any changed work counter.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import math
 import os
 import platform
 import statistics
@@ -67,7 +56,6 @@ SOI_PSIS: tuple[int, ...] = (1, 2, 3, 4)
 DESCRIBE_KS: tuple[int, ...] = (10, 20, 30, 40, 50)
 SOI_REPORT = "BENCH_soi.json"
 DESCRIBE_REPORT = "BENCH_describe.json"
-SERVE_REPORT = "BENCH_serve.json"
 BUILD_REPORT = "BENCH_build.json"
 
 SCHEMA_VERSION = 5
@@ -75,13 +63,11 @@ SCHEMA_VERSION = 5
 :func:`compare_reports` can refuse cross-schema comparisons; version 1 is
 the implicit schema of reports written before the field existed.
 Version 3 adds the per-city ``obs`` section (tracer overhead medians and
-span counts); version 4 adds the serve suite's informational
-``obs.latency_sketch`` section (merged quantile-sketch stats, never
-regression-gated); version 5 adds the serve suite's
-``cache``/``zipf``/``unique_frac`` workload descriptors and the
-informational ``cache_stats`` section.  All are pure additions, so
+span counts); versions 4 and 5 added sections only to the serve suite's
+report, which is no longer written.  All are pure additions, so
 :func:`compare_reports` treats 2 through 5 as mutually comparable (see
-:data:`COMPARABLE_SCHEMAS`)."""
+:data:`COMPARABLE_SCHEMAS`) and the committed version-3 and version-5
+baselines stay valid."""
 
 COMPARABLE_SCHEMAS = frozenset({2, 3, 4, 5})
 """Schema versions whose shared metrics kept their meaning; reports inside
@@ -133,12 +119,7 @@ def median_sweep(
 
 
 def environment() -> dict:
-    """Version and hardware stamps a report needs to be comparable.
-
-    ``cpu_count`` matters most for the throughput suite: worker scaling
-    is physically bounded by the cores available, so a record from a
-    1-core container cannot be judged against a 16-core baseline.
-    """
+    """Version and hardware stamps a report needs to be comparable."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -511,34 +492,20 @@ def write_report(report: dict, path: Path) -> None:
 # -- history log (BENCH_history.jsonl) ---------------------------------------
 
 def history_record(report: dict) -> dict:
-    """One compact history line for a bench report or throughput run.
+    """One compact history line for a bench report.
 
-    Keeps only what trend-reading needs — suite, per-city medians (or QPS
-    per worker count for serve runs), the cold/warm counter dumps and the
-    environment stamp.  Deliberately carries **no timestamp**: records
-    are ordered by their position in the log and stay byte-reproducible
-    for a given commit, matching the repo's determinism convention.
+    Keeps only what trend-reading needs — suite, per-city medians, the
+    cold/warm counter dumps and the environment stamp.  Deliberately
+    carries **no timestamp**: records are ordered by their position in
+    the log and stay byte-reproducible for a given commit, matching the
+    repo's determinism convention.
     """
-    suite = report.get("suite")
     record: dict = {
         "schema_version": report.get("schema_version"),
-        "suite": suite,
+        "suite": report.get("suite"),
         "environment": report.get("environment", {}),
         "cities": {},
     }
-    if suite == "serve":
-        record["micro_batch"] = report.get("micro_batch", 1)
-        record["cache"] = report.get("cache", False)
-        if report.get("zipf") is not None:
-            record["zipf"] = report["zipf"]
-        if report.get("unique_frac"):
-            record["unique_frac"] = report["unique_frac"]
-        for name, entry in report.get("cities", {}).items():
-            record["cities"][name] = {
-                "qps": {str(rec["workers"]): rec["qps"]
-                        for rec in entry.get("records", ())},
-            }
-        return record
     for name, entry in report.get("cities", {}).items():
         city: dict = {
             "medians": {key: value for key, value in entry.items()
@@ -572,196 +539,15 @@ def read_history(path: Path) -> list[dict]:
             if line.strip()]
 
 
-# -- throughput suite (BENCH_serve.json) -------------------------------------
-
-def worker_counts(max_workers: int) -> list[int]:
-    """The 1..N sweep points: powers of two up to ``max_workers``, plus N."""
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    counts = {1 << shift for shift in range(max_workers.bit_length())
-              if 1 << shift <= max_workers}
-    counts.add(max_workers)
-    return sorted(counts)
-
-
-def _percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-quantile (0..1) as the nearest-rank order statistic."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-    return ordered[rank]
-
-
-def bench_throughput(
-    cities: Sequence[str] = DEFAULT_CITIES,
-    workers: int = 4,
-    concurrency: int | None = None,
-    queries: int = 64,
-    seed: int = 0,
-    scale: float = 1.0,
-    eps: float = DEFAULT_EPS,
-    jobs: int | None = None,
-    verify: bool = False,
-    micro_batch: int = 1,
-    trace_out: Path | None = None,
-    cache: bool = False,
-    zipf: float | None = None,
-    unique_frac: float = 0.0,
-) -> dict:
-    """Replay a seeded mixed workload against 1..``workers`` processes.
-
-    For every city and worker count the same ``queries``-request workload
-    is served twice through a fresh :class:`~repro.serve.server.EngineServer`
-    — an untimed warm pass (snapshot attach, session/describer warm-up)
-    and a timed pass — and recorded as QPS plus worker-side latency
-    percentiles.  ``concurrency`` bounds the in-flight window (default:
-    four per worker).  ``micro_batch`` sets the per-worker drain size
-    (``--batch``): workers pull up to that many queued requests per loop
-    turn and run same-signature runs against one shared session.
-    ``verify=True`` additionally replays the workload on the in-process
-    engine and fails unless every payload is identical (the serving
-    layer's accelerator contract).
-
-    At the full pool size each city additionally records an
-    ``obs.latency_sketch`` section — live p50/p90/p99 per request kind
-    and per worker from the merged streaming quantile sketches the
-    workers ship with every response.  The section is informational:
-    its keys are never regression-gated by :func:`compare_reports`.
-    ``trace_out`` (a directory) serves one extra *untimed* traced replay
-    per city at the full pool size and writes the stitched cross-process
-    Chrome trace there, one ``serve.request`` parent span per request
-    with the worker's spans nested beneath it.
-
-    ``zipf`` switches the workload to the Zipf-skewed repeat mix of
-    :func:`~repro.serve.workload.make_zipf_workload` with that exponent
-    (``unique_frac`` of the requests become cache-adversarial one-offs);
-    ``cache`` turns on the server's two-level result cache.  With
-    ``verify=True`` the cached payloads are still compared bit-for-bit
-    against the *uncached* in-process replay, which is the cache's
-    exactness contract.  Because the warm pass also warms the result
-    cache, the timed pass measures steady-state serving: even an
-    all-unique stream replays warm, so its ``cache_stats`` legitimately
-    report hits.
-    """
-    from repro.errors import ReproError
-    from repro.serve.server import EngineServer, serve_request
-    from repro.serve.workload import DEFAULT_ZIPF_S, make_workload, \
-        make_zipf_workload
-
-    run: dict = {
-        "suite": "serve",
-        "schema_version": SCHEMA_VERSION,
-        "queries": queries,
-        "seed": seed,
-        "eps": eps,
-        "scale": scale,
-        "concurrency": concurrency,
-        "micro_batch": micro_batch,
-        "cache": bool(cache),
-        "zipf": zipf,
-        "unique_frac": unique_frac,
-        "worker_counts": worker_counts(workers),
-        "verified": bool(verify),
-        "environment": environment(),
-        "cities": {},
-    }
-    for name, city, engine in _build_cities(cities, scale, jobs):
-        if zipf is not None or unique_frac > 0:
-            requests = make_zipf_workload(
-                engine, city.photos, num_queries=queries, seed=seed,
-                s=DEFAULT_ZIPF_S if zipf is None else zipf,
-                unique_frac=unique_frac, eps=eps)
-        else:
-            requests = make_workload(engine, city.photos,
-                                     num_queries=queries, seed=seed, eps=eps)
-        inline = ([serve_request(engine, city.photos, request)
-                   for request in requests] if verify else None)
-        entry: dict = {"num_requests": len(requests), "records": []}
-        full_pool = run["worker_counts"][-1]
-        for count in run["worker_counts"]:
-            with EngineServer.for_engine(engine, city.photos, workers=count,
-                                         micro_batch=micro_batch,
-                                         cache=cache) as server:
-                warm0 = time.perf_counter()
-                server.run(requests, window=concurrency)
-                warm_s = time.perf_counter() - warm0
-                t0 = time.perf_counter()
-                payloads, service = server.run_with_stats(
-                    requests, window=concurrency)
-                wall_s = time.perf_counter() - t0
-                if count == full_pool:
-                    # Informational only (see docstring): none of these
-                    # keys match a _metric_direction pattern, so a
-                    # --check-against run never gates on them.
-                    entry["obs.latency_sketch"] = server.latency_summary()
-                    if cache:
-                        entry["cache_stats"] = server.cache_stats()
-                    if trace_out is not None:
-                        trace_dir = Path(trace_out)
-                        trace_dir.mkdir(parents=True, exist_ok=True)
-                        with obs_tracer.tracing_scope(True):
-                            server.run(requests, window=concurrency)
-                        trace_path = server.export_trace(
-                            trace_dir / f"serve_{name}.trace.json")
-                        entry["trace_file"] = str(trace_path)
-            if inline is not None and payloads != inline:
-                raise ReproError(
-                    f"{name}: worker payloads diverged from the in-process "
-                    f"engine at {count} worker(s)")
-            entry["records"].append({
-                "workers": count,
-                "wall_s": wall_s,
-                "warm_wall_s": warm_s,
-                "qps": len(requests) / wall_s if wall_s > 0 else 0.0,
-                "latency_p50_s": _percentile(service, 0.50),
-                "latency_p90_s": _percentile(service, 0.90),
-                "latency_p99_s": _percentile(service, 0.99),
-            })
-        base_qps = entry["records"][0]["qps"]
-        entry["qps_speedup_vs_1_worker"] = {
-            str(record["workers"]):
-                (record["qps"] / base_qps if base_qps > 0 else 0.0)
-            for record in entry["records"]}
-        run["cities"][name] = entry
-    return run
-
-
-def append_serve_run(run: dict, path: Path) -> dict:
-    """Append one throughput run to ``BENCH_serve.json`` and rewrite it.
-
-    The serve report is an append-only log (``{"runs": [...]}``): worker
-    scaling is hardware-dependent, so history across machines is worth
-    more than a single overwritten record.  An existing file with a
-    different ``schema_version`` is restarted rather than mixed.
-    """
-    report = {"suite": "serve", "schema_version": SCHEMA_VERSION, "runs": []}
-    if path.exists():
-        previous = json.loads(path.read_text(encoding="utf-8"))
-        if (previous.get("suite") == "serve"
-                and previous.get("schema_version") == SCHEMA_VERSION
-                and isinstance(previous.get("runs"), list)):
-            report["runs"] = previous["runs"]
-    report["runs"].append(run)
-    write_report(report, path)
-    return report
-
-
 # -- baseline comparison (--check-against) -----------------------------------
 
 def _metric_direction(path: tuple[str, ...]) -> str | None:
-    """Whether a numeric leaf is lower-better, higher-better, exact
-    (``"equal"``: a work counter, which no host speed can move), or
-    ignored."""
+    """Whether a numeric leaf is lower-better, exact (``"equal"``: a work
+    counter, which no host speed can move), or ignored."""
     if "counters" in path[:-1]:
         return "equal"
     key = path[-1] if path else ""
-    if key == "qps" or (len(path) >= 2
-                        and path[-2] == "qps_speedup_vs_1_worker"):
-        return "higher"
-    if key.endswith("_median_s") or key in (
-            "wall_s", "warm_wall_s", "latency_p50_s", "latency_p90_s",
-            "latency_p99_s"):
+    if key.endswith("_median_s"):
         return "lower"
     if len(path) >= 2 and path[-2].endswith("_points"):
         return "lower"  # per-point median seconds, keyed by sweep value
@@ -774,22 +560,22 @@ def compare_reports(
 ) -> list[dict]:
     """Regressions of ``current`` versus a committed baseline report.
 
-    Walks both reports in parallel and compares every shared numeric
-    metric: medians/latencies regress when the current value exceeds the
-    baseline by more than ``tolerance`` (relative); QPS-style metrics
-    regress when they drop below ``baseline * (1 - tolerance)``; a work
-    counter (any leaf under a ``counters`` key, zeros included) regresses
-    whenever it differs at all, since counters are exact.  Returns
+    Walks both reports' dicts in parallel and compares every shared
+    numeric metric: a median regresses when the current value exceeds
+    the baseline by more than ``tolerance`` (relative); a work counter
+    (any leaf under a ``counters`` key, zeros included) regresses
+    whenever it differs at all, since counters are exact.  Lists (the
+    sweep axes and keywords a report echoes) are not compared.  Returns
     one dict per regression (empty list = pass).  Raises ``ValueError``
     on mismatched ``schema_version`` — cross-schema numbers are not
     comparable.
 
-    Seconds-valued (lower-is-better) metrics must additionally exceed the
-    baseline by ``min_delta_s`` absolute: per-point values in a
-    single-repeat smoke run are single samples of millisecond-scale
-    queries, where scheduler jitter alone can breach any relative
-    tolerance.  The floor is far below every headline median's tolerance
-    band, so it only desensitises the sub-10ms leaves.
+    Medians must additionally exceed the baseline by ``min_delta_s``
+    absolute: per-point values in a single-repeat smoke run are single
+    samples of millisecond-scale queries, where scheduler jitter alone
+    can breach any relative tolerance.  The floor is far below every
+    headline median's tolerance band, so it only desensitises the
+    sub-10ms leaves.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
@@ -812,20 +598,6 @@ def compare_reports(
                 if key in cur_by_key:
                     walk(cur_by_key[key], base_value, path + (key,))
             return
-        if isinstance(cur, list) and isinstance(base, list):
-            # The serve suite's per-worker-count records: align on the
-            # "workers" key so partial sweeps compare the right rows.
-            def row_key(item: object, index: int) -> str:
-                if isinstance(item, dict) and "workers" in item:
-                    return f"workers={item['workers']}"
-                return str(index)
-
-            cur_rows = {row_key(item, i): item for i, item in enumerate(cur)}
-            for i, base_item in enumerate(base):
-                key = row_key(base_item, i)
-                if key in cur_rows:
-                    walk(cur_rows[key], base_item, path + (key,))
-            return
         if (isinstance(cur, (int, float)) and isinstance(base, (int, float))
                 and not isinstance(cur, bool) and not isinstance(base, bool)):
             direction = _metric_direction(path)
@@ -833,11 +605,9 @@ def compare_reports(
                 regressed = cur != base
             elif direction is None or base <= 0:
                 return
-            elif direction == "lower":
+            else:
                 regressed = (cur > base * (1.0 + tolerance)
                              and cur - base > min_delta_s)
-            else:
-                regressed = cur < base * (1.0 - tolerance)
             if regressed:
                 regressions.append({
                     "metric": ".".join(path),

@@ -13,8 +13,8 @@ the engines/caches are shared in-process and the hot kernels release the
 GIL inside NumPy.  Pure-Python query phases serialise on the GIL here, so
 **timed concurrent query execution** belongs to the other path: the
 process-based :class:`repro.serve.server.EngineServer` pool over
-shared-memory snapshots, which is what ``repro bench --mode throughput``
-measures.  Sequential latency timings (the ``soi``/``describe`` suites)
+shared-memory snapshots, which is what ``perfbench/`` measures.
+Sequential latency timings (the ``soi``/``describe`` suites)
 still use plain loops — neither executor — so their medians measure the
 algorithm, not contention.
 """

@@ -22,13 +22,13 @@ one read-only copy of the built indexes:
   :class:`~repro.perf.session.QuerySessionPool` reuse, snapshot generation
   counters (so :meth:`~repro.core.soi.SOIEngine.rebuild_indexes`
   invalidates stale workers) and crash-safe shared-memory cleanup;
-* :mod:`repro.serve.workload` — seeded mixed k-SOI/describe workload
-  generation for the ``repro bench --mode throughput`` suite.
+* :mod:`repro.serve.workload` — seeded mixed k-SOI/describe workloads
+  for ``repro top``, the serve tests and the CI smokes.
 
 The serving path is an *accelerator* in the same sense as
 :mod:`repro.perf`: a snapshot-backed worker must return bit-identical
-results to the in-process engine (enforced by the round-trip tests and by
-``repro bench --mode throughput --verify``).
+results to the in-process engine (enforced by the round-trip tests, the
+CI smokes and perfbench's payload digests).
 """
 
 from repro.serve.server import DescribeRequest, EngineServer, SOIRequest

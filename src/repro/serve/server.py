@@ -237,9 +237,9 @@ def serve_request(
     """Serve one request against an engine — the single serving code path.
 
     Workers call this over their snapshot-attached views; the bit-identity
-    tests and ``repro bench --mode throughput --verify`` call it over the
-    original in-process engine.  Because both sides run this exact
-    function, agreement is structural rather than coincidental.
+    tests and perfbench's reference digests call it over the original
+    in-process engine.  Because both sides run this exact function,
+    agreement is structural rather than coincidental.
 
     k-SOI requests return the first ``k`` entries of
     :meth:`~repro.core.soi_baseline.BaselineSOI.ranking`, the complete
@@ -706,9 +706,15 @@ class EngineServer:
         stay bit-identical to uncached serving.
         """
         snapshot = IndexSnapshot.export(engine, photos, warm_eps=warm_eps)
-        return cls(snapshot, workers=workers, source=engine,
-                   source_photos=photos, micro_batch=micro_batch,
-                   cache=cache)
+        try:
+            return cls(snapshot, workers=workers, source=engine,
+                       source_photos=photos, micro_batch=micro_batch,
+                       cache=cache)
+        except BaseException:
+            # The server never took ownership: unlink the block here.
+            snapshot.close()
+            snapshot.unlink()
+            raise
 
     # -- introspection ----------------------------------------------------
 
@@ -1012,8 +1018,7 @@ class EngineServer:
         """Like :meth:`run`, also returning per-request service seconds.
 
         Service time is measured inside the worker (attach-to-answer), so
-        the throughput bench can report latency percentiles that exclude
-        queueing delay.
+        it excludes queueing delay.
         """
         request_list = list(requests)
         if window is None:

@@ -1,12 +1,11 @@
-"""Seeded query workloads for the throughput bench.
+"""Seeded query workloads for ``repro top``, the serve tests and smokes.
 
 A workload is a deterministic, shuffled mix of k-SOI requests (cumulative
 keyword prefixes of the Section 5.2.1 study crossed with the Figure 4
 ``k`` values) and describe requests (streets actually returned by category
 queries, so every request does real work).  The same ``seed`` always
-produces the same request list, which is what makes
-``repro bench --mode throughput`` runs comparable across worker counts
-and across commits.
+produces the same request list.  Serving is measured by ``perfbench/``,
+which builds its own streams and shares only :func:`describe_candidates`.
 
 This module is intentionally **not** imported by ``repro.serve.__init__``:
 worker processes import the serving package, and the workload generator
@@ -28,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 WORKLOAD_SOI_KS: tuple[int, ...] = (10, 25, 50, 100)
 WORKLOAD_DESCRIBE_KS: tuple[int, ...] = (5, 10, 20)
-DEFAULT_DESCRIBE_FRACTION = 0.25
+DESCRIBE_FRACTION = 0.25
 
 
 def describe_candidates(
@@ -56,161 +55,48 @@ def make_workload(
     photos: "PhotoSet | None",
     num_queries: int = 64,
     seed: int = 0,
-    eps: float = DEFAULT_EPS,
-    keywords: Sequence[str] | None = None,
-    describe_fraction: float = DEFAULT_DESCRIBE_FRACTION,
 ) -> list[Request]:
-    """A deterministic mixed request list for one city.
+    """A deterministic mixed request list for one city, all at the default ε.
 
-    ``describe_fraction`` of the requests (rounded down) are describe
+    :data:`DESCRIBE_FRACTION` of the requests (rounded down) are describe
     queries when ``photos`` is available and at least one category query
     returns a street; the rest are k-SOI queries over the cumulative
-    keyword prefixes.  Requests are shuffled by the seeded RNG so worker
-    pools see an interleaved stream rather than phase-separated batches.
+    prefixes of the paper's query keywords.  Requests are shuffled by the
+    seeded RNG so worker pools see an interleaved stream rather than
+    phase-separated batches.
     """
     from repro.eval.experiments import PAPER_QUERY_KEYWORDS
 
     if num_queries < 1:
         raise ValueError(f"num_queries must be at least 1, got {num_queries}")
-    if keywords is None:
-        keywords = PAPER_QUERY_KEYWORDS
     rng = np.random.default_rng(seed)
-    signatures = [tuple(keywords[:size])
-                  for size in range(1, len(keywords) + 1)]
+    signatures = [tuple(PAPER_QUERY_KEYWORDS[:size])
+                  for size in range(1, len(PAPER_QUERY_KEYWORDS) + 1)]
 
     def pick(pool: Sequence):
         return pool[int(rng.integers(len(pool)))]
 
     streets: list[int] = []
-    if photos is not None and describe_fraction > 0:
-        streets = describe_candidates(engine, keywords, eps)
-    num_describe = int(num_queries * describe_fraction) if streets else 0
+    if photos is not None:
+        streets = describe_candidates(engine, PAPER_QUERY_KEYWORDS)
+    num_describe = int(num_queries * DESCRIBE_FRACTION) if streets else 0
 
     requests: list[Request] = []
     for _ in range(num_describe):
         requests.append(DescribeRequest(
             street_id=pick(streets),
-            k=pick(WORKLOAD_DESCRIBE_KS),
-            eps=eps))
+            k=pick(WORKLOAD_DESCRIBE_KS)))
     for _ in range(num_queries - num_describe):
         requests.append(SOIRequest(
             keywords=pick(signatures),
-            k=pick(WORKLOAD_SOI_KS),
-            eps=eps))
+            k=pick(WORKLOAD_SOI_KS)))
     return [requests[i] for i in rng.permutation(len(requests))]
 
 
-DEFAULT_ZIPF_S = 1.1
-"""Default Zipf exponent for the repeat-mix workload (``--zipf``).  1.1 is
-the classic web-traffic skew: the hottest request draws ~an order of
-magnitude more traffic than rank 10."""
-
-DEFAULT_ZIPF_POOL = 16
-"""Distinct requests in the hot pool the Zipf draws rotate over."""
-
-
-def make_zipf_workload(
-    engine: SOIEngine,
-    photos: "PhotoSet | None",
-    num_queries: int = 64,
-    seed: int = 0,
-    s: float = DEFAULT_ZIPF_S,
-    unique_frac: float = 0.0,
-    pool_size: int = DEFAULT_ZIPF_POOL,
-    eps: float = DEFAULT_EPS,
-    keywords: Sequence[str] | None = None,
-    describe_fraction: float = DEFAULT_DESCRIBE_FRACTION,
-) -> list[Request]:
-    """A deterministic Zipf-skewed *repeat-mix* request list for one city.
-
-    Models the repetitive traffic the result cache exists for: a hot pool
-    of ``pool_size`` distinct requests (built exactly like
-    :func:`make_workload`'s mix, then deduplicated) is ranked by the
-    seeded RNG and sampled with rank-frequency ``P(r) ∝ r^-s`` — the
-    paper's popular-keyword skew.  ``unique_frac`` of the requests
-    (rounded down) are instead *cache-adversarial* one-offs: k-SOI
-    requests over distinct ``(keyword-subset, k)`` pairs never repeated
-    in the stream, with per-signature ``k`` values issued in increasing
-    order so even dominated-``k`` reuse cannot serve them.
-    ``unique_frac=1.0`` is the all-unique workload used to measure cache
-    overhead.  Timestamp-free: the same arguments always produce the
-    same request list.
-    """
-    from repro.eval.experiments import PAPER_QUERY_KEYWORDS
-
-    if num_queries < 1:
-        raise ValueError(f"num_queries must be at least 1, got {num_queries}")
-    if s <= 0:
-        raise ValueError(f"zipf exponent must be positive, got {s}")
-    if not 0.0 <= unique_frac <= 1.0:
-        raise ValueError(
-            f"unique_frac must be within [0, 1], got {unique_frac}")
-    if keywords is None:
-        keywords = PAPER_QUERY_KEYWORDS
-    rng = np.random.default_rng(seed)
-
-    num_unique = int(num_queries * unique_frac)
-    num_repeat = num_queries - num_unique
-
-    requests: list[Request] = []
-    if num_repeat:
-        # Hot pool: the mixed-workload generator already produces the
-        # right request blend; oversample it and keep the first
-        # pool_size distinct requests (frozen dataclasses hash).
-        pool: list[Request] = []
-        seen: set[Request] = set()
-        for request in make_workload(
-                engine, photos, num_queries=max(4 * pool_size, num_queries),
-                seed=seed, eps=eps, keywords=keywords,
-                describe_fraction=describe_fraction):
-            if request not in seen:
-                seen.add(request)
-                pool.append(request)
-            if len(pool) >= pool_size:
-                break
-        ranks = np.arange(1, len(pool) + 1, dtype=np.float64)
-        probs = ranks ** -s
-        probs /= probs.sum()
-        draws = rng.choice(len(pool), size=num_repeat, p=probs)
-        requests.extend(pool[int(i)] for i in draws)
-    if num_unique:
-        # One-off stream: enumerate keyword subsets (distinct signatures
-        # first), then widen k per signature; ks increase per signature
-        # so no one-off is a prefix of an earlier one.
-        subsets = [tuple(keywords[i] for i in range(len(keywords))
-                         if mask & (1 << i))
-                   for mask in range(1, 1 << len(keywords))]
-        next_k = [0] * len(subsets)
-        for i in range(num_unique):
-            slot = i % len(subsets)
-            next_k[slot] += 1 + int(rng.integers(4))
-            requests.append(SOIRequest(
-                keywords=subsets[slot], k=next_k[slot], eps=eps))
-    order = rng.permutation(len(requests))
-    if num_unique:
-        # Shuffling must not reorder the one-offs of a signature (that
-        # would turn a later small-k one-off into a dominated-k hit), so
-        # shuffle positions but replay each signature's one-offs in
-        # issue order.
-        unique_positions = sorted(
-            position for position, index in enumerate(order)
-            if index >= num_repeat)
-        unique_indices = iter(range(num_repeat, len(requests)))
-        shuffled = [requests[index] if index < num_repeat else None
-                    for index in order]
-        for position in unique_positions:
-            shuffled[position] = requests[next(unique_indices)]
-        return shuffled
-    return [requests[int(i)] for i in order]
-
-
 __all__ = [
-    "DEFAULT_DESCRIBE_FRACTION",
-    "DEFAULT_ZIPF_POOL",
-    "DEFAULT_ZIPF_S",
+    "DESCRIBE_FRACTION",
     "WORKLOAD_DESCRIBE_KS",
     "WORKLOAD_SOI_KS",
     "describe_candidates",
     "make_workload",
-    "make_zipf_workload",
 ]

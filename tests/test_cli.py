@@ -128,29 +128,6 @@ class TestBench:
         assert (tmp_path / "BENCH_soi.json").exists()
         assert not (tmp_path / "BENCH_describe.json").exists()
 
-    def test_throughput_mode_appends_verified_runs(self, tmp_path, capsys):
-        import json
-
-        argv = ["bench", "--mode", "throughput", "--cities", "vienna",
-                "--workers", "2", "--queries", "8", "--scale", "0.05",
-                "--verify", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_serve.json" in out and "qps" in out
-        log = json.loads((tmp_path / "BENCH_serve.json").read_text())
-        assert log["suite"] == "serve"
-        run = log["runs"][-1]
-        assert run["verified"] is True
-        assert run["environment"]["cpu_count"] >= 1
-        assert [rec["workers"]
-                for rec in run["cities"]["vienna"]["records"]] == [1, 2]
-        # Append-only log plus a clean self-comparison.
-        assert main(argv[:-2] + ["--out", str(tmp_path), "--check-against",
-                                 str(tmp_path / "BENCH_serve.json"),
-                                 "--tolerance", "5.0"]) == 0
-        log = json.loads((tmp_path / "BENCH_serve.json").read_text())
-        assert len(log["runs"]) == 2
-
     def test_check_against_rejects_wrong_suite(self, tmp_path, capsys):
         import json
 
@@ -263,3 +240,29 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["teleport"])
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("top", "--workers", "0"),
+        ("top", "--batch", "0"),
+        ("top", "--queries", "0"),
+        ("bench", "--tolerance", "-0.1"),
+        ("bench", "--repeats", "0"),
+    ])
+    def test_out_of_range_numbers_exit_2_before_any_work(
+            self, data_dir, tmp_path, capsys, command, flag, value):
+        if command == "top":
+            argv = ["top", "--data", str(data_dir)]
+        else:
+            baseline = tmp_path / "BENCH_soi.json"
+            baseline.write_text('{"suite": "soi", "schema_version": 5}')
+            argv = ["bench", "--mode", "soi", "--cities", "vienna",
+                    "--scale", "0.05", "--out", str(tmp_path / "out"),
+                    "--check-against", str(baseline)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage: repro {command}" in captured.err
+        assert f"argument {flag}: must be" in captured.err
+        assert not (tmp_path / "out").exists()

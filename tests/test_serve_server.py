@@ -187,10 +187,17 @@ def test_metrics_dump_ships_once_per_drained_batch(small_engine):
     assert merged.counter("serve.requests") == len(requests)
 
 
-def test_micro_batch_validation():
+def test_micro_batch_validation(small_engine):
     # The guard fires before the snapshot is touched or workers spawn.
     with pytest.raises(ValueError):
         EngineServer(None, workers=1, micro_batch=0)
+    # for_engine exports its snapshot first, and unlinks it when the
+    # guard rejects the arguments.
+    for bad in ({"workers": 0}, {"micro_batch": 0}):
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(ValueError):
+            EngineServer.for_engine(small_engine, **bad)
+        assert set(os.listdir("/dev/shm")) <= before, bad
 
 
 def paging_requests(count: int) -> list:

@@ -241,18 +241,6 @@ def test_h303_only_applies_to_package_inits():
                        config=CONFIG) == []
 
 
-def test_h304_deprecated_name():
-    src = ("from repro.errors import IndexError_\n"
-           "def f(exc):\n"
-           "    return isinstance(exc, IndexError_)\n")
-    findings = lint_source(src, relpath="repro/eval/x.py", config=CONFIG)
-    assert rules_of(findings) == ["REP-H304", "REP-H304"]
-    ok = ("from repro.errors import GridIndexError\n"
-          "def f(exc):\n"
-          "    return isinstance(exc, GridIndexError)\n")
-    assert lint_source(ok, relpath="repro/eval/x.py", config=CONFIG) == []
-
-
 # -- performance rules --------------------------------------------------------
 
 def test_p401_flags_sorted_in_loop_body():
@@ -800,7 +788,7 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("REP-D101", "REP-D102", "REP-D103", "REP-N201",
                     "REP-N202", "REP-N203", "REP-H301", "REP-H302",
-                    "REP-H303", "REP-H304",
+                    "REP-H303",
                     "REP-C601", "REP-C602", "REP-C603",
                     "REP-F701", "REP-F702", "REP-R801", "REP-R802"):
         assert rule_id in out
