@@ -284,11 +284,14 @@ python "$SCRATCH/paging_smoke.py"
 # Describe smoke: the describe candidate streets (top 80 streets of each
 # category query) with the most photos on london at scale 0.5, each
 # summarised at k = 5 and 30 by a 1-worker pool with the cache on and
-# off.  Payloads must be bit-identical to each other and to the
+# off.  Payloads must be bit-identical to each other, to the
 # definitional oracle (tests/oracle.describe_ids), which computes R_s,
 # Phi_s, maxD(s) and Definitions 4 and 6 without the column passes of
-# the profile and the describer.  Untimed, like the smokes above.
+# the profile and the describer, and to Algorithm 2 (ST_Rel+Div) in
+# process, so the served exhaustive greedy cannot drift from the paper's
+# algorithm.  Untimed, like the smokes above.
 cat > "$SCRATCH/describe_smoke.py" <<'DESCRIBE_SMOKE'
+from repro.core.describe import STRelDivDescriber, build_street_profile
 from repro.core.describe.profile import photos_near_street
 from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.datagen import build_preset
@@ -329,9 +332,17 @@ def main() -> None:
         if payload != expected:
             raise SystemExit(f"describe smoke: served {request} differs "
                              "from the oracle")
+        profile = build_street_profile(city.network, request.street_id,
+                                       city.photos, request.eps,
+                                       rho=request.rho)
+        positions = STRelDivDescriber(profile).select(request.k, request.lam,
+                                                      request.w)
+        if payload != [int(profile.photos.ids[pos]) for pos in positions]:
+            raise SystemExit(f"describe smoke: served {request} differs "
+                             "from STRelDivDescriber")
     print(f"describe smoke: {len(requests)} summaries of streets with "
           f"{[photos[s] for s in streets]} photos bit-identical to the "
-          "uncached run and to the oracle")
+          "uncached run, to the oracle and to ST_Rel+Div")
 
 
 if __name__ == "__main__":

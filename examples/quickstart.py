@@ -50,7 +50,8 @@ def main() -> None:
         print(f"  photo {photo.id} at ({photo.x:.4f}, {photo.y:.4f}): "
               f"{tags}")
 
-    # The naive greedy picks the same photos — the index only saves work.
+    # The exhaustive greedy picks the same photos: the index prunes
+    # candidates, it does not change the summary.
     assert GreedyDescriber(profile).select(k=3) == summary
     print("\n(ST_Rel+Div matches the exhaustive greedy, as Section 4.2 "
           "promises.)")

@@ -31,6 +31,9 @@ check                                paper obligation
 :func:`check_describe_cell_columns`  Equations 11-14: the describer's
                                      column pass equals the per-cell
                                      reference bit for bit
+:func:`check_describe_pick`          Equation 10: the exhaustive
+                                     greedy's value of each pick equals
+                                     ``mmr_value`` bit for bit
 ===================================  ====================================
 
 The check helpers import :mod:`repro.core` lazily — they only run on the
@@ -288,6 +291,26 @@ def check_describe_selection(best_pos: int, iteration: int) -> None:
             "describe-selection",
             f"bound filtering eliminated all candidates in iteration "
             f"{iteration} (an upper bound is too tight)")
+
+
+def check_describe_pick(profile: "StreetProfile", pos: int,
+                        selected: Sequence[int], lam: float, w: float, k: int,
+                        value: float) -> None:
+    """The greedy's array value of its pick must equal Equation 10.
+
+    ``value`` is what :class:`~repro.core.describe.greedy.GreedyDescriber`
+    holds for ``pos`` when it picks it after ``selected``; it must equal
+    :func:`~repro.core.describe.measures.mmr_value` recomputed from
+    scratch, bit for bit.
+    """
+    from repro.core.describe.measures import mmr_value
+
+    exact = mmr_value(profile, pos, selected, lam, w, k)
+    if value != exact:
+        raise _violation(
+            "eq10-greedy-pick",
+            f"photo position {pos} picked after {list(selected)} with "
+            f"value {value!r}, Equation 10 gives {exact!r}")
 
 
 def _check_sandwich(lower: float, exact: float, upper: float,

@@ -41,6 +41,7 @@ Run as ``python -m repro <subcommand> --help``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -72,6 +73,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite float greater than 0."""
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {value}")
     return value
 
 
@@ -171,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dataset size multiplier (default 1.0)")
     bench.add_argument("--out", type=Path, default=Path("."),
                        help="directory for the BENCH_*.json reports")
-    bench.add_argument("--jobs", type=int, default=None,
+    bench.add_argument("--jobs", type=_positive_int, default=None,
                        help="thread workers for the untimed per-city "
                             "setup; the timed work is sequential")
     bench.add_argument("--history", type=Path, default=None,
@@ -269,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enable the two-level result cache; frames "
                           "gain a cache line (hits out of lookups, hit "
                           "rate, bytes)")
-    top.add_argument("--interval", type=float, default=0.5,
+    top.add_argument("--interval", type=_positive_float, default=0.5,
                      help="seconds between frames (default 0.5)")
-    top.add_argument("--frames", type=int, default=None,
+    top.add_argument("--frames", type=_positive_int, default=None,
                      help="stop after N frames (default: run until the "
                           "workload drains)")
     top.add_argument("--stall-after", type=float, default=None,

@@ -7,7 +7,7 @@
 * :mod:`repro.core.soi_baseline` -- the BL grid-scan baseline of the
   performance study (Section 5.2.1);
 * :mod:`repro.core.describe` -- the describe stage: spatio-textual
-  relevance/diversity measures, the naive greedy, ST_Rel+Div (Algorithm 2)
+  relevance/diversity measures, the exhaustive greedy, ST_Rel+Div (Algorithm 2)
   and the nine Table 3 method variants;
 * :mod:`repro.core.region` -- the length-constrained max-sum region
   comparator (Cao et al., the paper's closest related work);

@@ -10,7 +10,8 @@ spatio-textual relevance and diversity (Definitions 4-7).
   ``maxD(s)`` and precomputed per-photo relevances;
 * :mod:`repro.core.describe.measures` -- the exact measures and objective;
 * :mod:`repro.core.describe.bounds` -- the per-cell bounds of Section 4.2.2;
-* :mod:`repro.core.describe.greedy` -- the naive greedy BL baseline;
+* :mod:`repro.core.describe.greedy` -- the exhaustive greedy BL baseline,
+  which the serve path runs;
 * :mod:`repro.core.describe.st_rel_div` -- the ST_Rel+Div algorithm
   (Algorithm 2);
 * :mod:`repro.core.describe.variants` -- the nine Table 3 method variants.

@@ -216,8 +216,8 @@ def relevance_bound_columns(
     # and a neighbour test, not np.unique: without an optional output,
     # NumPy 2.4's np.unique imports numpy.ma, 12-24 ms on a worker's first
     # describe.
-    photo = np.repeat(np.arange(n), np.diff(profile.tag_offsets))
-    pairs = np.sort(index.photo_slot[photo] * vocabulary + profile.tag_ids)
+    pairs = np.sort(index.photo_slot[profile.tag_owner] * vocabulary
+                    + profile.tag_ids)
     distinct = np.ones(pairs.shape[0], dtype=bool)
     distinct[1:] = pairs[1:] != pairs[:-1]
     pairs = pairs[distinct]

@@ -1,10 +1,11 @@
 """Exact spatio-textual relevance and diversity measures (Section 4.1.2).
 
 All functions operate on photo *positions* within a
-:class:`~repro.core.describe.profile.StreetProfile` so that the greedy
-baseline, Algorithm 2's refinement and the objective scoring all evaluate
-bit-identical arithmetic — which is what lets the tests assert that
-ST_Rel+Div selects exactly the same photos as the naive greedy.
+:class:`~repro.core.describe.profile.StreetProfile` so that Algorithm 2's
+refinement and the objective scoring evaluate bit-identical arithmetic,
+and the greedy baseline's array passes repeat it operation for operation
+— which is what lets the tests assert that ST_Rel+Div selects exactly
+the same photos as the exhaustive greedy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ def textual_div(profile: StreetProfile, a: int, b: int) -> float:
     distance — are exactly those of the string sets, without re-hashing
     tag strings on every pairwise evaluation.
     """
-    return jaccard_distance(profile.tag_id_sets[a], profile.tag_id_sets[b])
+    tag_sets = profile.tag_id_sets
+    return jaccard_distance(tag_sets[a], tag_sets[b])
 
 
 def jaccard_distance(a: frozenset, b: frozenset) -> float:

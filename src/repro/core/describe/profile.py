@@ -62,7 +62,9 @@ class StreetProfile:
     The photos' tags are read as interned ids: ``tag_ids[tag_offsets[p]:
     tag_offsets[p + 1]]`` are photo ``p``'s tags, numbered by the sorted
     vocabulary of the profile's photos, and ``tag_weights[t]`` is
-    ``Phi_s`` of tag ``t`` (0.0 outside ``Psi_s``).
+    ``Phi_s`` of tag ``t`` (0.0 outside ``Psi_s``).  ``tag_sizes[p]`` is
+    photo ``p``'s tag count and ``tag_owner[i]`` the photo of CSR entry
+    ``i``.
     """
 
     def __init__(
@@ -89,16 +91,23 @@ class StreetProfile:
         vocabulary, self.tag_offsets, self.tag_ids = photos.keyword_columns()
         self.tag_vocabulary: list[str] = vocabulary
         self.tag_weights = phi.weights(vocabulary)
-        # Jaccard distance (Definition 7) only needs intersection/union
-        # cardinalities, and the interning is injective, so distances
-        # over the id sets equal distances over the tag strings.
-        ids = self.tag_ids.tolist()
-        bounds = self.tag_offsets.tolist()
-        self.tag_id_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(ids[begin:end])
-            for begin, end in zip(bounds, bounds[1:]))
+        self.tag_sizes = np.diff(self.tag_offsets)
+        self.tag_owner = np.repeat(np.arange(len(photos)), self.tag_sizes)
         self.spatial_rel = self._compute_spatial_rel()
         self.textual_rel = self._compute_textual_rel()
+
+    @cached_property
+    def tag_id_sets(self) -> tuple[frozenset[int], ...]:
+        """Every photo's tag set, as interned ids.
+
+        Jaccard distance (Definition 7) only needs intersection/union
+        cardinalities, and the interning is injective, so distances over
+        the id sets equal distances over the tag strings.
+        """
+        ids = self.tag_ids.tolist()
+        bounds = self.tag_offsets.tolist()
+        return tuple(frozenset(ids[begin:end])
+                     for begin, end in zip(bounds, bounds[1:]))
 
     @cached_property
     def keyword_sets(self) -> tuple[frozenset[str], ...]:
@@ -136,8 +145,8 @@ class StreetProfile:
         norm = self.phi.norm1
         if norm == 0:
             return np.zeros(n, dtype=np.float64)
-        photo_of = np.repeat(np.arange(n), np.diff(self.tag_offsets))
-        return np.bincount(photo_of, weights=self.tag_weights[self.tag_ids],
+        return np.bincount(self.tag_owner,
+                           weights=self.tag_weights[self.tag_ids],
                            minlength=n) / norm
 
     def __len__(self) -> int:

@@ -1,6 +1,6 @@
 """Work counters shared by the describe-stage selection methods.
 
-Both the naive greedy baseline and ST_Rel+Div (Algorithm 2) report their
+Both the exhaustive greedy baseline and ST_Rel+Div (Algorithm 2) report their
 work through the same :class:`DescribeStats` so the Figure 6 analysis — and
 the ``repro bench`` harness — can compare them counter for counter.
 """

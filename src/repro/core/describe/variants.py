@@ -65,7 +65,7 @@ def run_variant(
     """Select ``k`` photos with the named method.
 
     ``lam`` / ``w`` are the balanced values substituted where the method
-    does not pin them.  ``use_index=False`` forces the naive greedy (the
+    does not pin them.  ``use_index=False`` forces the exhaustive greedy (the
     BL path), which returns the same summary.
     """
     spec = VARIANTS[method] if isinstance(method, str) else method

@@ -23,6 +23,7 @@ kernel call per ``(engine, eps)`` layout built.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable
 
 import numpy as np
@@ -47,20 +48,42 @@ def buffer_area(length: float, eps: float) -> float:
     return 2.0 * eps * length + math.pi * eps * eps
 
 
+def validate_k(k: int, name: str = "k") -> None:
+    """Raise :class:`~repro.errors.QueryError` unless ``k`` is an integer
+    of at least 1.
+
+    Any :class:`numbers.Integral` counts, NumPy integers included, except
+    a ``bool``: ``True`` would otherwise be served as ``k = 1``.
+    """
+    # An exact int skips the numbers.Integral check, which costs ~0.5 us
+    # and runs on every result-cache lookup.
+    if type(k) is not int and (isinstance(k, bool)
+                               or not isinstance(k, numbers.Integral)):
+        raise QueryError(f"{name} must be an integer, got {k!r}")
+    if k < 1:
+        raise QueryError(f"{name} must be at least 1, got {k}")
+
+
 def validate_query(keywords: Iterable[str], k: int, eps: float) -> frozenset[str]:
     """Common parameter validation for k-SOI queries.
 
     Returns the normalised keyword set.  Raises
-    :class:`~repro.errors.QueryError` for ``k < 1``, an ``eps`` that is
-    not a positive finite number, or an empty keyword set.
+    :class:`~repro.errors.QueryError` for a ``k`` that :func:`validate_k`
+    refuses, an ``eps`` that is not a positive finite number, an empty
+    keyword set, or keywords given as one ``str``: iterating a string
+    would split it into characters, and ``"food shop"`` could mean one
+    keyword or two, so the caller must pass a collection.
     """
     from repro.data.keywords import normalize_keywords
 
+    if isinstance(keywords, str):
+        raise QueryError(
+            f"keywords must be a collection of strings, got the string "
+            f"{keywords!r}; pass ({keywords!r},) for one keyword")
     query = normalize_keywords(keywords)
     if not query:
         raise QueryError("k-SOI query requires at least one keyword")
-    if k < 1:
-        raise QueryError(f"k must be at least 1, got {k}")
+    validate_k(k)
     if not (eps > 0 and math.isfinite(eps)):
         raise QueryError(f"eps must be positive and finite, got {eps}")
     return query

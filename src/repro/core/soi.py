@@ -62,7 +62,7 @@ from repro.data.poi import POISet
 from repro.errors import QueryError
 from repro.geometry.bbox import BBox
 from repro.index.cell_maps import SegmentCellMaps
-from repro.index.grid import CellCoord
+from repro.index.grid import CellCoord, validate_cell_size
 from repro.index.poi_grid import POIGridIndex
 from repro.network.model import RoadNetwork
 
@@ -205,6 +205,8 @@ class SOIEngine:
         extent_margin = self._extent_margin
         if cell_size is None:
             cell_size = 2.0 * DEFAULT_EPS
+        # Before the margin: a negative size would invert the extent.
+        validate_cell_size(cell_size)
         if extent_margin is None:
             extent_margin = 4.0 * cell_size
         network, pois = self.network, self.pois
@@ -312,7 +314,11 @@ class SOIEngine:
         Returns up to ``k`` streets ordered by decreasing interest (ties
         broken by street id); streets with zero interest are never
         reported.  Set ``weighted=True`` to sum POI weights instead of
-        counting POIs (the Definition 1 adaptation).
+        counting POIs (the Definition 1 adaptation).  ``keywords`` is a
+        collection such as ``["shop"]``; a bare ``str`` is refused with a
+        :class:`~repro.errors.QueryError` rather than split into
+        characters, and so is a ``k`` that is not an integer of at
+        least 1.
 
         ``use_session=True`` (the default) serves the query through the
         engine's :class:`~repro.perf.session.QuerySessionPool`, so sweeps

@@ -59,6 +59,14 @@ def bucket_points(
     return out
 
 
+def validate_cell_size(cell_size: float) -> None:
+    """Raise :class:`~repro.errors.GridIndexError` unless ``cell_size``
+    is positive and finite."""
+    if not (cell_size > 0 and math.isfinite(cell_size)):
+        raise GridIndexError(
+            f"cell_size must be positive and finite, got {cell_size}")
+
+
 class UniformGrid:
     """A uniform grid of square cells over a rectangular extent.
 
@@ -74,9 +82,7 @@ class UniformGrid:
     """
 
     def __init__(self, extent: BBox, cell_size: float) -> None:
-        if not (cell_size > 0 and math.isfinite(cell_size)):
-            raise GridIndexError(
-                f"cell_size must be positive and finite, got {cell_size}")
+        validate_cell_size(cell_size)
         if not all(math.isfinite(bound) for bound in (
                 extent.min_x, extent.min_y, extent.max_x, extent.max_y)):
             raise GridIndexError(f"grid extent must be finite, got {extent}")

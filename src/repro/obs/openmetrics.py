@@ -61,11 +61,6 @@ def _render_value(value: float) -> str:
     return repr(value)
 
 
-def _escape_label(value: str) -> str:
-    return (value.replace("\\", r"\\").replace('"', r"\"")
-            .replace("\n", r"\n"))
-
-
 def registry_to_openmetrics(registry: "MetricsRegistry | dict") -> str:
     """The full registry as OpenMetrics text (see module docstring)."""
     dump = (registry.to_dict() if isinstance(registry, MetricsRegistry)

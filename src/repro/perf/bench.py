@@ -2,7 +2,7 @@
 
 Measures the two hot paths this layer optimises — k-SOI parameter sweeps
 (Figure 4's ``k`` and ``|Psi|`` axes, SOI algorithm vs the BL baseline)
-and greedy photo selection (Figure 6, naive greedy vs ST_Rel+Div) — and
+and greedy photo selection (Figure 6, exhaustive greedy vs ST_Rel+Div) — and
 writes ``BENCH_soi.json`` / ``BENCH_describe.json`` reports that combine:
 
 * **medians**: the median full-sweep wall time over ``repeats`` runs plus

@@ -43,7 +43,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis import contracts
-from repro.core.interest import validate_query
+from repro.core.interest import validate_k, validate_query
 from repro.core.results import SOIRanking
 from repro.core.soi import parse_strategy
 from repro.errors import QueryError
@@ -87,11 +87,14 @@ def request_cache_key(request) -> tuple:
     requests that the engine cannot distinguish share a key.  A k-SOI
     request is validated as the engine validates it, its access strategy
     included, so no lookup ever answers a request the engine refuses
-    (``k < 1`` would otherwise be answered by slicing).  The strategy is
+    (``k < 1`` would otherwise be answered by slicing); a describe
+    request's ``k`` is checked by :func:`~repro.core.interest.validate_k`
+    for the same reason.  The strategy is
     left out of the key: every strategy is served the same ranking by the
     same code, so requests that differ only in strategy share one entry.
-    Raises :class:`~repro.errors.QueryError` for an invalid k-SOI request
-    or an unsupported request type.
+    Raises :class:`~repro.errors.QueryError` for an invalid k-SOI request,
+    a describe request whose ``k`` is not an integer of at least 1, or an
+    unsupported request type.
     """
     # Imported late to avoid a cycle: serve.server imports this module.
     from repro.serve.server import DescribeRequest, SOIRequest
@@ -102,6 +105,7 @@ def request_cache_key(request) -> tuple:
         return ("soi", tuple(sorted(keywords)), request.eps,
                 bool(request.weighted))
     if isinstance(request, DescribeRequest):
+        validate_k(request.k, "summary size k")
         return ("describe", request.street_id, request.eps,
                 request.lam, request.w, request.rho, request.k)
     raise QueryError(f"unsupported request type {type(request).__name__}")

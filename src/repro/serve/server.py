@@ -86,7 +86,9 @@ from repro.obs.tracer import (
     trace_span,
     tracing_enabled,
 )
-from repro.core.describe import STRelDivDescriber, build_street_profile
+# STRelDivDescriber is not served; perfbench's traced replay patches it here.
+from repro.core.describe import (
+    GreedyDescriber, STRelDivDescriber, build_street_profile)
 from repro.core.describe.profile import DEFAULT_RHO
 from repro.core.interest import validate_query
 from repro.core.results import SOIStats
@@ -203,7 +205,8 @@ class _Channel:
 
 @dataclass(frozen=True, slots=True)
 class SOIRequest:
-    """One k-SOI query (Problem 1) as a picklable task."""
+    """One k-SOI query (Problem 1) as a picklable task; ``keywords`` is a
+    collection such as ``("shop",)``, and a bare ``str`` is refused."""
 
     keywords: tuple[str, ...]
     k: int
@@ -247,8 +250,10 @@ def serve_request(
     over the slot masses of the pass the session shares with Algorithm 1.
     It equals :meth:`~repro.core.soi.SOIEngine.top_k` bit for bit at every
     ``k`` and for every access strategy, so the strategy is validated but
-    does not change the payload.  Describe requests return the selected
-    photo ids in selection order.  ``describers`` (an
+    does not change the payload.  Describe requests return the ids of
+    the photos :class:`~repro.core.describe.greedy.GreedyDescriber`
+    selects, in selection order: Algorithm 2's summary, with no photo
+    grid or cell bound built.  ``describers`` (an
     :class:`~collections.OrderedDict`) enables LRU reuse of street
     profiles across describe queries.  ``session`` is an already-resolved
     :class:`~repro.perf.session.QuerySession` for the request's keyword
@@ -296,7 +301,7 @@ def _complete_answer(
                 profile = build_street_profile(
                     engine.network, request.street_id, photos,
                     request.eps, rho=request.rho)
-                describer = STRelDivDescriber(profile)
+                describer = GreedyDescriber(profile)
                 if describers is not None:
                     describers[key] = describer
                     while len(describers) > _DESCRIBER_CACHE_SIZE:
@@ -723,10 +728,6 @@ class EngineServer:
         return self._snapshot
 
     @property
-    def num_workers(self) -> int:
-        return len(self._workers)
-
-    @property
     def micro_batch(self) -> int:
         """Requests each worker may drain per loop turn (1 = no batching)."""
         return self._micro_batch
@@ -890,9 +891,6 @@ class EngineServer:
     def trace_requests(self) -> list[dict]:
         """The completed-request trace log (stitching input), oldest first."""
         return list(self._trace_log)
-
-    def clear_trace_log(self) -> None:
-        self._trace_log.clear()
 
     def export_trace(self, path) -> "Path":
         """Write the stitched cross-process Chrome trace to ``path``.

@@ -247,6 +247,10 @@ class TestParser:
         ("top", "--queries", "0"),
         ("bench", "--tolerance", "-0.1"),
         ("bench", "--repeats", "0"),
+        ("bench", "--jobs", "0"),
+        ("top", "--interval", "0"),
+        ("top", "--interval", "-1"),
+        ("top", "--frames", "0"),
     ])
     def test_out_of_range_numbers_exit_2_before_any_work(
             self, data_dir, tmp_path, capsys, command, flag, value):

@@ -190,6 +190,7 @@ class TestPipelinesUnderContracts:
                                                eps=EPS)
                 if len(profile):
                     STRelDivDescriber(profile).select(k, lam, w)
+                    GreedyDescriber(profile).select(k, lam, w)
         finally:
             enable_contracts(previous)
 
@@ -248,6 +249,20 @@ class TestMutations:
         monkeypatch.setattr(BoundsComputer, "mmr_bounds", corrupted)
         with pytest.raises(ContractViolation):
             STRelDivDescriber(profile).select(3)
+
+    def test_corrupted_greedy_diversity_detected(self, small_city, checked,
+                                                 monkeypatch):
+        """The exhaustive greedy's pairwise diversities a hair too large:
+        its value of the second pick no longer equals Equation 10."""
+        profile = profile_with_photos(small_city)
+        original = GreedyDescriber._pair_div_towards
+
+        def corrupted(self, pick, w):
+            return original(self, pick, w) + 1e-9
+
+        monkeypatch.setattr(GreedyDescriber, "_pair_div_towards", corrupted)
+        with pytest.raises(ContractViolation, match="eq10-greedy-pick"):
+            GreedyDescriber(profile).select(3)
 
     def test_corrupted_soi_upper_bound_detected(self, small_engine, checked,
                                                 monkeypatch):

@@ -7,7 +7,9 @@ on empty-but-valid input; these tests pin both down for every layer.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -26,7 +28,15 @@ from repro.data.keywords import KeywordFrequencyVector
 from repro.errors import DataError, GridIndexError, NetworkError
 from repro.geometry.bbox import BBox
 from repro.network.builder import RoadNetworkBuilder
-from repro.serve.server import DescribeRequest, SOIRequest, serve_request
+from repro.perf.result_cache import ResultCache
+from repro.serve.server import (
+    DescribeRequest,
+    SOIRequest,
+    serve_request,
+    serve_request_cached,
+)
+
+from tests.oracle import describe_ids
 
 
 class TestEmptyData:
@@ -113,6 +123,67 @@ class TestParameterAbuse:
                           extent=BBox(0, 0, 1, 1), rho=-1.0)
 
 
+class TestDegenerateQueryArguments:
+    """A ``k`` that is not an integer, keywords given as one string and a
+    negative cell size are typed errors, on the engine and on both
+    request kinds of the serve path, cached or not."""
+
+    @staticmethod
+    def _served(engine, photos, request):
+        """Every serving entry a request can take."""
+        yield lambda: serve_request(engine, photos, request)
+        yield lambda: serve_request_cached(engine, photos, request,
+                                           ResultCache())
+
+    @pytest.mark.parametrize("k", [2.5, True, "2", None])
+    def test_k_that_is_not_an_integer_is_a_query_error(
+            self, cross_network, cross_pois, k):
+        engine = SOIEngine(cross_network, cross_pois, cell_size=0.2)
+        main = cross_network.street_by_name("Main Street")
+        photos = PhotoSet([Photo(0, 0.1, 0.0, frozenset({"on"}))])
+        with pytest.raises(QueryError, match="k must be an integer"):
+            engine.top_k(["shop"], k)
+        with pytest.raises(QueryError, match="k must be an integer"):
+            BaselineSOI(engine).top_k(["shop"], k)
+        for request in (SOIRequest(("shop",), k),
+                        DescribeRequest(main.id, k, eps=0.1)):
+            for serve in self._served(engine, photos, request):
+                with pytest.raises(QueryError, match="k must be an integer"):
+                    serve()
+        # A NumPy integer is an integer.
+        assert engine.top_k(["shop"], np.int64(2)) \
+            == engine.top_k(["shop"], 2)
+        for request in (SOIRequest(("shop",), np.int64(2)),
+                        DescribeRequest(main.id, np.int64(2), eps=0.1)):
+            for serve in self._served(engine, photos, request):
+                assert serve() == serve_request(
+                    engine, photos, replace(request, k=2))
+
+    def test_keywords_as_one_string_are_a_query_error(self, cross_network,
+                                                      cross_pois):
+        engine = SOIEngine(cross_network, cross_pois, cell_size=0.2)
+        assert engine.top_k(["shop"], 3, eps=0.15)
+        with pytest.raises(QueryError, match="keywords"):
+            engine.top_k("shop", 3, eps=0.15)
+        with pytest.raises(QueryError, match="keywords"):
+            BaselineSOI(engine).top_k("shop", 3, eps=0.15)
+        for serve in self._served(engine, None,
+                                  SOIRequest("shop", 3, eps=0.15)):
+            with pytest.raises(QueryError, match="keywords"):
+                serve()
+
+    def test_negative_cell_size_is_a_grid_index_error(self, cross_network,
+                                                      cross_pois):
+        """Refused before the ``4 * cell_size`` extent margin would invert
+        the grid extent."""
+        for cell_size in (-1.0, -1e-9, 0.0):
+            with pytest.raises(GridIndexError, match="cell_size"):
+                SOIEngine(cross_network, cross_pois, cell_size=cell_size)
+            engine = SOIEngine(cross_network, cross_pois, cell_size=0.2)
+            with pytest.raises(GridIndexError, match="cell_size"):
+                engine.rebuild_indexes(cell_size=cell_size)
+
+
 class TestNonFiniteGeometry:
     """NaN and infinite coordinates stop where the data enters, with a
     typed error, before any index reads them in bulk."""
@@ -191,9 +262,22 @@ class TestDescribeBoundary:
             SOIEngine(cross_network, cross_pois, cell_size=cell_size)
 
     def test_unkeyable_photo_grid_is_a_grid_index_error(self, cross_network):
+        """Algorithm 2's photo grid has cells of side rho / 2."""
         engine, photos, request = self._request(cross_network, rho=1e-20)
+        profile = build_street_profile(engine.network, request.street_id,
+                                       photos, request.eps, rho=request.rho)
         with pytest.raises(GridIndexError, match="cells"):
-            serve_request(engine, photos, request)
+            STRelDivDescriber(profile)
+
+    def test_served_describe_at_tiny_rho_matches_the_oracle(self,
+                                                            cross_network):
+        """Definition 4 is well defined at any positive rho, and serving
+        builds no photo grid."""
+        engine, photos, request = self._request(cross_network, rho=1e-20,
+                                                eps=0.1)
+        assert serve_request(engine, photos, request) == describe_ids(
+            engine.network, photos, request.street_id, request.k,
+            request.eps, request.lam, request.w, request.rho)
 
 
 class TestOutOfExtentData:

@@ -178,7 +178,7 @@ def test_evaluator_matches_mmr_value_bitwise(photos, pos_pairs):
 @given(photos=random_photos(min_size=2, max_size=20),
        k=st.integers(min_value=2, max_value=5))
 def test_st_rel_div_still_matches_greedy(photos, k):
-    """Both methods share the evaluator; summaries must stay identical."""
+    """ST_Rel+Div and the exhaustive greedy pick identical summaries."""
     profile = _profile_of(photos)
     greedy = GreedyDescriber(profile).select(k)
     st_sel = STRelDivDescriber(profile).select(k)
