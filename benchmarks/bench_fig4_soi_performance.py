@@ -7,6 +7,15 @@ flat in |Psi| while SOI's time grows with |Psi| as more POIs become
 relevant; SOI wins, with the factor shrinking as |Psi| grows (paper:
 London 2.1-3.2x over the k sweep, 1.1-18x over the |Psi| sweep).
 
+Here BL shares SOI's slot-mass pass and ranks with one NumPy reduction,
+so BL is faster at every point and the timing finding is not reproduced
+(EXPERIMENTS.md).  The summary therefore asserts what holds: SOI's
+ranking equals BL's at every |Psi|, and at |Psi| = 1 SOI sees fewer
+segments than the city has.  That gap is relevance sparsity, not
+Lemma 1 pruning: every run ends ``complete``, its filter stopping when
+UB fell to 0 after every relevant cell was popped, and BL's pass fills
+the same slots.
+
 Each (method, parameter) point is a pytest-benchmark entry; the derived
 series are printed as the figure data.
 """
@@ -83,8 +92,24 @@ def test_fig4_series_summary(benchmark, all_cities):
         lines.append(format_series(
             "BL  (s)", [p for p, _s, _b in by_psi],
             [b for _p, _s, b in by_psi]))
-        # Who-wins shape: SOI at least ties BL at |Psi|=1 by a wide margin.
-        psi1 = by_psi[0]
-        assert psi1[2] / psi1[1] > 1.5, (
-            f"{name}: SOI should clearly beat BL on selective queries")
+        engine = engine_for(city)
+        baseline = BaselineSOI(engine)
+        segments = len(city.network.segments)
+        seen, complete, agrees = [], [], []
+        for size in PSI_SIZES:
+            keywords = PAPER_QUERY_KEYWORDS[:size]
+            _ranking, stats = engine.top_k_with_stats(keywords, 50)
+            seen.append(stats.segments_seen)
+            complete.append(stats.complete)
+            agrees.append(engine.top_k(keywords, k=50)
+                          == baseline.top_k(keywords, k=50))
+        lines.append(f"SOI segments seen (of {segments}): " + ", ".join(
+            f"{size}={n}" for size, n in zip(PSI_SIZES, seen)))
+        lines.append("SOI complete: " + ", ".join(
+            f"{size}={flag}" for size, flag in zip(PSI_SIZES, complete)))
+        lines.append("SOI ranking == BL ranking: " + ", ".join(
+            f"{size}={flag}" for size, flag in zip(PSI_SIZES, agrees)))
+        assert all(agrees), f"{name}: SOI's top-50 differs from BL's"
+        assert seen[0] < segments, (
+            f"{name}: SOI saw every segment on the selective |Psi|=1 query")
     emit("fig4", "\n".join(lines))

@@ -21,11 +21,11 @@ export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT INT TERM
 
-# Full-tree lint: file-local rules on src/repro (including the REP-P4xx
-# perf family — P404 guards against heapq.nlargest rescans creeping back
-# into core/ loops) plus the cross-module REP-C6xx/F7xx/R8xx pass over
-# tests/ and benchmarks/ too (resource-safety rules cover bench output
-# handles there).
+# Full-tree lint: one file-local pass.  Every rule checks src/repro
+# (including the REP-P4xx perf family — P404 guards against
+# heapq.nlargest rescans creeping back into core/ loops); REP-R802 also
+# checks tests/ and benchmarks/, where bench and test output handles
+# must be closed too.
 python -m repro lint src/repro tests benchmarks
 python -m pytest -x -q
 # The suite must also be green with every runtime contract enabled

@@ -9,8 +9,8 @@ paths) has a safety net:
   ``REPRO_CHECK=1``, ``--check`` or :func:`enable_contracts`;
 * the **linter** (:mod:`repro.analysis.engine` and
   :mod:`repro.analysis.rules`) — a custom AST lint pass with repo-specific
-  determinism, numeric-safety and API-hygiene rules, runnable as
-  ``repro lint`` or ``python -m repro.analysis``.
+  determinism, numeric-safety, hygiene, performance, observability and
+  shared-state rules, runnable as ``repro lint``.
 
 The contracts half is imported eagerly because the core hot paths read
 ``contracts.ENABLED``; the linter half is loaded lazily through
@@ -29,7 +29,6 @@ from repro.errors import ContractViolation
 
 _LAZY_EXPORTS = {
     "Finding": "repro.analysis.findings",
-    "LintConfig": "repro.analysis.config",
     "LintResult": "repro.analysis.engine",
     "lint_paths": "repro.analysis.engine",
     "lint_source": "repro.analysis.engine",
@@ -52,7 +51,6 @@ def __getattr__(name: str):
 __all__ = [
     "ContractViolation",
     "Finding",
-    "LintConfig",
     "LintResult",
     "contracts",
     "contracts_enabled",

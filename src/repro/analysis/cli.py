@@ -1,136 +1,36 @@
-"""Command-line front end of the linter.
+"""Command-line front end of the linter: ``repro lint [paths...]``.
 
-Reachable two ways with identical semantics:
-
-* ``repro lint [paths...]`` — subcommand of the main CLI;
-* ``python -m repro.analysis [paths...]`` — standalone module entry.
-
-Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
-
-``--changed`` scopes *reporting* to files touched per ``git diff`` (plus
-untracked files) while still parsing the full path set so the call graph
-behind the cross-module rules stays complete.  ``--graph`` prints a
-deterministic dump of the module/call graph — definition counts, edges,
-per-module unresolved call sites, per-entrypoint reachable set sizes —
-for triaging resolution misses.
+Exit codes: 0 clean, 1 findings, 2 missing path.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import subprocess
 import sys
 from pathlib import Path
-from typing import Sequence
 
-from repro.analysis.baseline import BaselineFormatError, write_baseline
-from repro.analysis.config import LintConfig
-from repro.analysis.engine import collect_parsed, lint_paths
+from repro.analysis.engine import lint_paths
 from repro.analysis.reporters import render_json, render_text
 from repro.analysis.rules import default_rules
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to a parser (shared by both entry points)."""
+    """Attach the lint options to the ``repro lint`` subparser."""
     parser.add_argument("paths", nargs="*", type=Path,
                         default=[Path("src/repro")],
                         help="files or directories to lint "
                              "(default: src/repro)")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline file (default: from "
-                             "[tool.repro.lint] or .repro-lint-baseline.json)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report baselined findings too")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline with the current "
-                             "findings and exit 0")
-    parser.add_argument("--no-hints", action="store_true",
-                        help="omit fix hints from the text report")
     parser.add_argument("--list-rules", action="store_true",
                         help="list the registered rules and exit")
-    parser.add_argument("--changed", action="store_true",
-                        help="report only findings in files touched per "
-                             "git diff (fast pre-commit runs)")
-    parser.add_argument("--no-cross-module", action="store_true",
-                        help="skip the interprocedural REP-C6xx/F7xx/R8xx "
-                             "pass")
-    parser.add_argument("--graph", action="store_true",
-                        help="dump the project call graph (definitions, "
-                             "edges, unresolved call sites) and exit")
-
-
-def _git_changed_relpaths(root: Path) -> set[str] | None:
-    """Repo-relative paths of modified + untracked ``.py`` files.
-
-    Returns ``None`` when git is unavailable or the root is not a work
-    tree (the caller turns that into a usage error).
-    """
-    changed: set[str] = set()
-    for cmd in (["git", "diff", "--name-only", "HEAD"],
-                ["git", "ls-files", "--others", "--exclude-standard"]):
-        try:
-            proc = subprocess.run(
-                cmd, cwd=root, capture_output=True, text=True,
-                timeout=30, check=False)
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        changed.update(line.strip() for line in proc.stdout.splitlines()
-                       if line.strip().endswith(".py"))
-    return changed
-
-
-def _render_graph(paths: Sequence[Path], config: LintConfig) -> str:
-    """Deterministic text dump of the project/call graph for triage."""
-    from repro.analysis.callgraph import CallGraph
-    from repro.analysis.project import ProjectIndex
-    from repro.analysis.reach import reachable
-
-    project = ProjectIndex.from_parsed(collect_parsed(paths, config))
-    graph = CallGraph(project)
-    out = [
-        f"modules:   {len(project.by_module)}",
-        f"files:     {len(project.files)}",
-        f"classes:   {len(graph.classes)}",
-        f"functions: {len(graph.functions)}",
-        f"edges:     {graph.edge_count()}",
-        f"instances: {len(graph.instances)}",
-        "",
-        "unresolved call sites by module:",
-    ]
-    for module, count in sorted(graph.unresolved.items()):
-        out.append(f"  {module}: {count}")
-    if not graph.unresolved:
-        out.append("  (none)")
-    out.append("")
-    out.append("entrypoint reachability:")
-    entrypoints = sorted(set(config.worker_entrypoints)
-                         | set(config.flow_entrypoints))
-    for entry in entrypoints:
-        if entry not in graph.functions:
-            out.append(f"  {entry}: MISSING from graph")
-            continue
-        n = len(reachable(graph.edges, [entry]))
-        out.append(f"  {entry}: {n} reachable functions")
-    return "\n".join(out)
 
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a lint run described by parsed arguments."""
-    first = args.paths[0] if args.paths else Path.cwd()
-    config = LintConfig.discover(Path(first))
-    if args.baseline is not None:
-        config = dataclasses.replace(config, baseline=str(args.baseline))
-
     if args.list_rules:
-        from repro.analysis.rules.crossmodule import default_project_rules
-        for rule in (*default_rules(config),
-                     *default_project_rules(config)):
-            print(f"{rule.id}  {rule.name:<22} [{rule.severity}]  "
+        for rule in default_rules():
+            print(f"{rule.id}  {rule.name:<26} [{rule.severity}]  "
                   f"{rule.hint}")
         return 0
 
@@ -140,47 +40,9 @@ def run_lint(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    if args.graph:
-        print(_render_graph(args.paths, config))
-        return 0
-
-    restrict_to: set[str] | None = None
-    if args.changed:
-        root = config.root if config.root is not None else Path.cwd()
-        restrict_to = _git_changed_relpaths(root)
-        if restrict_to is None:
-            print(f"repro lint: --changed needs a git work tree at {root}",
-                  file=sys.stderr)
-            return 2
-
-    try:
-        result = lint_paths(
-            args.paths, config=config,
-            use_baseline=not (args.no_baseline or args.update_baseline),
-            cross_module=False if args.no_cross_module else None,
-            restrict_to=restrict_to)
-    except BaselineFormatError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.update_baseline:
-        path = config.baseline_path()
-        write_baseline(path, result.findings)
-        print(f"wrote {len(result.findings)} baseline entries to {path}")
-        return 0
-
+    result = lint_paths(args.paths)
     if args.format == "json":
         print(render_json(result))
     else:
-        print(render_text(result, show_hints=not args.no_hints))
+        print(render_text(result))
     return 0 if result.clean else 1
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point of ``python -m repro.analysis``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="repro static analysis: determinism, numeric-safety, "
-                    "API-hygiene and cross-module concurrency/flow rules "
-                    "for the SOI/describe/serve pipelines")
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))

@@ -1,41 +1,29 @@
-"""The lint driver: file discovery, rule execution, suppressions, baseline.
+"""The lint driver: file discovery, rule execution, suppressions.
 
 The engine is import-light and stdlib-only so it can run in CI, in the
 test suite (``tests/test_static_analysis.py`` gates tier-1 on it) and from
-the ``repro lint`` CLI with identical behaviour.  :func:`lint_source` lints
-a source string, which is what the rule unit tests use.
+the ``repro lint`` CLI with identical behaviour.  :func:`lint_source`
+lints a source string, which is what the rule unit tests use.
 
-Since the v2 engine every entry point parses through the shared
-content-hash AST cache (:data:`repro.analysis.project.AST_CACHE`): one
-lint run parses each file exactly once, and repeat runs in the same
-process (gate + CLI + cross-module pass) re-parse only edited files.
-
-The cross-module pass runs the interprocedural REP-C6xx/F7xx/R8xx rules
-(:mod:`repro.analysis.rules.crossmodule`) over the whole file set.
-File-local rules apply only to files inside the ``repro`` package;
-``tests/`` and ``benchmarks/`` files still get parse-error and
-suppression-hygiene checks and participate fully in the cross-module
-project (so resource-safety rules cover bench output handles).
+Every rule is file-local: one run parses each file once and runs the
+rules over that one tree.  Most rules apply only to files inside the
+``repro`` package; ``tests/`` and ``benchmarks/`` files still get
+parse-error and suppression-hygiene checks, plus the rules whose
+``package_only`` is false (REP-R802 covers bench output handles).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import ast
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.baseline import apply_baseline, fingerprint, load_baseline
-from repro.analysis.config import LintConfig
 from repro.analysis.findings import (
     SEVERITY_ERROR,
     SUPPRESSION_RULE_ID,
     Finding,
-)
-from repro.analysis.project import (
-    AST_CACHE,
-    ParsedFile,
-    ProjectIndex,
-    parse_source,
+    parse_suppressions,
 )
 from repro.analysis.rules import FileContext, Rule, default_rules
 
@@ -54,7 +42,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    baselined: int = 0
 
     @property
     def clean(self) -> bool:
@@ -73,182 +60,72 @@ def iter_python_files(paths: Iterable[Path]) -> list[Path]:
     return sorted(files)
 
 
-def _relpath(path: Path, root: Path | None) -> str:
-    try:
-        if root is not None:
-            return path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        pass
-    return path.as_posix()
+def _relpath(path: Path) -> str:
+    """``path`` relative to the working directory when it lies below it.
 
-
-def _parse_error_finding(parsed: ParsedFile) -> Finding:
-    exc = parsed.error
-    assert exc is not None
-    return Finding(
-        rule=PARSE_ERROR_RULE_ID, severity=SEVERITY_ERROR,
-        path=parsed.relpath, line=exc.lineno or 1,
-        col=(exc.offset or 0) + 1,
-        message=f"file does not parse: {exc.msg}",
-        hint="fix the syntax error; nothing else was checked")
-
-
-def _suppression_findings(parsed: ParsedFile) -> list[Finding]:
-    return [
-        Finding(
-            rule=SUPPRESSION_RULE_ID, severity=SEVERITY_ERROR,
-            path=parsed.relpath, line=suppression.line, col=1,
-            message="suppression without a justification is inactive",
-            hint="append a reason: "
-                 "# repro-lint: disable=REP-XNNN (why it is safe)")
-        for suppression in parsed.suppressions if not suppression.active
-    ]
-
-
-def _lint_parsed(parsed: ParsedFile, config: LintConfig,
-                 rules: Sequence[Rule]) -> list[Finding]:
-    """File-local findings of one parsed file, suppressed + fingerprinted.
-
-    File-local rules run only for files inside the ``repro`` package;
-    everything else still gets parse-error and suppression hygiene.
+    The relpath places the file in the package, so lint from the
+    repository root (as CI does) or pass paths that keep their ``repro``
+    component.
     """
-    if parsed.error is not None:
-        return [_parse_error_finding(parsed)]
-    findings = _suppression_findings(parsed)
-    if parsed.in_package:
-        assert parsed.tree is not None
-        ctx = FileContext(path=parsed.path, relpath=parsed.relpath,
-                          source=parsed.source, lines=parsed.lines,
-                          tree=parsed.tree, config=config)
-        for rule in rules:
-            for found in rule.check(ctx):
-                if any(s.covers(found) for s in parsed.suppressions):
-                    continue
-                findings.append(found)
-    findings.sort(key=lambda f: f.sort_key)
-    return [replace(f, fingerprint=fingerprint(f, parsed.lines))
-            for f in findings]
-
-
-def _lint_project(parsed_files: list[ParsedFile], config: LintConfig,
-                  project_rules=None) -> list[Finding]:
-    """Cross-module findings, suppressed and fingerprinted per file."""
-    from repro.analysis.rules.crossmodule import (
-        ProjectContext,
-        default_project_rules,
-    )
-
-    project = ProjectIndex.from_parsed(parsed_files)
-    if not project.files:
-        return []
-    if project_rules is None:
-        project_rules = default_project_rules(config)
-    pctx = ProjectContext.build(project, config)
-    findings: list[Finding] = []
-    for rule in project_rules:
-        for found in rule.check(pctx):
-            parsed = project.by_relpath.get(found.path)
-            if parsed is None:
-                findings.append(found)
-                continue
-            if any(s.covers(found) for s in parsed.suppressions):
-                continue
-            findings.append(
-                replace(found, fingerprint=fingerprint(found, parsed.lines)))
-    findings.sort(key=lambda f: f.sort_key)
-    return findings
+    try:
+        return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
 def lint_source(
     source: str,
     relpath: str = "repro/module.py",
-    config: LintConfig | None = None,
     rules: Sequence[Rule] | None = None,
-    path: Path | None = None,
 ) -> list[Finding]:
-    """Lint one source string (the in-process / unit-test entry point).
+    """Lint one source string; findings sorted by location.
 
-    Returns findings sorted by location, with suppressions applied and
-    fingerprints attached; no baseline and no cross-module pass at this
-    level.
+    ``relpath`` places the file: the part after its last ``repro``
+    component decides which directory-scoped rules apply.
     """
-    if config is None:
-        config = LintConfig()
     if rules is None:
-        rules = default_rules(config)
-    parsed = parse_source(source, relpath, path=path)
-    return _lint_parsed(parsed, config, rules)
-
-
-def lint_project_sources(
-    sources: dict[str, str],
-    config: LintConfig | None = None,
-    project_rules=None,
-) -> list[Finding]:
-    """Run only the cross-module rules over in-memory sources.
-
-    ``sources`` maps relpaths (``"repro/serve/server.py"``) to source
-    text; this is the unit-test entry point for the REP-C6xx/F7xx/R8xx
-    rules, mirroring what :func:`lint_paths` does for real files.
-    """
-    if config is None:
-        config = LintConfig()
-    parsed_files = [parse_source(text, relpath)
-                    for relpath, text in sorted(sources.items())]
-    return _lint_project(parsed_files, config, project_rules)
-
-
-def collect_parsed(
-    paths: Sequence[Path],
-    config: LintConfig,
-) -> list[ParsedFile]:
-    """Discover and parse (through the shared cache) all lintable files."""
-    return [AST_CACHE.get(path, _relpath(path, config.root))
-            for path in iter_python_files(paths)]
+        rules = default_rules()
+    lines = source.splitlines()
+    try:
+        tree = ast.parse(source, filename=relpath)
+    except SyntaxError as exc:
+        return [Finding(
+            rule=PARSE_ERROR_RULE_ID, severity=SEVERITY_ERROR,
+            path=relpath, line=exc.lineno or 1, col=(exc.offset or 0) + 1,
+            message=f"file does not parse: {exc.msg}",
+            hint="fix the syntax error; nothing else was checked")]
+    suppressions = parse_suppressions(lines)
+    findings = [
+        Finding(
+            rule=SUPPRESSION_RULE_ID, severity=SEVERITY_ERROR,
+            path=relpath, line=suppression.line, col=1,
+            message="suppression without a justification is inactive",
+            hint="append a reason: "
+                 "# repro-lint: disable=REP-XNNN (why it is safe)")
+        for suppression in suppressions if not suppression.active
+    ]
+    ctx = FileContext(relpath=relpath, tree=tree)
+    for rule in rules:
+        if rule.package_only and not ctx.in_package:
+            continue
+        findings.extend(
+            found for found in rule.check(ctx)
+            if not any(s.covers(found) for s in suppressions))
+    findings.sort(key=lambda f: f.sort_key)
+    return findings
 
 
 def lint_paths(
     paths: Sequence[Path],
-    config: LintConfig | None = None,
     rules: Sequence[Rule] | None = None,
-    use_baseline: bool = True,
-    cross_module: bool | None = None,
-    project_rules=None,
-    restrict_to: set[str] | None = None,
 ) -> LintResult:
-    """Lint files/directories and apply the committed baseline.
-
-    When ``config`` is omitted it is discovered by walking upwards from
-    the first path looking for a ``pyproject.toml`` with a
-    ``[tool.repro.lint]`` table.  ``cross_module`` defaults to the
-    config's ``cross_module`` knob; ``restrict_to`` (relpaths) filters
-    the *reported* findings — the whole file set is still parsed so the
-    call graph stays complete (used by ``repro lint --changed``).
-    """
-    paths = [Path(p) for p in paths]
-    if config is None:
-        start = paths[0] if paths else Path.cwd()
-        config = LintConfig.discover(start)
+    """Lint every ``.py`` file under the given files/directories."""
     if rules is None:
-        rules = default_rules(config)
-    if cross_module is None:
-        cross_module = config.cross_module
-    parsed_files = collect_parsed(paths, config)
-    result = LintResult(files_checked=len(parsed_files))
-    all_findings: list[Finding] = []
-    for parsed in parsed_files:
-        all_findings.extend(_lint_parsed(parsed, config, rules))
-    if cross_module:
-        all_findings.extend(
-            _lint_project(parsed_files, config, project_rules))
-    if restrict_to is not None:
-        all_findings = [f for f in all_findings if f.path in restrict_to]
-    if use_baseline:
-        baseline = load_baseline(config.baseline_path())
-        kept, matched = apply_baseline(all_findings, baseline)
-        result.findings = kept
-        result.baselined = matched
-    else:
-        result.findings = all_findings
+        rules = default_rules()
+    files = iter_python_files(Path(p) for p in paths)
+    result = LintResult(files_checked=len(files))
+    for path in files:
+        result.findings.extend(lint_source(
+            path.read_text(encoding="utf-8"), _relpath(path), rules))
     result.findings.sort(key=lambda f: f.sort_key)
     return result

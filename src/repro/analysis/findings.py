@@ -1,8 +1,8 @@
 """Finding records and inline-suppression parsing for the repro linter.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are plain frozen dataclasses so reporters, the baseline machinery and the
-test-suite gate can treat them as values.
+are plain frozen dataclasses so reporters and the test-suite gate can
+treat them as values.
 
 Suppressions are trailing comments of the form::
 
@@ -39,16 +39,15 @@ class Finding:
     col: int
     message: str
     hint: str = ""
-    fingerprint: str = ""
 
     @property
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
 
-    def format_text(self, show_hint: bool = True) -> str:
+    def format_text(self) -> str:
         text = (f"{self.path}:{self.line}:{self.col}: "
                 f"{self.rule} [{self.severity}] {self.message}")
-        if show_hint and self.hint:
+        if self.hint:
             text += f"\n    hint: {self.hint}"
         return text
 
@@ -61,7 +60,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "hint": self.hint,
-            "fingerprint": self.fingerprint,
         }
 
 

@@ -7,17 +7,12 @@ import json
 from repro.analysis.engine import LintResult
 
 
-def render_text(result: LintResult, show_hints: bool = True) -> str:
-    """One line (plus optional hint) per finding, then a summary line."""
-    parts = [finding.format_text(show_hint=show_hints)
-             for finding in result.findings]
+def render_text(result: LintResult) -> str:
+    """One line (plus its hint) per finding, then a summary line."""
+    parts = [finding.format_text() for finding in result.findings]
     noun = "finding" if len(result.findings) == 1 else "findings"
-    summary = (f"{len(result.findings)} {noun} "
-               f"({result.files_checked} files checked")
-    if result.baselined:
-        summary += f", {result.baselined} baselined"
-    summary += ")"
-    parts.append(summary)
+    parts.append(f"{len(result.findings)} {noun} "
+                 f"({result.files_checked} files checked)")
     return "\n".join(parts)
 
 
@@ -28,7 +23,6 @@ def render_json(result: LintResult) -> str:
         "summary": {
             "count": len(result.findings),
             "files_checked": result.files_checked,
-            "baselined": result.baselined,
             "clean": result.clean,
         },
     }

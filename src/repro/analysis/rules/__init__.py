@@ -3,28 +3,41 @@
 A rule is a small class with an ``id`` (``REP-<family><number>``), a
 severity, a one-line fix ``hint`` and a ``check(ctx)`` generator yielding
 :class:`~repro.analysis.findings.Finding` objects.  ``FileContext`` gives
-every rule the parsed AST, the raw source lines, the lint configuration
-and the file's position inside the ``repro`` package (for directory-scoped
-rules such as the wall-clock and division checks).
+every rule the parsed AST of one file and the file's position inside the
+``repro`` package (for directory-scoped rules such as the wall-clock and
+division checks).  Every rule is file-local, and every directory set a
+rule checks is a constant of that rule's module.
 
 Rule families:
 
-* ``REP-D1xx`` — determinism (:mod:`repro.analysis.rules.determinism`);
+* ``REP-D1xx``/``REP-F702`` — determinism
+  (:mod:`repro.analysis.rules.determinism`);
 * ``REP-N2xx`` — numeric safety (:mod:`repro.analysis.rules.numeric`);
-* ``REP-H3xx`` — API hygiene (:mod:`repro.analysis.rules.hygiene`);
+* ``REP-H3xx``/``REP-R802`` — API and resource hygiene
+  (:mod:`repro.analysis.rules.hygiene`);
 * ``REP-P4xx`` — performance hazards (:mod:`repro.analysis.rules.perf`);
-* ``REP-O5xx`` — observability funnels (:mod:`repro.analysis.rules.obs`).
+* ``REP-O5xx`` — observability funnels (:mod:`repro.analysis.rules.obs`);
+* ``REP-C6xx`` — shared-memory and lock discipline
+  (:mod:`repro.analysis.rules.concurrency`).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import PurePosixPath
 from typing import Iterator
 
-from repro.analysis.config import LintConfig
 from repro.analysis.findings import SEVERITY_ERROR, Finding
+
+_PACKAGE_ANCHOR = "repro"
+
+# The import closure of a serving worker process (repro.serve.server and
+# everything it pulls in).  Module-level mutable caches there diverge per
+# worker (REP-P403), and wall-clock and environment reads there can make
+# a served answer time- or machine-dependent (REP-D103, REP-F702).
+WORKER_CLOSURE_DIRS = (
+    "core", "data", "geometry", "index", "network", "perf", "serve")
 
 _BUILTIN_NAMES = frozenset({
     "len", "min", "max", "abs", "sum", "float", "int", "range", "round",
@@ -89,32 +102,28 @@ class ImportMap:
 class FileContext:
     """Everything the rules need to know about one source file."""
 
-    path: Path
     relpath: str
-    source: str
-    lines: list[str]
     tree: ast.Module
-    config: LintConfig
     imports: ImportMap = field(init=False)
     package_parts: tuple[str, ...] = field(init=False)
     _parents: dict[ast.AST, ast.AST] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.imports = ImportMap.of(self.tree)
-        # The relpath may have been computed against a root inside the
-        # package (e.g. no pyproject.toml above the file); the absolute
-        # path then still carries the ``repro`` anchor.
-        parts = Path(self.relpath).parts
-        if "repro" not in parts and "repro" in self.path.parts:
-            parts = self.path.parts
-        if "repro" in parts:
-            anchor = len(parts) - 1 - tuple(reversed(parts)).index("repro")
+        parts = PurePosixPath(self.relpath).parts
+        if _PACKAGE_ANCHOR in parts:
+            anchor = len(parts) - 1 - parts[::-1].index(_PACKAGE_ANCHOR)
             self.package_parts = parts[anchor + 1:]
         else:
-            self.package_parts = parts
+            self.package_parts = ()
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[child] = parent
+
+    @property
+    def in_package(self) -> bool:
+        """Whether the file lives inside the ``repro`` package."""
+        return bool(self.package_parts)
 
     @property
     def top_dir(self) -> str:
@@ -126,7 +135,7 @@ class FileContext:
 
     @property
     def is_package_init(self) -> bool:
-        return self.path.name == "__init__.py"
+        return PurePosixPath(self.relpath).name == "__init__.py"
 
     def parent(self, node: ast.AST) -> ast.AST | None:
         return self._parents.get(node)
@@ -140,14 +149,25 @@ class FileContext:
             current = self._parents.get(current)
         return None
 
+    def functions(self) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+        """Every function and method definition of the file."""
+        for node in ast.walk(self.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node
+
 
 class Rule:
-    """Base class: one static check with a stable id and fix hint."""
+    """Base class: one static check with a stable id and fix hint.
+
+    ``package_only`` rules run on files inside the ``repro`` package
+    only; the others run on every linted file.
+    """
 
     id: str = "REP-X000"
     name: str = "unnamed"
     severity: str = SEVERITY_ERROR
     hint: str = ""
+    package_only: bool = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -163,6 +183,25 @@ class Rule:
             message=message,
             hint=self.hint if hint is None else hint,
         )
+
+
+def body_nodes(fn: ast.AST) -> list[ast.AST]:
+    """All AST nodes of a function body, excluding nested def/class bodies.
+
+    A nested definition is its own scope; only the nested ``def``/``class``
+    statement itself is included (its decorators and defaults run in the
+    outer scope).
+    """
+    out: list[ast.AST] = []
+    stack: list[ast.AST] = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return out
 
 
 def identifier_texts(node: ast.expr) -> set[str]:
@@ -186,9 +225,14 @@ def identifier_texts(node: ast.expr) -> set[str]:
     return texts
 
 
-def default_rules(config: LintConfig) -> tuple[Rule, ...]:
-    """The full registry, minus any rules disabled in the config."""
+def default_rules() -> tuple[Rule, ...]:
+    """The full registry: one instance of every rule."""
+    from repro.analysis.rules.concurrency import (
+        LockGuardRule,
+        SnapshotViewMutationRule,
+    )
     from repro.analysis.rules.determinism import (
+        EnvReadRule,
         SetIterationOrderRule,
         UnseededRngRule,
         WallClockRule,
@@ -197,6 +241,7 @@ def default_rules(config: LintConfig) -> tuple[Rule, ...]:
         AllDriftRule,
         BroadExceptRule,
         MutableDefaultRule,
+        UnclosedHandleRule,
     )
     from repro.analysis.rules.numeric import (
         FloatEqualityRule,
@@ -217,7 +262,7 @@ def default_rules(config: LintConfig) -> tuple[Rule, ...]:
         UnboundedCacheRule,
     )
 
-    rules: tuple[Rule, ...] = (
+    return (
         UnseededRngRule(),
         SetIterationOrderRule(),
         WallClockRule(),
@@ -236,15 +281,19 @@ def default_rules(config: LintConfig) -> tuple[Rule, ...]:
         DirectTimerRule(),
         HandRolledCounterRule(),
         SpanNameRegistryRule(),
+        SnapshotViewMutationRule(),
+        LockGuardRule(),
+        EnvReadRule(),
+        UnclosedHandleRule(),
     )
-    disabled = set(config.disabled_rules)
-    return tuple(rule for rule in rules if rule.id not in disabled)
 
 
 __all__ = [
     "FileContext",
     "ImportMap",
     "Rule",
+    "WORKER_CLOSURE_DIRS",
+    "body_nodes",
     "default_rules",
     "identifier_texts",
 ]

@@ -1,8 +1,8 @@
-"""Determinism rules (``REP-D1xx``).
+"""Determinism rules (``REP-D1xx``, ``REP-F702``).
 
 The reproduction's contract is bit-for-bit repeatability: the same city,
 query and parameters must produce the same ranking and the same summary on
-every run.  Three static hazards undermine that:
+every run.  Four static hazards undermine that:
 
 * **REP-D101** — unseeded random number generation outside the designated
   data-generation package (``datagen`` seeds every generator explicitly);
@@ -10,9 +10,14 @@ every run.  Three static hazards undermine that:
   an ordered sink (a ``for`` loop, ``list``/``tuple``/``enumerate``,
   ``str.join`` or a ``return``) — iteration order is hash-dependent for
   strings, so results leak ``PYTHONHASHSEED``;
-* **REP-D103** — wall-clock reads inside the algorithmic packages (``core``,
-  ``index``); monotonic timers (``perf_counter`` & friends) are fine for
-  stats, but wall-clock values must never influence results.
+* **REP-D103** — wall-clock reads inside the serving workers' import
+  closure (:data:`~repro.analysis.rules.WORKER_CLOSURE_DIRS`); monotonic
+  timers (``perf_counter`` & friends) are fine for stats, but wall-clock
+  values must never influence results;
+* **REP-F702** — environment reads (``os.environ``, ``os.getenv``) in the
+  same closure: a served answer must not depend on the machine that
+  computed it.  Configuration read at start-up lives outside it
+  (``obs``, ``analysis``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,11 @@ import ast
 from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import FileContext, Rule
+from repro.analysis.rules import WORKER_CLOSURE_DIRS, FileContext, Rule
+
+# Only the data generator may build generators without an explicit seed:
+# seeding them is what its presets are for (REP-D101).
+RNG_ALLOWED_DIRS = ("datagen",)
 
 _SAFE_NP_RANDOM = frozenset({
     "default_rng", "Generator", "SeedSequence", "PCG64", "Philox", "MT19937",
@@ -34,6 +43,7 @@ _WALL_CLOCK_CALLS = frozenset({
     "datetime.datetime.utcnow", "datetime.date.today",
 })
 
+
 class UnseededRngRule(Rule):
     id = "REP-D101"
     name = "unseeded-rng"
@@ -41,7 +51,7 @@ class UnseededRngRule(Rule):
             "the randomness into the datagen package")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.in_dirs(ctx.config.rng_allowed_dirs):
+        if ctx.in_dirs(RNG_ALLOWED_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -123,7 +133,7 @@ class WallClockRule(Rule):
             "wall-clock values must not reach algorithmic code")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.wallclock_checked_dirs):
+        if not ctx.in_dirs(WORKER_CLOSURE_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -136,4 +146,33 @@ class WallClockRule(Rule):
                     f"'{ctx.top_dir}/' can make results time-dependent")
 
 
-__all__ = ["SetIterationOrderRule", "UnseededRngRule", "WallClockRule"]
+class EnvReadRule(Rule):
+    id = "REP-F702"
+    name = "env-read"
+    hint = ("environment reads make results machine-dependent; resolve "
+            "configuration once at startup outside the worker closure and "
+            "pass it down explicitly")
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.in_dirs(WORKER_CLOSURE_DIRS):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call):
+                dotted = ctx.imports.canonical_call_name(node.func)
+                if dotted in ("os.getenv", "os.environ.get"):
+                    yield self.finding(
+                        ctx, node,
+                        f"environment read {dotted}() inside "
+                        f"'{ctx.top_dir}/' can make results "
+                        "machine-dependent")
+            elif isinstance(node, ast.Subscript) \
+                    and ctx.imports.canonical_call_name(node.value) \
+                    == "os.environ":
+                yield self.finding(
+                    ctx, node,
+                    f"os.environ[...] read inside '{ctx.top_dir}/' can "
+                    "make results machine-dependent")
+
+
+__all__ = ["EnvReadRule", "SetIterationOrderRule", "UnseededRngRule",
+           "WallClockRule"]

@@ -11,6 +11,10 @@
   re-exports) are exempt; files defining a module-level ``__getattr__``
   (lazy exports) skip the unbound direction, which cannot be decided
   statically.
+* **REP-R802** — an ``open(...)`` handle that is neither managed by
+  ``with`` nor closed in the same function (or at module level).  This
+  rule runs on every linted file, ``tests/`` and ``benchmarks/``
+  included, because bench and test output handles leak the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import FileContext, Rule
+from repro.analysis.rules import FileContext, Rule, body_nodes
 
 _MUTABLE_CALLS = frozenset({
     "list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
@@ -179,8 +183,70 @@ class AllDriftRule(Rule):
         return values
 
 
+class UnclosedHandleRule(Rule):
+    id = "REP-R802"
+    name = "unclosed-handle"
+    hint = "use 'with open(...) as f:' (or close in a finally block)"
+    package_only = False
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for fn in ctx.functions():
+            yield from self._check_scope(ctx, body_nodes(fn))
+        yield from self._check_scope(ctx, [
+            node for stmt in ctx.tree.body
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+            for node in ast.walk(stmt)])
+
+    def _check_scope(self, ctx: FileContext,
+                     nodes: list[ast.AST]) -> Iterator[Finding]:
+        managed: set[int] = set()          # open() calls under a with-item
+        closed_names: set[str] = set()     # f.close() present anywhere
+        for node in nodes:
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    for sub in ast.walk(item.context_expr):
+                        managed.add(id(sub))
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "close" \
+                    and isinstance(node.func.value, ast.Name):
+                closed_names.add(node.func.value.id)
+        for node in nodes:
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open") or id(node) in managed:
+                continue
+            bound = self._binding_for(nodes, node)
+            if bound is None:
+                yield self.finding(
+                    ctx, node,
+                    "open() handle is never closed (no with, no binding)")
+            elif bound != "self" and bound not in closed_names:
+                # A handle stored on self is owned by the instance.
+                yield self.finding(
+                    ctx, node,
+                    f"open() handle '{bound}' has no close(); wrap it in "
+                    "'with'")
+
+    @staticmethod
+    def _binding_for(nodes: list[ast.AST], call: ast.Call) -> str | None:
+        for node in nodes:
+            if isinstance(node, ast.Assign) and node.value is call \
+                    and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    return target.id
+                if isinstance(target, ast.Attribute) \
+                        and isinstance(target.value, ast.Name) \
+                        and target.value.id == "self":
+                    return "self"
+        return None
+
+
 __all__ = [
     "AllDriftRule",
     "BroadExceptRule",
     "MutableDefaultRule",
+    "UnclosedHandleRule",
 ]

@@ -9,11 +9,10 @@ equality tests, divisions whose denominator can silently be zero, and
   idiom for degenerate-geometry guards is an inequality against the bound
   (``denom <= 0.0`` for a nonnegative quantity) or :func:`math.isclose`;
   genuine exact sentinels need a per-line suppression with a reason.
-* **REP-N202** — a division inside the configured packages (``core``,
-  ``geometry``) whose denominator has no *visible* zero-guard: no
-  enclosing/nearby condition mentioning the denominator, no allowlisted
-  assume-positive callable/attribute (``buffer_area``, ``max_d``), and not
-  a nonzero literal.
+* **REP-N202** — a division inside ``core`` or ``geometry`` whose
+  denominator has no *visible* zero-guard: no enclosing/nearby condition
+  mentioning the denominator, no assume-positive callable/attribute
+  (``buffer_area``, ``max_d``), and not a nonzero literal.
 * **REP-N203** — ``math.sqrt``/``math.acos``/``math.asin`` whose argument
   is not visibly inside the domain (a square, a sum of squares, an
   ``abs``/clamp, or a safe literal).
@@ -27,6 +26,14 @@ from typing import Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import FileContext, Rule, identifier_texts
+
+# Where every division needs a visible zero-guard (REP-N202).
+DIVISION_CHECKED_DIRS = ("core", "geometry")
+
+# Denominators positive by construction: the buffer area of a segment
+# at ε > 0 (a function and the store layout's column of it) and a street
+# profile's normalising distance, which its constructor checks.
+ASSUME_POSITIVE = frozenset({"buffer_area", "buffer_col", "max_d"})
 
 
 class FloatEqualityRule(Rule):
@@ -67,11 +74,11 @@ class UnguardedDivisionRule(Rule):
     id = "REP-N202"
     name = "unguarded-division"
     hint = ("guard the denominator in the same function (if d <= 0: ..., "
-            "'x / d if d else 0'), or allowlist a provably positive "
-            "callable/attribute under [tool.repro.lint] assume-positive")
+            "'x / d if d else 0'), or add a provably positive "
+            "callable/attribute to numeric.ASSUME_POSITIVE")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.division_checked_dirs):
+        if not ctx.in_dirs(DIVISION_CHECKED_DIRS):
             return
         guard_cache: dict[ast.AST | None, list[str]] = {}
         for node in ast.walk(ctx.tree):
@@ -82,7 +89,7 @@ class UnguardedDivisionRule(Rule):
             if self._nonzero_literal(denom):
                 continue
             idents = identifier_texts(denom)
-            if idents & set(ctx.config.assume_positive):
+            if idents & ASSUME_POSITIVE:
                 continue
             scope = ctx.enclosing_function(node)
             guards = guard_cache.get(scope)

@@ -34,6 +34,13 @@ from repro.analysis.findings import Finding
 from repro.analysis.rules import FileContext, Rule
 from repro.obs.tracer import SPAN_NAMES
 
+# Where timing and telemetry must flow through repro.obs (REP-O501/O502);
+# repro.obs itself is exempt by construction.
+OBS_CHECKED_DIRS = ("core", "serve")
+
+# Where trace_span names must come from the span-name registry (REP-O503).
+SPAN_CHECKED_DIRS = ("core", "serve", "index")
+
 _TIMER_CALLS = frozenset({
     "time.time", "time.time_ns",
     "time.perf_counter", "time.perf_counter_ns",
@@ -50,7 +57,7 @@ class DirectTimerRule(Rule):
             "timing is visible to the tracer and the slow-query log")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.obs_checked_dirs):
+        if not ctx.in_dirs(OBS_CHECKED_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -85,7 +92,7 @@ class HandRolledCounterRule(Rule):
             "state, suppress with a reason")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.obs_checked_dirs):
+        if not ctx.in_dirs(OBS_CHECKED_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.AugAssign):
@@ -155,7 +162,7 @@ class SpanNameRegistryRule(Rule):
             "typo-free), and keep the call-site name a string literal")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.span_checked_dirs):
+        if not ctx.in_dirs(SPAN_CHECKED_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):

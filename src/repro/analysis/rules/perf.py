@@ -1,9 +1,8 @@
 """Performance-hazard rules (``REP-P4xx``).
 
-The hot paths of this reproduction live under ``repro/core/`` (the
-directory set is configurable via ``perf-checked-dirs``); two quadratic
-patterns have already caused measured regressions there and are cheap to
-detect statically:
+The hot paths of this reproduction live under ``repro/core/``
+(:data:`PERF_CHECKED_DIRS`); two quadratic patterns have already caused
+measured regressions there and are cheap to detect statically:
 
 * **REP-P401** — a ``sorted(...)`` call inside a loop *body* re-sorts on
   every iteration; sort once before the loop (or maintain sorted order
@@ -28,22 +27,20 @@ iteration.
 * **REP-P405** — a scalar geometry kernel
   (``point_segment_distance``/``segment_bbox_mindist``/
   ``segment_segment_distance``) inside a loop body on the vectorised
-  cold path (``geometry-checked-dirs``, plus the individual files in
-  ``geometry-checked-files``) pays Python-level call overhead per
+  cold path (:data:`GEOMETRY_CHECKED_DIRS`, plus the individual files in
+  :data:`GEOMETRY_CHECKED_FILES`) pays Python-level call overhead per
   candidate; batch the candidates and call
   :func:`repro.geometry.distance.segments_bbox_mindist_batched` (or the
   CSR machinery in :mod:`repro.index.cell_maps`) once.  Scalar
   reference loops kept for the ``REPRO_CHECK`` cross-validation carry a
   ``# repro-lint: disable=REP-P405 (reason)`` comment.
 
-A further rule guards the multiprocess serving path
-(``serve-checked-dirs``, defaulting to the import closure of
-``repro.serve.server`` workers):
+Two further rules guard the multiprocess serving path:
 
 * **REP-P406** — a *cache-named* container (``cache``/``memo``/``lru``
   in the name, case-insensitive) bound to an empty mutable at module
   scope or as an instance attribute (``self.x = {}``) under
-  ``cache-checked-dirs`` with **no eviction bound** in the enclosing
+  :data:`CACHE_CHECKED_DIRS` with **no eviction bound** in the enclosing
   scope grows for the lifetime of a serving worker.  Evidence of a
   bound is a ``.pop()``/``.popitem()``/``.clear()`` call, a ``del``
   on the container, or a ``len()`` guard in a comparison — the shapes
@@ -54,7 +51,9 @@ A further rule guards the multiprocess serving path
 * **REP-P403** — a module-level *mutable cache* (a name bound at module
   scope to an empty ``dict``/``list``/``set``/``defaultdict``/... , or a
   module-level function decorated with ``functools.lru_cache``/
-  ``functools.cache``) is a fork/spawn hazard: every worker process
+  ``functools.cache``) in the serving workers' import closure
+  (:data:`~repro.analysis.rules.WORKER_CLOSURE_DIRS`) is a fork/spawn
+  hazard: every worker process
   fills its own copy, the copies diverge silently, and warm state never
   transfers through the shared-memory snapshot.  Keep such caches on an
   engine/session instance (e.g. :class:`repro.perf.session.QuerySessionPool`)
@@ -68,7 +67,22 @@ import re
 from typing import Callable, Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import FileContext, Rule
+from repro.analysis.rules import WORKER_CLOSURE_DIRS, FileContext, Rule
+
+# Where the loop-body quadratic patterns are hazards (REP-P401/P402/P404).
+PERF_CHECKED_DIRS = ("core",)
+
+# Where scalar geometry kernels in loop bodies are hazards (REP-P405): the
+# vectorised cold-path builders under index/, plus the store-layout pass
+# and the slot-mass pass with the SOI and BL runs that read it.
+GEOMETRY_CHECKED_DIRS = ("index",)
+GEOMETRY_CHECKED_FILES = frozenset({
+    "core/state_store.py", "core/interest.py", "core/soi.py",
+    "core/soi_baseline.py"})
+
+# Where caches live for a serving worker's lifetime and so need an
+# eviction bound (REP-P406).
+CACHE_CHECKED_DIRS = ("perf", "serve")
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -138,7 +152,7 @@ class SortedInLoopRule(Rule):
             "order incrementally (e.g. heapq / bisect.insort)")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.perf_checked_dirs):
+        if not ctx.in_dirs(PERF_CHECKED_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, ast.Call)
@@ -161,7 +175,7 @@ class ListMembershipInLoopRule(Rule):
             "once before the loop")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.perf_checked_dirs):
+        if not ctx.in_dirs(PERF_CHECKED_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
@@ -192,7 +206,7 @@ class HeapRescanInLoopRule(Rule):
             "instead of rescanning the full input per iteration")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.perf_checked_dirs):
+        if not ctx.in_dirs(PERF_CHECKED_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -226,10 +240,8 @@ class ScalarGeometryInLoopRule(Rule):
             "reason")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        config = ctx.config
-        if not (ctx.in_dirs(config.geometry_checked_dirs)
-                or "/".join(ctx.package_parts)
-                in config.geometry_checked_files):
+        if not (ctx.in_dirs(GEOMETRY_CHECKED_DIRS)
+                or "/".join(ctx.package_parts) in GEOMETRY_CHECKED_FILES):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -282,7 +294,7 @@ class ModuleLevelMutableCacheRule(Rule):
             "serving worker")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.serve_checked_dirs):
+        if not ctx.in_dirs(WORKER_CLOSURE_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(ctx.parent(node), ast.Module):
@@ -376,7 +388,7 @@ class UnboundedCacheRule(Rule):
             "is provably finite, suppress with a reason")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_dirs(ctx.config.cache_checked_dirs):
+        if not ctx.in_dirs(CACHE_CHECKED_DIRS):
             return
         seen: set[tuple[int, str]] = set()
         for node in ast.walk(ctx.tree):

@@ -201,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="run the custom static-analysis pass",
-        description="Repo-specific AST lint: determinism, numeric safety "
-                    "and API hygiene (see repro.analysis).")
+        description="Repo-specific file-local AST lint: determinism, "
+                    "numeric safety, hygiene, performance, observability "
+                    "and shared-state rules (see repro.analysis).")
     add_lint_arguments(lint)
 
     metrics = sub.add_parser(

@@ -307,7 +307,6 @@ class SOIEngine:
         prune_refinement: bool = True,
         weighted: bool = False,
         use_session: bool = True,
-        session=None,
     ) -> list[SOIResult]:
         """Answer a k-SOI query (Problem 1).
 
@@ -324,15 +323,12 @@ class SOIEngine:
         engine's :class:`~repro.perf.session.QuerySessionPool`, so sweeps
         over ``k``/``eps``/strategy with the same keywords reuse per-cell
         materialisations; cached values are bitwise what a fresh run would
-        compute, so results are identical either way.  A caller that
-        already resolved the session (batched serving) may pass it via
-        ``session`` — it must belong to this engine and to the same
-        normalised keyword set.
+        compute, so results are identical either way.
         """
         ranking, _stats = self.top_k_with_stats(
             keywords, k, eps, strategy=strategy,
             prune_refinement=prune_refinement, weighted=weighted,
-            use_session=use_session, session=session)
+            use_session=use_session)
         return ranking[:k]
 
     def top_k_with_stats(
@@ -344,7 +340,6 @@ class SOIEngine:
         prune_refinement: bool = True,
         weighted: bool = False,
         use_session: bool = True,
-        session=None,
     ) -> tuple[list[SOIResult], SOIStats]:
         """Like :meth:`top_k` but also returns work/timing counters.
 
@@ -356,8 +351,7 @@ class SOIEngine:
         """
         query = validate_query(keywords, k, eps)
         strategy = parse_strategy(strategy)
-        if session is None and use_session:
-            session = self.sessions.get(query)
+        session = self.sessions.get(query) if use_session else None
         run = _SOIRun(self, query, k, eps,
                       strategy, prune_refinement, weighted, session=session)
         return run.execute()

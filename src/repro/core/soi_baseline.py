@@ -94,7 +94,6 @@ class BaselineSOI:
         eps: float = DEFAULT_EPS,
         weighted: bool = False,
         use_session: bool = True,
-        session=None,
         stats=None,
     ) -> SOIRanking:
         """Every street of positive interest, ranked (Definition 3).
@@ -105,10 +104,8 @@ class BaselineSOI:
         :meth:`~repro.core.soi.SOIEngine.top_k_with_stats` ranking bit
         for bit, and ``ranking[:k]`` its top k.  The ranking is returned
         as columns; only slicing or iterating it builds
-        :class:`~repro.core.results.SOIResult` objects.  ``session`` is
-        an already-resolved
-        :class:`~repro.perf.session.QuerySession` of the keyword set;
-        ``stats`` collects the pass's counters.  Under ``REPRO_CHECK=1``
+        :class:`~repro.core.results.SOIResult` objects.  ``stats``
+        collects the pass's counters.  Under ``REPRO_CHECK=1``
         the output contract and sampled Definition 1 recount of
         :class:`~repro.analysis.contracts.SOIContractMonitor` run.
         """
@@ -116,7 +113,7 @@ class BaselineSOI:
         with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
                         keywords=",".join(sorted(query))):
             layout, slots, interest = self._segment_interests(
-                query, eps, weighted, use_session, session, stats)
+                query, eps, weighted, use_session, stats)
             positive = np.flatnonzero(interest > 0.0)
             values = interest[positive]
             streets = layout.street_of[positive]
@@ -164,16 +161,17 @@ class BaselineSOI:
         with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
                         keywords=",".join(sorted(query))):
             layout, _slots, interest = self._segment_interests(
-                query, eps, weighted, use_session, None, stats)
+                query, eps, weighted, use_session, stats)
             out = dict(zip(layout.seg_ids_list, interest.tolist()))
         obs_metrics.REGISTRY.inc("soi.baseline_queries")
         obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned", len(out))
         return out
 
-    def _segment_interests(self, query, eps, weighted, use_session,
-                           session, stats):
+    def _segment_interests(self, query, eps, weighted, use_session, stats):
         """``(layout, slots, interest)``: every segment's Definition 2
-        interest in dense order, from the session's slot masses.
+        interest in dense order, from the slot masses of the engine's
+        query session for ``query`` (a fresh pass under
+        ``use_session=False``).
 
         ``np.bincount`` adds each segment's slot masses in ascending slot
         (``cells_of_segment``) order, starting from 0.0, which is how
@@ -182,9 +180,8 @@ class BaselineSOI:
         bitwise :func:`~repro.core.interest.buffer_area`.
         """
         layout = self.engine.store_layout(eps)
-        if session is None and use_session:
+        if use_session:
             session = self.engine.sessions.get(query)
-        if session is not None:
             if stats is not None:
                 stats.session_reused = session.queries_served > 0
             session.queries_served += 1

@@ -4,9 +4,8 @@ A :class:`ResultCache` is an LRU of finished payloads keyed by the
 request's *canonical signature* (:func:`request_cache_key`), and every
 entry is complete for its key:
 
-* A k-SOI key is every parameter **except** ``k`` and the access
-  strategy (kind, normalised ``Ψ``, ``ε``, ``weighted``): every strategy
-  is served the same ranking.  Its payload is the complete ranking of
+* A k-SOI key is every parameter **except** ``k`` (kind, normalised
+  ``Ψ``, ``ε``, ``weighted``).  Its payload is the complete ranking of
   that signature, every street of positive interest
   (:meth:`~repro.core.soi_baseline.BaselineSOI.ranking`).  The ranking is
   *prefix-stable* under the engine's deterministic tie-break
@@ -45,7 +44,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.analysis import contracts
 from repro.core.interest import validate_k, validate_query
 from repro.core.results import SOIRanking
-from repro.core.soi import parse_strategy
 from repro.errors import QueryError
 from repro.obs.metrics import REGISTRY
 
@@ -85,13 +83,10 @@ def request_cache_key(request) -> tuple:
     k-dependent, so only identical requests may share a payload).
     Keywords are normalised exactly as the engine normalises them, so
     requests that the engine cannot distinguish share a key.  A k-SOI
-    request is validated as the engine validates it, its access strategy
-    included, so no lookup ever answers a request the engine refuses
-    (``k < 1`` would otherwise be answered by slicing); a describe
-    request's ``k`` is checked by :func:`~repro.core.interest.validate_k`
-    for the same reason.  The strategy is
-    left out of the key: every strategy is served the same ranking by the
-    same code, so requests that differ only in strategy share one entry.
+    request is validated as the engine validates it, so no lookup ever
+    answers a request the engine refuses (``k < 1`` would otherwise be
+    answered by slicing); a describe request's ``k`` is checked by
+    :func:`~repro.core.interest.validate_k` for the same reason.
     Raises :class:`~repro.errors.QueryError` for an invalid k-SOI request,
     a describe request whose ``k`` is not an integer of at least 1, or an
     unsupported request type.
@@ -100,7 +95,6 @@ def request_cache_key(request) -> tuple:
     from repro.serve.server import DescribeRequest, SOIRequest
 
     if isinstance(request, SOIRequest):
-        parse_strategy(request.strategy)
         keywords = validate_query(request.keywords, request.k, request.eps)
         return ("soi", tuple(sorted(keywords)), request.eps,
                 bool(request.weighted))

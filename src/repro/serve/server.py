@@ -92,12 +92,7 @@ from repro.core.describe import (
 from repro.core.describe.profile import DEFAULT_RHO
 from repro.core.interest import validate_query
 from repro.core.results import SOIStats
-from repro.core.soi import (
-    DEFAULT_EPS,
-    AccessStrategy,
-    SOIEngine,
-    parse_strategy,
-)
+from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.core.soi_baseline import BaselineSOI
 from repro.data.keywords import normalize_keywords
 from repro.errors import (
@@ -211,7 +206,6 @@ class SOIRequest:
     keywords: tuple[str, ...]
     k: int
     eps: float = DEFAULT_EPS
-    strategy: str = AccessStrategy.ALTERNATE.value
     weighted: bool = False
 
 
@@ -235,7 +229,6 @@ def serve_request(
     photos: "PhotoSet | None",
     request: Request,
     describers: "OrderedDict | None" = None,
-    session=None,
 ):
     """Serve one request against an engine — the single serving code path.
 
@@ -247,22 +240,17 @@ def serve_request(
     k-SOI requests return the first ``k`` entries of
     :meth:`~repro.core.soi_baseline.BaselineSOI.ranking`, the complete
     ranking of the request's ``(Ψ, ε, weighted)``: one NumPy reduction
-    over the slot masses of the pass the session shares with Algorithm 1.
-    It equals :meth:`~repro.core.soi.SOIEngine.top_k` bit for bit at every
-    ``k`` and for every access strategy, so the strategy is validated but
-    does not change the payload.  Describe requests return the ids of
+    over the slot masses of the pass the engine's query session for
+    ``Ψ`` shares with Algorithm 1.  It equals
+    :meth:`~repro.core.soi.SOIEngine.top_k` bit for bit at every ``k`` and
+    for every access strategy.  Describe requests return the ids of
     the photos :class:`~repro.core.describe.greedy.GreedyDescriber`
     selects, in selection order: Algorithm 2's summary, with no photo
     grid or cell bound built.  ``describers`` (an
     :class:`~collections.OrderedDict`) enables LRU reuse of street
-    profiles across describe queries.  ``session`` is an already-resolved
-    :class:`~repro.perf.session.QuerySession` for the request's keyword
-    signature (micro-batched serving resolves it once per group); it must
-    belong to ``engine``.  Cached session values are bitwise what a fresh
-    pass computes, so passing one cannot change a payload.
+    profiles across describe queries.
     """
-    return _complete_answer(engine, photos, request, describers,
-                            session)[: request.k]
+    return _complete_answer(engine, photos, request, describers)[: request.k]
 
 
 def _complete_answer(
@@ -270,7 +258,6 @@ def _complete_answer(
     photos: "PhotoSet | None",
     request: Request,
     describers: "OrderedDict | None" = None,
-    session=None,
 ) -> "SOIRanking | list":
     """The answer :func:`serve_request` slices to ``k``: for a k-SOI
     request the complete ranking of its ``(Ψ, ε, weighted)`` as columns,
@@ -280,13 +267,11 @@ def _complete_answer(
     counters."""
     with trace_span("serve.request", kind=type(request).__name__):
         if isinstance(request, SOIRequest):
-            # Validated only: every strategy's answer is this ranking.
-            parse_strategy(request.strategy)
             validate_query(request.keywords, request.k, request.eps)
             stats = SOIStats()
             ranking = BaselineSOI(engine).ranking(
                 request.keywords, request.eps, weighted=request.weighted,
-                session=session, stats=stats)
+                stats=stats)
             obs_metrics.record_soi_query(stats)
             return ranking
         if isinstance(request, DescribeRequest):
@@ -321,7 +306,6 @@ def serve_request_cached(
     request: Request,
     cache: "ResultCache",
     describers: "OrderedDict | None" = None,
-    session=None,
 ):
     """:func:`serve_request` through a :class:`ResultCache`.
 
@@ -333,12 +317,10 @@ def serve_request_cached(
     under ``REPRO_CHECK=1`` each sliced hit is re-derived and compared),
     or the payload of a describe request.
     """
-    return _serve_cached(engine, photos, request, cache, describers,
-                         session)[0]
+    return _serve_cached(engine, photos, request, cache, describers)[0]
 
 
-def _serve_cached(engine, photos, request, cache, describers=None,
-                  session=None):
+def _serve_cached(engine, photos, request, cache, describers=None):
     """:func:`serve_request_cached`'s payload, and the entry this call
     stored in the cache (see :func:`_complete_answer`), or ``None`` on a
     hit."""
@@ -347,12 +329,11 @@ def _serve_cached(engine, photos, request, cache, describers=None,
     recompute = None
     if contracts.ENABLED:
         def recompute():
-            return serve_request(engine, photos, request, describers,
-                                 session=session)
+            return serve_request(engine, photos, request, describers)
     hit = cache.lookup(key, request.k, recompute=recompute)
     if hit is not _CACHE_MISS:
         return hit, None
-    entry = _complete_answer(engine, photos, request, describers, session)
+    entry = _complete_answer(engine, photos, request, describers)
     cache.store(key, entry)
     # A fresh slice: the stored list must never be aliased by a caller
     # that might mutate its payload in place.
@@ -409,8 +390,9 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
 
     With ``micro_batch > 1`` each loop turn drains up to that many queued
     tasks and stable-sorts them by :func:`_group_key`, so same-signature
-    k-SOI requests execute consecutively against one resolved session
-    (and describe requests for one street reuse the cached describer).
+    k-SOI requests execute consecutively against one query session of
+    the engine's pool (and describe requests for one street reuse the
+    cached describer).
     Results still carry their original sequence numbers — the parent's
     reordering is untouched, and payloads are bit-identical to unbatched
     serving because session caches only memoise exact values.
@@ -492,10 +474,6 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                 obs_metrics.record_serve_batch(
                     len(batch),
                     len({_group_key(item[3]) for item in batch}))
-            # The resolved session of the current group; keys only compare
-            # within one attached view (re-attach resets the group).
-            current_key: tuple | None = None
-            session = None
             last_seq = batch[-1][0]
             for seq, shm_name, generation, request, trace in batch:
                 entry = None
@@ -511,7 +489,6 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                             if view is not None and view.name != shm_name:
                                 view.close()
                                 view = None
-                                current_key, session = None, None
                             if view is None:
                                 view = _WorkerView(shm_name)
                             if view.snapshot.generation != generation:
@@ -519,25 +496,14 @@ def _worker_main(worker_id: int, tasks, results, micro_batch: int = 1,
                                     f"snapshot {shm_name!r} holds generation "
                                     f"{view.snapshot.generation}, task "
                                     f"expects {generation}")
-                            key = _group_key(request)
-                            if key != current_key:
-                                current_key = key
-                                session = None
-                                if isinstance(request, SOIRequest):
-                                    signature = normalize_keywords(
-                                        request.keywords)
-                                    if signature:
-                                        session = view.engine.sessions.get(
-                                            signature)
                             if result_cache is None:
                                 payload = serve_request(
                                     view.engine, view.photos, request,
-                                    view.describers, session=session)
+                                    view.describers)
                             else:
                                 payload, entry = _serve_cached(
                                     view.engine, view.photos, request,
-                                    result_cache, view.describers,
-                                    session=session)
+                                    result_cache, view.describers)
                             status, body = "ok", payload
                         except ReproError as exc:
                             status, body = ("error",

@@ -158,7 +158,7 @@ def test_numpy_ranking_is_algorithm1_complete_ranking(network, pois,
                                             weighted=weighted)) == complete
     for k in range(1, streets + 2):
         served = serve_request(engine, None, SOIRequest(
-            tuple(keywords), k, EPS, strategy.value, weighted))
+            tuple(keywords), k, EPS, weighted=weighted))
         assert_topk_equivalent(
             ranking(served),
             ranking(engine.top_k(keywords, k, eps=EPS, strategy=strategy,
@@ -191,5 +191,5 @@ def test_equal_segment_maxima_report_the_lowest_dense_position():
         for use_session in (False, True):
             assert engine.top_k(["shop"], 1, eps=0.0005, strategy=strategy,
                                 use_session=use_session) == expected
-        assert serve_request(engine, None, SOIRequest(
-            ("shop",), 1, 0.0005, strategy.value)) == expected
+    assert serve_request(engine, None, SOIRequest(
+        ("shop",), 1, 0.0005)) == expected

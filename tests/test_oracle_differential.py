@@ -243,11 +243,9 @@ def test_serve_request_matches_oracle(network, pois, photos, keywords, k,
                                       eps, lam, w):
     engine = SOIEngine(network, pois)
     for weighted in (False, True):
-        for strategy in AccessStrategy:
-            request = SOIRequest(tuple(keywords), k, eps, strategy.value,
-                                 weighted)
-            assert_oracle_answer(serve_request(engine, photos, request),
-                                 network, pois, keywords, k, eps, weighted)
+        request = SOIRequest(tuple(keywords), k, eps, weighted=weighted)
+        assert_oracle_answer(serve_request(engine, photos, request),
+                             network, pois, keywords, k, eps, weighted)
     for street_id in network.streets:
         request = DescribeRequest(street_id, k, eps, lam, w, DEFAULT_RHO)
         assert serve_request(engine, photos, request) == describe_ids(

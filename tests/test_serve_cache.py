@@ -174,8 +174,7 @@ def test_second_page_after_an_incomplete_algorithm1_run_is_a_hit():
 
     network, pois = _two_street_city(0.0003, [(0.05015, 0.0501, 1.0)])
     engine = SOIEngine(network, pois)
-    pages = [SOIRequest(keywords=("shop",), k=k, strategy="cells_first")
-             for k in (1, 50)]
+    pages = [SOIRequest(keywords=("shop",), k=k) for k in (1, 50)]
     _ranking, stats = engine.top_k_with_stats(
         ["shop"], 1, strategy=AccessStrategy.CELLS_FIRST)
     assert not stats.complete
@@ -191,20 +190,7 @@ def test_second_page_after_an_incomplete_algorithm1_run_is_a_hit():
     assert served[1][1] == [0.0]  # answered in the parent
 
 
-def test_strategies_share_one_cache_entry(small_engine):
-    """Every strategy is served the same ranking, so a request that
-    differs only in strategy is a hit."""
-    cache = make_cache(small_engine)
-    for strategy in ("alternate", "cells_first"):
-        request = SOIRequest(keywords=("shop",), k=10, strategy=strategy)
-        assert serve_request_cached(small_engine, None, request, cache) == \
-            serve_request(small_engine, None, request)
-    stats = cache.stats()
-    assert (stats["misses"], stats["hits"], stats["insertions"]) == (1, 1, 1)
-
-
 INVALID_PAGES = (
-    (SOIRequest(keywords=("shop",), k=10, strategy="bogus"), "strategy"),
     (SOIRequest(keywords=("shop",), k=0), "k must be at least 1"),
     (SOIRequest(keywords=("shop",), k=-1), "k must be at least 1"),
 )
@@ -212,7 +198,7 @@ INVALID_PAGES = (
 cached ranking of ``("shop",)`` must not answer them by slicing."""
 
 
-def test_unknown_strategy_is_a_query_error_before_any_lookup(small_engine):
+def test_refused_pages_are_query_errors_before_any_lookup(small_engine):
     cache = make_cache(small_engine)
     serve_request_cached(small_engine, None,
                          SOIRequest(keywords=("shop",), k=10), cache)
@@ -222,14 +208,13 @@ def test_unknown_strategy_is_a_query_error_before_any_lookup(small_engine):
                 lambda: serve_request_cached(small_engine, None, bogus,
                                              cache),
                 lambda: request_cache_key(bogus),
-                lambda: small_engine.top_k(["shop"], bogus.k,
-                                           strategy=bogus.strategy)):
+                lambda: small_engine.top_k(["shop"], bogus.k)):
             with pytest.raises(QueryError, match=message):
                 serve()
     assert cache.stats()["hits"] == 0
 
 
-def test_server_delivers_unknown_strategy_error_after_a_cached_page():
+def test_server_delivers_refused_page_errors_after_a_cached_page():
     city = build_preset("vienna", scale=0.1)
     engine = SOIEngine(city.network, city.pois)
     good = SOIRequest(keywords=("shop",), k=5)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.soi import SOIEngine
 from repro.datagen import build_preset
-from repro.errors import ReproError, StaleSnapshotError, WorkerCrashError
+from repro.errors import QueryError, StaleSnapshotError, WorkerCrashError
 from repro.serve import EngineServer
 from repro.serve.server import DescribeRequest, SOIRequest, serve_request
 from repro.serve.workload import make_workload
@@ -44,10 +44,12 @@ def test_two_worker_smoke_on_smallest_preset():
 
 
 def test_worker_errors_propagate_without_killing_the_pool(small_engine):
+    # With the cache off the parent does not validate the request, so the
+    # worker refuses k = 0 and ships the typed error back.
     with EngineServer.for_engine(small_engine, workers=1) as server:
-        bogus = SOIRequest(keywords=("food",), k=5, strategy="not-a-strategy")
+        bogus = SOIRequest(keywords=("food",), k=0)
         server.submit(bogus)
-        with pytest.raises(ReproError):
+        with pytest.raises(QueryError, match="k must be at least 1"):
             server.next_result(timeout=30.0)
         # The worker survives the error and keeps serving.
         good = SOIRequest(keywords=("food",), k=5)

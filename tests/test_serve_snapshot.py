@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import contracts
-from repro.core.soi import DEFAULT_EPS, AccessStrategy, SOIEngine
+from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.errors import SnapshotError
 from repro.serve import IndexSnapshot, attach_engine, attach_photo_set
 from repro.serve.server import DescribeRequest, SOIRequest, serve_request
@@ -67,12 +67,11 @@ def test_fig4_round_trip_is_bit_identical(small_engine, small_city, attached):
 
 def test_fig4_strategies_and_weighted_round_trip(small_engine, attached):
     engine_view, _ = attached
-    for strategy in AccessStrategy:
-        for weighted in (False, True):
-            request = SOIRequest(keywords=("food", "shop"), k=25,
-                                 strategy=strategy.value, weighted=weighted)
-            assert serve_request(engine_view, None, request) == \
-                serve_request(small_engine, None, request)
+    for weighted in (False, True):
+        request = SOIRequest(keywords=("food", "shop"), k=25,
+                             weighted=weighted)
+        assert serve_request(engine_view, None, request) == \
+            serve_request(small_engine, None, request)
 
 
 def test_fig6_round_trip_is_bit_identical(small_engine, small_city, attached):

@@ -1,32 +1,27 @@
 """The lint gate and unit tests for the custom AST rules.
 
 ``test_repo_is_lint_clean`` is the tier-1 gate: it runs the full linter
-over ``src/repro`` in-process with the committed configuration and
-baseline, and fails on any non-baselined finding.  The remaining tests
-exercise each rule against crafted sources through :func:`lint_source`.
+over ``src/repro`` in-process and fails on any finding.  The remaining
+tests exercise each rule against crafted sources through
+:func:`lint_source`; ``tests/test_lint_plants.py`` plants each rule's
+bug into live code.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import repro.cli
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.config import LintConfig
 from repro.analysis.engine import LintResult, lint_paths, lint_source
 from repro.analysis.reporters import render_json, render_text
+from repro.analysis.rules import default_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-
-CONFIG = LintConfig.discover(REPO_ROOT)
 
 
 def rules_of(findings):
@@ -36,51 +31,41 @@ def rules_of(findings):
 # -- the gate -----------------------------------------------------------------
 
 def test_repo_is_lint_clean():
-    result = lint_paths([SRC], config=CONFIG)
+    result = lint_paths([SRC])
     details = "\n".join(f.format_text() for f in result.findings)
     assert result.clean, f"lint findings in src/repro:\n{details}"
     assert result.files_checked > 50
 
 
-def test_full_tree_is_lint_clean_with_cross_module_pass():
-    """src + tests + benchmarks, interprocedural rules on — zero findings."""
+def test_full_tree_is_lint_clean():
+    """src + tests + benchmarks (the CI command's paths): zero findings."""
     result = lint_paths(
-        [SRC, REPO_ROOT / "tests", REPO_ROOT / "benchmarks"],
-        config=CONFIG, cross_module=True)
+        [SRC, REPO_ROOT / "tests", REPO_ROOT / "benchmarks"])
     details = "\n".join(f.format_text() for f in result.findings)
     assert result.clean, f"lint findings in full tree:\n{details}"
-    # Zero C6/F7/R8 findings may be absorbed by the baseline either.
-    assert result.baselined == 0
     assert result.files_checked > 100
-
-
-def test_committed_baseline_is_empty():
-    baseline = load_baseline(CONFIG.baseline_path())
-    assert sum(baseline.values()) == 0
 
 
 # -- determinism rules --------------------------------------------------------
 
 def test_d101_flags_unseeded_default_rng():
     src = "import numpy as np\nrng = np.random.default_rng()\n"
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/x.py")
     assert rules_of(findings) == ["REP-D101"]
 
 
 def test_d101_accepts_seeded_and_datagen():
     seeded = "import numpy as np\nrng = np.random.default_rng(42)\n"
-    assert lint_source(seeded, relpath="repro/core/x.py",
-                       config=CONFIG) == []
+    assert lint_source(seeded, relpath="repro/core/x.py") == []
     unseeded = "import numpy as np\nrng = np.random.default_rng()\n"
-    assert lint_source(unseeded, relpath="repro/datagen/x.py",
-                       config=CONFIG) == []
+    assert lint_source(unseeded, relpath="repro/datagen/x.py") == []
 
 
 def test_d101_flags_legacy_global_and_stdlib_random():
     src = ("import random\nimport numpy as np\n"
            "a = np.random.rand(3)\n"
            "b = random.random()\n")
-    findings = lint_source(src, relpath="repro/eval/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/eval/x.py")
     assert rules_of(findings) == ["REP-D101", "REP-D101"]
 
 
@@ -92,7 +77,7 @@ def test_d102_flags_set_into_ordered_sinks():
            "    ys = [y for y in {1, 2, 3}]\n"
            "    zs = list(frozenset(xs))\n"
            "    return out, ys, zs\n")
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/x.py")
     assert rules_of(findings) == ["REP-D102"] * 3
 
 
@@ -101,21 +86,25 @@ def test_d102_accepts_sorted_sets_and_membership():
            "    ordered = sorted(set(xs))\n"
            "    total = sum(1 for x in xs if x in {1, 2})\n"
            "    return ordered, total\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_d103_wall_clock_only_in_checked_dirs():
     src = "import time\nstamp = time.time()\n"
     # In core/ a wall-clock read breaks determinism (D103) *and* bypasses
     # the repro.obs clock funnel (O501) — both rules report it.
-    assert rules_of(lint_source(src, relpath="repro/core/x.py",
-                                config=CONFIG)) == ["REP-D103", "REP-O501"]
-    assert lint_source(src, relpath="repro/eval/x.py", config=CONFIG) == []
+    assert rules_of(lint_source(src, relpath="repro/core/x.py")) == [
+        "REP-D103", "REP-O501"]
+    assert lint_source(src, relpath="repro/eval/x.py") == []
+    assert lint_source(src, relpath="repro/obs/x.py") == []
+    # The serving workers' whole import closure is checked, not only core/.
+    assert rules_of(lint_source(src, relpath="repro/geometry/x.py")) == [
+        "REP-D103"]
     timer = "import time\nt0 = time.perf_counter()\n"
-    assert rules_of(lint_source(timer, relpath="repro/index/x.py",
-                                config=CONFIG)) == []  # D103 allows timers
-    assert rules_of(lint_source(timer, relpath="repro/core/x.py",
-                                config=CONFIG)) == ["REP-O501"]
+    # D103 allows timers
+    assert rules_of(lint_source(timer, relpath="repro/index/x.py")) == []
+    assert rules_of(lint_source(timer, relpath="repro/core/x.py")) == [
+        "REP-O501"]
 
 
 # -- numeric rules ------------------------------------------------------------
@@ -125,7 +114,7 @@ def test_n201_flags_float_equality_both_sides():
            "    if x == 0.5:\n"
            "        return 1\n"
            "    return -1.0 != x\n")
-    findings = lint_source(src, relpath="repro/eval/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/eval/x.py")
     assert rules_of(findings) == ["REP-N201", "REP-N201"]
 
 
@@ -136,15 +125,15 @@ def test_n201_accepts_int_equality_and_inequalities():
            "    if x <= 0.0:\n"
            "        return 1\n"
            "    return x\n")
-    assert lint_source(src, relpath="repro/eval/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/eval/x.py") == []
 
 
 def test_n202_flags_unguarded_division_in_checked_dirs():
     src = "def f(a, b):\n    return a / b\n"
-    assert rules_of(lint_source(src, relpath="repro/core/x.py",
-                                config=CONFIG)) == ["REP-N202"]
+    assert rules_of(lint_source(src, relpath="repro/core/x.py")) == [
+        "REP-N202"]
     # Same code outside core/geometry is not checked.
-    assert lint_source(src, relpath="repro/eval/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/eval/x.py") == []
 
 
 def test_n202_accepts_guards_literals_and_allowlist():
@@ -158,14 +147,14 @@ def test_n202_accepts_guards_literals_and_allowlist():
            "    return mass / buffer_area(length, eps)\n"
            "def ternary(a, b):\n"
            "    return a / b if b else 0.0\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_n203_math_domain():
     src = ("import math\n"
            "def f(x, t):\n"
            "    return math.sqrt(x) + math.acos(t)\n")
-    findings = lint_source(src, relpath="repro/geometry/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/geometry/x.py")
     assert rules_of(findings) == ["REP-N203", "REP-N203"]
     safe = ("import math\n"
             "def f(dx, dy, t):\n"
@@ -173,18 +162,17 @@ def test_n203_math_domain():
             "    b = math.sqrt(max(0.0, t))\n"
             "    c = math.acos(min(1.0, max(-1.0, t)))\n"
             "    return a + b + c\n")
-    assert lint_source(safe, relpath="repro/geometry/x.py",
-                       config=CONFIG) == []
+    assert lint_source(safe, relpath="repro/geometry/x.py") == []
 
 
 # -- hygiene rules ------------------------------------------------------------
 
 def test_h301_mutable_default():
     src = "def f(items=[], table={}):\n    return items, table\n"
-    findings = lint_source(src, relpath="repro/eval/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/eval/x.py")
     assert rules_of(findings) == ["REP-H301", "REP-H301"]
     ok = "def f(items=None):\n    return list(items or [])\n"
-    assert lint_source(ok, relpath="repro/eval/x.py", config=CONFIG) == []
+    assert lint_source(ok, relpath="repro/eval/x.py") == []
 
 
 def test_h302_broad_except():
@@ -197,7 +185,7 @@ def test_h302_broad_except():
            "        work()\n"
            "    except Exception:\n"
            "        return None\n")
-    findings = lint_source(src, relpath="repro/eval/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/eval/x.py")
     assert rules_of(findings) == ["REP-H302", "REP-H302"]
 
 
@@ -211,14 +199,13 @@ def test_h302_accepts_narrow_and_reraising_handlers():
            "        work()\n"
            "    except Exception as exc:\n"
            "        raise RuntimeError('context') from exc\n")
-    assert lint_source(src, relpath="repro/eval/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/eval/x.py") == []
 
 
 def test_h303_all_drift_both_directions():
     src = ("from repro.core.soi import SOIEngine\n"
            "__all__ = ['Ghost']\n")
-    findings = lint_source(src, relpath="repro/sub/__init__.py",
-                           config=CONFIG)
+    findings = lint_source(src, relpath="repro/sub/__init__.py")
     messages = sorted(f.message for f in findings)
     assert rules_of(findings) == ["REP-H303", "REP-H303"]
     assert "never binds" in messages[0]          # Ghost is exported, unbound
@@ -231,14 +218,12 @@ def test_h303_exempts_future_and_used_imports():
            "def resolve(p) -> Path:\n"
            "    return Path(p)\n"
            "__all__ = ['resolve']\n")
-    assert lint_source(src, relpath="repro/sub/__init__.py",
-                       config=CONFIG) == []
+    assert lint_source(src, relpath="repro/sub/__init__.py") == []
 
 
 def test_h303_only_applies_to_package_inits():
     src = "from repro.core.soi import SOIEngine\n__all__ = ['Ghost']\n"
-    assert lint_source(src, relpath="repro/sub/module.py",
-                       config=CONFIG) == []
+    assert lint_source(src, relpath="repro/sub/module.py") == []
 
 
 # -- performance rules --------------------------------------------------------
@@ -250,7 +235,7 @@ def test_p401_flags_sorted_in_loop_body():
            "        for x in sorted(items):\n"
            "            out.append((group, x))\n"
            "    return out\n")
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/x.py")
     assert rules_of(findings) == ["REP-P401"]
     assert "loop at line 3" in findings[0].message
 
@@ -262,7 +247,7 @@ def test_p401_accepts_loop_header_and_hoisted_sorts():
            "        use(x, ordered)\n"
            "    while sorted(items) != items:\n"
            "        items = step(items)\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_p401_stops_at_function_boundaries():
@@ -271,14 +256,14 @@ def test_p401_stops_at_function_boundaries():
            "        def key(item):\n"
            "            return sorted(item.tags)\n"
            "        use(group, key)\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_p401_only_in_perf_checked_dirs():
     src = ("def f(items, groups):\n"
            "    for group in groups:\n"
            "        use(sorted(items))\n")
-    assert lint_source(src, relpath="repro/eval/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/eval/x.py") == []
 
 
 def test_p402_flags_list_membership_in_loop():
@@ -289,7 +274,7 @@ def test_p402_flags_list_membership_in_loop():
            "            use(x)\n"
            "        if x not in list(items):\n"
            "            use(x)\n")
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/x.py")
     assert rules_of(findings) == ["REP-P402", "REP-P402"]
 
 
@@ -301,7 +286,7 @@ def test_p402_accepts_sets_dicts_and_untraceable_names():
            "            use(x)\n"
            "        if x in wanted:\n"  # parameter: untraceable, silent
            "            use(x)\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_p402_conservative_on_reassigned_names():
@@ -311,14 +296,14 @@ def test_p402_conservative_on_reassigned_names():
            "    for x in items:\n"
            "        if x in wanted:\n"
            "            use(x)\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_p402_membership_outside_loop_is_fine():
     src = ("def f(x):\n"
            "    wanted = [1, 2, 3]\n"
            "    return x in wanted\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_p404_flags_nlargest_in_loop_body():
@@ -327,7 +312,7 @@ def test_p404_flags_nlargest_in_loop_body():
            "    for values in groups:\n"
            "        top = heapq.nlargest(k, values)\n"
            "        use(top)\n")
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/x.py")
     assert rules_of(findings) == ["REP-P404"]
     assert "loop at line 3" in findings[0].message
 
@@ -340,7 +325,7 @@ def test_p404_flags_from_import_alias_and_nsmallest():
            "        out.append(nlargest(k, values))\n"
            "        out.append(smallest(k, values))\n"
            "    return out\n")
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/x.py")
     assert rules_of(findings) == ["REP-P404", "REP-P404"]
 
 
@@ -354,7 +339,7 @@ def test_p404_accepts_hoisted_calls_and_incremental_heaps():
            "        if len(heap) > k:\n"
            "            heapq.heappop(heap)\n"
            "    return top, heap\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_p404_stops_at_function_boundaries_and_checked_dirs():
@@ -364,13 +349,12 @@ def test_p404_stops_at_function_boundaries_and_checked_dirs():
               "        def summarise(values):\n"
               "            return heapq.nlargest(k, values)\n"
               "        use(group, summarise)\n")
-    assert lint_source(nested, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(nested, relpath="repro/core/x.py") == []
     unchecked = ("import heapq\n"
                  "def f(groups, k):\n"
                  "    for values in groups:\n"
                  "        use(heapq.nlargest(k, values))\n")
-    assert lint_source(unchecked, relpath="repro/eval/x.py",
-                       config=CONFIG) == []
+    assert lint_source(unchecked, relpath="repro/eval/x.py") == []
 
 
 def test_p405_flags_scalar_kernel_in_loop_body():
@@ -383,7 +367,7 @@ def test_p405_flags_scalar_kernel_in_loop_body():
            "        if segment_bbox_mindist(*seg, box) <= eps:\n"
            "            hits.append(seg)\n"
            "    return hits\n")
-    findings = lint_source(src, relpath="repro/index/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/index/x.py")
     assert rules_of(findings) == ["REP-P405"]
     assert "segment_bbox_mindist" in findings[0].message
     assert "loop at line 4" in findings[0].message
@@ -400,8 +384,7 @@ def test_p405_flags_aliases_and_listed_files():
            "        for s in segs:\n"
            "            use(psd(p.x, p.y, *s))\n"
            "            use(gdist.segment_segment_distance(*s, *s))\n")
-    findings = lint_source(src, relpath="repro/core/state_store.py",
-                           config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/state_store.py")
     assert rules_of(findings) == ["REP-P405", "REP-P405"]
 
 
@@ -416,7 +399,7 @@ def test_p405_fixed_batched_twin_is_silent():
            "    anchor = segment_bbox_mindist(\n"  # once, outside any loop
            "        ax[0], ay[0], bx[0], by[0], boxes[0])\n"
            "    return (dist <= eps), anchor\n")
-    assert lint_source(src, relpath="repro/index/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/index/x.py") == []
 
 
 @pytest.mark.parametrize("relpath", [
@@ -432,7 +415,7 @@ def test_p405_flags_per_slot_mass_loop_in_core(relpath):
            "        if point_segment_distance(x, y, *seg) <= eps:\n"
            "            total += 1.0\n"
            "    return total\n")
-    findings = lint_source(src, relpath=relpath, config=CONFIG)
+    findings = lint_source(src, relpath=relpath)
     assert rules_of(findings) == ["REP-P405"]
     assert "point_segment_distance" in findings[0].message
 
@@ -452,7 +435,7 @@ def test_p405_fixed_slot_mass_pass_is_silent(relpath):
            "    for slot in slots:\n"
            "        total += mass[slot]\n"
            "    return total\n")
-    assert lint_source(src, relpath=relpath, config=CONFIG) == []
+    assert lint_source(src, relpath=relpath) == []
 
 
 def test_p405_unchecked_dirs_and_suppression():
@@ -462,15 +445,14 @@ def test_p405_unchecked_dirs_and_suppression():
            "        use(point_segment_distance(p.x, p.y, *seg))\n")
     # Outside geometry-checked-dirs/files the scalar loop is fine (eval
     # code paths are not the vectorised cold path).
-    assert lint_source(src, relpath="repro/eval/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/eval/x.py") == []
     suppressed = (
         "from repro.geometry.distance import point_segment_distance\n"
         "def f(pois, seg):\n"
         "    for p in pois:\n"
         "        use(point_segment_distance(p.x, p.y, *seg))  "
         "# repro-lint: disable=REP-P405 (scalar reference for REPRO_CHECK)\n")
-    assert lint_source(suppressed, relpath="repro/index/x.py",
-                       config=CONFIG) == []
+    assert lint_source(suppressed, relpath="repro/index/x.py") == []
 
 
 def test_p403_flags_module_level_empty_containers():
@@ -480,7 +462,7 @@ def test_p403_flags_module_level_empty_containers():
            "_SEEN = set()\n"
            "_BY_CELL = defaultdict(list)\n"
            "_LRU = OrderedDict()\n")
-    findings = lint_source(src, relpath="repro/serve/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/serve/x.py")
     assert rules_of(findings).count("REP-P403") == 5
     # _SL2_CACHE and _LRU are additionally cache-named with no eviction
     # bound, so the unbounded-cache rule stacks on top.
@@ -497,7 +479,7 @@ def test_p403_flags_module_level_lru_cache():
            "@cache\n"
            "def vocab():\n"
            "    return ()\n")
-    findings = lint_source(src, relpath="repro/index/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/index/x.py")
     assert rules_of(findings) == ["REP-P403", "REP-P403"]
 
 
@@ -513,14 +495,14 @@ def test_p403_accepts_constants_locals_and_class_state():
            "        self._cache = {}\n"  # instance state: the fix P403 asks for
            "    def _trim(self):\n"
            "        self._cache.popitem()\n")  # ...bounded, so P406 is quiet too
-    assert lint_source(src, relpath="repro/serve/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/serve/x.py") == []
 
 
 def test_p403_only_in_serve_checked_dirs():
     src = "_ENGINES = {}\n"
-    assert lint_source(src, relpath="repro/eval/x.py", config=CONFIG) == []
-    assert rules_of(lint_source(src, relpath="repro/perf/x.py",
-                                config=CONFIG)) == ["REP-P403"]
+    assert lint_source(src, relpath="repro/eval/x.py") == []
+    assert rules_of(lint_source(src, relpath="repro/perf/x.py")) == [
+        "REP-P403"]
 
 
 def test_p406_flags_unbounded_cache_named_containers():
@@ -535,7 +517,7 @@ def test_p406_flags_unbounded_cache_named_containers():
            "        if key not in self._lru:\n"
            "            self._lru[key] = compute(key)\n"
            "        return self._lru[key]\n")
-    findings = lint_source(src, relpath="repro/perf/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/perf/x.py")
     flagged = [f.message for f in findings if f.rule == "REP-P406"]
     assert len(flagged) == 2
     assert any("_RESULT_MEMO" in message for message in flagged)
@@ -560,12 +542,12 @@ def test_p406_accepts_caches_with_an_eviction_bound():
            "        del self._lru_keys[oldest]\n"
            "    def trim(self):\n"
            "        self._cache.popitem()\n")
-    assert lint_source(src, relpath="repro/serve/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/serve/x.py") == []
     # Non-cache-named instance state never triggers the rule.
     plain = ("class Server:\n"
              "    def __init__(self):\n"
              "        self._pending = {}\n")
-    assert lint_source(plain, relpath="repro/serve/x.py", config=CONFIG) == []
+    assert lint_source(plain, relpath="repro/serve/x.py") == []
 
 
 def test_p406_only_in_cache_checked_dirs():
@@ -574,22 +556,21 @@ def test_p406_only_in_cache_checked_dirs():
            "        self._interest_memo = {}\n")
     # core/ holds engine-lifetime state invalidated with the engine; only
     # the serve path's long-lived processes are in cache-checked-dirs.
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
-    assert rules_of(lint_source(src, relpath="repro/serve/x.py",
-                                config=CONFIG)) == ["REP-P406"]
-    assert rules_of(lint_source(src, relpath="repro/perf/x.py",
-                                config=CONFIG)) == ["REP-P406"]
+    assert lint_source(src, relpath="repro/core/x.py") == []
+    assert rules_of(lint_source(src, relpath="repro/serve/x.py")) == [
+        "REP-P406"]
+    assert rules_of(lint_source(src, relpath="repro/perf/x.py")) == [
+        "REP-P406"]
 
 
 def test_p406_suppression_requires_a_reason():
     suppressed = (
         "_KIND_CACHE = {}  "
         "# repro-lint: disable=REP-P403,REP-P406 (keys = 3 request kinds)\n")
-    assert lint_source(suppressed, relpath="repro/serve/x.py",
-                       config=CONFIG) == []
+    assert lint_source(suppressed, relpath="repro/serve/x.py") == []
     bare = ("_KIND_CACHE = {}  "
             "# repro-lint: disable=REP-P403,REP-P406\n")
-    findings = lint_source(bare, relpath="repro/serve/x.py", config=CONFIG)
+    findings = lint_source(bare, relpath="repro/serve/x.py")
     # Reason-less suppressions are inert and themselves flagged.
     assert "REP-S001" in rules_of(findings)
     assert "REP-P406" in rules_of(findings)
@@ -605,7 +586,7 @@ def test_o501_flags_direct_timer_calls_in_checked_dirs():
            "    b = perf_counter()\n"
            "    c = time.monotonic_ns()\n"
            "    return a, b, c\n")
-    findings = lint_source(src, relpath="repro/serve/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/serve/x.py")
     assert rules_of(findings) == ["REP-O501"] * 3
 
 
@@ -613,14 +594,11 @@ def test_o501_accepts_obs_clocks_and_unchecked_dirs():
     sanctioned = ("from repro.obs.tracer import perf_now\n"
                   "def f():\n"
                   "    return perf_now()\n")
-    assert lint_source(sanctioned, relpath="repro/core/x.py",
-                       config=CONFIG) == []
+    assert lint_source(sanctioned, relpath="repro/core/x.py") == []
     # perf/ may keep its own timers: only core/ and serve/ are funnelled.
     direct = "import time\ns = time.perf_counter()\n"
-    assert lint_source(direct, relpath="repro/perf/x.py",
-                       config=CONFIG) == []
-    assert lint_source(direct, relpath="repro/obs/tracer.py",
-                       config=CONFIG) == []
+    assert lint_source(direct, relpath="repro/perf/x.py") == []
+    assert lint_source(direct, relpath="repro/obs/tracer.py") == []
 
 
 def test_o502_flags_hand_rolled_counter_dicts():
@@ -629,11 +607,11 @@ def test_o502_flags_hand_rolled_counter_dicts():
            "    for key in keys:\n"
            "        counts[key] = counts.get(key, 0) + 1\n"
            "    return counts\n")
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/x.py")
     assert rules_of(findings) == ["REP-O502"]
     aug = ("def f(counts, key):\n"
            "    counts[key] += 1\n")
-    findings = lint_source(aug, relpath="repro/serve/x.py", config=CONFIG)
+    findings = lint_source(aug, relpath="repro/serve/x.py")
     assert rules_of(findings) == ["REP-O502"]
 
 
@@ -643,17 +621,16 @@ def test_o502_accepts_non_counter_subscript_writes():
            "    out[pos] += values[key]\n"               # not a constant bump
            "    out[key] = out.get(key, []) + [1]\n"     # list accumulation
            "    return out\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
     # The same counter idioms are fine outside the funnelled packages.
     counter = "def f(c, k):\n    c[k] += 1\n"
-    assert lint_source(counter, relpath="repro/eval/x.py",
-                       config=CONFIG) == []
+    assert lint_source(counter, relpath="repro/eval/x.py") == []
 
 
 def test_o502_suppression_with_reason_is_honoured():
     src = ("def f(freq, k):\n"
            "    freq[k] += 1  # repro-lint: disable=REP-O502 (state)\n")
-    assert lint_source(src, relpath="repro/core/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/core/x.py") == []
 
 
 def test_o503_flags_unregistered_span_name():
@@ -663,7 +640,7 @@ def test_o503_flags_unregistered_span_name():
            "def f():\n"
            "    with trace_span('soi.fliter'):\n"
            "        pass\n")
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/core/x.py")
     assert rules_of(findings) == ["REP-O503"]
     assert "soi.fliter" in findings[0].message
     # Dynamic names are unbounded cardinality — also flagged.
@@ -671,7 +648,7 @@ def test_o503_flags_unregistered_span_name():
                "def f(name):\n"
                "    with trace_span('soi.' + name):\n"
                "        pass\n")
-    findings = lint_source(dynamic, relpath="repro/serve/x.py", config=CONFIG)
+    findings = lint_source(dynamic, relpath="repro/serve/x.py")
     assert rules_of(findings) == ["REP-O503"]
 
 
@@ -683,31 +660,172 @@ def test_o503_fixed_silent_twin():
                "def f():\n"
                "    with trace_span('soi.filter', k=3):\n"
                "        pass\n")
-        assert lint_source(src, relpath=relpath, config=CONFIG) == []
+        assert lint_source(src, relpath=relpath) == []
     via_package = ("from repro.obs import trace_span\n"
                    "def f():\n"
                    "    with trace_span('serve.request'):\n"
                    "        pass\n")
-    assert lint_source(via_package, relpath="repro/serve/x.py",
-                       config=CONFIG) == []
+    assert lint_source(via_package, relpath="repro/serve/x.py") == []
     # Outside the span-checked dirs the rule does not apply (eval/ may
     # trace ad-hoc), and decorator usage is checked like the CM form.
     unchecked = ("from repro.obs.tracer import trace_span\n"
                  "def f():\n"
                  "    with trace_span('anything.goes'):\n"
                  "        pass\n")
-    assert lint_source(unchecked, relpath="repro/eval/x.py",
-                       config=CONFIG) == []
+    assert lint_source(unchecked, relpath="repro/eval/x.py") == []
     decorator = ("from repro.obs.tracer import trace_span\n"
                  "@trace_span('not.registered')\n"
                  "def f():\n"
                  "    pass\n")
-    findings = lint_source(decorator, relpath="repro/index/x.py",
-                           config=CONFIG)
+    findings = lint_source(decorator, relpath="repro/index/x.py")
     assert rules_of(findings) == ["REP-O503"]
 
 
-# -- suppressions, parse errors, baseline -------------------------------------
+# -- REP-C602: snapshot view mutation -----------------------------------------
+
+def test_c602_fires_on_view_write_and_writeable_flip():
+    src = ("def attach(snapshot):\n"
+           "    arr = snapshot.array('mass')\n"
+           "    arr[0] = 1.0\n"
+           "    arr.flags.writeable = True\n")
+    findings = lint_source(src, relpath="repro/serve/views.py")
+    assert rules_of(findings) == ["REP-C602", "REP-C602"]
+
+
+def test_c602_fires_on_array_mutator_via_annotation():
+    src = ("from repro.serve.snapshot import IndexSnapshot\n"
+           "def attach(s: IndexSnapshot):\n"
+           "    view = s.array('mass')\n"
+           "    view.fill(0.0)\n"
+           "class Holder:\n"
+           "    def __init__(self, s: 'IndexSnapshot'):\n"
+           "        self.owner = s\n"
+           "    def reset(self):\n"
+           "        mass = self.owner.array('mass')\n"
+           "        mass[:] = 0.0\n")
+    findings = lint_source(src, relpath="repro/serve/views.py")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("REP-C602", 4), ("REP-C602", 10)]
+
+
+def test_c602_silent_on_reads_and_readonly_marking():
+    src = ("def attach(snapshot, table):\n"
+           "    arr = snapshot.array('mass')\n"
+           "    arr.flags.writeable = False\n"
+           "    other = table.array('mass')\n"
+           "    other[0] = 1.0\n"
+           "    return arr[0]\n")
+    assert lint_source(src, relpath="repro/serve/views.py") == []
+
+
+# -- REP-C603: lock-guard discipline ------------------------------------------
+
+_LOCKED_CLASS = (
+    "import threading\n"
+    "class Ring:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self._items = []\n"
+    "    def push(self, item):\n"
+    "        with self._lock:\n"
+    "            self._items.append(item)\n"
+)
+
+
+def test_c603_fires_on_unlocked_access():
+    findings = lint_source(_LOCKED_CLASS + (
+        "    def __len__(self):\n"
+        "        return len(self._items)\n"), relpath="repro/obs/ring.py")
+    assert rules_of(findings) == ["REP-C603"]
+    assert "Ring._items" in findings[0].message
+
+
+def test_c603_silent_when_access_is_locked_or_in_init():
+    src = _LOCKED_CLASS + ("    def __len__(self):\n"
+                           "        with self._lock:\n"
+                           "            return len(self._items)\n")
+    assert lint_source(src, relpath="repro/obs/ring.py") == []
+
+
+def test_c603_ignores_classes_without_locks():
+    src = ("class Log:\n"
+           "    def __init__(self):\n"
+           "        self._items = []\n"
+           "    def push(self, item):\n"
+           "        self._items.append(item)\n")
+    assert lint_source(src, relpath="repro/obs/plain.py") == []
+
+
+def test_c603_honours_inline_suppressions():
+    src = _LOCKED_CLASS + (
+        "    def __len__(self):\n"
+        "        return len(self._items)"
+        "  # repro-lint: disable=REP-C603 (benchmarked lock-free read)\n")
+    assert lint_source(src, relpath="repro/obs/ring.py") == []
+
+
+# -- REP-F702: environment reads -----------------------------------------------
+
+def test_f702_fires_on_env_reads_in_hot_path():
+    src = ("import os\n"
+           "from os import environ\n"
+           "class SOIEngine:\n"
+           "    def top_k(self, q):\n"
+           "        a = os.getenv('REPRO_MODE')\n"
+           "        b = os.environ['HOME']\n"
+           "        c = environ.get('USER')\n"
+           "        return (a, b, c)\n")
+    findings = lint_source(src, relpath="repro/core/soi.py")
+    assert rules_of(findings) == ["REP-F702"] * 3
+
+
+def test_f702_silent_off_the_hot_path():
+    src = ("import os\n"
+           "ENABLED = os.environ.get('REPRO_TRACE') == '1'\n")
+    # Start-up configuration outside the serving workers' import closure.
+    assert lint_source(src, relpath="repro/obs/tracer.py") == []
+    assert lint_source(src, relpath="repro/analysis/contracts.py") == []
+    assert rules_of(lint_source(src, relpath="repro/data/x.py")) == [
+        "REP-F702"]
+
+
+# -- REP-R802: unclosed handles ------------------------------------------------
+
+def test_r802_fires_on_unmanaged_open():
+    src = ("def dump(path, rows):\n"
+           "    f = open(path, 'w')\n"
+           "    f.write(str(rows))\n")
+    # R802 is not confined to the package: bench and test handles leak too.
+    findings = lint_source(src, relpath="benchmarks/out.py")
+    assert rules_of(findings) == ["REP-R802"]
+
+
+def test_r802_fires_on_open_without_binding():
+    src = ("def slurp(path):\n"
+           "    return open(path).read()\n"
+           "HEADER = open('header.txt').read()\n")
+    findings = lint_source(src, relpath="tests/out.py")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("REP-R802", 2), ("REP-R802", 3)]
+
+
+def test_r802_silent_with_with_or_close():
+    src = ("def dump(path, rows):\n"
+           "    with open(path, 'w') as f:\n"
+           "        f.write(str(rows))\n"
+           "def dump2(path, rows):\n"
+           "    f = open(path, 'w')\n"
+           "    try:\n"
+           "        f.write(str(rows))\n"
+           "    finally:\n"
+           "        f.close()\n"
+           "class Log:\n"
+           "    def __init__(self, path):\n"
+           "        self._f = open(path, 'a')\n")
+    assert lint_source(src, relpath="benchmarks/out.py") == []
+
+
+# -- suppressions, parse errors ------------------------------------------------
 
 def test_suppression_with_reason_silences_finding():
     src = ("def f(x):\n"
@@ -715,7 +833,7 @@ def test_suppression_with_reason_silences_finding():
            "sentinel: test)\n"
            "        return 1\n"
            "    return 0\n")
-    assert lint_source(src, relpath="repro/eval/x.py", config=CONFIG) == []
+    assert lint_source(src, relpath="repro/eval/x.py") == []
 
 
 def test_suppression_without_reason_is_inactive_and_flagged():
@@ -723,43 +841,35 @@ def test_suppression_without_reason_is_inactive_and_flagged():
            "    if x == 0.5:  # repro-lint: disable=REP-N201\n"
            "        return 1\n"
            "    return 0\n")
-    findings = lint_source(src, relpath="repro/eval/x.py", config=CONFIG)
+    findings = lint_source(src, relpath="repro/eval/x.py")
     assert sorted(rules_of(findings)) == ["REP-N201", "REP-S001"]
 
 
-def test_parse_error_yields_single_e000():
-    findings = lint_source("def broken(:\n", relpath="repro/eval/x.py",
-                           config=CONFIG)
-    assert rules_of(findings) == ["REP-E000"]
-
-
-def test_baseline_round_trip(tmp_path):
+def test_in_package_classification():
+    """Package-only rules check files under a ``repro`` directory only."""
     src = "def f(a, b):\n    return a / b\n"
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
-    assert len(findings) == 1
-    path = tmp_path / "baseline.json"
-    write_baseline(path, findings)
-    baseline = load_baseline(path)
-    kept, matched = apply_baseline(findings, baseline)
-    assert kept == [] and matched == 1
-    # A different finding is not absorbed by the stale entry.
-    other = lint_source("def g(a, c):\n    return a / c\n",
-                        relpath="repro/core/x.py", config=CONFIG)
-    kept, matched = apply_baseline(other, baseline)
-    assert len(kept) == 1 and matched == 0
+    assert rules_of(lint_source(src, relpath="src/repro/core/soi.py")) == [
+        "REP-N202"]
+    assert lint_source(src, relpath="tests/test_x.py") == []
+    assert lint_source(src, relpath="benchmarks/bench_a.py") == []
+
+
+def test_parse_error_yields_single_e000():
+    findings = lint_source("def broken(:\n", relpath="repro/eval/x.py")
+    assert rules_of(findings) == ["REP-E000"]
 
 
 # -- reporters and CLI --------------------------------------------------------
 
 def test_reporters_shape():
     findings = lint_source("def f(a, b):\n    return a / b\n",
-                           relpath="repro/core/x.py", config=CONFIG)
+                           relpath="repro/core/x.py")
     result = LintResult(findings=findings, files_checked=1)
-    text = render_text(result, show_hints=True)
+    text = render_text(result)
     assert "REP-N202" in text and "hint:" in text
     payload = json.loads(render_json(result))
     assert payload["summary"] == {
-        "count": 1, "files_checked": 1, "baselined": 0, "clean": False}
+        "count": 1, "files_checked": 1, "clean": False}
     assert payload["findings"][0]["rule"] == "REP-N202"
     assert payload["findings"][0]["line"] == 2
 
@@ -785,158 +895,61 @@ def test_cli_lint_missing_path_exits_two(tmp_path, capsys):
 
 def test_cli_list_rules(capsys):
     assert repro.cli.main(["lint", "--list-rules"]) == 0
+    listed = [line.split()[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert listed == [rule.id for rule in default_rules()]
+    assert sorted(listed) == [
+        "REP-C602", "REP-C603",
+        "REP-D101", "REP-D102", "REP-D103",
+        "REP-F702",
+        "REP-H301", "REP-H302", "REP-H303",
+        "REP-N201", "REP-N202", "REP-N203",
+        "REP-O501", "REP-O502", "REP-O503",
+        "REP-P401", "REP-P402", "REP-P403", "REP-P404", "REP-P405",
+        "REP-P406",
+        "REP-R802"]
+
+
+def test_cli_lint_help_shows_only_paths_format_and_list_rules(capsys):
+    with pytest.raises(SystemExit):
+        repro.cli.main(["lint", "--help"])
     out = capsys.readouterr().out
-    for rule_id in ("REP-D101", "REP-D102", "REP-D103", "REP-N201",
-                    "REP-N202", "REP-N203", "REP-H301", "REP-H302",
-                    "REP-H303",
-                    "REP-C601", "REP-C602", "REP-C603",
-                    "REP-F701", "REP-F702", "REP-R801", "REP-R802"):
-        assert rule_id in out
-
-
-def test_module_entry_point():
-    from repro.analysis.cli import main as analysis_main
-
-    assert analysis_main([str(SRC)]) == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == {
+        "--format", "--help", "--list-rules"}
+    assert "paths" in out.splitlines()[0]
 
 
 # -- reporter golden output ----------------------------------------------------
 
 def test_render_text_golden():
     findings = lint_source("def f(a, b):\n    return a / b\n",
-                           relpath="repro/core/x.py", config=CONFIG)
-    result = LintResult(findings=findings, files_checked=3, baselined=2)
-    text = render_text(result, show_hints=False)
-    assert text.splitlines() == [
+                           relpath="repro/core/x.py")
+    result = LintResult(findings=findings, files_checked=3)
+    assert render_text(result).splitlines() == [
         "repro/core/x.py:2:12: REP-N202 [error] division by 'b' has no "
         "visible zero-guard in the enclosing scope",
-        "1 finding (3 files checked, 2 baselined)",
+        f"    hint: {findings[0].hint}",
+        "1 finding (3 files checked)",
     ]
 
 
 def test_render_text_clean_golden():
-    text = render_text(LintResult(files_checked=7), show_hints=True)
+    text = render_text(LintResult(files_checked=7))
     assert text == "0 findings (7 files checked)"
 
 
 def test_render_json_golden():
     findings = lint_source("def f(a, b):\n    return a / b\n",
-                           relpath="repro/core/x.py", config=CONFIG)
+                           relpath="repro/core/x.py")
     payload = json.loads(render_json(LintResult(findings=findings,
                                                 files_checked=1)))
     assert set(payload) == {"findings", "summary"}
     (entry,) = payload["findings"]
+    assert set(entry) == {"rule", "severity", "path", "line", "col",
+                          "message", "hint"}
     assert entry["rule"] == "REP-N202"
     assert entry["path"] == "repro/core/x.py"
     assert entry["line"] == 2 and entry["col"] == 12
     assert entry["severity"] == "error"
-    assert entry["fingerprint"] and len(entry["fingerprint"]) == 16
     assert payload["summary"] == {
-        "count": 1, "files_checked": 1, "baselined": 0, "clean": False}
-
-
-# -- baseline edge cases -------------------------------------------------------
-
-def test_empty_baseline_round_trip(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [])
-    baseline = load_baseline(path)
-    assert sum(baseline.values()) == 0
-    findings = lint_source("def f(a, b):\n    return a / b\n",
-                           relpath="repro/core/x.py", config=CONFIG)
-    kept, matched = apply_baseline(findings, baseline)
-    assert len(kept) == 1 and matched == 0
-
-
-def test_stale_fingerprint_no_longer_matches(tmp_path):
-    src = "def f(a, b):\n    return a / b\n"
-    findings = lint_source(src, relpath="repro/core/x.py", config=CONFIG)
-    path = tmp_path / "baseline.json"
-    write_baseline(path, findings)
-    # The offending line changed: same rule+path, new fingerprint.
-    edited = lint_source("def f(a, bb):\n    return a / bb\n",
-                         relpath="repro/core/x.py", config=CONFIG)
-    kept, matched = apply_baseline(edited, load_baseline(path))
-    assert len(kept) == 1 and matched == 0
-
-
-def test_unknown_baseline_schema_rejected(tmp_path):
-    from repro.analysis.baseline import BaselineFormatError
-
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "findings": []}),
-                    encoding="utf-8")
-    with pytest.raises(BaselineFormatError, match="unknown schema"):
-        load_baseline(path)
-    path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
-    with pytest.raises(BaselineFormatError, match="not a JSON object"):
-        load_baseline(path)
-
-
-def test_cli_rejects_unknown_baseline_schema(tmp_path, capsys):
-    bad = tmp_path / "repro" / "core" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("def f(a, b):\n    return a / b\n", encoding="utf-8")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"version": 99, "findings": []}),
-                        encoding="utf-8")
-    assert repro.cli.main(["lint", str(bad),
-                           "--baseline", str(baseline)]) == 2
-    assert "unknown schema" in capsys.readouterr().err
-
-
-# -- cross-module CLI: --changed / --graph / --no-cross-module ----------------
-
-def test_cli_changed_scopes_reporting_to_git_diff(tmp_path, capsys):
-    import subprocess
-
-    root = tmp_path / "proj"
-    (root / "repro" / "core").mkdir(parents=True)
-    (root / "pyproject.toml").write_text("[tool.repro.lint]\n",
-                                         encoding="utf-8")
-    clean = root / "repro" / "core" / "clean.py"
-    clean.write_text("def g(a, b):\n    return a / b\n", encoding="utf-8")
-    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
-    subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                    "add", "-A"], cwd=root, check=True)
-    subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                    "commit", "-q", "-m", "init"], cwd=root, check=True)
-    # A second offending file, not yet committed: only it is reported.
-    touched = root / "repro" / "core" / "touched.py"
-    touched.write_text("def h(a, b):\n    return a / b\n", encoding="utf-8")
-    assert repro.cli.main(["lint", str(root / "repro"),
-                           "--changed", "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["count"] == 1
-    assert payload["findings"][0]["path"].endswith("touched.py")
-
-
-def test_cli_changed_without_git_repo_exits_two(tmp_path, capsys):
-    target = tmp_path / "repro" / "core"
-    target.mkdir(parents=True)
-    (target / "x.py").write_text("X = 1\n", encoding="utf-8")
-    assert repro.cli.main(["lint", str(target), "--changed"]) == 2
-    assert "--changed needs a git work tree" in capsys.readouterr().err
-
-
-def test_cli_graph_dump(capsys):
-    assert repro.cli.main(["lint", str(SRC), "--graph"]) == 0
-    out = capsys.readouterr().out
-    assert "functions:" in out and "edges:" in out
-    assert "entrypoint reachability:" in out
-    assert "repro.serve.server.serve_request" in out
-    assert "MISSING" not in out
-
-
-def test_cli_no_cross_module_skips_project_rules(tmp_path, capsys):
-    bad = tmp_path / "repro" / "serve" / "server.py"
-    bad.parent.mkdir(parents=True)
-    # Non-empty literal: stays below REP-P403's radar so only the
-    # cross-module rule distinguishes the two runs.
-    bad.write_text("CACHE = {'seed': 1}\n"
-                   "def _worker_main(task):\n"
-                   "    CACHE[task] = 1\n", encoding="utf-8")
-    assert repro.cli.main(["lint", str(bad.parent)]) == 1
-    assert "REP-C601" in capsys.readouterr().out
-    assert repro.cli.main(["lint", str(bad.parent),
-                           "--no-cross-module"]) == 0
+        "count": 1, "files_checked": 1, "clean": False}
