@@ -35,6 +35,12 @@ REPRO_CHECK=1 python -m pytest -x -q
 # names (engine.sessions.get, top_k_with_stats, store_layout, ...), so a
 # rename fails here instead of in the next benchmark run.
 python -m pytest -x -q perfbench/test_perfbench.py
+# Collect (not run) the table/figure/ablation benches: one that imports
+# a deleted name fails here, not in the next full benchmark run.
+python -m pytest benchmarks/ --collect-only -q
+# The Figure 4 and Figure 6 suites also check answers at every timed
+# point (SOI's top-k against BL's, ST_Rel+Div's summary against the
+# greedy's) and exit 1 on a difference.
 # The committed baselines are GC-quiesced medians of three, so a
 # single-repeat sample flakes against them on scheduler jitter alone:
 # gate on medians of three as well, at a tolerance sized for the
@@ -212,6 +218,8 @@ python "$SCRATCH/cache_smoke.py"
 # REPRO_CHECK=1 in its environment: its workers re-derive every page
 # they slice from a cached columnar ranking and compare it
 # (check_prefix_slice), and its payloads must equal the uncached run.
+# Re-derivations count as soi.rederivations, not soi.queries, so that
+# pool too runs at most one k-SOI query per worker and triple.
 # Untimed, like the cache smoke.
 cat > "$SCRATCH/paging_smoke.py" <<'PAGING_SMOKE'
 import os
@@ -233,15 +241,17 @@ def serve(engine, cache: bool):
     with EngineServer.for_engine(engine, workers=WORKERS, micro_batch=4,
                                  cache=cache) as server:
         payloads = server.run(PAGES)
+        metrics = server.metrics()
         return (payloads, server.cache_stats() if cache else None,
-                server.metrics().counter("soi.queries"))
+                metrics.counter("soi.queries"),
+                metrics.counter("soi.rederivations"))
 
 
 def main() -> None:
     city = build_preset("london", scale=0.5)
     engine = SOIEngine(city.network, city.pois)
-    baseline, _stats, _executed = serve(engine, cache=False)
-    cached, stats, executed = serve(engine, cache=True)
+    baseline, _stats, _executed, _rederived = serve(engine, cache=False)
+    cached, stats, executed, _rederived = serve(engine, cache=True)
     if cached != baseline:
         raise SystemExit("paging smoke: cached payloads diverge from the "
                          "uncached run")
@@ -265,16 +275,21 @@ def main() -> None:
     # Spawned workers read REPRO_CHECK from the environment they inherit;
     # this process read it at import, so its own checks stay as they were.
     os.environ["REPRO_CHECK"] = "1"
-    checked, checked_stats, checked_executed = serve(engine, cache=True)
+    checked, checked_stats, checked_executed, rederived = serve(
+        engine, cache=True)
     if checked != baseline:
         raise SystemExit("paging smoke: payloads of the pool with the "
                          "runtime contracts on diverge from the uncached run")
+    if checked_executed > WORKERS * triples:
+        raise SystemExit(f"paging smoke: with REPRO_CHECK=1, "
+                         f"{checked_executed} k-SOI queries ran for "
+                         f"{triples} triples on {WORKERS} workers")
     print(f"paging smoke: {len(PAGES)} pages bit-identical to the uncached "
           f"run and to Algorithm 1, {executed} k-SOI queries for {triples} "
           f"(signature, eps, weighted) triples, {stats['hits']} "
           f"complete-ranking hits; with REPRO_CHECK=1 in the workers, "
-          f"{checked_stats['hits']} hits and {checked_executed} k-SOI "
-          "queries, re-derivations included")
+          f"{checked_stats['hits']} hits, {checked_executed} k-SOI queries "
+          f"and {rederived} re-derivations")
 
 
 if __name__ == "__main__":

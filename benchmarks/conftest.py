@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Each ``bench_*`` module regenerates one table or figure of the paper (see
-DESIGN.md's per-experiment index).  pytest-benchmark provides the timing
+Each ``bench_*`` module regenerates one table or figure of the paper, or
+one ablation (see DESIGN.md's per-experiment index); the timed Figures 4
+and 6 are regenerated by ``repro bench`` instead.  pytest-benchmark provides the timing
 table; the *content* of each experiment (rankings, scores, series) is
 printed and also written to ``benchmarks/results/<name>.txt`` so that
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` leaves a
@@ -19,17 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.datagen.presets import build_preset
-from repro.eval.experiments import engine_for
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 CITY_NAMES = ("london", "berlin", "vienna")
-
-
-@pytest.fixture(scope="session", params=CITY_NAMES)
-def city(request):
-    """One full preset city per parametrised benchmark."""
-    return build_preset(request.param)
 
 
 @pytest.fixture(scope="session")
@@ -50,13 +44,6 @@ def vienna():
 @pytest.fixture(scope="session")
 def all_cities(london, berlin, vienna):
     return {"london": london, "berlin": berlin, "vienna": vienna}
-
-
-@pytest.fixture(scope="session")
-def engine(city):
-    eng = engine_for(city)
-    eng.cell_maps.augmented_cell_counts_column(0.0005)  # warm the eps maps
-    return eng
 
 
 def emit(name: str, text: str) -> None:

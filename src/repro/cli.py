@@ -7,8 +7,10 @@ Six subcommands cover the everyday workflow without writing Python:
 * ``repro stats``    — print Table-1-style statistics for a saved city;
 * ``repro soi``      — answer a k-SOI query over a saved city;
 * ``repro describe`` — photo-summarise a street of a saved city;
-* ``repro bench``    — run the Figure 4 / Figure 6 latency suites
-  (``BENCH_soi.json`` / ``BENCH_describe.json``) or, with
+* ``repro bench``    — time Figure 4 and Figure 6 (``--mode soi`` /
+  ``--mode describe``, both by default: ``BENCH_soi.json`` /
+  ``BENCH_describe.json``), printing each city's figure series and
+  failing when a method's answer differs from its baseline's, or, with
   ``--mode build``, the cold-path build suite (``BENCH_build.json``);
   ``--check-against`` compares the fresh report to a committed baseline
   and fails on regressions (serving is measured by ``perfbench/``);
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generate a synthetic city preset")
     gen.add_argument("--preset", choices=sorted(CITY_PRESETS),
                      default="vienna")
-    gen.add_argument("--scale", type=float, default=1.0,
+    gen.add_argument("--scale", type=_positive_float, default=1.0,
                      help="size multiplier (default 1.0)")
     gen.add_argument("--out", type=Path, required=True,
                      help="output directory (created if missing)")
@@ -148,24 +150,22 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the performance suites, write BENCH_*.json",
         description="Time the Figure 4 (k-SOI sweeps) and Figure 6 "
                     "(greedy describe) configurations on synthetic city "
-                    "presets and write JSON reports with medians and "
-                    "work counters; --mode build times the cold index "
-                    "build instead.  Serving is measured by perfbench/.")
-    bench.add_argument("--mode",
-                       choices=("latency", "build", "soi", "describe"),
-                       default="latency",
-                       help="latency: sequential Figure 4/6 suites; "
-                            "build: cold-path index construction timings "
-                            "(BENCH_build.json); "
-                            "soi / describe: shorthand for --mode latency "
-                            "--suite soi / describe")
-    bench.add_argument("--suite", choices=("soi", "describe", "all"),
-                       default="all",
-                       help="which latency suites to run "
-                            "(ignored with --mode build)")
+                    "presets, print each city's figure series and write "
+                    "JSON reports with medians and work counters; exit 1 "
+                    "without writing a report when a method's answer "
+                    "differs from its baseline's at a timed point.  "
+                    "--mode build times the cold index build instead.  "
+                    "Serving is measured by perfbench/.")
+    bench.add_argument("--mode", choices=("soi", "describe", "build"),
+                       default=None,
+                       help="soi: Figure 4 (BENCH_soi.json); describe: "
+                            "Figure 6 (BENCH_describe.json); build: "
+                            "cold-path index construction timings "
+                            "(BENCH_build.json); default: soi and "
+                            "describe")
     bench.add_argument("--trace-out", type=Path, default=None,
                        metavar="DIR",
-                       help="latency modes: additionally run each sweep "
+                       help="soi / describe: additionally run each sweep "
                             "point once with span tracing on and write a "
                             "Chrome trace-event file per point into DIR "
                             "(open at chrome://tracing)")
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep repetitions per median "
                             "(default: 5 for soi, 3 for describe and "
                             "build)")
-    bench.add_argument("--scale", type=float, default=1.0,
+    bench.add_argument("--scale", type=_positive_float, default=1.0,
                        help="dataset size multiplier (default 1.0)")
     bench.add_argument("--out", type=Path, default=Path("."),
                        help="directory for the BENCH_*.json reports")
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--keywords", nargs="+", default=["shop"])
     metrics.add_argument("-k", type=int, default=10)
     metrics.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    metrics.add_argument("--repeat", type=int, default=3,
+    metrics.add_argument("--repeat", type=_positive_int, default=3,
                          help="how many times to run the query "
                               "(default 3; exercises session caching)")
     metrics.add_argument("--cache", action="store_true",
@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "to FILE instead of stdout")
     metrics.add_argument("--slowlog-json", action="store_true",
                          help="dump the slow-query log as JSON (entries "
-                              "carry trace ids joinable against stitched "
-                              "Chrome traces); implies --slow-threshold 0 "
+                              "carry the trace id bound when the query "
+                              "ran, if any); implies --slow-threshold 0 "
                               "unless one is given")
 
     top = sub.add_parser(
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--frames", type=_positive_int, default=None,
                      help="stop after N frames (default: run until the "
                           "workload drains)")
-    top.add_argument("--stall-after", type=float, default=None,
+    top.add_argument("--stall-after", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="heartbeat age past which a live worker is "
                           "reported as stalled")
@@ -427,49 +427,31 @@ def _profile_rows(spans, profile: dict[str, int]):
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf import bench
 
-    if args.mode in ("soi", "describe"):
-        # Shorthand: --mode soi == --mode latency --suite soi.
-        args.suite = args.mode
-        args.mode = "latency"
     cities = tuple(args.cities) if args.cities else bench.DEFAULT_CITIES
-    args.out.mkdir(parents=True, exist_ok=True)
-    written = []
+    common = {"scale": args.scale, "jobs": args.jobs}
+    suites = {
+        "soi": (bench.SOI_REPORT, lambda: bench.bench_soi(
+            cities, repeats=args.repeats or 5, trace_out=args.trace_out,
+            **common)),
+        "describe": (bench.DESCRIBE_REPORT, lambda: bench.bench_describe(
+            cities, repeats=args.repeats or 3, trace_out=args.trace_out,
+            **common)),
+        "build": (bench.BUILD_REPORT, lambda: bench.bench_build(
+            cities, repeats=args.repeats or 3, **common)),
+    }
+    selected = (args.mode,) if args.mode else ("soi", "describe")
     produced: dict[str, dict] = {}
-    if args.mode == "build":
-        report = bench.bench_build(
-            cities, repeats=args.repeats or 3, scale=args.scale,
-            jobs=args.jobs)
-        path = args.out / bench.BUILD_REPORT
+    for suite in selected:
+        try:
+            produced[suite] = suites[suite][1]()
+        except bench.Disagreement as exc:
+            print(f"error: {exc}; no report written", file=sys.stderr)
+            return 1
+        print("\n".join(bench.summary_lines(produced[suite])))
+    args.out.mkdir(parents=True, exist_ok=True)
+    for suite, report in produced.items():
+        path = args.out / suites[suite][0]
         bench.write_report(report, path)
-        produced["build"] = report
-        written.append(path)
-        for name, entry in report["cities"].items():
-            line = (f"{name}: cold start "
-                    f"{entry['cold_start_median_s']*1e3:.1f} ms, "
-                    f"filter augment "
-                    f"{entry['augment_filter_median_s']*1e3:.2f} ms "
-                    f"(incremental "
-                    f"{entry['speedups']['incremental_augment_speedup']:.1f}"
-                    f"x)")
-            print(line)
-    else:
-        if args.suite in ("soi", "all"):
-            report = bench.bench_soi(
-                cities, repeats=args.repeats or 5, scale=args.scale,
-                jobs=args.jobs, trace_out=args.trace_out)
-            path = args.out / bench.SOI_REPORT
-            bench.write_report(report, path)
-            produced["soi"] = report
-            written.append(path)
-        if args.suite in ("describe", "all"):
-            report = bench.bench_describe(
-                cities, repeats=args.repeats or 3, scale=args.scale,
-                jobs=args.jobs, trace_out=args.trace_out)
-            path = args.out / bench.DESCRIBE_REPORT
-            bench.write_report(report, path)
-            produced["describe"] = report
-            written.append(path)
-    for path in written:
         print(f"wrote {path}")
     if args.history is not None:
         for report in produced.values():
@@ -534,10 +516,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         cache = ResultCache(generation=engine.index_generation)
         request = SOIRequest(keywords=tuple(args.keywords), k=args.k,
                              eps=args.eps)
-        for _repeat in range(max(1, args.repeat)):
+        for _repeat in range(args.repeat):
             serve_request_cached(engine, None, request, cache)
     else:
-        for _repeat in range(max(1, args.repeat)):
+        for _repeat in range(args.repeat):
             engine.top_k(args.keywords, k=args.k, eps=args.eps)
     dump = REGISTRY.to_dict()
     if args.slowlog_json:

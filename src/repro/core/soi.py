@@ -29,7 +29,7 @@ Correctness notes (also summarised in DESIGN.md):
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -40,14 +40,12 @@ from repro.obs.slowlog import SLOWLOG
 from repro.obs.tracer import perf_now, trace_span
 from repro.core.interest import (
     buffer_area,
-    materialise_slot_masses,
     segment_interest,
     segment_mass,
     validate_query,
 )
 from repro.core.results import SOIResult, SOIStats
 from repro.core.source_lists import (
-    CellBounds,
     CellSourceList,
     SegmentSourceList,
 )
@@ -65,6 +63,9 @@ from repro.index.cell_maps import SegmentCellMaps
 from repro.index.grid import CellCoord, validate_cell_size
 from repro.index.poi_grid import POIGridIndex
 from repro.network.model import RoadNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.perf.session import QuerySession
 
 DEFAULT_EPS = 0.0005
 """The distance threshold used throughout the paper's experiments
@@ -139,9 +140,8 @@ class SOIEngine:
         pois: POISet,
         cell_size: float | None = None,
         extent_margin: float | None = None,
-        session_pool_size: int | None = None,
     ) -> None:
-        from repro.perf.session import DEFAULT_MAX_SESSIONS, QuerySessionPool
+        from repro.perf.session import QuerySessionPool
 
         self.network = network
         self.pois = pois
@@ -149,10 +149,7 @@ class SOIEngine:
         self._extent_margin = extent_margin
         self.index_generation = 0
         self._build_indexes()
-        self.sessions = QuerySessionPool(
-            self.poi_index,
-            maxsize=(DEFAULT_MAX_SESSIONS if session_pool_size is None
-                     else session_pool_size))
+        self.sessions = QuerySessionPool(self.poi_index)
 
     @classmethod
     def from_prebuilt(
@@ -164,7 +161,6 @@ class SOIEngine:
         extent: BBox,
         sl3_entries: tuple[tuple[int, float], ...],
         index_generation: int = 0,
-        session_pool_size: int | None = None,
     ) -> "SOIEngine":
         """An engine over *already built* index structures.
 
@@ -177,7 +173,7 @@ class SOIEngine:
         data); everything derived here (``_max_weight``, the SL2 cache
         seed) is recomputed from them exactly as ``__init__`` would.
         """
-        from repro.perf.session import DEFAULT_MAX_SESSIONS, QuerySessionPool
+        from repro.perf.session import QuerySessionPool
 
         engine = cls.__new__(cls)
         engine.network = network
@@ -193,10 +189,7 @@ class SOIEngine:
         engine._sl3_entries = sl3_entries
         engine._sl2_cache = {}
         engine._store_layouts = {}
-        engine.sessions = QuerySessionPool(
-            poi_index,
-            maxsize=(DEFAULT_MAX_SESSIONS if session_pool_size is None
-                     else session_pool_size))
+        engine.sessions = QuerySessionPool(poi_index)
         return engine
 
     @trace_span("index.build")
@@ -306,7 +299,6 @@ class SOIEngine:
         strategy: AccessStrategy = AccessStrategy.ALTERNATE,
         prune_refinement: bool = True,
         weighted: bool = False,
-        use_session: bool = True,
     ) -> list[SOIResult]:
         """Answer a k-SOI query (Problem 1).
 
@@ -319,16 +311,15 @@ class SOIEngine:
         characters, and so is a ``k`` that is not an integer of at
         least 1.
 
-        ``use_session=True`` (the default) serves the query through the
-        engine's :class:`~repro.perf.session.QuerySessionPool`, so sweeps
-        over ``k``/``eps``/strategy with the same keywords reuse per-cell
+        The query is served through the engine's
+        :class:`~repro.perf.session.QuerySessionPool`, so sweeps over
+        ``k``/``eps``/strategy with the same keywords reuse per-cell
         materialisations; cached values are bitwise what a fresh run would
-        compute, so results are identical either way.
+        compute, so results do not depend on what ran before.
         """
         ranking, _stats = self.top_k_with_stats(
             keywords, k, eps, strategy=strategy,
-            prune_refinement=prune_refinement, weighted=weighted,
-            use_session=use_session)
+            prune_refinement=prune_refinement, weighted=weighted)
         return ranking[:k]
 
     def top_k_with_stats(
@@ -339,7 +330,6 @@ class SOIEngine:
         strategy: AccessStrategy = AccessStrategy.ALTERNATE,
         prune_refinement: bool = True,
         weighted: bool = False,
-        use_session: bool = True,
     ) -> tuple[list[SOIResult], SOIStats]:
         """Like :meth:`top_k` but also returns work/timing counters.
 
@@ -351,9 +341,8 @@ class SOIEngine:
         """
         query = validate_query(keywords, k, eps)
         strategy = parse_strategy(strategy)
-        session = self.sessions.get(query) if use_session else None
-        run = _SOIRun(self, query, k, eps,
-                      strategy, prune_refinement, weighted, session=session)
+        run = _SOIRun(self, query, k, eps, strategy, prune_refinement,
+                      weighted, session=self.sessions.get(query))
         return run.execute()
 
     def segment_exact_interest(
@@ -362,18 +351,13 @@ class SOIEngine:
         keywords: Iterable[str],
         eps: float = DEFAULT_EPS,
         weighted: bool = False,
-        use_session: bool = True,
     ) -> float:
         """Exact Definition 2 interest of one segment (indexed path)."""
         query = validate_query(keywords, 1, eps)
         segment = self.network.segment(segment_id)
         layout = self.store_layout(eps)
-        if use_session:
-            slots, _reused = self.sessions.get(query).store_mass_slots(
-                layout, weighted)
-        else:
-            slots = materialise_slot_masses(layout, self.poi_index, query,
-                                            weighted)
+        slots, _reused = self.sessions.get(query).store_mass_slots(
+            layout, weighted)
         mass = segment_mass(layout, slots, layout.dense_index[segment_id])
         return segment_interest(mass, segment.length, eps)
 
@@ -390,7 +374,7 @@ class _SOIRun:
         strategy: AccessStrategy,
         prune_refinement: bool,
         weighted: bool,
-        session=None,
+        session: QuerySession,
     ) -> None:
         self.engine = engine
         self.query = query
@@ -400,12 +384,11 @@ class _SOIRun:
         self.prune_refinement = prune_refinement
         self.weighted = weighted
         self.stats = SOIStats()
+        # Cross-query reuse: the session owns the SL1 bounds and the slot
+        # masses for this (eps, weighted).
         self.session = session
-        if session is not None:
-            # Cross-query reuse: the session owns the SL1 bounds and the
-            # slot masses for this (eps, weighted).
-            self.stats.session_reused = session.queries_served > 0
-            session.queries_served += 1
+        self.stats.session_reused = session.queries_served > 0
+        session.queries_served += 1
         # Bound by _store_setup when the source lists are built.
         self.store: SegmentStateStore | None = None
         self._layout: StoreLayout | None = None
@@ -447,10 +430,9 @@ class _SOIRun:
             with trace_span("soi.refine"):
                 results = self._refine()
             t3 = perf_now()
-        if self.session is not None:
-            # Recycle the scratch columns; on an exception the store is
-            # simply dropped, so a poisoned run can never be reused.
-            self.session.release_state_store(self.store)
+        # Recycle the scratch columns; on an exception the store is simply
+        # dropped, so a poisoned run can never be reused.
+        self.session.release_state_store(self.store)
         self.stats.phase_seconds = {
             "build": t1 - t0, "filter": t2 - t1, "refine": t3 - t2}
         obs_metrics.record_soi_query(self.stats)
@@ -476,10 +458,7 @@ class _SOIRun:
         # 2): keyword-only, so a session computes them once per signature
         # and every (k, eps, strategy) configuration reuses the presorted
         # entries.  Cells absent from SL1 hold no relevant POI.
-        if self.session is not None:
-            self._cell_bounds = self.session.cell_upper_bounds()
-        else:
-            self._cell_bounds = CellBounds(self.engine.poi_index, self.query)
+        self._cell_bounds = self.session.cell_upper_bounds()
         self.sl1 = CellSourceList(self._cell_bounds.entries)
 
         # Threshold for the paper's adaptive SL2 access: "we only access
@@ -502,25 +481,18 @@ class _SOIRun:
         """Bind the layout, signature bindings, slot masses and scratch.
 
         Every slot mass the run can read is materialised here, in one
-        pass.  With a session every piece is pooled: the bindings and slot
+        pass.  Every piece is pooled in the session: the bindings and slot
         masses are computed once per signature and the scratch store is
         recycled run-to-run, so a warm query allocates no columns at all.
         """
         layout = self.engine.store_layout(self.eps)
         self._layout = layout
         session = self.session
-        if session is not None:
-            self._bind = session.store_bindings(layout)
-            self._mass_slots, self._slots_reused = session.store_mass_slots(
-                layout, self.weighted, self.stats)
-            store, reused = session.acquire_state_store(layout)
-            self.stats.store_reused = reused
-        else:
-            self._bind = SignatureBindings(layout, self._cell_bounds)
-            self._mass_slots = materialise_slot_masses(
-                layout, self.engine.poi_index, self.query, self.weighted,
-                self.stats)
-            store = SegmentStateStore(layout)
+        self._bind = session.store_bindings(layout)
+        self._mass_slots, self._slots_reused = session.store_mass_slots(
+            layout, self.weighted, self.stats)
+        store, reused = session.acquire_state_store(layout)
+        self.stats.store_reused = reused
         self._slot_mass = self._mass_slots.mass
         self._seg_relevant = self._mass_slots.seg_relevant
         store.begin_run()

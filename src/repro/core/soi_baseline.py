@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.aggregates import StreetAggregate
 
 from repro.analysis import contracts
-from repro.core.interest import materialise_slot_masses, validate_query
+from repro.core.interest import validate_query
 from repro.core.results import SOIRanking, SOIResult
 from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.obs import metrics as obs_metrics
@@ -53,7 +53,6 @@ class BaselineSOI:
         eps: float = DEFAULT_EPS,
         weighted: bool = False,
         aggregate: StreetAggregate | None = None,
-        use_session: bool = True,
     ) -> list[SOIResult]:
         """Top-k streets by exhaustive computation.
 
@@ -70,10 +69,8 @@ class BaselineSOI:
 
         validate_query(keywords, k, eps)
         if aggregate is None or aggregate is StreetAggregate.MAX:
-            return self.ranking(keywords, eps, weighted,
-                                use_session=use_session)[:k]
-        interests = self.all_segment_interests(keywords, k, eps, weighted,
-                                               use_session=use_session)
+            return self.ranking(keywords, eps, weighted)[:k]
+        interests = self.all_segment_interests(keywords, k, eps, weighted)
         network = self.engine.network
         out = []
         for street_id, value in rank_streets(network, interests,
@@ -93,7 +90,6 @@ class BaselineSOI:
         keywords: Iterable[str],
         eps: float = DEFAULT_EPS,
         weighted: bool = False,
-        use_session: bool = True,
         stats=None,
     ) -> SOIRanking:
         """Every street of positive interest, ranked (Definition 3).
@@ -113,7 +109,7 @@ class BaselineSOI:
         with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
                         keywords=",".join(sorted(query))):
             layout, slots, interest = self._segment_interests(
-                query, eps, weighted, use_session, stats)
+                query, eps, weighted, stats)
             positive = np.flatnonzero(interest > 0.0)
             values = interest[positive]
             streets = layout.street_of[positive]
@@ -146,7 +142,6 @@ class BaselineSOI:
         k: int = 1,
         eps: float = DEFAULT_EPS,
         weighted: bool = False,
-        use_session: bool = True,
         stats=None,
     ) -> dict[int, float]:
         """Exact Definition 2 interest of *every* segment.
@@ -161,17 +156,16 @@ class BaselineSOI:
         with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
                         keywords=",".join(sorted(query))):
             layout, _slots, interest = self._segment_interests(
-                query, eps, weighted, use_session, stats)
+                query, eps, weighted, stats)
             out = dict(zip(layout.seg_ids_list, interest.tolist()))
         obs_metrics.REGISTRY.inc("soi.baseline_queries")
         obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned", len(out))
         return out
 
-    def _segment_interests(self, query, eps, weighted, use_session, stats):
+    def _segment_interests(self, query, eps, weighted, stats):
         """``(layout, slots, interest)``: every segment's Definition 2
         interest in dense order, from the slot masses of the engine's
-        query session for ``query`` (a fresh pass under
-        ``use_session=False``).
+        query session for ``query``.
 
         ``np.bincount`` adds each segment's slot masses in ascending slot
         (``cells_of_segment``) order, starting from 0.0, which is how
@@ -180,17 +174,13 @@ class BaselineSOI:
         bitwise :func:`~repro.core.interest.buffer_area`.
         """
         layout = self.engine.store_layout(eps)
-        if use_session:
-            session = self.engine.sessions.get(query)
-            if stats is not None:
-                stats.session_reused = session.queries_served > 0
-            session.queries_served += 1
-            slots, reused = session.store_mass_slots(layout, weighted, stats)
-            if reused and stats is not None:
-                stats.mass_cache_hits += slots.num_relevant
-        else:
-            slots = materialise_slot_masses(layout, self.engine.poi_index,
-                                            query, weighted, stats)
+        session = self.engine.sessions.get(query)
+        if stats is not None:
+            stats.session_reused = session.queries_served > 0
+        session.queries_served += 1
+        slots, reused = session.store_mass_slots(layout, weighted, stats)
+        if reused and stats is not None:
+            stats.mass_cache_hits += slots.num_relevant
         mass = np.bincount(layout.slot_seg, weights=slots.mass_col,
                            minlength=layout.num_segments)
         if contracts.ENABLED:

@@ -13,6 +13,7 @@ re-reads the same preset dozens of times.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from repro.datagen.city import City, CitySpec, generate_city
@@ -92,8 +93,8 @@ def preset_spec(name: str, scale: float = 1.0) -> CitySpec:
     base = CITY_PRESETS[name]
     if scale == 1.0:  # repro-lint: disable=REP-N201 (exact sentinel: the unscaled default returns the shared base preset)
         return base
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     linear = scale ** 0.5
     return CitySpec(
         name=base.name,

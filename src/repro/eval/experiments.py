@@ -2,9 +2,10 @@
 
 Every function here regenerates the content of one table or figure from
 the paper over a synthetic :class:`~repro.datagen.city.City`, returning
-plain data structures; the benches in ``benchmarks/`` time them and print
-the same rows/series the paper reports, and EXPERIMENTS.md records the
-paper-vs-measured comparison.
+plain data structures; the benches in ``benchmarks/`` print the same
+rows/series the paper reports, and EXPERIMENTS.md records the
+paper-vs-measured comparison.  Figures 4 and 6 are timings, so
+:mod:`repro.perf.bench` (``repro bench``) regenerates them.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from repro.core.describe.profile import (
 from repro.core.describe.st_rel_div import STRelDivDescriber
 from repro.core.describe.variants import VARIANTS, run_variant
 from repro.core.soi import DEFAULT_EPS, SOIEngine
-from repro.core.soi_baseline import BaselineSOI
 from repro.datagen.city import City
 from repro.eval.metrics import recall_at_k
-from repro.eval.timing import best_of
 
 PAPER_QUERY_KEYWORDS: tuple[str, ...] = (
     "religion", "education", "food", "services")
@@ -115,60 +114,6 @@ def shopping_effectiveness(
     )
 
 
-# -- Figure 4 --------------------------------------------------------------------
-
-def soi_timing(
-    city: City,
-    keywords: Sequence[str],
-    k: int,
-    eps: float = DEFAULT_EPS,
-    repeats: int = 3,
-) -> dict[str, float]:
-    """Best-of-N seconds for SOI and BL on one parameter point.
-
-    Queries run through the engine's session pool (the production path),
-    so a sweep over ``k``/``|Psi|`` measures warm-session behaviour after
-    its first point — the regime the Figure 4 experiment sweeps anyway.
-    Both SOI and BL share the same session, keeping the comparison fair.
-    """
-    engine = engine_for(city)
-    baseline = BaselineSOI(engine)
-    _res, soi_seconds = best_of(
-        lambda: engine.top_k(keywords, k=k, eps=eps), repeats)
-    _res, bl_seconds = best_of(
-        lambda: baseline.top_k(keywords, k=k, eps=eps), repeats)
-    return {"soi": soi_seconds, "bl": bl_seconds}
-
-
-def soi_timing_sweep_k(
-    city: City,
-    ks: Sequence[int] = (10, 25, 50, 100),
-    num_keywords: int = 3,
-    eps: float = DEFAULT_EPS,
-) -> list[tuple[int, float, float]]:
-    """Figure 4(a-c): (k, soi seconds, bl seconds) series."""
-    keywords = PAPER_QUERY_KEYWORDS[:num_keywords]
-    out = []
-    for k in ks:
-        times = soi_timing(city, keywords, k, eps)
-        out.append((k, times["soi"], times["bl"]))
-    return out
-
-
-def soi_timing_sweep_keywords(
-    city: City,
-    sizes: Sequence[int] = (1, 2, 3, 4),
-    k: int = 50,
-    eps: float = DEFAULT_EPS,
-) -> list[tuple[int, float, float]]:
-    """Figure 4(d-f): (|Psi|, soi seconds, bl seconds) series."""
-    out = []
-    for size in sizes:
-        times = soi_timing(city, PAPER_QUERY_KEYWORDS[:size], k, eps)
-        out.append((size, times["soi"], times["bl"]))
-    return out
-
-
 # -- describe-stage experiments ---------------------------------------------------
 
 def top_soi_profile(
@@ -179,8 +124,9 @@ def top_soi_profile(
 ) -> StreetProfile:
     """The street profile of the city's top SOI for a category.
 
-    This is the setup of the Table 3 / Figure 5 / Figure 6 experiments:
-    take the top-ranked street for the query and describe it with photos.
+    This is the setup of the Table 3 / Figure 5 experiments (and of
+    Figure 6 in :mod:`repro.perf.bench`): take the top-ranked street for
+    the query and describe it with photos.
     """
     engine = engine_for(city)
     results = engine.top_k([category], k=1, eps=eps)
@@ -247,19 +193,3 @@ def tradeoff_curve(
         for lam, rel, div in raw
     ]
 
-
-def describe_timing(
-    profile: StreetProfile,
-    k: int = 20,
-    lam: float = 0.5,
-    w: float = 0.5,
-    repeats: int = 3,
-) -> dict[str, float]:
-    """Figure 6: best-of-N seconds for ST_Rel+Div and the naive BL."""
-    from repro.core.describe.greedy import GreedyDescriber
-
-    describer = STRelDivDescriber(profile)
-    baseline = GreedyDescriber(profile)
-    _res, st_seconds = best_of(lambda: describer.select(k, lam, w), repeats)
-    _res, bl_seconds = best_of(lambda: baseline.select(k, lam, w), repeats)
-    return {"st_rel_div": st_seconds, "bl": bl_seconds}

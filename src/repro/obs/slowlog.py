@@ -56,9 +56,13 @@ class SlowQueryLog:
         """Record the query if it is slow enough; returns whether it was.
 
         ``trace_id`` defaults to the trace id bound to the calling thread
-        (see :class:`repro.obs.tracer.trace_context`), so a slow query
-        found in the log can be joined against the stitched Chrome trace
-        and the latency-sketch exemplars without any caller plumbing.
+        (see :class:`repro.obs.tracer.trace_context`).  The log covers
+        in-process Algorithm 1 (:meth:`~repro.core.soi.SOIEngine.top_k`)
+        and ST_Rel+Div queries only: a served request runs
+        :meth:`~repro.core.soi_baseline.BaselineSOI.ranking` or
+        :meth:`~repro.core.describe.greedy.GreedyDescriber.select_with_stats`,
+        neither of which records here, and no channel ships a worker's log
+        to the parent, so no entry joins a served request's trace id.
         """
         threshold = self.threshold_s
         if threshold is None or seconds < threshold:

@@ -36,8 +36,11 @@ serve layer mints one deterministically per request
 (:func:`mint_trace_id`, seeded from the request's sequence number — no
 wall clock, no randomness), binds it with :class:`trace_context`, and
 every span finished inside the binding carries it.  The same id travels
-into slow-query-log entries and latency-sketch exemplars, so a slow
-request found in any one signal can be joined against the others.
+into latency-sketch exemplars, so a slow served request found in the
+sketches can be joined against the stitched trace.  The slow-query log
+stamps the bound id too, but it records only in-process Algorithm 1 and
+ST_Rel+Div queries: no served path records into it, and no channel ships
+a worker's log to the parent.
 
 **Span-name registry.**  :data:`SPAN_NAMES` is the closed set of span
 names the instrumented packages may use.  Lint rule REP-O503 rejects

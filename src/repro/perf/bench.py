@@ -1,9 +1,10 @@
-"""The ``repro bench`` harness: timed Figure 4 / Figure 6 configurations.
+"""The ``repro bench`` harness: the timer of Figures 4 and 6.
 
-Measures the two hot paths this layer optimises — k-SOI parameter sweeps
-(Figure 4's ``k`` and ``|Psi|`` axes, SOI algorithm vs the BL baseline)
-and greedy photo selection (Figure 6, exhaustive greedy vs ST_Rel+Div) — and
-writes ``BENCH_soi.json`` / ``BENCH_describe.json`` reports that combine:
+This module is the one place that times the paper's two performance
+studies — Figure 4 (k-SOI, the SOI algorithm vs the BL baseline over
+``k`` and ``|Psi|``) and Figure 6 (photo selection, ST_Rel+Div vs the
+exhaustive greedy BL over ``k``, ``lambda`` and ``w``) — and writes
+``BENCH_soi.json`` / ``BENCH_describe.json`` reports that combine:
 
 * **medians**: the median full-sweep wall time over ``repeats`` runs plus
   per-point medians (robust against scheduler noise, comparable across
@@ -11,8 +12,16 @@ writes ``BENCH_soi.json`` / ``BENCH_describe.json`` reports that combine:
 * **work counters**: kernel calls, cache traffic and pruning counts from
   :class:`~repro.core.results.SOIStats` /
   :class:`~repro.core.describe.stats.DescribeStats` — machine-independent
-  evidence of *why* a timing moved, including a cold-vs-warm query pair
-  that shows what :class:`~repro.perf.session.QuerySession` reuse saves.
+  evidence of *why* a timing moved: a cold-vs-warm query pair that shows
+  what :class:`~repro.perf.session.QuerySession` reuse saves, the
+  segments Algorithm 1 saw at each ``|Psi|`` point and whether its run
+  was complete, and the photos each describer examined at every point.
+
+Before a point is timed, its answers are checked: SOI's top-k must equal
+BL's, and ST_Rel+Div's summary the greedy's.  A difference raises
+:class:`Disagreement`, and ``repro bench`` then exits non-zero without
+writing a report.  :func:`summary_lines` renders each city's figure
+series from a report.
 
 Per-city setup is untimed and fans out over threads via
 :func:`~repro.perf.parallel.run_parallel` (``--jobs``); the timed query
@@ -46,6 +55,7 @@ from repro.core.soi_baseline import BaselineSOI
 from repro.datagen.city import City
 from repro.datagen.presets import build_preset
 from repro.eval.experiments import PAPER_QUERY_KEYWORDS
+from repro.eval.reporting import format_series
 from repro.obs import export as obs_export
 from repro.obs import tracer as obs_tracer
 from repro.perf.parallel import run_parallel
@@ -53,7 +63,10 @@ from repro.perf.parallel import run_parallel
 DEFAULT_CITIES: tuple[str, ...] = ("vienna", "berlin", "london")
 SOI_KS: tuple[int, ...] = (10, 25, 50, 100)
 SOI_PSIS: tuple[int, ...] = (1, 2, 3, 4)
+SOI_PSI_K = 50
 DESCRIBE_KS: tuple[int, ...] = (10, 20, 30, 40, 50)
+DESCRIBE_WEIGHTS: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+DESCRIBE_WEIGHT_K = 20
 SOI_REPORT = "BENCH_soi.json"
 DESCRIBE_REPORT = "BENCH_describe.json"
 BUILD_REPORT = "BENCH_build.json"
@@ -67,11 +80,18 @@ span counts); versions 4 and 5 added sections only to the serve suite's
 report, which is no longer written.  All are pure additions, so
 :func:`compare_reports` treats 2 through 5 as mutually comparable (see
 :data:`COMPARABLE_SCHEMAS`) and the committed version-3 and version-5
-baselines stay valid."""
+baselines stay valid.  Later additions (the per-point counters and the
+Figure 6 ``lambda``/``w`` sweeps) are pure additions too."""
 
 COMPARABLE_SCHEMAS = frozenset({2, 3, 4, 5})
 """Schema versions whose shared metrics kept their meaning; reports inside
 this set compare against each other, anything else must match exactly."""
+
+
+class Disagreement(Exception):
+    """At a timed point the paper's method and its baseline answered
+    differently: SOI's top-k against BL's, or ST_Rel+Div's summary
+    against the greedy's."""
 
 
 def median_sweep(
@@ -153,6 +173,26 @@ def _cold_warm_counters(
     return {"cold": cold.counters(), "warm": warm.counters()}
 
 
+def _record_sweep(entry: dict, label: str, fn: Callable[[object], object],
+                  points: Sequence[object], repeats: int) -> None:
+    """Time one sweep into ``<label>_sweep_median_s`` and
+    ``<label>_points`` (see :func:`median_sweep`)."""
+    median, per_point = median_sweep(fn, points, repeats)
+    entry[f"{label}_sweep_median_s"] = median
+    entry[f"{label}_points"] = per_point
+
+
+def _soi_point(city: str, engine: SOIEngine, baseline: BaselineSOI,
+               keywords: Sequence[str], k: int, eps: float):
+    """Algorithm 1's :class:`~repro.core.results.SOIStats` at one timed
+    point, once its top ``k`` is checked against BL's."""
+    ranking, stats = engine.top_k_with_stats(keywords, k, eps=eps)
+    if ranking[:k] != baseline.top_k(keywords, k, eps=eps):
+        raise Disagreement(f"{city}: SOI's top-{k} for {list(keywords)} "
+                           "differs from BL's")
+    return stats
+
+
 def bench_soi(
     cities: Sequence[str] = DEFAULT_CITIES,
     repeats: int = 5,
@@ -161,10 +201,13 @@ def bench_soi(
     jobs: int | None = None,
     trace_out: Path | None = None,
 ) -> dict:
-    """The Figure 4 timing suite: SOI vs BL over ``k`` and ``|Psi|`` sweeps.
+    """The Figure 4 timing suite: SOI vs BL over ``k`` (at ``|Psi| = 3``)
+    and ``|Psi|`` (at ``k = 50``).
 
-    ``trace_out`` additionally dumps one Chrome trace per ``k``-sweep point
-    (a single traced repetition) into the given directory.
+    Raises :class:`Disagreement` when SOI's top-k differs from BL's at a
+    timed point.  ``trace_out`` additionally dumps one Chrome trace per
+    ``k``-sweep point (a single traced repetition) into the given
+    directory.
     """
     keywords = PAPER_QUERY_KEYWORDS[:3]
     report: dict = {
@@ -175,35 +218,37 @@ def bench_soi(
         "repeats": repeats,
         "ks": list(SOI_KS),
         "psis": list(SOI_PSIS),
+        "psi_k": SOI_PSI_K,
         "keywords": list(keywords),
         "environment": environment(),
         "cities": {},
     }
-    for name, _city, engine in _build_cities(cities, scale, jobs):
+    sweeps = {
+        "k": (SOI_KS, lambda k: (keywords, k)),
+        "psi": (SOI_PSIS, lambda p: (PAPER_QUERY_KEYWORDS[:p], SOI_PSI_K)),
+    }
+    for name, city, engine in _build_cities(cities, scale, jobs):
         engine.cell_maps.augmented_cell_counts_column(eps)  # untimed warm-up
         baseline = BaselineSOI(engine)
-        entry: dict = {}
-        median, points = median_sweep(
-            lambda k: engine.top_k(keywords, k=k, eps=eps), SOI_KS, repeats)
-        entry["soi_k_sweep_median_s"] = median
-        entry["soi_k_points"] = points
-        median, points = median_sweep(
-            lambda k: baseline.top_k(keywords, k=k, eps=eps),
-            SOI_KS, repeats)
-        entry["bl_k_sweep_median_s"] = median
-        entry["bl_k_points"] = points
-        median, points = median_sweep(
-            lambda p: engine.top_k(PAPER_QUERY_KEYWORDS[:p], k=50, eps=eps),
-            SOI_PSIS, repeats)
-        entry["soi_psi_sweep_median_s"] = median
-        entry["soi_psi_points"] = points
-        median, points = median_sweep(
-            lambda p: baseline.top_k(PAPER_QUERY_KEYWORDS[:p], k=50,
-                                     eps=eps),
-            SOI_PSIS, repeats)
-        entry["bl_psi_sweep_median_s"] = median
-        entry["bl_psi_points"] = points
-        entry["counters"] = _cold_warm_counters(engine, keywords, 50, eps)
+        entry: dict = {"num_segments": len(city.network.segments)}
+        work: dict = {}
+        for axis, (points, query) in sweeps.items():
+            work[axis] = {point: _soi_point(name, engine, baseline,
+                                            *query(point), eps)
+                          for point in points}
+            for method, run in (("soi", engine.top_k),
+                                ("bl", baseline.top_k)):
+                _record_sweep(
+                    entry, f"{method}_{axis}",
+                    lambda point, run=run, query=query: run(*query(point),
+                                                            eps=eps),
+                    points, repeats)
+        entry["counters"] = _cold_warm_counters(engine, keywords, SOI_PSI_K,
+                                                eps)
+        entry["counters"]["psi"] = {
+            point: {"segments_seen": stats.segments_seen,
+                    "complete": int(stats.complete)}
+            for point, stats in work["psi"].items()}
         entry["obs"] = _obs_section(
             lambda k: engine.top_k(keywords, k=k, eps=eps), SOI_KS, repeats)
         if trace_out is not None:
@@ -273,6 +318,21 @@ def _profile_for(city: City, engine: SOIEngine, category: str,
                                 city.photos, eps)
 
 
+def _describe_point(city: str, describers: dict, k: int, lam: float,
+                    w: float) -> dict:
+    """Each describer's :class:`~repro.core.describe.stats.DescribeStats`
+    at one timed point, once ST_Rel+Div's summary is checked against the
+    greedy's."""
+    picks: dict = {}
+    stats: dict = {}
+    for method, describer in describers.items():
+        picks[method], stats[method] = describer.select_with_stats(k, lam, w)
+    if picks["st"] != picks["bl"]:
+        raise Disagreement(f"{city}: ST_Rel+Div's {k}-photo summary at "
+                           f"lambda={lam}, w={w} differs from the greedy's")
+    return stats
+
+
 def bench_describe(
     cities: Sequence[str] = DEFAULT_CITIES,
     repeats: int = 3,
@@ -284,7 +344,12 @@ def bench_describe(
     w: float = 0.5,
     trace_out: Path | None = None,
 ) -> dict:
-    """The Figure 6 timing suite: greedy BL vs ST_Rel+Div over ``k``."""
+    """The Figure 6 timing suite: greedy BL vs ST_Rel+Div over ``k`` (at
+    ``lam`` and ``w``), and over ``lambda`` and ``w`` at ``k = 20``.
+
+    Raises :class:`Disagreement` when ST_Rel+Div's summary differs from
+    the greedy's at a timed point.
+    """
     report: dict = {
         "suite": "describe",
         "schema_version": SCHEMA_VERSION,
@@ -292,34 +357,48 @@ def bench_describe(
         "scale": scale,
         "repeats": repeats,
         "ks": list(DESCRIBE_KS),
+        "weights": list(DESCRIBE_WEIGHTS),
+        "weight_k": DESCRIBE_WEIGHT_K,
         "category": category,
         "lam": lam,
         "w": w,
         "environment": environment(),
         "cities": {},
     }
+    sweeps = {
+        "k": (DESCRIBE_KS, lambda k: (k, lam, w)),
+        "lam": (DESCRIBE_WEIGHTS, lambda x: (DESCRIBE_WEIGHT_K, x, w)),
+        "w": (DESCRIBE_WEIGHTS, lambda x: (DESCRIBE_WEIGHT_K, lam, x)),
+    }
     for name, city, engine in _build_cities(cities, scale, jobs):
         profile = _profile_for(city, engine, category, eps)
         if profile is None or len(profile) == 0:
             report["cities"][name] = {"num_photos": 0, "skipped": True}
             continue
-        greedy = GreedyDescriber(profile)
-        st = STRelDivDescriber(profile)
+        describers = {"bl": GreedyDescriber(profile),
+                      "st": STRelDivDescriber(profile)}
         entry: dict = {"num_photos": len(profile),
                        "street": profile.street_name}
-        median, points = median_sweep(
-            lambda k: greedy.select(k, lam, w), DESCRIBE_KS, repeats)
-        entry["bl_k_sweep_median_s"] = median
-        entry["bl_k_points"] = points
-        median, points = median_sweep(
-            lambda k: st.select(k, lam, w), DESCRIBE_KS, repeats)
-        entry["st_k_sweep_median_s"] = median
-        entry["st_k_points"] = points
+        work: dict = {}
+        for axis, (points, args) in sweeps.items():
+            work[axis] = {point: _describe_point(name, describers,
+                                                 *args(point))
+                          for point in points}
+            for method, describer in describers.items():
+                _record_sweep(
+                    entry, f"{method}_{axis}",
+                    lambda point, describer=describer, args=args:
+                        describer.select(*args(point)),
+                    points, repeats)
         top_k = DESCRIBE_KS[-1]
-        _pos, bl_stats = greedy.select_with_stats(top_k, lam, w)
-        _pos, st_stats = st.select_with_stats(top_k, lam, w)
-        entry["counters"] = {f"bl_k{top_k}": bl_stats.counters(),
-                             f"st_k{top_k}": st_stats.counters()}
+        entry["counters"] = {f"{method}_k{top_k}":
+                             work["k"][top_k][method].counters()
+                             for method in describers}
+        entry["counters"]["photos_examined"] = {
+            f"{method}_{axis}": {point: stats[method].photos_examined
+                                 for point, stats in per_point.items()}
+            for axis, per_point in work.items() for method in describers}
+        st = describers["st"]
         entry["obs"] = _obs_section(
             lambda k: st.select(k, lam, w), DESCRIBE_KS, repeats)
         if trace_out is not None:
@@ -328,6 +407,79 @@ def bench_describe(
                 lambda k: st.select(k, lam, w), DESCRIBE_KS)
         report["cities"][name] = entry
     return report
+
+
+def _ms_series(label: str, points: dict) -> str:
+    return format_series(f"{label} (ms)", list(points),
+                         [seconds * 1e3 for seconds in points.values()],
+                         digits=3)
+
+
+def _count_series(label: str, points: dict) -> str:
+    return format_series(label, list(points), list(points.values()),
+                         digits=0)
+
+
+def summary_lines(report: dict) -> list[str]:
+    """What a report shows, as text: per city, Figure 4's series for the
+    soi suite, Figure 6's for describe, and the cold start for build."""
+    lines: list[str] = []
+    for name, entry in report["cities"].items():
+        if report["suite"] == "soi":
+            lines.extend(_figure4_lines(report, name, entry))
+        elif report["suite"] == "describe":
+            lines.extend(_figure6_lines(report, name, entry))
+        else:
+            lines.append(
+                f"{name}: cold start {entry['cold_start_median_s']*1e3:.1f} "
+                f"ms, filter augment "
+                f"{entry['augment_filter_median_s']*1e3:.2f} ms "
+                f"(incremental "
+                f"{entry['speedups']['incremental_augment_speedup']:.1f}x)")
+    return lines
+
+
+def _figure4_lines(report: dict, name: str, entry: dict) -> list[str]:
+    psi = entry["counters"]["psi"]
+    return [
+        f"-- Figure 4 ({name}), varying k (|Psi|={len(report['keywords'])})"
+        " --",
+        _ms_series("SOI", entry["soi_k_points"]),
+        _ms_series("BL ", entry["bl_k_points"]),
+        f"-- Figure 4 ({name}), varying |Psi| (k={report['psi_k']}) --",
+        _ms_series("SOI", entry["soi_psi_points"]),
+        _ms_series("BL ", entry["bl_psi_points"]),
+        _count_series(f"SOI segments seen (of {entry['num_segments']})",
+                      {p: work["segments_seen"] for p, work in psi.items()}),
+        "SOI complete: " + ", ".join(
+            f"{p}={bool(work['complete'])}" for p, work in psi.items()),
+        "SOI top-k == BL top-k at every timed point",
+    ]
+
+
+def _figure6_lines(report: dict, name: str, entry: dict) -> list[str]:
+    if entry.get("skipped"):
+        return [f"-- Figure 6 ({name}): no photos on the top "
+                f"{report['category']!r} street, skipped --"]
+    lam, w, k = report["lam"], report["w"], report["weight_k"]
+    examined = entry["counters"]["photos_examined"]
+    lines = []
+    for axis, title in (
+            ("k", f"|Rs| = {entry['num_photos']} photos, varying k "
+                  f"(lambda={lam}, w={w})"),
+            ("lam", f"varying lambda (k={k}, w={w})"),
+            ("w", f"varying w (k={k}, lambda={lam})")):
+        lines += [
+            f"-- Figure 6 ({name}), {title} --",
+            _ms_series("ST_Rel+Div", entry[f"st_{axis}_points"]),
+            _ms_series("BL        ", entry[f"bl_{axis}_points"]),
+            _count_series("ST_Rel+Div (photos examined)",
+                          examined[f"st_{axis}"]),
+            _count_series("BL         (photos examined)",
+                          examined[f"bl_{axis}"]),
+        ]
+    lines.append("ST_Rel+Div summary == BL summary at every timed point")
+    return lines
 
 
 # -- cold-path build suite (BENCH_build.json) --------------------------------

@@ -258,13 +258,17 @@ def _complete_answer(
     photos: "PhotoSet | None",
     request: Request,
     describers: "OrderedDict | None" = None,
+    rederivation: bool = False,
 ) -> "SOIRanking | list":
     """The answer :func:`serve_request` slices to ``k``: for a k-SOI
     request the complete ranking of its ``(Ψ, ε, weighted)`` as columns,
     for a describe request its payload.  Either slices to a fresh list.
     This is what a result cache stores under the request's key.  Each
     ranking computed counts one ``soi.queries`` with the pass's
-    counters."""
+    counters, except a k-SOI ``rederivation`` (the recompute of
+    :func:`~repro.analysis.contracts.check_prefix_slice`), which counts
+    one ``soi.rederivations`` only: it is no query the server was asked
+    to execute."""
     with trace_span("serve.request", kind=type(request).__name__):
         if isinstance(request, SOIRequest):
             validate_query(request.keywords, request.k, request.eps)
@@ -272,7 +276,10 @@ def _complete_answer(
             ranking = BaselineSOI(engine).ranking(
                 request.keywords, request.eps, weighted=request.weighted,
                 stats=stats)
-            obs_metrics.record_soi_query(stats)
+            if rederivation:
+                obs_metrics.REGISTRY.inc("soi.rederivations")
+            else:
+                obs_metrics.record_soi_query(stats)
             return ranking
         if isinstance(request, DescribeRequest):
             if photos is None:
@@ -327,9 +334,12 @@ def _serve_cached(engine, photos, request, cache, describers=None):
     cache.ensure_generation(engine.index_generation)
     key = request_cache_key(request)
     recompute = None
-    if contracts.ENABLED:
+    # Describe keys carry k, so a describe hit is the payload stored for
+    # this very request: there is no slice to re-derive.
+    if contracts.ENABLED and isinstance(request, SOIRequest):
         def recompute():
-            return serve_request(engine, photos, request, describers)
+            return _complete_answer(engine, photos, request, describers,
+                                    rederivation=True)[: request.k]
     hit = cache.lookup(key, request.k, recompute=recompute)
     if hit is not _CACHE_MISS:
         return hit, None
@@ -814,8 +824,9 @@ class EngineServer:
         come from the mergeable :class:`~repro.obs.metrics.QuantileSketch`
         dumps shipped with each batch's last response, so no per-request
         samples are stored anywhere; ``slowest`` is the exemplar trace id
-        of the slowest request, joinable against the slowlog and the
-        stitched Chrome trace.
+        of the slowest request, joinable against the stitched Chrome
+        trace.  (The slow-query log never sees a served request: it
+        covers in-process Algorithm 1 and ST_Rel+Div queries only.)
         """
         summary = {"kinds": _sketch_stats(self.metrics()), "workers": {}}
         for wid in sorted(self._worker_metrics):

@@ -207,9 +207,7 @@ def attach_cell_maps(
 
 
 @trace_span("snapshot.attach_engine")
-def attach_engine(
-    snapshot: IndexSnapshot, session_pool_size: int | None = None
-) -> SOIEngine:
+def attach_engine(snapshot: IndexSnapshot) -> SOIEngine:
     """A full serving :class:`~repro.core.soi.SOIEngine` over the snapshot.
 
     The engine is wired through
@@ -228,8 +226,7 @@ def attach_engine(
                                snapshot.array("sl3_lengths")))
     engine = SOIEngine.from_prebuilt(
         network, pois, poi_index, cell_maps, extent, sl3_entries,
-        index_generation=snapshot.generation,
-        session_pool_size=session_pool_size)
+        index_generation=snapshot.generation)
     # Pre-build the store layout of every warmed eps and its
     # within-eps incidence: the CSR derives from the attached cell maps
     # (in the recorded element order), so the first query pays neither

@@ -99,18 +99,30 @@ class TestBench:
                                                       capsys):
         import json
 
-        assert main(["bench", "--suite", "all", "--cities", "vienna",
+        assert main(["bench", "--cities", "vienna",
                      "--repeats", "1", "--scale", "0.05",
                      "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "BENCH_soi.json" in out and "BENCH_describe.json" in out
+        # Each suite prints its figure's series per city.
+        for series in ("-- Figure 4 (vienna), varying k (|Psi|=3) --",
+                       "-- Figure 4 (vienna), varying |Psi| (k=50) --",
+                       "-- Figure 6 (vienna), varying lambda (k=20, "
+                       "w=0.5) --",
+                       "-- Figure 6 (vienna), varying w (k=20, "
+                       "lambda=0.5) --"):
+            assert series in out
 
         soi = json.loads((tmp_path / "BENCH_soi.json").read_text())
         assert soi["suite"] == "soi"
         entry = soi["cities"]["vienna"]
         assert entry["soi_k_sweep_median_s"] > 0
         assert entry["bl_psi_sweep_median_s"] > 0
-        assert set(entry["counters"]) == {"cold", "warm"}
+        assert set(entry["counters"]) == {"cold", "warm", "psi"}
+        assert set(entry["counters"]["psi"]) == {"1", "2", "3", "4"}
+        for work in entry["counters"]["psi"].values():
+            assert 0 < work["segments_seen"] <= entry["num_segments"]
+            assert work["complete"] in (0, 1)
         # The warm rerun of an identical query is fully memo-served.
         assert entry["counters"]["warm"]["kernel_calls"] == 0
         assert entry["counters"]["warm"]["session_reused"] == 1
@@ -119,10 +131,23 @@ class TestBench:
         describe = json.loads(
             (tmp_path / "BENCH_describe.json").read_text())
         assert describe["suite"] == "describe"
-        assert "vienna" in describe["cities"]
+        entry = describe["cities"]["vienna"]
+        assert entry["num_photos"] > 0
+        for axis, points in (("k", (10, 20, 30, 40, 50)),
+                             ("lam", (0.0, 0.25, 0.5, 0.75, 1.0)),
+                             ("w", (0.0, 0.25, 0.5, 0.75, 1.0))):
+            for method in ("bl", "st"):
+                assert entry[f"{method}_{axis}_sweep_median_s"] > 0
+                assert set(entry[f"{method}_{axis}_points"]) == {
+                    str(point) for point in points}
+                examined = entry["counters"]["photos_examined"]
+                assert set(examined[f"{method}_{axis}"]) == {
+                    str(point) for point in points}
+        assert set(entry["counters"]) == {"bl_k50", "st_k50",
+                                          "photos_examined"}
 
     def test_single_suite_writes_one_file(self, tmp_path, capsys):
-        assert main(["bench", "--suite", "soi", "--cities", "vienna",
+        assert main(["bench", "--mode", "soi", "--cities", "vienna",
                      "--repeats", "1", "--scale", "0.05",
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "BENCH_soi.json").exists()
@@ -133,10 +158,59 @@ class TestBench:
 
         baseline = tmp_path / "BENCH_describe.json"
         baseline.write_text(json.dumps({"suite": "describe"}))
-        assert main(["bench", "--suite", "soi", "--cities", "vienna",
+        assert main(["bench", "--mode", "soi", "--cities", "vienna",
                      "--repeats", "1", "--scale", "0.05",
                      "--out", str(tmp_path),
                      "--check-against", str(baseline)]) == 2
+
+    @pytest.mark.parametrize("selector", [["--suite", "soi"],
+                                          ["--mode", "latency"]])
+    def test_retired_suite_selectors_exit_2(self, tmp_path, capsys,
+                                            selector):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *selector, "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro") and selector[1] in err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _bl_drops_its_last_row(monkeypatch):
+        from repro.core.soi_baseline import BaselineSOI
+
+        top_k = BaselineSOI.top_k
+        monkeypatch.setattr(BaselineSOI, "top_k",
+                            lambda self, *args, **kwargs:
+                                top_k(self, *args, **kwargs)[:-1])
+
+    @staticmethod
+    def _greedy_swaps_two_picks(monkeypatch):
+        from repro.core.describe.greedy import GreedyDescriber
+
+        select_with_stats = GreedyDescriber.select_with_stats
+
+        def swapped(self, *args, **kwargs):
+            picks, stats = select_with_stats(self, *args, **kwargs)
+            return [picks[1], picks[0], *picks[2:]], stats
+
+        monkeypatch.setattr(GreedyDescriber, "select_with_stats", swapped)
+
+    @pytest.mark.parametrize("mode, plant", [
+        ("soi", "_bl_drops_its_last_row"),
+        ("describe", "_greedy_swaps_two_picks"),
+    ])
+    def test_disagreement_exits_1_without_a_report(
+            self, tmp_path, capsys, monkeypatch, mode, plant):
+        getattr(self, plant)(monkeypatch)
+        out = tmp_path / "out"
+        history = tmp_path / "history.jsonl"
+        assert main(["bench", "--mode", mode, "--cities", "vienna",
+                     "--repeats", "1", "--scale", "0.05",
+                     "--out", str(out), "--history", str(history)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vienna: ") and "differs" in err
+        assert "no report written" in err
+        assert not out.exists() and not history.exists()
 
     def test_mode_soi_alias_and_trace_out(self, tmp_path, capsys):
         import json
@@ -251,11 +325,20 @@ class TestParser:
         ("top", "--interval", "0"),
         ("top", "--interval", "-1"),
         ("top", "--frames", "0"),
+        ("metrics", "--repeat", "0"),
+        ("metrics", "--repeat", "-3"),
+        ("top", "--stall-after", "-1"),
+        ("top", "--stall-after", "nan"),
+        ("generate", "--scale", "0"),
+        ("generate", "--scale", "nan"),
+        ("bench", "--scale", "0"),
     ])
     def test_out_of_range_numbers_exit_2_before_any_work(
             self, data_dir, tmp_path, capsys, command, flag, value):
-        if command == "top":
-            argv = ["top", "--data", str(data_dir)]
+        if command in ("top", "metrics"):
+            argv = [command, "--data", str(data_dir)]
+        elif command == "generate":
+            argv = ["generate", "--out", str(tmp_path / "out")]
         else:
             baseline = tmp_path / "BENCH_soi.json"
             baseline.write_text('{"suite": "soi", "schema_version": 5}')

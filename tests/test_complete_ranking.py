@@ -56,10 +56,13 @@ cities = dict(
 
 
 def stopped_run(engine, keywords, k, strategy, weighted, eps=EPS):
-    """A sessionless run: its answer, its stats and the UB it stopped at
-    (refinement leaves the seen set, hence UB, as the filter left it)."""
-    run = soi_module._SOIRun(engine, validate_query(keywords, k, eps), k,
-                             eps, strategy, True, weighted)
+    """A cold run, on a fresh session: its answer, its stats and the UB
+    it stopped at (refinement leaves the seen set, hence UB, as the filter
+    left it)."""
+    query = validate_query(keywords, k, eps)
+    engine.invalidate_sessions()
+    run = soi_module._SOIRun(engine, query, k, eps, strategy, True,
+                             weighted, engine.sessions.get(query))
     ranking, stats = run.execute()
     return ranking, stats, run._compute_ub()
 
@@ -78,9 +81,10 @@ def test_complete_run_answers_every_larger_k(network, pois, keywords,
     assert len(ranking) == len(soi_topk(network, pois, keywords,
                                         len(network.streets), EPS, weighted))
     for k_prime in range(k + 1, len(ranking) + 3):
+        engine.invalidate_sessions()
         fresh, fresh_stats = engine.top_k_with_stats(
             keywords, k_prime, eps=EPS, strategy=strategy,
-            weighted=weighted, use_session=False)
+            weighted=weighted)
         assert fresh_stats.complete
         assert fresh == ranking
         assert fresh_stats.counters() == stats.counters()
@@ -188,8 +192,9 @@ def test_equal_segment_maxima_report_the_lowest_dense_position():
     expected = BaselineSOI(engine).top_k(["shop"], 1, eps=0.0005)
     assert [r.best_segment_id for r in expected] == [first]
     for strategy in AccessStrategy:
-        for use_session in (False, True):
-            assert engine.top_k(["shop"], 1, eps=0.0005, strategy=strategy,
-                                use_session=use_session) == expected
+        engine.invalidate_sessions()
+        for _cold_then_warm in range(2):
+            assert engine.top_k(["shop"], 1, eps=0.0005,
+                                strategy=strategy) == expected
     assert serve_request(engine, None, SOIRequest(
         ("shop",), 1, 0.0005)) == expected

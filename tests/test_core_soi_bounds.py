@@ -53,7 +53,7 @@ def test_bounds_sound_at_every_step(network, pois, strategy):
 
     engine = SOIEngine(network, pois, cell_size=0.0015)
     run = soi_module._SOIRun(engine, keywords, k, eps, strategy,
-                             True, False)
+                             True, False, engine.session_for(keywords))
     run._build_source_lists()
 
     cycle = strategy.cycle
@@ -101,7 +101,8 @@ def test_partial_masses_never_exceed_truth(network, pois):
     eps = 0.001
     engine = SOIEngine(network, pois, cell_size=0.0015)
     run = soi_module._SOIRun(engine, keywords, 2, eps,
-                             AccessStrategy.ALTERNATE, True, False)
+                             AccessStrategy.ALTERNATE, True, False,
+                             engine.session_for(keywords))
     run._build_source_lists()
     # run a few cell accesses only, leaving many segments partial
     for _ in range(3):

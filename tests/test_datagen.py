@@ -114,8 +114,9 @@ class TestPresets:
         assert half.seed == full.seed
 
     def test_preset_scale_validation(self):
-        with pytest.raises(ValueError):
-            preset_spec("vienna", scale=0.0)
+        for scale in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                preset_spec("vienna", scale=scale)
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):

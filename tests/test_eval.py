@@ -127,12 +127,6 @@ class TestExperimentDrivers:
         assert len(report.ranked_street_names) == \
             len(report.ranked_street_ids)
 
-    def test_soi_timing(self, small_city):
-        from repro.eval.experiments import soi_timing
-
-        times = soi_timing(small_city, ["shop"], k=5, repeats=1)
-        assert times["soi"] > 0 and times["bl"] > 0
-
     def test_top_soi_profile_and_scores(self, small_city):
         from repro.eval.experiments import describe_scores, top_soi_profile
 
@@ -157,10 +151,3 @@ class TestExperimentDrivers:
         # relevance weakly decreases as lambda grows; diversity weakly grows
         assert rels[0] >= rels[-1] - 1e-9
         assert divs[-1] >= divs[0] - 1e-9
-
-    def test_describe_timing(self, small_city):
-        from repro.eval.experiments import describe_timing, top_soi_profile
-
-        profile = top_soi_profile(small_city, "shop")
-        times = describe_timing(profile, k=3, repeats=1)
-        assert times["st_rel_div"] > 0 and times["bl"] > 0

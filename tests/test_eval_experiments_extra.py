@@ -7,8 +7,6 @@ import pytest
 from repro.eval.experiments import (
     PAPER_QUERY_KEYWORDS,
     engine_for,
-    soi_timing_sweep_k,
-    soi_timing_sweep_keywords,
     top_soi_profile,
 )
 
@@ -31,16 +29,6 @@ class TestEngineCache:
 
 
 class TestTimingSweeps:
-    def test_sweep_k_shape(self, small_city):
-        rows = soi_timing_sweep_k(small_city, ks=(2, 5))
-        assert [k for k, _s, _b in rows] == [2, 5]
-        assert all(s > 0 and b > 0 for _k, s, b in rows)
-
-    def test_sweep_keywords_shape(self, small_city):
-        rows = soi_timing_sweep_keywords(small_city, sizes=(1, 2), k=5)
-        assert [p for p, _s, _b in rows] == [1, 2]
-        assert all(s > 0 and b > 0 for _p, s, b in rows)
-
     def test_paper_keyword_order(self):
         # Table 4's cumulative sets build in exactly this order.
         assert PAPER_QUERY_KEYWORDS == ("religion", "education", "food",

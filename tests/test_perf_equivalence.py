@@ -106,7 +106,7 @@ def test_batched_mass_cache_stores_exact_values(network, pois, keywords):
        keywords=queries, k=st.integers(min_value=1, max_value=5))
 def test_session_soi_identical_to_uncached(network, pois, keywords, k):
     engine = SOIEngine(network, pois)
-    baseline = engine.top_k(keywords, k=k, eps=EPS, use_session=False)
+    baseline = SOIEngine(network, pois).top_k(keywords, k=k, eps=EPS)
     cold = engine.top_k(keywords, k=k, eps=EPS)
     warm = engine.top_k(keywords, k=k, eps=EPS)  # slot masses held
     assert cold == baseline
@@ -118,18 +118,19 @@ def test_session_soi_identical_to_uncached(network, pois, keywords, k):
 def test_session_sweep_identical_to_uncached(network, pois, keywords):
     """A k-sweep on one warm session matches per-query fresh runs."""
     engine = SOIEngine(network, pois)
+    reference = SOIEngine(network, pois)
     for k in (1, 3, 5):
-        fresh = engine.top_k(keywords, k=k, eps=EPS, use_session=False)
+        reference.invalidate_sessions()
+        fresh = reference.top_k(keywords, k=k, eps=EPS)
         assert engine.top_k(keywords, k=k, eps=EPS) == fresh
 
 
 @given(network=random_networks(), pois=random_pois(min_size=1),
        keywords=queries)
 def test_session_baseline_identical_to_uncached(network, pois, keywords):
-    engine = SOIEngine(network, pois)
-    baseline = BaselineSOI(engine)
-    fresh = baseline.all_segment_interests(keywords, eps=EPS,
-                                           use_session=False)
+    baseline = BaselineSOI(SOIEngine(network, pois))
+    fresh = BaselineSOI(SOIEngine(network, pois)).all_segment_interests(
+        keywords, eps=EPS)
     assert baseline.all_segment_interests(keywords, eps=EPS) == fresh
     # Warm rerun (slot masses held by the session) must also be exact.
     assert baseline.all_segment_interests(keywords, eps=EPS) == fresh

@@ -56,17 +56,13 @@ class TestQuerySessionPool:
         assert engine.session_for(["shop"]) is engine.session_for(["SHOP"])
         assert len(pool) == 1
 
-    def test_lru_eviction(self, small_city):
-        from repro.core.soi import SOIEngine
-
-        engine = SOIEngine(small_city.network, small_city.pois,
-                           session_pool_size=2)
-        first = engine.session_for(["shop"])
-        engine.session_for(["food"])
-        first_again = engine.session_for(["shop"])  # refresh LRU order
+    def test_lru_eviction(self, engine):
+        pool = QuerySessionPool(engine.poi_index, maxsize=2)
+        first = pool.get(frozenset({"shop"}))
+        pool.get(frozenset({"food"}))
+        first_again = pool.get(frozenset({"shop"}))  # refresh LRU order
         assert first_again is first
-        engine.session_for(["bar"])  # evicts "food", not "shop"
-        pool = engine.sessions
+        pool.get(frozenset({"bar"}))  # evicts "food", not "shop"
         assert pool.evictions == 1
         assert frozenset({"shop"}) in pool
         assert frozenset({"food"}) not in pool
@@ -112,12 +108,12 @@ class TestSessionStats:
         assert warm.session_reused
         assert warm.mass_cache_hits > 0
 
-    def test_use_session_false_never_reuses(self, engine):
+    def test_invalidated_sessions_never_reuse(self, engine):
         engine.top_k(["shop"], k=5)
-        _res, stats = engine.top_k_with_stats(["shop"], k=5,
-                                              use_session=False)
+        engine.invalidate_sessions()
+        _res, stats = engine.top_k_with_stats(["shop"], k=5)
         assert not stats.session_reused
-        # Its own pass, not the session's slot masses.
+        # Its own pass, not the dropped session's slot masses.
         assert stats.mass_cache_hits == 0
         assert stats.kernel_calls == 1 and stats.mass_cache_misses > 0
 
@@ -169,10 +165,12 @@ class TestRunParallel:
 
 
 class TestParallelQueries:
-    def test_concurrent_queries_match_sequential(self, engine):
+    def test_concurrent_queries_match_sequential(self, engine, small_city):
+        from repro.core.soi import SOIEngine
+
         keyword_sets = [["shop"], ["food"], ["shop", "food"], ["shop"]]
-        expected = [engine.top_k(kws, k=5, use_session=False)
-                    for kws in keyword_sets]
+        reference = SOIEngine(small_city.network, small_city.pois)
+        expected = [reference.top_k(kws, k=5) for kws in keyword_sets]
         results = run_parallel(
             [lambda kws=kws: engine.top_k(kws, k=5)
              for kws in keyword_sets],

@@ -22,6 +22,7 @@ from repro.core.soi import AccessStrategy, SOIEngine
 from repro.core.soi_baseline import BaselineSOI
 from repro.datagen import build_preset
 from repro.errors import ContractViolation, QueryError
+from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.result_cache import (
     ResultCache,
@@ -251,16 +252,51 @@ def test_in_flight_repeats_reach_the_worker_cache():
         serve_request(engine, city.photos, request) for request in requests]
     # Under REPRO_CHECK=1 the worker also re-derives the k = 5 page it
     # sliced from its cached ranking (contracts.check_prefix_slice): one
-    # more ranking, computed only to be compared.  The spawned worker
-    # reads REPRO_CHECK from the environment it inherits.
+    # more ranking, computed only to be compared, and counted apart from
+    # the executed query.  The spawned worker reads REPRO_CHECK from the
+    # environment it inherits.
     checks = contracts._env_enabled(os.environ.get("REPRO_CHECK"))
-    assert metrics.counter("soi.queries") == 1 + int(checks)
+    assert metrics.counter("soi.queries") == 1
+    assert metrics.counter("soi.rederivations") == int(checks)
     assert metrics.counter("describe.queries") == 1
     # Every request crossed the pipe, and the worker's cache answered
     # both repeats.
     assert all(service_s > 0 for _payload, service_s in arrivals.values())
     assert stats["hits"] == 2
     assert stats["coalesced_waiters"] == 0
+
+
+@pytest.mark.parametrize("check", [False, True], ids=["plain", "contracts"])
+def test_contract_rederivations_are_not_executed_queries(check):
+    """Pages k = 10, 20, 30 of one signature through one cache execute one
+    ranking; the prefix-slice contract's re-derivations of the two sliced
+    hits count as ``soi.rederivations``, not as ``soi.queries``.  A
+    repeated describe whose street holds fewer photos than k is a hit
+    on its own stored summary and executes once."""
+    city = build_preset("vienna", scale=0.25)
+    engine = SOIEngine(city.network, city.pois)
+    cache = make_cache(engine)
+    describe = DescribeRequest(
+        street_id=engine.top_k(["shop"], k=1)[0].street_id, k=10_000)
+    registry = obs_metrics.REGISTRY
+    names = ("soi.queries", "soi.rederivations", "describe.queries")
+    before = {name: registry.counter(name) for name in names}
+    previous = contracts.ENABLED
+    contracts.enable_contracts(check)
+    try:
+        for k in (10, 20, 30):
+            serve_request_cached(engine, None, SOIRequest(("shop",), k),
+                                 cache)
+        for _repeat in range(2):
+            serve_request_cached(engine, city.photos, describe, cache)
+    finally:
+        contracts.enable_contracts(previous)
+    counted = {name: registry.counter(name) - before[name]
+               for name in names}
+    assert cache.stats()["misses"] == 2
+    assert counted == {"soi.queries": 1,
+                       "soi.rederivations": 2 if check else 0,
+                       "describe.queries": 1}
 
 
 def test_server_without_cache_reports_none():
