@@ -7,7 +7,8 @@ all POIs).  The synthetic datasets reproduce the *shape*: counts grow
 monotonically, religion is rare, food/services dominate, and even the
 broadest set stays around a tenth of the POIs.
 
-The timed quantity is the indexed relevant-count evaluation.
+The timed quantity is ``POIGridIndex.total_relevant``: the number of POIs
+the keyword postings' relevance mask selects.
 """
 
 from __future__ import annotations

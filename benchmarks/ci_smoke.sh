@@ -38,6 +38,11 @@ python -m pytest -x -q perfbench/test_perfbench.py
 # Collect (not run) the table/figure/ablation benches: one that imports
 # a deleted name fails here, not in the next full benchmark run.
 python -m pytest benchmarks/ --collect-only -q
+# README's entry points: every example runs end to end, its output
+# discarded, so one that calls a deleted public name fails here.
+for example in examples/*.py; do
+    python "$example" > /dev/null
+done
 # The Figure 4 and Figure 6 suites also check answers at every timed
 # point (SOI's top-k against BL's, ST_Rel+Div's summary against the
 # greedy's) and exit 1 on a difference.

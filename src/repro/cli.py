@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Six subcommands cover the everyday workflow without writing Python:
+Eight subcommands cover the everyday workflow without writing Python:
 
 * ``repro generate`` — build a synthetic city preset and save it as the
   three JSON files the loaders understand;
@@ -75,6 +75,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """An argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
@@ -272,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes (default 2)")
     top.add_argument("--queries", type=_positive_int, default=32,
                      help="workload size (default 32)")
-    top.add_argument("--seed", type=int, default=0,
+    top.add_argument("--seed", type=_non_negative_int, default=0,
                      help="workload RNG seed")
     top.add_argument("--batch", type=_positive_int, default=1,
                      help="per-worker micro-batch size (default 1)")

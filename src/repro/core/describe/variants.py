@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.describe.greedy import GreedyDescriber
 from repro.core.describe.measures import objective_value
 from repro.core.describe.profile import StreetProfile
 from repro.core.describe.st_rel_div import STRelDivDescriber
@@ -60,19 +59,15 @@ def run_variant(
     k: int,
     lam: float = 0.5,
     w: float = 0.5,
-    use_index: bool = True,
 ) -> list[int]:
-    """Select ``k`` photos with the named method.
+    """Select ``k`` photos with the named method, by ST_Rel+Div.
 
     ``lam`` / ``w`` are the balanced values substituted where the method
-    does not pin them.  ``use_index=False`` forces the exhaustive greedy (the
-    BL path), which returns the same summary.
+    does not pin them.
     """
     spec = VARIANTS[method] if isinstance(method, str) else method
     sel_lam, sel_w = spec.effective(lam, w)
-    if use_index:
-        return STRelDivDescriber(profile).select(k, sel_lam, sel_w)
-    return GreedyDescriber(profile).select(k, sel_lam, sel_w)
+    return STRelDivDescriber(profile).select(k, sel_lam, sel_w)
 
 
 def score_variants(

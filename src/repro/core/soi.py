@@ -118,8 +118,8 @@ def parse_strategy(strategy: AccessStrategy | str) -> AccessStrategy:
 class SOIEngine:
     """Indexes a road network and a POI set; answers k-SOI queries.
 
-    Builds the offline structures of Section 3.2.1 once (grid + local and
-    global inverted indexes over POIs, cell/segment maps); the query-time
+    Builds the offline structures of Section 3.2.1 once (the POI grid
+    with its keyword inverted indexes, cell/segment maps); the query-time
     ``eps`` augmentation is cached inside :class:`SegmentCellMaps`.
 
     Parameters
@@ -159,7 +159,6 @@ class SOIEngine:
         poi_index: POIGridIndex,
         cell_maps: SegmentCellMaps,
         extent: BBox,
-        sl3_entries: tuple[tuple[int, float], ...],
         index_generation: int = 0,
     ) -> "SOIEngine":
         """An engine over *already built* index structures.
@@ -170,8 +169,8 @@ class SOIEngine:
         over a shared-memory :class:`~repro.serve.snapshot.IndexSnapshot`
         without re-running index construction.  The caller is responsible
         for the structures being mutually consistent (same grid, same
-        data); everything derived here (``_max_weight``, the SL2 cache
-        seed) is recomputed from them exactly as ``__init__`` would.
+        data); everything derived here (``_max_weight``, the empty SL2/SL3
+        caches) is recomputed from them exactly as ``__init__`` would.
         """
         from repro.perf.session import QuerySessionPool
 
@@ -186,7 +185,7 @@ class SOIEngine:
         engine.cell_maps = cell_maps
         engine._max_weight = (float(pois.weights.max()) if len(pois)
                               else 0.0)
-        engine._sl3_entries = sl3_entries
+        engine._sl3_cache = None
         engine._sl2_cache = {}
         engine._store_layouts = {}
         engine.sessions = QuerySessionPool(poi_index)
@@ -214,12 +213,10 @@ class SOIEngine:
         with trace_span("index.cell_maps"):
             self.cell_maps = SegmentCellMaps(network, self.poi_index.grid)
         self._max_weight = float(pois.weights.max()) if len(pois) else 0.0
-        # SL3 order (length ascending) is query-independent; SL2 order
-        # depends only on eps, so it is cached per eps value.
-        with trace_span("index.source_list_orders"):
-            self._sl3_entries: tuple[tuple[int, float], ...] = tuple(sorted(
-                ((seg.id, seg.length) for seg in network.iter_segments()),
-                key=lambda e: (e[1], e[0])))
+        # Source-list orders, sorted on Algorithm 1's first use: SL3's
+        # (length ascending) is query-independent, SL2's depends only on
+        # eps and is cached per eps value.
+        self._sl3_cache: tuple[tuple[int, float], ...] | None = None
         self._sl2_cache: dict[float, tuple[tuple[tuple[int, float], ...],
                                            float]] = {}
         self._store_layouts: dict[float, StoreLayout] = {}
@@ -257,6 +254,16 @@ class SOIEngine:
         from repro.data.keywords import normalize_keywords
 
         return self.sessions.get(normalize_keywords(keywords))
+
+    def _sl3_entries(self) -> tuple[tuple[int, float], ...]:
+        """Every segment's ``(id, length)``, by ``(length, id)``: SL3."""
+        entries = self._sl3_cache
+        if entries is None:
+            entries = tuple(sorted(
+                ((seg.id, seg.length) for seg in self.network.iter_segments()),
+                key=lambda e: (e[1], e[0])))
+            self._sl3_cache = entries
+        return entries
 
     def _sl2_entries(self, eps: float) -> tuple[
             tuple[tuple[int, float], ...], float]:
@@ -473,7 +480,7 @@ class _SOIRun:
         is_seen = self._store_is_seen
         self.sl2 = SegmentSourceList(sl2_entries, is_final=is_final,
                                      is_seen=is_seen)
-        self.sl3 = SegmentSourceList(self.engine._sl3_entries,
+        self.sl3 = SegmentSourceList(self.engine._sl3_entries(),
                                      is_final=is_final, is_seen=is_seen)
         self._lists = {"SL1": self.sl1, "SL2": self.sl2, "SL3": self.sl3}
 

@@ -30,7 +30,6 @@ from repro.analysis import contracts
 from repro.core.interest import validate_query
 from repro.core.results import SOIRanking, SOIResult
 from repro.core.soi import DEFAULT_EPS, SOIEngine
-from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import trace_span
 
 
@@ -127,9 +126,6 @@ class BaselineSOI:
             ranking = SOIRanking(
                 streets[ranked], values[ranked], layout.seg_ids[best],
                 tuple(layout.street_name_of[best].tolist()))
-        obs_metrics.REGISTRY.inc("soi.baseline_queries")
-        obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned",
-                                 layout.num_segments)
         if contracts.ENABLED:
             contracts.SOIContractMonitor().check_results(
                 self.engine, query, eps, weighted, len(ranking),
@@ -157,10 +153,7 @@ class BaselineSOI:
                         keywords=",".join(sorted(query))):
             layout, _slots, interest = self._segment_interests(
                 query, eps, weighted, stats)
-            out = dict(zip(layout.seg_ids_list, interest.tolist()))
-        obs_metrics.REGISTRY.inc("soi.baseline_queries")
-        obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned", len(out))
-        return out
+            return dict(zip(layout.seg_ids_list, interest.tolist()))
 
     def _segment_interests(self, query, eps, weighted, stats):
         """``(layout, slots, interest)``: every segment's Definition 2

@@ -174,7 +174,7 @@ class StoreLayout:
         "street_of", "street_name_of", "buffer_col", "endpoints",
         "dense_index", "num_slots",
         "num_cells", "cells", "cell_index", "slot_offsets",
-        "slot_cell", "slot_seg", "slot_cells", "cell_counts", "cell_slots",
+        "slot_cell", "slot_seg", "cell_counts", "cell_slots",
         "seg_ids_list", "street_list", "lengths_list", "buffer_list",
         "cell_counts_list", "_sorted_lin", "_sorted_pos", "_group_offsets",
         "_group_segs", "_group_slots", "_groups", "_incidence",
@@ -249,7 +249,6 @@ class StoreLayout:
         self.slot_offsets = np.asarray(offsets, dtype=np.int64)
         self.slot_cell = slot_cell
         self.slot_seg = seg_col
-        self.slot_cells = [cells[pos] for pos in slot_cell.tolist()]
         self.cell_counts = np.diff(self.slot_offsets)
         self.cell_counts_list = self.cell_counts.tolist()
         self.cell_slots = np.bincount(slot_cell, minlength=num_cells)

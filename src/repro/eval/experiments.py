@@ -13,18 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.describe.measures import (
-    objective_value,
-    set_diversity,
-    set_relevance,
-)
+from repro.core.describe.measures import set_diversity, set_relevance
 from repro.core.describe.profile import (
     DEFAULT_RHO,
     StreetProfile,
     build_street_profile,
 )
 from repro.core.describe.st_rel_div import STRelDivDescriber
-from repro.core.describe.variants import VARIANTS, run_variant
+from repro.core.describe.variants import score_variants
 from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.datagen.city import City
 from repro.eval.metrics import recall_at_k
@@ -142,24 +138,10 @@ def describe_scores(
     k: int = 3,
     lam: float = 0.5,
     w: float = 0.5,
-    jobs: int | None = 1,
 ) -> dict[str, float]:
-    """Table 3: per-method objective scores normalised to ST_Rel+Div.
-
-    The variants are independent (each reads the shared profile and keeps
-    its own state), so ``jobs`` fans them out via
-    :func:`~repro.perf.parallel.run_parallel`; the default ``jobs=1`` stays
-    sequential, which is what timed callers want.
-    """
-    from repro.perf.parallel import run_parallel
-
-    names = list(VARIANTS)
-    scored = run_parallel(
-        [lambda n=name: objective_value(
-            profile, run_variant(profile, n, k, lam, w), lam, w)
-         for name in names],
-        jobs=jobs)
-    raw: dict[str, float] = dict(zip(names, scored))
+    """Table 3: :func:`~repro.core.describe.variants.score_variants`'
+    objective scores, normalised to ST_Rel+Div's."""
+    raw = score_variants(profile, k, lam, w)
     anchor = raw["ST_Rel+Div"]
     if anchor <= 0:
         return raw

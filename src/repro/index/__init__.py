@@ -2,12 +2,12 @@
 
 Section 3.2.1 of the paper lists the data structures the SOI algorithm
 needs; Section 4.2.1 adds the photo grid used by ST_Rel+Div.  This
-subpackage implements all of them:
+subpackage implements them as the columns the queries read:
 
 * :mod:`repro.index.grid` -- a uniform spatial grid over an extent;
-* :mod:`repro.index.inverted` -- per-cell and global inverted indexes;
-* :mod:`repro.index.poi_grid` -- the combined POI index (grid + local
-  inverted indexes + global inverted index);
+* :mod:`repro.index.poi_grid` -- the POI index: each POI's grid cell,
+  and per keyword the positions carrying it and the global inverted
+  index's ``(cell, count)`` entries;
 * :mod:`repro.index.cell_maps` -- cell-to-segment and segment-to-cell maps
   with query-time ``eps`` augmentation;
 * :mod:`repro.index.photo_grid` -- the describe-stage photo grid with
@@ -18,14 +18,11 @@ as the paper notes) and are read-only at query time.
 """
 
 from repro.index.grid import UniformGrid
-from repro.index.inverted import CellInvertedIndex, GlobalInvertedIndex
 from repro.index.poi_grid import POIGridIndex
 from repro.index.cell_maps import SegmentCellMaps
 from repro.index.photo_grid import PhotoCell, PhotoGridIndex
 
 __all__ = [
-    "CellInvertedIndex",
-    "GlobalInvertedIndex",
     "PhotoCell",
     "PhotoGridIndex",
     "POIGridIndex",

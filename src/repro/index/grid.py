@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import GridIndexError
 from repro.geometry.bbox import BBox
-from repro.index.csr import first_appearance_groups
 
 CellCoord = tuple[int, int]
 
@@ -35,28 +34,6 @@ def rounding_slack(magnitude: float) -> float:
     """A distance that covers the rounding of float operations on
     coordinates and offsets of at most ``magnitude``."""
     return _ROUNDING_RTOL * magnitude
-
-
-def bucket_points(
-    grid: "UniformGrid", xs: np.ndarray, ys: np.ndarray
-) -> dict[CellCoord, np.ndarray]:
-    """Group point positions by containing cell, vectorised.
-
-    Returns ``{cell: positions}`` with cells in first-appearance
-    (position) order and positions ascending within each cell — exactly
-    the dictionary a per-point ``defaultdict(list)`` loop over
-    :meth:`UniformGrid.cell_of` builds, via one batched cell assignment
-    and one stable argsort.
-    """
-    i, j = grid.cells_of_batched(xs, ys)
-    lin = i * np.int64(grid.ny) + j
-    order, starts, ends, keys = first_appearance_groups(lin)
-    ny = grid.ny
-    out: dict[CellCoord, np.ndarray] = {}
-    for g in range(keys.shape[0]):
-        key = int(keys[g])
-        out[(key // ny, key % ny)] = order[starts[g]:ends[g]].astype(np.intp)
-    return out
 
 
 def validate_cell_size(cell_size: float) -> None:

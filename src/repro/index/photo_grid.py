@@ -6,7 +6,7 @@ cover photos at most two cells away — the geometry behind the Equation
 11-12 bounds).  Each cell carries:
 
 * the list of photos in the cell (``c.R``),
-* a local inverted index over the photos' tags (``c.I``),
+* the set of tags its photos carry (``c.Psi``),
 * the minimum and maximum tag-set size among its photos
   (``c.psi_min`` / ``c.psi_max``).
 
@@ -15,8 +15,8 @@ ascending coordinate), built by one cell assignment and one stable sort:
 members, sizes, ``psi_min``/``psi_max``, rectangles and every photo's slot.
 :meth:`PhotoGridIndex.spatial_reach_counts` computes the Equation 12
 numerator of every cell in one pass.  :class:`PhotoCell` objects, with
-their inverted indexes, are decoded from the photos on first use; they
-and the per-cell :meth:`~PhotoGridIndex.spatial_reach_count` are the
+their tag sets, are decoded from the photos on first use; they and the
+per-cell :meth:`~PhotoGridIndex.spatial_reach_count` are the
 scalar reference the runtime contracts and the tests check the columns
 against.
 """
@@ -33,7 +33,6 @@ from repro.errors import GridIndexError
 from repro.geometry.bbox import BBox
 from repro.geometry.distance import _hypot_exact, point_bbox_mindist
 from repro.index.grid import CellCoord, UniformGrid
-from repro.index.inverted import CellInvertedIndex
 
 #: Relative slack on ``rho`` for the ring-3 reachability guard of
 #: :meth:`PhotoGridIndex.spatial_reach_count` — generous against the
@@ -60,22 +59,17 @@ class PhotoCell:
     positions:
         Photo positions (into the indexed :class:`~repro.data.photo.PhotoSet`)
         of the cell's photos, in insertion order (``c.R``).
-    inverted:
-        Local inverted index over the cell's photo tags (``c.I``).
+    keywords:
+        ``c.Psi``: every tag carried by a photo of the cell.
     psi_min, psi_max:
         Minimum / maximum number of tags of any photo in the cell.
     """
 
     coord: CellCoord
     positions: tuple[int, ...]
-    inverted: CellInvertedIndex
+    keywords: frozenset[str]
     psi_min: int
     psi_max: int
-
-    @property
-    def keywords(self) -> frozenset[str]:
-        """``c.Psi``: all tags present in the cell."""
-        return self.inverted.keywords
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -206,7 +200,7 @@ class PhotoGridIndex:
                 cells[coord] = PhotoCell(
                     coord=coord,
                     positions=positions,
-                    inverted=CellInvertedIndex(zip(positions, tags)),
+                    keywords=frozenset().union(*tags),
                     psi_min=min(map(len, tags)),
                     psi_max=max(map(len, tags)),
                 )

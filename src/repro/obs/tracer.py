@@ -80,13 +80,11 @@ SPAN_NAMES = frozenset({
     "describe.profile_build",
     # Index construction and eps-augmentation.
     "index.build", "index.poi_grid", "index.cell_maps",
-    "index.source_list_orders", "index.store_layout", "index.augment_eps",
-    "index.slot_incidence",
+    "index.store_layout", "index.augment_eps", "index.slot_incidence",
     # Snapshot lifecycle and serving.
     "snapshot.export", "snapshot.attach", "snapshot.attach_network",
     "snapshot.attach_pois", "snapshot.attach_photo_set",
-    "snapshot.attach_poi_index", "snapshot.attach_cell_maps",
-    "snapshot.attach_engine",
+    "snapshot.attach_cell_maps", "snapshot.attach_engine",
     "serve.request",
 })
 """Central span-name table (see module docstring).  Adding an

@@ -62,6 +62,7 @@ Protocol properties:
 
 from __future__ import annotations
 
+import gc
 import mmap
 import multiprocessing as mp
 import pickle
@@ -364,8 +365,16 @@ class _WorkerView:
         self.engine = attach_engine(self.snapshot)
         self.photos = attach_photo_set(self.snapshot)
         self.describers: OrderedDict = OrderedDict()
+        # What attach built lives as long as the view.  Collect once and
+        # move it out of the collector's generations, so no full
+        # collection rescans it while requests are in flight: on london
+        # such a rescan paused the worker 10-18 ms, at whichever request
+        # the allocation count reached it.
+        gc.collect()
+        gc.freeze()
 
     def close(self) -> None:
+        gc.unfreeze()
         self.engine = None
         self.photos = None
         self.describers = OrderedDict()

@@ -1,17 +1,17 @@
 """Columnar, shared-memory snapshots of the built SOI indexes.
 
 An :class:`IndexSnapshot` flattens everything a serving worker needs —
-the road network, the POI table with its keyword sets, the photo table
-with its tag sets, the occupied-cell directory of the
-:class:`~repro.index.poi_grid.POIGridIndex` and the base/``eps``-augmented
-adjacency of :class:`~repro.index.cell_maps.SegmentCellMaps` — into a
+the road network, the POI table with its keyword sets (from which the
+worker builds its :class:`~repro.index.poi_grid.POIGridIndex`), the photo
+table with its tag sets and the base/``eps``-augmented adjacency of
+:class:`~repro.index.cell_maps.SegmentCellMaps` — into a
 structure-of-arrays layout inside **one**
 :class:`multiprocessing.shared_memory.SharedMemory` block:
 
 * numeric attributes become contiguous ``float64``/``int64`` columns;
-* variable-length relations (cell → POI positions, segment → cells,
-  street → segments, item → keywords) become CSR-style ``offsets`` +
-  ``values`` array pairs;
+* variable-length relations (segment → cells, street → segments,
+  item → keywords) become CSR-style ``offsets`` + ``values`` array
+  pairs;
 * strings (keywords, tags, street names) are interned into sorted id
   tables stored as a UTF-8 blob plus an offsets column.
 
@@ -22,8 +22,8 @@ array payloads.  Attaching (:meth:`IndexSnapshot.attach`) maps the block
 and exposes each array as a **read-only, zero-copy** NumPy view; no part
 of the original object graph is pickled.
 
-Element orders are preserved exactly (segments, streets, occupied cells
-and CSR value runs are stored in the source structures' iteration order),
+Element orders are preserved exactly (segments, streets and CSR value
+runs are stored in the source structures' iteration order),
 so the views rebuilt by :mod:`repro.serve.views` reproduce the original
 dictionaries key-for-key — a prerequisite for the serving layer's
 bit-identical-results guarantee.
@@ -45,13 +45,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.soi import SOIEngine
     from repro.data.photo import PhotoSet
 
-SNAPSHOT_SCHEMA = 2
+SNAPSHOT_SCHEMA = 3
 """Bumped whenever the block layout changes; attach refuses mismatches.
 
-Schema 2 adds the incremental augmentation distance cache
+Schema 2 added the incremental augmentation distance cache
 (``scm_cache_*`` arrays plus the ``cache_eps`` meta field), so attached
 workers inherit the exporter's confirmed per-(segment, cell) distances
-instead of re-running the augmentation geometry."""
+instead of re-running the augmentation geometry.  Schema 3 drops the POI
+grid's per-cell position lists and the SL3 order: a worker builds its POI
+index from the POI columns, and its first Algorithm 1 run sorts SL3."""
 
 _ALIGN = 64
 _MAGIC = "repro-index-snapshot"
@@ -143,14 +145,6 @@ def build_arrays(
     arrays["poi_vocab_blob"], arrays["poi_vocab_offsets"] = \
         _pack_strings(poi_vocab)
 
-    # -- POI grid directory (occupied cells, in insertion order) ----------
-    poi_index = engine.poi_index
-    cells = list(poi_index._cell_positions)
-    arrays["pcell_ij"] = (np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-                          if cells else np.zeros((0, 2), dtype=np.int64))
-    arrays["pcell_poi_offsets"], arrays["pcell_poi_values"] = _pack_csr(
-        [poi_index._cell_positions[cell].tolist() for cell in cells])
-
     # -- segment/cell maps ------------------------------------------------
     cell_maps = engine.cell_maps
 
@@ -193,12 +187,6 @@ def build_arrays(
                                               dtype=np.float64)
         cache_eps = float(cache.eps)
 
-    # -- SL3 (query-independent segment order) ----------------------------
-    arrays["sl3_ids"] = np.asarray([sid for sid, _len in engine._sl3_entries],
-                                   dtype=np.int64)
-    arrays["sl3_lengths"] = np.asarray(
-        [length for _sid, length in engine._sl3_entries], dtype=np.float64)
-
     # -- photo table (describe stage) --------------------------------------
     if photos is not None:
         arrays["photo_ids"] = np.asarray(photos.ids, dtype=np.int64)
@@ -224,7 +212,6 @@ def build_arrays(
             "streets": len(streets),
             "pois": len(pois),
             "photos": len(photos) if photos is not None else 0,
-            "occupied_cells": len(cells),
         },
     }
     return meta, arrays

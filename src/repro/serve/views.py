@@ -7,9 +7,8 @@ attach builds, in exactly the element order the exporter recorded:
 
 * the road network objects (vertices, segments, streets), which every
   mass kernel reads, and the segment id → position map;
-* the occupied-cell directory of the POI grid;
-* the keyword postings and ``(keyword, cell)`` count columns, from the POI
-  keyword incidences by the builder a fresh index uses;
+* the POI index, by the :class:`~repro.index.poi_grid.POIGridIndex`
+  constructor a fresh engine runs, over the attached POI columns;
 * the per-``eps`` segment/cell CSRs and the store layout of every warmed
   ``eps`` (its columns and within-``eps`` POI incidence, not its
   per-cell groups).
@@ -17,14 +16,14 @@ attach builds, in exactly the element order the exporter recorded:
 Everything else is decoded on first use: a :class:`~repro.data.poi.POI`
 or :class:`~repro.data.photo.Photo` on the first positional access to it
 (Algorithm 1 never asks for one; a describe asks for the photos near its
-street), a keyword's global-index entries on its first lookup, and a
-cell's ``L_eps(c)`` group on its first visit.  The resulting
+street), the SL3 order on the first Algorithm 1 run, and a cell's
+``L_eps(c)`` group on its first visit.  The resulting
 :class:`~repro.core.soi.SOIEngine` returns bit-identical query results.
 
-Reconstruction deliberately bypasses the heavy constructors
-(``POIGridIndex`` re-binning, ``SegmentCellMaps`` geometry tests,
-``RoadNetwork.validate``): a snapshot is only ever exported from an engine
-whose structures already satisfied those invariants.
+Reconstruction deliberately bypasses the constructors that re-run
+geometry (``SegmentCellMaps`` cell tests, ``RoadNetwork.validate``): a
+snapshot is only ever exported from an engine whose structures already
+satisfied those invariants.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "attach_engine",
     "attach_network",
     "attach_photo_set",
-    "attach_poi_index",
     "attach_pois",
 ]
 
@@ -118,28 +116,6 @@ def attach_network(snapshot: IndexSnapshot) -> RoadNetwork:
         for row, sid in enumerate(snapshot.array("street_ids").tolist())
     ]
     return RoadNetwork(vertices, segments, streets, validate=False)
-
-
-@trace_span("snapshot.attach_poi_index")
-def attach_poi_index(
-    snapshot: IndexSnapshot, pois: POISet, extent: BBox
-) -> POIGridIndex:
-    """The POI grid index: stored cell directory + keyword columns."""
-    index = POIGridIndex.__new__(POIGridIndex)
-    index.pois = pois
-    index.grid = UniformGrid(extent, float(snapshot.meta["cell_size"]))
-    cells = snapshot.array("pcell_ij").tolist()
-    offsets = snapshot.array("pcell_poi_offsets").tolist()
-    values = snapshot.array("pcell_poi_values")
-    index._cell_positions = {
-        (i, j): np.asarray(values[offsets[row]:offsets[row + 1]],
-                           dtype=np.intp)  # zero-copy on 64-bit platforms
-        for row, (i, j) in enumerate(cells)}
-    # Local inverted indexes materialise lazily, exactly as on a freshly
-    # built index: each worker only pays for the cells its queries touch.
-    index._cell_index = {}
-    index._index_keywords()
-    return index
 
 
 def _seeded_csr(
@@ -218,14 +194,10 @@ def attach_engine(snapshot: IndexSnapshot) -> SOIEngine:
     extent = BBox(*snapshot.meta["extent"])
     pois = attach_pois(snapshot)
     network = attach_network(snapshot)
-    poi_index = attach_poi_index(snapshot, pois, extent)
+    poi_index = POIGridIndex(pois, extent, float(snapshot.meta["cell_size"]))
     cell_maps = attach_cell_maps(snapshot, network, poi_index.grid)
-    sl3_entries = tuple(
-        (int(sid), float(length))
-        for sid, length in zip(snapshot.array("sl3_ids"),
-                               snapshot.array("sl3_lengths")))
     engine = SOIEngine.from_prebuilt(
-        network, pois, poi_index, cell_maps, extent, sl3_entries,
+        network, pois, poi_index, cell_maps, extent,
         index_generation=snapshot.generation)
     # Pre-build the store layout of every warmed eps and its
     # within-eps incidence: the CSR derives from the attached cell maps

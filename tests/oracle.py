@@ -17,6 +17,8 @@ no incremental evaluator:
 * :func:`slot_mass` and :func:`sl1_entries` are Definition 1 for one
   ``(segment, cell)`` slot and Algorithm 1, line 2, one cell at a time:
   the references for the vectorised pass that materialises both.
+  :func:`poi_cells` is the grid cell of every POI, by ``cell_of``: the
+  reference for the POI index's cell column.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ def soi_topk(network, pois, keywords: Iterable[str], k: int, eps: float,
     return scored[:k]
 
 
+def poi_cells(grid, pois) -> list[tuple[int, int]]:
+    """The grid cell of every POI position, by ``grid.cell_of``."""
+    return [grid.cell_of(x, y)
+            for x, y in zip(pois.xs.tolist(), pois.ys.tolist())]
+
+
 def slot_mass(segment, cell, grid, pois, keywords: Iterable[str],
               eps: float, weighted: bool = False) -> float:
     """Definition 1 over the relevant POIs of one grid cell.
@@ -65,10 +73,8 @@ def slot_mass(segment, cell, grid, pois, keywords: Iterable[str],
     and the weights within ``eps`` summed by ``np.sum``.
     """
     query = frozenset(keywords)
-    members = [pos for pos in range(len(pois))
-               if pois[pos].matches(query)
-               and grid.cell_of(float(pois.xs[pos]),
-                                float(pois.ys[pos])) == cell]
+    members = [pos for pos, poi_cell in enumerate(poi_cells(grid, pois))
+               if poi_cell == cell and pois[pos].matches(query)]
     within = points_segment_distance(
         pois.xs[members], pois.ys[members],
         segment.ax, segment.ay, segment.bx, segment.by) <= eps

@@ -329,6 +329,7 @@ class TestParser:
         ("metrics", "--repeat", "-3"),
         ("top", "--stall-after", "-1"),
         ("top", "--stall-after", "nan"),
+        ("top", "--seed", "-1"),
         ("generate", "--scale", "0"),
         ("generate", "--scale", "nan"),
         ("bench", "--scale", "0"),

@@ -6,14 +6,15 @@ against their scalar counterparts, the vectorised + incremental
 ``eps``-augmentation against the per-segment scalar predicate
 ``SegmentCellMaps._cells_within`` (both sweep directions, so the filter
 and delta cache modes are both exercised), the CSR store layout against
-a walk over ``cells_of_segment``, the batched global inverted index
-against aggregating per-cell indexes, and the batched point bucketing
-against per-point ``cell_of`` loops.
+a walk over ``cells_of_segment``, and the POI index's ``(cell, count)``
+columns, relevance mask and cell column against every POI's ``cell_of``
+and keywords.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ from repro.geometry.distance import (
     segments_bbox_mindist_batched,
 )
 from repro.index.cell_maps import SegmentCellMaps
-from repro.index.grid import UniformGrid, bucket_points
-from repro.index.inverted import GlobalInvertedIndex
+from repro.index.grid import UniformGrid
 from repro.index.poi_grid import POIGridIndex
 
+from tests import oracle
 from tests.conftest import KEYWORD_POOL, random_networks, random_pois
 
 EXTENT = BBox(0.0, 0.0, 0.02, 0.02)
@@ -233,7 +234,6 @@ def test_store_layout_csr_matches_dict_walk(network, ascending):
         assert layout.cells == cells
         assert layout.cell_index == {c: pos for pos, c in enumerate(cells)}
         assert layout.slot_offsets.tolist() == offsets
-        assert layout.slot_cells == slot_cells
         assert layout.slot_cell.tolist() == [layout.cell_index[c]
                                              for c in slot_cells]
         assert layout.cell_counts_list == [
@@ -247,49 +247,48 @@ def test_store_layout_csr_matches_dict_walk(network, ascending):
         assert [list(part) for part in layout.cell_group(unknown)] == [[], []]
 
 
-# -- batched global inverted index vs per-cell aggregation --------------------
+# -- POI index columns vs per-POI cells and keywords -------------------------
 
 @given(pois=random_pois(min_size=0, max_size=30))
 @settings(max_examples=40)
 def test_batched_global_index_matches_per_cell_aggregation(pois):
-    """``entries``/``count`` equal ``GlobalInvertedIndex.from_cells`` over
-    the index's own cells, and the relevance mask selects exactly each
-    cell's ``matching_positions``."""
+    """Each keyword's ``(cell, count)`` run is ``I[psi][c]`` aggregated
+    cell by cell from every POI's ``cell_of`` and keywords, the SL1
+    bounds of multi-keyword queries are ``oracle.sl1_entries``, and the
+    relevance mask selects exactly the POIs ``POI.matches``."""
     index = POIGridIndex(pois, EXTENT, 0.003)
-    cells = {cell: index.cell_inverted(cell)
-             for cell in index.occupied_cells()}
-    reference = GlobalInvertedIndex.from_cells(cells)
-    assert index.global_index.keywords == reference.keywords
+    ny = index.grid.ny
+    cells = oracle.poi_cells(index.grid, pois)
+
+    def bounds(query) -> list[tuple[tuple[int, int], int]]:
+        lin, bound = index.relevant_count_upper_bounds(query)
+        return [((cell // ny, cell % ny), count)
+                for cell, count in zip(lin.tolist(), bound.tolist())]
+
     for keyword in KEYWORD_POOL:
-        assert index.global_index.entries(keyword) == \
-            reference.entries(keyword)
-        for cell in cells:
-            assert index.global_index.count(keyword, cell) == \
-                reference.count(keyword, cell)
+        counts = Counter(cell for pos, cell in enumerate(cells)
+                         if keyword in pois[pos].keywords)
+        assert bounds([keyword]) == sorted(counts.items())
     for size in (1, 2, 3):
         query = KEYWORD_POOL[:size]
+        assert bounds(query) == sorted(
+            oracle.sl1_entries(index.grid, pois, query))
         mask = index.relevant_position_mask(query)
-        for cell, inverted in cells.items():
-            positions = index.cell_positions(cell)
-            assert positions[mask[positions]].tolist() == \
-                list(inverted.matching_positions(query))
+        assert np.flatnonzero(mask).tolist() == [
+            pos for pos in range(len(pois))
+            if pois[pos].matches(frozenset(query))]
 
 
-# -- batched bucketing vs scalar cell assignment ------------------------------
+# -- batched cell assignment vs scalar cell assignment ------------------------
 
 @given(pois=random_pois(min_size=0, max_size=30))
 @settings(max_examples=40)
-def test_bucket_points_matches_scalar_loop(pois):
-    grid = _grid(0.003)
-    xs = np.array([p.x for p in pois], dtype=np.float64)
-    ys = np.array([p.y for p in pois], dtype=np.float64)
-    got = bucket_points(grid, xs, ys)
-    want: dict[tuple[int, int], list[int]] = {}
-    for pos, poi in enumerate(pois):
-        want.setdefault(grid.cell_of(poi.x, poi.y), []).append(pos)
-    assert list(got) == list(want)
-    for cell, positions in want.items():
-        assert got[cell].tolist() == positions
+def test_poi_cells_match_scalar_loop(pois):
+    """``POIGridIndex.cell_lin`` is every POI's ``cell_of``, linearised."""
+    index = POIGridIndex(pois, EXTENT, 0.003)
+    ny = index.grid.ny
+    assert [(cell // ny, cell % ny) for cell in index.cell_lin.tolist()] \
+        == [index.grid.cell_of(poi.x, poi.y) for poi in pois]
 
 
 @given(points=st.lists(

@@ -120,6 +120,6 @@ def test_engine_orders_sl2_and_sl3(small_engine, eps):
         ((seg.id, float(len(maps.cells_of_segment(seg.id, eps))))
          for seg in network.iter_segments()),
         key=lambda entry: (-entry[1], entry[0]))
-    assert list(small_engine._sl3_entries) == sorted(
+    assert list(small_engine._sl3_entries()) == sorted(
         ((seg.id, seg.length) for seg in network.iter_segments()),
         key=lambda entry: (entry[1], entry[0]))

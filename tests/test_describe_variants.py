@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.describe.greedy import GreedyDescriber
 from repro.core.describe.variants import VARIANTS, MethodSpec, run_variant, \
     score_variants
 from repro.core.describe.profile import StreetProfile
@@ -52,10 +53,10 @@ class TestRunVariant:
 
     def test_index_and_naive_paths_agree(self):
         profile = _profile()
-        for name in VARIANTS:
-            fast = run_variant(profile, name, 3, use_index=True)
-            naive = run_variant(profile, name, 3, use_index=False)
-            assert fast == naive, name
+        greedy = GreedyDescriber(profile)
+        for name, spec in VARIANTS.items():
+            naive = greedy.select(3, *spec.effective(0.5, 0.5))
+            assert run_variant(profile, name, 3) == naive, name
 
     def test_unknown_method_raises(self):
         with pytest.raises(KeyError):

@@ -62,11 +62,6 @@ class TestCells:
         coords = [cell.coord for cell in _index().cells()]
         assert coords == sorted(coords)
 
-    def test_inverted_index_postings(self):
-        cell = _index().cell((0, 0))
-        assert list(cell.inverted.postings("a")) == [0, 1]
-        assert list(cell.inverted.postings("b")) == [0]
-
 
 class TestNeighborhoodCount:
     def test_radius_zero_counts_own_cell(self):

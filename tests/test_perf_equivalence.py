@@ -93,11 +93,11 @@ def test_batched_mass_cache_stores_exact_values(network, pois, keywords):
         fresh = materialise_slot_masses(layout, engine.poi_index, query,
                                         weighted)
         assert kept.mass == fresh.mass
-        for slot, cell in enumerate(layout.slot_cells):
+        for slot, cell in enumerate(layout.slot_cell.tolist()):
             dense = int(layout.slot_seg[slot])
             assert kept.mass[slot] == slot_mass(
-                layout.segments[dense], cell, grid, pois, query, EPS,
-                weighted)
+                layout.segments[dense], layout.cells[cell], grid, pois,
+                query, EPS, weighted)
 
 
 # -- session-served SOI ------------------------------------------------------

@@ -7,6 +7,7 @@ the tier-1 guard that the scale-out path actually serves mixed queries.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import signal
@@ -19,7 +20,13 @@ from repro.core.soi import SOIEngine
 from repro.datagen import build_preset
 from repro.errors import QueryError, StaleSnapshotError, WorkerCrashError
 from repro.serve import EngineServer
-from repro.serve.server import DescribeRequest, SOIRequest, serve_request
+from repro.serve.server import (
+    DescribeRequest,
+    SOIRequest,
+    _WorkerView,
+    serve_request,
+)
+from repro.serve.snapshot import IndexSnapshot
 from repro.serve.workload import make_workload
 
 
@@ -278,6 +285,18 @@ def test_close_drains_a_full_result_pipe(small_engine):
         server.close(timeout=20.0)
     assert time.perf_counter() - started < 10.0
     assert not shm_exists(name)
+
+
+def test_worker_view_freezes_what_attach_built(small_engine):
+    """While a worker's view is open, what attach built sits in the
+    collector's permanent generation; closing the view hands it back."""
+    with IndexSnapshot.export(small_engine) as snapshot:
+        view = _WorkerView(snapshot.name)
+        try:
+            assert gc.get_freeze_count() > 0
+        finally:
+            view.close()
+        assert gc.get_freeze_count() == 0
 
 
 def test_no_feeder_thread_while_a_request_is_in_flight(small_engine):

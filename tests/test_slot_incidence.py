@@ -81,9 +81,13 @@ def test_rankings_follow_rebuild_indexes(city, cell_size):
         return serve_request(engine, None, request)
 
     _assert_serves_oracle(serve, network, pois, (DEFAULT_EPS,))
-    slots_before = engine.store_layout(DEFAULT_EPS).slot_cells
+    def slot_cells():
+        layout = engine.store_layout(DEFAULT_EPS)
+        return [layout.cells[cell] for cell in layout.slot_cell.tolist()]
+
+    slots_before = slot_cells()
     engine.rebuild_indexes(cell_size=cell_size)
-    assert engine.store_layout(DEFAULT_EPS).slot_cells != slots_before
+    assert slot_cells() != slots_before
     _assert_serves_oracle(serve, network, pois, (DEFAULT_EPS, COLD_EPS))
 
 

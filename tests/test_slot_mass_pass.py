@@ -23,6 +23,7 @@ The module runs plain and with the runtime contracts enabled.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -57,6 +58,11 @@ def _maybe_contracts(request):
         yield
     finally:
         contracts.enable_contracts(previous)
+
+
+def _slot_cells(layout) -> list[tuple[int, int]]:
+    """The cell of every slot of ``layout``, in slot order."""
+    return [layout.cells[cell] for cell in layout.slot_cell.tolist()]
 
 
 def _frame_with_dot(x: float, y: float) -> RoadNetwork:
@@ -118,26 +124,26 @@ def test_pass_matches_per_slot_and_per_cell_references(city, query, eps,
         oracle.sl1_entries(grid, pois, query)
     layout = engine.store_layout(eps)
     offsets = layout.slot_offsets.tolist()
-    relevant_in_cell = {
-        cell: sum(pois[pos].matches(query) for pos in
-                  engine.poi_index.cell_positions(cell).tolist())
-        for cell in layout.cells}
-    sizes = set(relevant_in_cell.values())
+    slot_cells = _slot_cells(layout)
+    relevant_in_cell = Counter(
+        cell for pos, cell in enumerate(oracle.poi_cells(grid, pois))
+        if pois[pos].matches(query))
+    sizes = {relevant_in_cell[cell] for cell in layout.cells}
     assert max(sizes) > 4 and sizes & {1, 2, 3, 4}
     for weighted in (False, True):
         slots = materialise_slot_masses(layout, engine.poi_index, query,
                                         weighted)
         for dense, segment in enumerate(layout.segments):
             for slot in range(offsets[dense], offsets[dense + 1]):
-                cell = layout.slot_cells[slot]
+                cell = slot_cells[slot]
                 assert slots.mass[slot] == oracle.slot_mass(
                     segment, cell, grid, pois, query, eps, weighted), \
                     (segment.id, cell, weighted)
         assert slots.num_relevant == sum(
-            relevant_in_cell[cell] > 0 for cell in layout.slot_cells)
+            relevant_in_cell[cell] > 0 for cell in slot_cells)
         assert slots.seg_relevant == [
             sum(relevant_in_cell[cell] > 0 for cell in
-                layout.slot_cells[offsets[dense]:offsets[dense + 1]])
+                slot_cells[offsets[dense]:offsets[dense + 1]])
             for dense in range(layout.num_segments)]
 
 
@@ -169,7 +175,7 @@ def test_cells_round_distances_with_their_kernel(offset, companions,
     slots = materialise_slot_masses(layout, engine.poi_index,
                                     frozenset({"shop"}))
     dot = layout.dense_index[4]
-    slot = layout.slot_cells.index(cell, int(layout.slot_offsets[dot]))
+    slot = _slot_cells(layout).index(cell, int(layout.slot_offsets[dot]))
     assert slots.mass[slot] == expected == oracle.slot_mass(
         network.segment(4), cell, engine.poi_index.grid, pois, ["shop"],
         0.0005)
@@ -249,10 +255,11 @@ def _slot_oracle_ranking(network, layout, grid, pois, query, eps,
     maximum, ranked as ``oracle.soi_topk`` ranks."""
     best: dict[int, float] = {}
     offsets = layout.slot_offsets.tolist()
+    slot_cells = _slot_cells(layout)
     for dense, segment in enumerate(layout.segments):
         mass = 0.0
         for slot in range(offsets[dense], offsets[dense + 1]):
-            mass += oracle.slot_mass(segment, layout.slot_cells[slot], grid,
+            mass += oracle.slot_mass(segment, slot_cells[slot], grid,
                                      pois, query, eps, weighted)
         interest = mass / buffer_area(segment.length, eps)
         best[segment.street_id] = max(best.get(segment.street_id, 0.0),
@@ -276,23 +283,26 @@ def test_rows_on_the_rounding_boundary_follow_their_cell(query):
     grid = engine.poi_index.grid
     layout = engine.store_layout(BOUNDARY_EPS)
     relevant = {}
+    cells = oracle.poi_cells(grid, pois)
     for street, sid in (("Small", 4), ("Big", 5)):
         end = network.segment(sid)
         cell = grid.cell_of(end.bx, end.by)
-        members = engine.poi_index.cell_positions(cell).tolist()
+        members = [pos for pos, poi_cell in enumerate(cells)
+                   if poi_cell == cell]
         assert len(members) == 6, street
         relevant[street] = sum(pois[pos].matches(frozenset(query))
                                for pos in members)
     assert relevant == ({"Small": 3, "Big": 5} if query == ("shop",)
                         else {"Small": 6, "Big": 6})
+    offsets = layout.slot_offsets.tolist()
+    slot_cells = _slot_cells(layout)
     for weighted in (False, True):
         slots = materialise_slot_masses(layout, engine.poi_index,
                                         frozenset(query), weighted)
-        offsets = layout.slot_offsets.tolist()
         for dense, segment in enumerate(layout.segments):
             for slot in range(offsets[dense], offsets[dense + 1]):
                 assert slots.mass[slot] == oracle.slot_mass(
-                    segment, layout.slot_cells[slot], grid, pois, query,
+                    segment, slot_cells[slot], grid, pois, query,
                     BOUNDARY_EPS, weighted), (segment.id, slot, weighted)
         request = SOIRequest(keywords=query, k=6, eps=BOUNDARY_EPS,
                              weighted=weighted)
